@@ -15,7 +15,7 @@
 //! | S4 | comm vs memory limit | `sweep_memory` |
 //! | X1 | beyond-paper search extensions | `extensions` |
 //! | —  | simulator cross-validation | `simulate_check` |
-//! | X8 | tracked search-benchmark grid | `tce bench` (the [`suite`] module) |
+//! | X8 | tracked search benchmark | retired; end-to-end successor in `examples/benchmark` |
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::panic))]
@@ -26,7 +26,6 @@ use tce_expr::examples::{ccsd_tree, PaperExtents, PAPER_EXTENTS};
 use tce_expr::ExprTree;
 
 pub mod randtree;
-pub mod suite;
 
 pub use randtree::skewed_tree;
 

@@ -36,10 +36,12 @@
 //! One JSON file per entry, named by the hex key digest, in a flat
 //! directory (default `~/.cache/tce`, overridable with `--plan-cache`).
 //! `stats.json` holds the persistent hit/miss/eviction totals shown by
-//! `tce cache stats`.
+//! `tce cache stats`. Every file is written to a per-writer temp file and
+//! renamed into place, so concurrent clients never read a torn file.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 use tce_cost::CostModel;
@@ -518,8 +520,8 @@ impl PlanCache {
             .collect()
     }
 
-    /// Delete every entry file and the stats file; returns how many
-    /// entries were removed.
+    /// Delete every entry file, the stats file and any temp file a killed
+    /// writer left behind; returns how many entries were removed.
     pub fn clear(&self) -> Result<u64, String> {
         let files = self.entry_files();
         let mut removed = 0u64;
@@ -528,14 +530,31 @@ impl PlanCache {
             removed += 1;
         }
         let _ = std::fs::remove_file(self.dir.join("stats.json"));
+        if let Ok(rd) = std::fs::read_dir(&self.dir) {
+            for p in rd.flatten().map(|e| e.path()) {
+                if p.extension().is_some_and(|x| x == "tmp") {
+                    let _ = std::fs::remove_file(p);
+                }
+            }
+        }
         Ok(removed)
     }
 }
 
+/// Write `text` to `path` through a temp file and a rename, so readers
+/// see the old file or the new one, never a mix. The temp name is unique
+/// per write (pid plus a process-wide sequence number): concurrent
+/// writers of one file, threads or processes, never share a temp file.
 fn atomic_write(path: &Path, text: &str) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(format!(".{}.{}.tmp", std::process::id(), SEQ.fetch_add(1, Ordering::Relaxed)));
+    let tmp = path.with_file_name(name);
+    let written = std::fs::write(&tmp, text).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 /// Validate one entry file against its own embedded canonical workload.

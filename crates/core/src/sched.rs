@@ -34,7 +34,7 @@ use crate::solution::SolutionSet;
 /// per this much *predicted* serial enumeration time (ns). Spawn plus the
 /// ordered merge replay cost a low single-digit fraction of this, so nodes
 /// below the floor run inline and the multi-thread wall clock can never
-/// fall measurably behind serial — the regression `BENCH_5.json` recorded.
+/// fall measurably behind serial — the regression EXPERIMENTS.md X9 records.
 pub(crate) const DEFAULT_SPAWN_AMORT_NS: u64 = 10_000_000;
 
 /// Blocks-per-worker fallback used before the model has a measurement

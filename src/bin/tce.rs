@@ -92,14 +92,6 @@ struct Args {
     replay: Option<String>,
     /// fuzz: directory for minimized reproducers (`none` disables).
     corpus: String,
-    /// bench: run only the CI smoke subset.
-    bench_smoke: bool,
-    /// bench: write the JSON report here (`-` = stdout only).
-    bench_out: String,
-    /// bench: compare against this committed report, exit 1 on regression.
-    bench_baseline: Option<String>,
-    /// bench: wall-clock repeats per cell (0 = default best-of).
-    bench_repeats: usize,
     /// lint: treat warnings as errors (non-zero exit).
     deny_warnings: bool,
     /// optimize/cache: explicit plan-cache directory (overrides the
@@ -115,7 +107,6 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: tce <command> <file.tce> [options]
        tce fuzz [--seeds N] [--start S] [--replay file.tce] [--corpus DIR]
-       tce bench [--smoke] [--out FILE] [--baseline FILE] [--repeats N]
        tce cache <stats|verify|clear> [--plan-cache DIR]
 
 commands:
@@ -145,9 +136,6 @@ commands:
   fuzz       differential fuzzing: random trees through optimizer,
              checker, simulator, and exhaustive search; failures are
              minimized and pinned as reproducers (no file argument)
-  bench      run the tracked search-benchmark grid (standard workloads,
-             enlarged space, --no-pruning, at 1/2/4 threads) from the repo
-             root and write a schema-stable BENCH_9.json (no file argument)
   cache      manage the persistent plan cache: `stats` (entries, bytes,
              hit/miss/eviction totals), `verify` (re-check every stored
              plan against its embedded canonical workload, exit 1 on
@@ -212,15 +200,7 @@ options:
   --no-plan-cache        optimize: skip the persistent plan cache (cached
                          entries are neither read nor written)
   --no-subtree-reuse     optimize: disable the level-1 in-run subtree
-                         reuse (ablation; results are bit-identical)
-  --smoke                bench: run only the CI smoke subset
-  --out FILE             bench: where to write the JSON report
-                         [BENCH_9.json]; `-` prints to stdout only
-  --baseline FILE        bench: compare wall-clock against this committed
-                         report; exit 1 if a guarded (enlarged-space)
-                         scenario regressed by more than 25%
-  --repeats N            bench: wall-clock repeats per cell, best-of
-                         [3, or 2 with --smoke]"
+                         reuse (ablation; results are bit-identical)"
     );
     ExitCode::from(2)
 }
@@ -234,13 +214,8 @@ fn bad_value(flag: &str, value: &str) -> ExitCode {
 fn parse_args() -> Result<Args, ExitCode> {
     let mut argv = std::env::args().skip(1);
     let command = argv.next().ok_or_else(usage)?;
-    // `fuzz` and `bench` generate/know their own workloads and take no
-    // file positional.
-    let file = if command == "fuzz" || command == "bench" {
-        String::new()
-    } else {
-        argv.next().ok_or_else(usage)?
-    };
+    // `fuzz` generates its own workloads and takes no file positional.
+    let file = if command == "fuzz" { String::new() } else { argv.next().ok_or_else(usage)? };
     let mut args = Args {
         command,
         file,
@@ -270,10 +245,6 @@ fn parse_args() -> Result<Args, ExitCode> {
         fuzz_start: 0,
         replay: None,
         corpus: "golden/fuzz_corpus".into(),
-        bench_smoke: false,
-        bench_out: "BENCH_9.json".into(),
-        bench_baseline: None,
-        bench_repeats: 0,
         deny_warnings: false,
         plan_cache: None,
         no_plan_cache: false,
@@ -328,10 +299,6 @@ fn parse_args() -> Result<Args, ExitCode> {
             "--start" => args.fuzz_start = parsed!("--start"),
             "--replay" => args.replay = Some(value("--replay")?),
             "--corpus" => args.corpus = value("--corpus")?,
-            "--smoke" => args.bench_smoke = true,
-            "--out" => args.bench_out = value("--out")?,
-            "--baseline" => args.bench_baseline = Some(value("--baseline")?),
-            "--repeats" => args.bench_repeats = parsed!("--repeats"),
             "--deny-warnings" => args.deny_warnings = true,
             "--plan-cache" => args.plan_cache = Some(value("--plan-cache")?),
             "--no-plan-cache" => args.no_plan_cache = true,
@@ -519,7 +486,6 @@ fn main() -> ExitCode {
         "explain" => cmd_explain(&args),
         "report" => cmd_report(&args),
         "fuzz" => cmd_fuzz(&args),
-        "bench" => cmd_bench(&args),
         "cache" => cmd_cache(&args),
         _ => return usage(),
     };
@@ -739,9 +705,7 @@ fn cmd_optimize(args: &Args) -> Result<(), String> {
                 k.expr_hash
             );
         }
-    } else if let Ok(e) =
-        tensor_contraction_opt::core::explain(&tree, &cm, &opt_config(args, &tree)?)
-    {
+    } else if let Ok(e) = tensor_contraction_opt::core::explain(&tree, &cm, &cfg) {
         println!("\n{}", e.text);
     }
     println!("\nplan:");
@@ -1052,50 +1016,6 @@ fn cmd_fuzz(args: &Args) -> Result<(), String> {
     }
 }
 
-fn cmd_bench(args: &Args) -> Result<(), String> {
-    if !std::path::Path::new("workloads").is_dir() {
-        return Err("bench resolves workloads/*.tce relative to the current \
-                    directory — run it from the repo root"
-            .into());
-    }
-    let opts = tensor_contraction_opt::bench::suite::SuiteOptions {
-        smoke: args.bench_smoke,
-        repeats: args.bench_repeats,
-    };
-    let report =
-        tensor_contraction_opt::bench::suite::run_suite(&opts, |line| eprintln!("  … {line}"))?;
-    let pretty = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    if args.bench_out == "-" {
-        println!("{pretty}");
-    } else {
-        std::fs::write(&args.bench_out, pretty + "\n")
-            .map_err(|e| format!("writing {}: {e}", args.bench_out))?;
-        println!("wrote {}", args.bench_out);
-    }
-    // Thread-scaling gate: within this run, guarded multi-thread cells
-    // must not fall behind their own serial cell (hard error).
-    let scaling = tensor_contraction_opt::bench::suite::check_thread_scaling(&report, 0.10)?;
-    print!("{scaling}");
-    // Warm-cache gate: every plan-cache cell must hit on all warm
-    // lookups and undercut its own cold search by at least 5x.
-    let warm = tensor_contraction_opt::bench::suite::check_warm_cache(&report, 5.0)?;
-    print!("{warm}");
-    if let Some(path) = &args.bench_baseline {
-        let base: serde_json::Value = serde_json::from_str(
-            &std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?,
-        )
-        .map_err(|e| format!("parsing {path}: {e}"))?;
-        let table =
-            tensor_contraction_opt::bench::suite::compare_to_baseline(&report, &base, 0.25)?;
-        print!("{table}");
-        // Certified-gap gate: anytime-planner cells must stay within 2x
-        // of the baseline's certified gap.
-        let gaps = tensor_contraction_opt::bench::suite::check_gap_regression(&report, &base, 2.0)?;
-        print!("{gaps}");
-    }
-    Ok(())
-}
-
 fn cmd_frontier(args: &Args) -> Result<(), String> {
     let tree = load_tree(&args.file)?;
     let cm = cost_model(args)?;
@@ -1172,10 +1092,6 @@ mod tests {
             fuzz_start: 0,
             replay: None,
             corpus: "golden/fuzz_corpus".into(),
-            bench_smoke: false,
-            bench_out: "BENCH_9.json".into(),
-            bench_baseline: None,
-            bench_repeats: 0,
             deny_warnings: false,
             plan_cache: None,
             no_plan_cache: false,

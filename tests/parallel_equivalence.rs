@@ -121,6 +121,10 @@ fn enlarged_space_identical_across_thread_counts() {
         optimize(&tree, &cm, &cfg).unwrap_or_else(|e| panic!("{name} @{threads}: {e}"))
     };
     let serial = run(1);
+    // The enlarged space is where branch-and-bound earns its keep: the
+    // serial search must actually skip candidate tails.
+    let skipped = serial.counters.get(tensor_contraction_opt::obs::names::BNB_SKIP);
+    assert!(skipped > 0, "{name} enlarged: no branch-and-bound tail skips");
     for threads in [2, 4] {
         let parallel = run(threads);
         assert_identical(&format!("{name} enlarged @{threads}"), &tree, &serial, &parallel);
