@@ -1,4 +1,4 @@
-//! Level-2 persistent plan cache (`tce-plan-cache/v1`).
+//! Level-2 persistent plan cache (`tce-plan-cache/v2`).
 //!
 //! Memoizes full optimization outcomes — the [`ExecutionPlan`], its cost
 //! scalars, the certified communication floor, and the run's
@@ -14,9 +14,9 @@
 //!   characterization tables, so a plan memoized for one machine profile
 //!   can never be served for another;
 //! * a **configuration digest** over every `OptimizerConfig` knob that
-//!   can change the winning plan (search-space switches, planner, seeds,
+//!   can change the stored outcome (search-space switches, warm start,
 //!   pins and output layout in canonical numbering);
-//! * the **planner** and the **code version**.
+//! * the **code version**.
 //!
 //! ## Trust model: validate on load, never on faith
 //!
@@ -53,8 +53,8 @@ use crate::dp::{NodeStats, Optimized, OptimizerConfig};
 use crate::plan::{validate_plan_basic, ExecutionPlan, PlanOperand, PlanStep};
 
 /// Schema stamp written into every entry; bump on any incompatible
-/// change to the entry layout.
-pub const PLAN_CACHE_SCHEMA: &str = "tce-plan-cache/v1";
+/// change to the entry layout or the key digest.
+pub const PLAN_CACHE_SCHEMA: &str = "tce-plan-cache/v2";
 
 /// Code version stamp: entries written by another build are evicted
 /// (`cache.evict_version`) rather than trusted across releases.
@@ -78,8 +78,6 @@ pub struct CacheKey {
     pub cost_digest: u128,
     /// Digest over every result-relevant [`OptimizerConfig`] knob.
     pub cfg_digest: u128,
-    /// Planner name (also part of the file digest).
-    pub planner: &'static str,
     form: CanonicalForm,
 }
 
@@ -92,7 +90,6 @@ impl CacheKey {
         h.write_u128(self.mem_limit_words);
         h.write_u128(self.cost_digest);
         h.write_u128(self.cfg_digest);
-        h.write_str(self.planner);
         format!("{}.json", hex128(h.finish()))
     }
 }
@@ -126,7 +123,6 @@ pub fn cache_key(tree: &ExprTree, cm: &CostModel, cfg: &OptimizerConfig) -> Opti
         }
     }
     h.write_u64(flags);
-    h.write_str(cfg.planner.name());
     match cfg.time_budget_ms {
         None => h.write(&[0]),
         Some(ms) => {
@@ -134,8 +130,6 @@ pub fn cache_key(tree: &ExprTree, cm: &CostModel, cfg: &OptimizerConfig) -> Opti
             h.write_u64(ms);
         }
     }
-    h.write_u64(cfg.anneal_seed);
-    h.write_u64(cfg.gap_epsilon.to_bits());
     match cfg.warm_upper_bound {
         None => h.write(&[0]),
         Some(ub) => {
@@ -183,7 +177,6 @@ pub fn cache_key(tree: &ExprTree, cm: &CostModel, cfg: &OptimizerConfig) -> Opti
         mem_limit_words: cfg.mem_limit_words.unwrap_or_else(|| cm.mem_limit_words()),
         cost_digest: cm.digest(),
         cfg_digest: h.finish(),
-        planner: cfg.planner.name(),
         form,
     })
 }
@@ -224,7 +217,6 @@ struct Entry {
     mem_limit_words: u128,
     cost_digest: String,
     cfg_digest: String,
-    planner: String,
     /// The canonical expression rendered back to `.tce` source
     /// (placeholder names), so `tce cache verify` can rebuild the tree
     /// and run the full plan checker without the original workload file.
@@ -383,7 +375,6 @@ impl PlanCache {
             || entry.procs != key.procs
             || entry.mem_limit_words != key.mem_limit_words
             || entry.cfg_digest != hex128(key.cfg_digest)
-            || entry.planner != key.planner
         {
             return evict(tce_obs::names::CACHE_EVICT_CORRUPT, "evict_corrupt");
         }
@@ -445,7 +436,6 @@ impl PlanCache {
             mem_limit_words: key.mem_limit_words,
             cost_digest: hex128(key.cost_digest),
             cfg_digest: hex128(key.cfg_digest),
-            planner: key.planner.to_string(),
             workload: canonical_source(tree, &key.form)
                 .ok_or_else(|| "tree does not render canonically".to_string())?,
             plan: canon_plan,

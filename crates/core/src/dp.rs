@@ -22,50 +22,6 @@ use tce_fusion::{edge_candidates, enumerate_prefixes, FusionPrefix};
 
 use crate::solution::{ChildBinding, Choice, SolutionSet};
 
-/// Which planner serves an optimization request (`tce optimize
-/// --planner`). Only [`Planner::Exact`] is handled by [`optimize`]
-/// itself; the heuristics live in [`crate::portfolio`], which samples
-/// restricted configurations of this same DP so every emitted plan passes
-/// the same checks, pins, and memory limit.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Planner {
-    /// The exact §3.3 DP (the default; optimal over the searched space).
-    #[default]
-    Exact,
-    /// One greedy descent: cheap, no optimality claim beyond the
-    /// certified gap.
-    Greedy,
-    /// Random-restart simulated annealing under the time budget.
-    Anneal,
-    /// Greedy first, refined by annealing, stopping early when the cost
-    /// reaches `(1 + gap_epsilon) ×` the certified floor or the budget
-    /// expires.
-    Portfolio,
-}
-
-impl Planner {
-    /// The CLI spelling (`--planner <name>`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Planner::Exact => "exact",
-            Planner::Greedy => "greedy",
-            Planner::Anneal => "anneal",
-            Planner::Portfolio => "portfolio",
-        }
-    }
-
-    /// Parse the CLI spelling.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "exact" => Some(Planner::Exact),
-            "greedy" => Some(Planner::Greedy),
-            "anneal" => Some(Planner::Anneal),
-            "portfolio" => Some(Planner::Portfolio),
-            _ => None,
-        }
-    }
-}
-
 /// Search-space knobs.
 #[derive(Clone, Debug)]
 pub struct OptimizerConfig {
@@ -139,22 +95,12 @@ pub struct OptimizerConfig {
     /// runs; this flag extends it to release builds. Failures surface as
     /// [`OptimizeError::SelfCheck`].
     pub verify: bool,
-    /// Which planner serves the request. [`optimize`] ignores this field
-    /// (it *is* the exact planner); [`crate::portfolio::plan`] dispatches
-    /// on it.
-    pub planner: Planner,
-    /// Wall-clock budget (milliseconds) for the anytime planners; `None`
-    /// = no budget (greedy runs once, annealing uses its default restart
-    /// schedule). Ignored by the exact DP except that `portfolio::plan`
-    /// uses a budgeted exact request to warm-start branch-and-bound with
-    /// a greedy incumbent.
+    /// Wall-clock budget (milliseconds) of the request. [`optimize`]
+    /// ignores it; its only effect is that [`crate::portfolio::plan`]
+    /// first prices one greedy configuration and warm-starts the exact
+    /// branch-and-bound with its cost ([`Self::warm_upper_bound`]). The
+    /// plan and cost bits are unchanged; only `dp.bnb_*` effort moves.
     pub time_budget_ms: Option<u64>,
-    /// Seed for the annealer's RNG — the only randomness source, so equal
-    /// seeds reproduce identical anneal trajectories and plans.
-    pub anneal_seed: u64,
-    /// Anytime early-stop: the portfolio stops once
-    /// `cost ≤ (1 + gap_epsilon) × certified_floor`.
-    pub gap_epsilon: f64,
     /// Disable the in-run level-1 subtree reuse: with reuse on (the
     /// default), completed node frontiers are keyed by their strict
     /// canonical subtree form (`tce_expr::canon`) plus everything else
@@ -168,7 +114,7 @@ pub struct OptimizerConfig {
     /// `fixed_fusion`/`fixed_patterns` (their pins are keyed by raw node
     /// ids, not subtree structure).
     pub disable_subtree_reuse: bool,
-    /// Warm incumbent upper bound (model seconds) from a heuristic plan
+    /// Warm incumbent upper bound (model seconds) from a restricted plan
     /// of the *same* configuration: candidates whose certified subtree
     /// floor plus rest-of-tree floor exceeds it are skipped before the
     /// dominance corner query. Admissible (the incumbent is the cost of a
@@ -197,10 +143,7 @@ impl Default for OptimizerConfig {
             contiguous_partition: false,
             spawn_amort_ns: None,
             verify: false,
-            planner: Planner::Exact,
             time_budget_ms: None,
-            anneal_seed: 0x7ce_5eed,
-            gap_epsilon: 0.01,
             disable_subtree_reuse: false,
             warm_upper_bound: None,
         }

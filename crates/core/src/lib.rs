@@ -49,7 +49,7 @@ mod stats;
 
 pub use cache::{cache_key, CacheKey, CachedRun, LookupOutcome, PlanCache, PLAN_CACHE_SCHEMA};
 pub use codegen::render_spmd;
-pub use dp::{optimize, NodeStats, OptimizeError, Optimized, OptimizerConfig, Planner};
+pub use dp::{optimize, NodeStats, OptimizeError, Optimized, OptimizerConfig};
 pub use explain::{explain, Explanation};
 pub use frontier::{frontier_plan, root_frontier, FrontierPoint};
 pub use hook::{install_plan_checker, plan_checker, PlanChecker};

@@ -14,8 +14,9 @@
 //!
 //! `tce explain` renders [`Provenance`] as a per-node table;
 //! `tce report` serializes it (plus simulator roll-ups) as the
-//! `tce-report/v3` JSON schema (v2 added the certified `lower_bound` /
-//! `gap` pair; v3 the additive `cache` section).
+//! `tce-report/v4` JSON schema (v2 added the certified `lower_bound` /
+//! `gap` pair; v3 the additive `cache` section; v4 dropped the CLI's
+//! `planner` / `budget_exhausted` fields with the heuristic planners).
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -382,7 +383,7 @@ pub fn render_provenance(tree: &ExprTree, prov: &Provenance) -> String {
     out
 }
 
-/// The `tce-report/v3` machine-readable roll-up of the optimizer side
+/// The `tce-report/v4` machine-readable roll-up of the optimizer side
 /// (v3 added the additive `cache` section: canonical expression hash and
 /// the level-1 subtree-reuse tallies).
 /// Every field is a deterministic function of the search result: wall
@@ -517,7 +518,7 @@ pub fn report_json(
     ]);
 
     Value::Object(vec![
-        ("schema".to_string(), Value::String("tce-report/v3".to_string())),
+        ("schema".to_string(), Value::String("tce-report/v4".to_string())),
         ("cache".to_string(), cache),
         ("comm_cost".to_string(), float(opt.comm_cost)),
         ("lower_bound".to_string(), float(prov.lower_bound)),
@@ -627,7 +628,7 @@ mod tests {
         let b = serde_json::to_string_pretty(&report_json(&tree, &opt2, &cm, 3)).unwrap();
         assert_eq!(a, b, "same search, same report bytes");
         let v: serde_json::Value = serde_json::from_str(&a).unwrap();
-        assert_eq!(v.get("schema").and_then(|s| s.as_str()), Some("tce-report/v3"));
+        assert_eq!(v.get("schema").and_then(|s| s.as_str()), Some("tce-report/v4"));
         assert!(v.get("comm_by_kind").is_some());
         // v3: the cache section records the canonical identity and the
         // level-1 reuse tallies; the report path never serves level 2.

@@ -3,7 +3,9 @@
 
 use std::path::PathBuf;
 
-use tce_core::{cache_key, extract_plan, optimize, validate_plan, OptimizerConfig, PlanCache};
+use tce_core::{
+    cache_key, extract_plan, optimize, validate_plan, OptimizerConfig, PlanCache, PLAN_CACHE_SCHEMA,
+};
 use tce_cost::{CostModel, MachineModel};
 use tce_expr::{parse, ExprTree};
 
@@ -149,7 +151,7 @@ fn corrupt_and_stale_entries_are_evicted() {
     // Stale version stamp → evict_version.
     cache.store(&tree, &key, &plan, &opt).unwrap();
     let text = std::fs::read_to_string(&path).unwrap();
-    std::fs::write(&path, text.replace("tce-plan-cache/v1", "tce-plan-cache/v0")).unwrap();
+    std::fs::write(&path, text.replace(PLAN_CACHE_SCHEMA, "tce-plan-cache/v0")).unwrap();
     let out = cache.lookup(&tree, &cm, &key);
     assert_eq!(out.evicted, Some(tce_obs::names::CACHE_EVICT_VERSION));
 

@@ -14,6 +14,8 @@ pub enum ExprError {
     Undefined(String),
     /// A name was defined twice.
     Redefined(String),
+    /// An array's full volume (product of its extents) overflows `u128`.
+    TooLarge(String),
     /// Syntax error while parsing, with a source position.
     Parse {
         /// 1-based source line of the error.
@@ -35,6 +37,9 @@ impl fmt::Display for ExprError {
             }
             ExprError::Undefined(n) => write!(f, "undefined array `{n}`"),
             ExprError::Redefined(n) => write!(f, "array `{n}` defined more than once"),
+            ExprError::TooLarge(n) => {
+                write!(f, "array `{n}` is too large: its volume overflows a 128-bit word count")
+            }
             ExprError::Parse { line, col, msg } => {
                 write!(f, "parse error on line {line}, column {col}: {msg}")
             }
@@ -55,6 +60,7 @@ mod tests {
         assert!(e.to_string().contains("column 7"));
         assert!(ExprError::Undefined("Q".into()).to_string().contains("`Q`"));
         assert!(ExprError::Redefined("T1".into()).to_string().contains("T1"));
+        assert!(ExprError::TooLarge("A(i,j)".into()).to_string().contains("overflows"));
         assert!(ExprError::Malformed("x".into()).to_string().contains("malformed"));
         assert!(ExprError::NotAContraction("y".into())
             .to_string()

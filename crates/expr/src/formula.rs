@@ -89,10 +89,14 @@ impl FormulaSequence {
 
     /// Validate the whole sequence: unique names, operands defined before
     /// use, per-formula well-formedness (`IX ∪ IY ⊆ ITr ∪ sum`, summation
-    /// index removed, …). Returns the name of the final result on success.
+    /// index removed, …), and every array's full volume fits a `u128` —
+    /// so no per-array size derived from it (distributed block, fused
+    /// slice) can overflow either. Returns the name of the final result on
+    /// success.
     pub fn validate(&self) -> Result<&str, ExprError> {
         let mut defined: HashMap<&str, &Tensor> = HashMap::new();
         for t in &self.inputs {
+            self.check_volume(t)?;
             if defined.insert(&t.name, t).is_some() {
                 return Err(ExprError::Redefined(t.name.clone()));
             }
@@ -104,6 +108,7 @@ impl FormulaSequence {
                 }
             }
             let res = f.result();
+            self.check_volume(res)?;
             match f {
                 Formula::Mul { lhs, rhs, .. } => {
                     let ix = defined[lhs.as_str()].dim_set();
@@ -154,6 +159,13 @@ impl FormulaSequence {
             .last()
             .map(|f| f.result().name.as_str())
             .ok_or_else(|| ExprError::Malformed("empty formula sequence".into()))
+    }
+
+    fn check_volume(&self, t: &Tensor) -> Result<(), ExprError> {
+        match self.space.checked_volume(&t.dims) {
+            Some(_) => Ok(()),
+            None => Err(ExprError::TooLarge(t.render(&self.space))),
+        }
     }
 
     /// Convert the validated sequence into a binary expression tree. Each

@@ -125,6 +125,11 @@ impl IndexSpace {
         ids.iter().map(|&i| self.extent(i) as u128).product()
     }
 
+    /// [`Self::volume`], or `None` when the product overflows `u128`.
+    pub fn checked_volume(&self, ids: &[IndexId]) -> Option<u128> {
+        ids.iter().try_fold(1u128, |v, &i| v.checked_mul(u128::from(self.extent(i))))
+    }
+
     /// Render a set of indices as `a,b,c` for diagnostics and tables.
     pub fn render(&self, ids: &[IndexId]) -> String {
         let mut s = String::new();

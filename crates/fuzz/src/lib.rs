@@ -32,14 +32,10 @@
 //!    (`tce_cost::lower_bound`, DESIGN.md §12) never exceeds the DP
 //!    optimum, and the memory-footprint floor never exceeds the winning
 //!    plan's actual per-processor footprint.
-//! 9. **Anytime planners** — the greedy and annealing heuristics
-//!    (`tce_core::portfolio`) sample restricted configurations of the
-//!    same DP, so heuristic cost ≥ DP optimum ≥ certified floor; every
-//!    heuristic plan passes the full deep validation and is identical at
-//!    every thread count; and warm-starting the exact branch-and-bound
-//!    with the greedy incumbent leaves the exact plan, cost, and
-//!    footprint bit-identical (only `dp.bnb_*` effort counters and the
-//!    frontier shape may move).
+//! 9. **Warm start** — warm-starting the exact branch-and-bound with the
+//!    greedy incumbent (`tce_core::portfolio::plan` under a time budget)
+//!    leaves the exact plan, cost, and footprint bit-identical (only
+//!    `dp.bnb_*` effort counters and the frontier shape may move).
 //! 10. **Canonicalization & plan cache** — re-rendering the tree with
 //!     reversed declarations (renumbering every index and node id) and
 //!     hash-seeded commutative operand swaps must hash to the same
@@ -66,7 +62,7 @@ use std::collections::HashMap;
 
 use tce_bench::randtree::{random_tree, TreeParams};
 use tce_core::exhaustive::exhaustive_min;
-use tce_core::{extract_plan, optimize, OptimizeError, OptimizerConfig, Planner};
+use tce_core::{extract_plan, optimize, OptimizeError, OptimizerConfig};
 use tce_cost::CostModel;
 use tce_expr::ExprTree;
 use tce_sim::simulate_traced;
@@ -116,8 +112,8 @@ impl Default for FuzzConfig {
 #[derive(Clone, Debug)]
 pub struct Failure {
     /// Which oracle tripped (`threads`, `pruning`, `frontier`,
-    /// `scheduler`, `lower_bound`, `check`, `numeric`, `ledger`,
-    /// `exhaustive`, `optimize`, `simulate`, `cache`).
+    /// `scheduler`, `lower_bound`, `warm_start`, `check`, `numeric`,
+    /// `ledger`, `exhaustive`, `optimize`, `simulate`, `cache`).
     pub oracle: &'static str,
     /// Human-readable description of the disagreement.
     pub detail: String,
@@ -467,106 +463,37 @@ pub fn check_tree(tree: &ExprTree, cfg: &FuzzConfig) -> Result<TreeStats, Failur
             }
         }
 
-        // Oracle 9: the anytime planners. A heuristic sample pins
-        // patterns/fusion and re-runs the same DP, so its search space is
-        // a subset of the exact one: heuristic cost ≥ DP optimum (≥ the
-        // certified floor by oracle 8). Heuristic plans must survive the
-        // full deep validation, be identical at every thread count (the
-        // annealer's only entropy is its seed), and the greedy incumbent
-        // used as a warm upper bound must leave the exact plan,
-        // cost, and footprint bit-identical — warm skips only remove
-        // candidates that cannot beat a real plan's cost.
+        // Oracle 9: the greedy warm start. A time budget makes `plan` price
+        // one greedy configuration first and hand its cost to the exact
+        // branch-and-bound as a warm upper bound; warm skips only remove
+        // candidates that cannot beat a real plan's cost, so the plan,
+        // cost bits, and footprint must match the cold run exactly.
         {
-            let mut greedy_cost = None;
-            for planner in [Planner::Greedy, Planner::Anneal] {
-                let name = planner.name();
-                let cfg1 = OptimizerConfig { planner, ..base_config(cfg) };
-                let p1 = tce_core::portfolio::plan(tree, &cm, &cfg1)
-                    .map_err(|e| fail("portfolio", format!("p={procs} {name}: {e:?}")))?;
-                stats.optimizations += p1.evaluations as usize;
-                if p1.opt.comm_cost < base.comm_cost
-                    && !approx_eq(p1.opt.comm_cost, base.comm_cost, 1e-9)
-                {
-                    return Err(fail(
-                        "portfolio",
-                        format!(
-                            "p={procs}: {name} cost {} beats the exact optimum {}",
-                            p1.opt.comm_cost, base.comm_cost
-                        ),
-                    ));
-                }
-                if p1.opt.comm_lower_bound > p1.opt.comm_cost
-                    && !approx_eq(p1.opt.comm_lower_bound, p1.opt.comm_cost, 1e-9)
-                {
-                    return Err(fail(
-                        "portfolio",
-                        format!(
-                            "p={procs}: {name} certificate {} exceeds its own cost {}",
-                            p1.opt.comm_lower_bound, p1.opt.comm_cost
-                        ),
-                    ));
-                }
-                if p1.incumbents.windows(2).any(|w| w[1] > w[0]) {
-                    return Err(fail(
-                        "portfolio",
-                        format!(
-                            "p={procs}: {name} incumbent trajectory increased: {:?}",
-                            p1.incumbents
-                        ),
-                    ));
-                }
-                validate_plan_deeply(
-                    tree,
-                    &cm,
-                    cfg,
-                    &p1.opt,
-                    machine_limit,
-                    &format!("p={procs} {name}"),
-                    &mut stats,
-                )?;
-                let p1_json = extract_plan(tree, &p1.opt).to_json();
-                for &t in cfg.threads.iter().filter(|&&t| t != 1) {
-                    let ct = OptimizerConfig { planner, threads: t, ..base_config(cfg) };
-                    let pt = tce_core::portfolio::plan(tree, &cm, &ct)
-                        .map_err(|e| fail("portfolio", format!("p={procs} {name} t={t}: {e:?}")))?;
-                    stats.optimizations += pt.evaluations as usize;
-                    if extract_plan(tree, &pt.opt).to_json() != p1_json {
-                        return Err(fail(
-                            "portfolio",
-                            format!("p={procs} {name} t={t}: heuristic plan differs from t=1"),
-                        ));
-                    }
-                }
-                if planner == Planner::Greedy {
-                    greedy_cost = Some(p1.opt.comm_cost);
-                }
+            let warm = tce_core::portfolio::plan(
+                tree,
+                &cm,
+                &OptimizerConfig { time_budget_ms: Some(100), ..base_config(cfg) },
+            )
+            .map_err(|e| fail("warm_start", format!("p={procs}: {e:?}")))?
+            .opt;
+            stats.optimizations += 2;
+            if warm.comm_cost.to_bits() != base.comm_cost.to_bits()
+                || warm.mem_words != base.mem_words
+                || warm.max_msg_words != base.max_msg_words
+            {
+                return Err(fail(
+                    "warm_start",
+                    format!(
+                        "p={procs}: warm-started exact run moved: cost {} vs {}, mem {} vs {}",
+                        warm.comm_cost, base.comm_cost, warm.mem_words, base.mem_words
+                    ),
+                ));
             }
-            if let Some(ub) = greedy_cost {
-                let warm = optimize(
-                    tree,
-                    &cm,
-                    &OptimizerConfig { warm_upper_bound: Some(ub), ..base_config(cfg) },
-                )
-                .map_err(|e| fail("portfolio", format!("p={procs} warm: {e:?}")))?;
-                stats.optimizations += 1;
-                if warm.comm_cost.to_bits() != base.comm_cost.to_bits()
-                    || warm.mem_words != base.mem_words
-                    || warm.max_msg_words != base.max_msg_words
-                {
-                    return Err(fail(
-                        "portfolio",
-                        format!(
-                            "p={procs}: warm-started exact run moved: cost {} vs {}, mem {} vs {}",
-                            warm.comm_cost, base.comm_cost, warm.mem_words, base.mem_words
-                        ),
-                    ));
-                }
-                if extract_plan(tree, &warm).to_json() != base_json {
-                    return Err(fail(
-                        "portfolio",
-                        format!("p={procs}: warm-started exact plan differs from cold"),
-                    ));
-                }
+            if extract_plan(tree, &warm).to_json() != base_json {
+                return Err(fail(
+                    "warm_start",
+                    format!("p={procs}: warm-started exact plan differs from cold"),
+                ));
             }
         }
 

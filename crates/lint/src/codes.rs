@@ -30,3 +30,7 @@ pub const UNCHARACTERIZED_GRID: &str = "TCE106";
 /// plan exists and the search would only ever return
 /// `NoFeasibleSolution`.
 pub const MEMORY_INFEASIBLE: &str = "TCE107";
+/// An array's full volume (the product of its extents) overflows `u128`:
+/// no size, footprint or memory limit involving it can be represented,
+/// so lowering rejects the program.
+pub const VOLUME_OVERFLOW: &str = "TCE108";

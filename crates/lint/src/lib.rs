@@ -17,8 +17,9 @@
 //! | TCE105 | index extent not divisible by the processor grid (predicts `SimError::Indivisible`) |
 //! | TCE106 | processor grid not covered by the `RCost` characterization (silent nearest-grid fallback) |
 //! | TCE107 | memory limit provably infeasible (`tce_cost::lower_bound` footprint floor) |
+//! | TCE108 | an array's full volume overflows `u128` (lowering rejects the program) |
 //!
-//! TCE101–TCE104 are pure source analyses; TCE105–TCE107 additionally
+//! TCE101–TCE104 and TCE108 are pure source analyses; TCE105–TCE107 additionally
 //! need a cost model and are skipped (with a recorded reason) when none
 //! is supplied. TCE107 is the *memory-feasibility prover*: it computes
 //! the footprint floor every valid plan must pay

@@ -31,6 +31,7 @@ pub(crate) fn registry() -> Vec<LintPass> {
         LintPass { name: "duplicates", needs_cost_model: false, run: duplicates },
         LintPass { name: "dangling-indices", needs_cost_model: false, run: dangling_indices },
         LintPass { name: "unused", needs_cost_model: false, run: unused },
+        LintPass { name: "volume-overflow", needs_cost_model: false, run: volume_overflow },
         LintPass { name: "grid-divisibility", needs_cost_model: true, run: grid_divisibility },
         LintPass { name: "characterization", needs_cost_model: true, run: characterization },
         LintPass { name: "memory-feasibility", needs_cost_model: true, run: memory_feasibility },
@@ -299,6 +300,31 @@ fn unused(ctx: &LintContext<'_>, out: &mut Diagnostics) {
         let name = statement_result(st).name.as_str();
         if !used.contains(name) && Some(name) != program_result && flagged.insert(name) {
             flag(name, "intermediate", out);
+        }
+    }
+}
+
+/// TCE108: arrays whose full volume overflows `u128`. Lowering rejects
+/// such a program, so the TCE107 prover (which lowers first) stays silent
+/// and this is the finding the user sees.
+fn volume_overflow(ctx: &LintContext<'_>, out: &mut Diagnostics) {
+    let prog = ctx.program;
+    let space = &prog.space;
+    let mut flagged: HashSet<&str> = HashSet::new();
+    let declared = prog.inputs.iter().chain(prog.statements.iter().map(statement_result));
+    for t in declared {
+        if space.checked_volume(&t.dims).is_none() && flagged.insert(t.name.as_str()) {
+            let mut d = Diagnostic::error(
+                codes::VOLUME_OVERFLOW,
+                format!("`{}` has 2^128 or more elements", t.render(space)),
+            )
+            .note(
+                "no size or memory footprint involving it can be represented; shrink its extents",
+            );
+            if let Some(n) = declared_at(ctx, &t.name) {
+                d = d.note(n);
+            }
+            out.push(d);
         }
     }
 }

@@ -30,10 +30,10 @@ use tensor_contraction_opt::obs;
 use tensor_contraction_opt::obs::ChromeTraceSink;
 
 use tensor_contraction_opt::check::check_plan;
-use tensor_contraction_opt::core::portfolio::{plan as plan_with, Planned};
+use tensor_contraction_opt::core::portfolio::plan as plan_with;
 use tensor_contraction_opt::core::{
     build_provenance, build_report, extract_plan, optimize, render_plan_dot, render_provenance,
-    render_report, report_json, root_frontier, validate_plan, OptimizerConfig, Planner,
+    render_report, report_json, root_frontier, validate_plan, Optimized, OptimizerConfig,
 };
 use tensor_contraction_opt::cost::units::{fmt_paper_bytes, words_to_bytes};
 use tensor_contraction_opt::cost::{CostModel, MachineModel};
@@ -78,11 +78,8 @@ struct Args {
     threads: usize,
     /// Statically verify the optimizer's plan even in release builds.
     verify: bool,
-    /// Which planner serves optimize/explain/report/check:
-    /// exact | greedy | anneal | portfolio.
-    planner: String,
-    /// Wall-clock budget (ms) for the anytime planners; with the exact
-    /// planner, enables the greedy warm-start of branch-and-bound.
+    /// Wall-clock budget (ms); its only effect is the greedy warm start
+    /// of the branch-and-bound.
     time_budget_ms: Option<u64>,
     /// fuzz: number of generator seeds to run.
     fuzz_seeds: u64,
@@ -130,7 +127,7 @@ commands:
              (distribution, fusion) pair, top runner-ups with cost deltas,
              frontier shape, and the per-kind communication breakdown
   report     machine-readable JSON roll-up of the whole run (schema
-             tce-report/v1): headline costs, per-kind attribution, search
+             tce-report/v4): headline costs, per-kind attribution, search
              counters, and per-node provenance; with --simulate, also the
              measured per-kind totals from the virtual cluster
   fuzz       differential fuzzing: random trees through optimizer,
@@ -156,17 +153,9 @@ options:
                          optimizing
   --verify               optimize: statically verify the winning plan even
                          in release builds (debug builds always do)
-  --planner P            optimize/explain/report/check: exact (default,
-                         optimal), greedy (one descent), anneal
-                         (random-restart simulated annealing), or
-                         portfolio (greedy + annealing with an early stop
-                         at (1+ε)× the certified floor); every planner
-                         emits a plan passing the full check registry and
-                         reports its certified optimality gap
-  --time-budget-ms N     wall-clock budget for the anytime planners; with
-                         --planner exact, warm-starts branch-and-bound
-                         from a greedy incumbent (the plan is bit-identical
-                         to a cold run)
+  --time-budget-ms N     warm-start branch-and-bound from a greedy
+                         incumbent (the plan is bit-identical to a cold
+                         run; only the dp.bnb_* effort counters move)
   --dot                  optimize: emit the plan as Graphviz dot
   --json                 optimize: emit the plan as JSON (with an
                          `observability` section of search counters);
@@ -239,7 +228,6 @@ fn parse_args() -> Result<Args, ExitCode> {
         report_simulate: false,
         threads: 0,
         verify: false,
-        planner: "exact".into(),
         time_budget_ms: None,
         fuzz_seeds: 50,
         fuzz_start: 0,
@@ -278,7 +266,6 @@ fn parse_args() -> Result<Args, ExitCode> {
             "--metrics-out" => args.metrics_out = Some(value("--metrics-out")?),
             "--simulate" => args.report_simulate = true,
             "--verify" => args.verify = true,
-            "--planner" => args.planner = value("--planner")?,
             "--time-budget-ms" => args.time_budget_ms = Some(parsed!("--time-budget-ms")),
             "--replication" => args.allow_replication = true,
             "--unrelated-rotation" => args.allow_unrelated_rotation = true,
@@ -368,15 +355,11 @@ fn parse_dist(
 }
 
 fn opt_config(args: &Args, tree: &ExprTree) -> Result<OptimizerConfig, String> {
-    let planner = Planner::parse(&args.planner).ok_or_else(|| {
-        format!("unknown planner `{}` (expected exact, greedy, anneal, or portfolio)", args.planner)
-    })?;
     let mut cfg = OptimizerConfig {
         allow_replication: args.allow_replication,
         allow_unrelated_rotation: args.allow_unrelated_rotation,
         threads: args.threads,
         verify: args.verify,
-        planner,
         time_budget_ms: args.time_budget_ms,
         disable_subtree_reuse: args.no_subtree_reuse,
         ..Default::default()
@@ -445,7 +428,7 @@ fn with_progress_and_metrics<T>(
 
 /// The `observability` section of `--json` output: the run's search
 /// counters plus the per-node breakdown.
-fn observability_json(opt: &tensor_contraction_opt::core::Optimized) -> serde_json::Value {
+fn observability_json(opt: &Optimized) -> serde_json::Value {
     use serde_json::{Number, Value};
     let num = |v: u64| Value::Number(Number::UInt(u128::from(v)));
     let counters =
@@ -639,21 +622,12 @@ fn cmd_optimize(args: &Args) -> Result<(), String> {
             (run.opt, run.plan)
         }
         None => {
-            let planned = with_progress_and_metrics(args, || {
+            let opt = with_progress_and_metrics(args, || {
                 with_trace(args.trace.as_deref(), || {
                     plan_with(&tree, &cm, &cfg).map_err(|e| e.to_string())
                 })
-            })?;
-            let opt = planned.opt;
-            if cfg.planner != Planner::Exact {
-                eprintln!(
-                    "planner: {} ({} evaluations, certified gap {:.6} s{})",
-                    planned.planner.name(),
-                    planned.evaluations,
-                    opt.comm_cost - opt.comm_lower_bound,
-                    if planned.budget_exhausted { ", budget exhausted" } else { "" }
-                );
-            }
+            })?
+            .opt;
             let plan = extract_plan(&tree, &opt);
             validate_plan(&tree, &plan)?;
             if let (Some(c), Some(k)) = (&cache, &key) {
@@ -831,22 +805,22 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
 
 /// Shared front half of `explain` and `report`: load, optimize (with the
 /// full observability surface available), and hand back tree + model + run.
-fn optimize_for_provenance(args: &Args) -> Result<(ExprTree, CostModel, Planned), String> {
+fn optimize_for_provenance(args: &Args) -> Result<(ExprTree, CostModel, Optimized), String> {
     let tree = load_tree(&args.file)?;
     let cm = cost_model(args)?;
     let cfg = opt_config(args, &tree)?;
     let planned = with_progress_and_metrics(args, || {
         with_trace(args.trace.as_deref(), || plan_with(&tree, &cm, &cfg).map_err(|e| e.to_string()))
     })?;
-    Ok((tree, cm, planned))
+    Ok((tree, cm, planned.opt))
 }
 
 /// How many runner-up candidates `explain`/`report` record per node.
 const PROVENANCE_TOP_K: usize = 3;
 
 fn cmd_explain(args: &Args) -> Result<(), String> {
-    let (tree, cm, planned) = optimize_for_provenance(args)?;
-    let prov = build_provenance(&tree, &planned.opt, &cm, PROVENANCE_TOP_K);
+    let (tree, cm, opt) = optimize_for_provenance(args)?;
+    let prov = build_provenance(&tree, &opt, &cm, PROVENANCE_TOP_K);
     print!("{}", render_provenance(&tree, &prov));
     // Cache line: the canonical identity of this expression and how much
     // of the search the in-run subtree reuse absorbed. `explain` always
@@ -857,17 +831,9 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
         "cache: canonical hash {:032x}; level-1 subtree reuse {} hit / {} miss; \
          level-2 not consulted (explain re-optimizes for the decision record)",
         form.hash,
-        planned.opt.counters.get(obs::names::SUBTREE_HIT),
-        planned.opt.counters.get(obs::names::SUBTREE_MISS),
+        opt.counters.get(obs::names::SUBTREE_HIT),
+        opt.counters.get(obs::names::SUBTREE_MISS),
     );
-    if planned.planner != Planner::Exact {
-        println!(
-            "planner: {} — {} restricted evaluations, budget {}",
-            planned.planner.name(),
-            planned.evaluations,
-            if planned.budget_exhausted { "exhausted" } else { "not exhausted" }
-        );
-    }
     Ok(())
 }
 
@@ -911,15 +877,10 @@ fn simulator_json(
 }
 
 fn cmd_report(args: &Args) -> Result<(), String> {
-    let (tree, cm, planned) = optimize_for_provenance(args)?;
-    let opt = &planned.opt;
-    let mut v = report_json(&tree, opt, &cm, PROVENANCE_TOP_K);
-    // Additive tce-report/v2 fields: which planner produced the plan and
-    // whether its wall-clock budget ran out before it stopped on its own.
-    v.insert("planner", serde_json::Value::String(planned.planner.name().to_string()));
-    v.insert("budget_exhausted", serde_json::Value::Bool(planned.budget_exhausted));
+    let (tree, cm, opt) = optimize_for_provenance(args)?;
+    let mut v = report_json(&tree, &opt, &cm, PROVENANCE_TOP_K);
     if args.report_simulate {
-        let plan = extract_plan(&tree, opt);
+        let plan = extract_plan(&tree, &opt);
         let (report, events) =
             simulate_traced(&tree, &plan, &cm, args.seed, true).map_err(render_sim_error)?;
         v.insert("simulator", simulator_json(&report, &events));
@@ -1086,7 +1047,6 @@ mod tests {
             report_simulate: false,
             threads: 3,
             verify: false,
-            planner: "portfolio".into(),
             time_budget_ms: Some(100),
             fuzz_seeds: 50,
             fuzz_start: 0,
@@ -1102,10 +1062,6 @@ mod tests {
         assert_eq!(cfg.threads, 3);
         assert!(cfg.input_dists.contains_key("A"));
         assert!(cfg.output_dist.is_some());
-        assert_eq!(cfg.planner, Planner::Portfolio);
         assert_eq!(cfg.time_budget_ms, Some(100));
-
-        let bad = Args { planner: "magic".into(), ..args };
-        assert!(opt_config(&bad, &tree).is_err(), "unknown planner names must be rejected");
     }
 }

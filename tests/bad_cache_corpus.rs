@@ -16,7 +16,9 @@
 
 use std::path::PathBuf;
 
-use tensor_contraction_opt::core::{cache_key, extract_plan, optimize, OptimizerConfig, PlanCache};
+use tensor_contraction_opt::core::{
+    cache_key, extract_plan, optimize, OptimizerConfig, PlanCache, PLAN_CACHE_SCHEMA,
+};
 use tensor_contraction_opt::cost::{CostModel, MachineModel};
 use tensor_contraction_opt::expr::ExprTree;
 use tensor_contraction_opt::opmin::lower_program;
@@ -95,7 +97,10 @@ fn regen_bad_cache_corpus() {
     let cm = reference_model();
     let cfg = OptimizerConfig::default();
     let key = cache_key(&tree, &cm, &cfg).expect("default request is cacheable");
-    let opt = optimize(&tree, &cm, &cfg).expect("reference search succeeds");
+    // Serial, so the stored interleaving-dependent counters (`dp.steal`,
+    // `dp.bnb_*`) come out the same on every machine.
+    let serial = OptimizerConfig { threads: 1, ..OptimizerConfig::default() };
+    let opt = optimize(&tree, &cm, &serial).expect("reference search succeeds");
     let plan = extract_plan(&tree, &opt);
 
     let dir = std::env::temp_dir().join(format!("tce-bad-cache-regen-{}", std::process::id()));
@@ -118,7 +123,7 @@ fn regen_bad_cache_corpus() {
         .expect("truncated.json");
     std::fs::write(
         out.join("stale_version.json"),
-        good.replacen("tce-plan-cache/v1", "tce-plan-cache/v0", 1),
+        good.replacen(PLAN_CACHE_SCHEMA, "tce-plan-cache/v1", 1),
     )
     .expect("stale_version.json");
     let digest = good

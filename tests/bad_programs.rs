@@ -6,7 +6,8 @@
 //! *code* (the stable contract) and a *message snippet* (a snapshot of the
 //! human rendering), mirroring `tests/bad_plans.rs` for the plan checker.
 //! A third test keeps the shipped workloads lint-clean, so the `tce
-//! optimize` pre-pass can never reject them.
+//! optimize` pre-pass can never reject them, and a fourth drives the
+//! (debug-build) CLI over the overflowing-volume program.
 
 use tensor_contraction_opt::cost::{CostModel, MachineModel};
 use tensor_contraction_opt::lint::{codes, lint_source, LintOptions};
@@ -29,6 +30,7 @@ const EXPECTED: &[(&str, &str, bool, &str)] = &[
     ("mismatched_redeclaration.tce", codes::INCONSISTENT_REFERENCE, true, "used as `A(i,m)`"),
     ("indivisible_extent.tce", codes::INDIVISIBLE_EXTENT, false, "not divisible by the 4-wide"),
     ("infeasible_memory.tce", codes::MEMORY_INFEASIBLE, true, "provably infeasible"),
+    ("volume_overflow.tce", codes::VOLUME_OVERFLOW, true, "`A(i,j,k,t)` has 2^128 or more"),
 ];
 
 fn lint_file(dir: &str, file: &str) -> tensor_contraction_opt::check::diag::CheckReport {
@@ -104,5 +106,27 @@ fn shipped_workloads_are_lint_clean() {
             path.display(),
             report.render_human()
         );
+    }
+}
+
+/// An array whose volume overflows `u128` is a diagnostic, never a panic
+/// (exit 101) or a silently wrapped size: every command that lowers the
+/// program exits 1. Integration tests run the debug binary, where an
+/// unchecked product would trip the overflow check.
+#[test]
+fn volume_overflow_exits_1_from_every_command() {
+    let file = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/bad_programs/volume_overflow.tce");
+    for cmd in ["lint", "optimize", "compile", "simulate", "frontier", "check", "report"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_tce"))
+            .args([cmd, file, "--procs", "16"])
+            .output()
+            .expect("run tce");
+        let text = format!(
+            "{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(out.status.code(), Some(1), "tce {cmd}: {text}");
+        assert!(text.contains("A(i,j,k,t)"), "tce {cmd} does not name the array: {text}");
     }
 }

@@ -1,7 +1,10 @@
 //! End-to-end CLI coverage for the level-2 plan cache: a cold
 //! `tce optimize` stores an entry, the warm rerun hits it with
 //! byte-identical `--json` output, and the `tce cache` subcommands
-//! (`stats`, `verify`, `clear`) manage the directory.
+//! (`stats`, `verify`, `clear`) manage the directory. The runs pin
+//! `--threads 1`: the `--json` observability section carries the
+//! interleaving-dependent `dp.steal` / `dp.bnb_*` counters, which only a
+//! serial search reproduces run to run.
 
 use std::path::Path;
 use std::process::Command;
@@ -22,14 +25,34 @@ fn cold_store_warm_hit_byte_identical_json_and_cache_subcommands() {
     let src = workload();
 
     // Cold run: miss, search, store.
-    let cold = tce(&["optimize", &src, "--procs", "16", "--json", "--plan-cache", cache]);
+    let cold = tce(&[
+        "optimize",
+        &src,
+        "--procs",
+        "16",
+        "--threads",
+        "1",
+        "--json",
+        "--plan-cache",
+        cache,
+    ]);
     let cold_err = String::from_utf8_lossy(&cold.stderr);
     assert!(cold.status.success(), "cold run failed: {cold_err}");
     assert!(cold_err.contains("plan cache: stored"), "no store notice: {cold_err}");
     assert!(!cold_err.contains("warm hit"), "cold run claims a hit: {cold_err}");
 
     // Warm run: hit, no search, byte-identical machine output.
-    let warm = tce(&["optimize", &src, "--procs", "16", "--json", "--plan-cache", cache]);
+    let warm = tce(&[
+        "optimize",
+        &src,
+        "--procs",
+        "16",
+        "--threads",
+        "1",
+        "--json",
+        "--plan-cache",
+        cache,
+    ]);
     let warm_err = String::from_utf8_lossy(&warm.stderr);
     assert!(warm.status.success(), "warm run failed: {warm_err}");
     assert!(warm_err.contains("plan cache: warm hit"), "no hit notice: {warm_err}");
@@ -45,6 +68,8 @@ fn cold_store_warm_hit_byte_identical_json_and_cache_subcommands() {
         &src,
         "--procs",
         "16",
+        "--threads",
+        "1",
         "--json",
         "--plan-cache",
         cache,

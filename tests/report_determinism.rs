@@ -30,7 +30,7 @@ fn report_json_is_bit_identical_across_thread_counts() {
     for threads in [2, 4] {
         assert_eq!(serial, render(threads), "report JSON diverged at {threads} threads");
     }
-    assert!(serial.contains("tce-report/v3"));
+    assert!(serial.contains("tce-report/v4"));
 }
 
 #[test]
