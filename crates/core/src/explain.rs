@@ -7,8 +7,8 @@ use tce_cost::units::{fmt_paper_bytes, words_to_bytes};
 use tce_cost::CostModel;
 use tce_expr::ExprTree;
 
-use crate::dp::{optimize, OptimizeError, OptimizerConfig};
-use crate::plan::extract_plan;
+use crate::dp::{optimize, OptimizeError, Optimized, OptimizerConfig};
+use crate::plan::{extract_plan, ExecutionPlan};
 
 /// The comparison behind an explanation.
 #[derive(Clone, Debug)]
@@ -27,63 +27,95 @@ pub struct Explanation {
     pub text: String,
 }
 
-/// Optimize twice (with and without the memory limit) and narrate the
-/// difference.
+/// Optimize once under the memory limit and narrate what the limit cost
+/// (see [`Explanation::from_run`]).
 pub fn explain(
     tree: &ExprTree,
     cm: &CostModel,
     cfg: &OptimizerConfig,
 ) -> Result<Explanation, OptimizeError> {
-    let free_cfg = OptimizerConfig { mem_limit_words: Some(u128::MAX), ..cfg.clone() };
-    let free = optimize(tree, cm, &free_cfg)?;
-    let limit = cfg.mem_limit_words.unwrap_or_else(|| cm.mem_limit_words());
     let constrained = optimize(tree, cm, cfg)?;
-    let plan = extract_plan(tree, &constrained);
-    let fusions: Vec<String> = plan
-        .steps
-        .iter()
-        .filter(|s| !s.result_fusion.is_empty())
-        .map(|s| format!("{}→({})", s.result_name, tree.space.render(s.result_fusion.as_slice())))
-        .collect();
+    Explanation::from_run(tree, cm, cfg, &constrained, &extract_plan(tree, &constrained))
+}
 
-    let free_fp = free.mem_words + free.max_msg_words;
-    let mut text = String::new();
-    if free_fp <= limit {
-        text.push_str(&format!(
-            "The communication-optimal plan fits in memory ({} of {} per \
-             processor), so the limit costs nothing: {:.1} s of communication.",
-            fmt_paper_bytes(words_to_bytes(free_fp)),
-            fmt_paper_bytes(words_to_bytes(limit)),
-            free.comm_cost,
-        ));
-    } else {
-        text.push_str(&format!(
-            "The communication-optimal plan would need {} per processor but \
-             only {} is available, so the optimizer trades memory for \
-             messages",
-            fmt_paper_bytes(words_to_bytes(free_fp)),
-            fmt_paper_bytes(words_to_bytes(limit)),
-        ));
-        if fusions.is_empty() {
-            text.push_str(" by re-distributing arrays");
+impl Explanation {
+    /// Explain a finished constrained run (`constrained`, searched under
+    /// `cfg`, and its extracted `plan`) by comparing it with one more
+    /// search with the limit lifted, bounded by the constrained optimum
+    /// (see [`Self::unconstrained_config`]).
+    pub fn from_run(
+        tree: &ExprTree,
+        cm: &CostModel,
+        cfg: &OptimizerConfig,
+        constrained: &Optimized,
+        plan: &ExecutionPlan,
+    ) -> Result<Explanation, OptimizeError> {
+        let free = optimize(tree, cm, &Self::unconstrained_config(cfg, constrained.comm_cost))?;
+        let limit = cfg.mem_limit_words.unwrap_or_else(|| cm.mem_limit_words());
+        let fusions: Vec<String> = plan
+            .steps
+            .iter()
+            .filter(|s| !s.result_fusion.is_empty())
+            .map(|s| {
+                format!("{}→({})", s.result_name, tree.space.render(s.result_fusion.as_slice()))
+            })
+            .collect();
+
+        let free_fp = free.mem_words + free.max_msg_words;
+        let mut text = String::new();
+        if free_fp <= limit {
+            text.push_str(&format!(
+                "The communication-optimal plan fits in memory ({} of {} per \
+                 processor), so the limit costs nothing: {:.1} s of communication.",
+                fmt_paper_bytes(words_to_bytes(free_fp)),
+                fmt_paper_bytes(words_to_bytes(limit)),
+                free.comm_cost,
+            ));
         } else {
-            text.push_str(&format!(" by fusing {}", fusions.join(", ")));
+            text.push_str(&format!(
+                "The communication-optimal plan would need {} per processor but \
+                 only {} is available, so the optimizer trades memory for \
+                 messages",
+                fmt_paper_bytes(words_to_bytes(free_fp)),
+                fmt_paper_bytes(words_to_bytes(limit)),
+            ));
+            if fusions.is_empty() {
+                text.push_str(" by re-distributing arrays");
+            } else {
+                text.push_str(&format!(" by fusing {}", fusions.join(", ")));
+            }
+            let ratio = constrained.comm_cost / free.comm_cost.max(1e-12);
+            text.push_str(&format!(
+                ": communication rises from {:.1} s to {:.1} s ({:.1}×). \
+                 The entire difference is the price of the memory constraint.",
+                free.comm_cost, constrained.comm_cost, ratio
+            ));
         }
-        let ratio = constrained.comm_cost / free.comm_cost.max(1e-12);
-        text.push_str(&format!(
-            ": communication rises from {:.1} s to {:.1} s ({:.1}×). \
-             The entire difference is the price of the memory constraint.",
-            free.comm_cost, constrained.comm_cost, ratio
-        ));
+        Ok(Explanation {
+            constrained_comm: constrained.comm_cost,
+            unconstrained_comm: free.comm_cost,
+            unconstrained_footprint: free_fp,
+            limit_words: limit,
+            fusions,
+            text,
+        })
     }
-    Ok(Explanation {
-        constrained_comm: constrained.comm_cost,
-        unconstrained_comm: free.comm_cost,
-        unconstrained_footprint: free_fp,
-        limit_words: limit,
-        fusions,
-        text,
-    })
+
+    /// The configuration of the unconstrained comparison search: `cfg`
+    /// with the memory limit lifted, warm-started from the constrained
+    /// optimum `constrained_comm`, and without the release self-check (its
+    /// plan is never emitted; debug builds still check it). The bound is
+    /// admissible (DESIGN.md §13): the constrained optimum is a real plan
+    /// of the unconstrained configuration, so the unconstrained winner and
+    /// every tie with it survive the strict warm cut.
+    pub fn unconstrained_config(cfg: &OptimizerConfig, constrained_comm: f64) -> OptimizerConfig {
+        OptimizerConfig {
+            mem_limit_words: Some(u128::MAX),
+            warm_upper_bound: Some(constrained_comm),
+            verify: false,
+            ..cfg.clone()
+        }
+    }
 }
 
 #[cfg(test)]

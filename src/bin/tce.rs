@@ -679,8 +679,13 @@ fn cmd_optimize(args: &Args) -> Result<(), String> {
                 k.expr_hash
             );
         }
-    } else if let Ok(e) = tensor_contraction_opt::core::explain(&tree, &cm, &cfg) {
-        println!("\n{}", e.text);
+    } else {
+        // Explain from the run just finished: only the unconstrained
+        // comparison search is new, bounded by this run's optimum.
+        match tensor_contraction_opt::core::Explanation::from_run(&tree, &cm, &cfg, &opt, &plan) {
+            Ok(e) => println!("\n{}", e.text),
+            Err(e) => eprintln!("explain: {e}"),
+        }
     }
     println!("\nplan:");
     for step in &plan.steps {
