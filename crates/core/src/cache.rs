@@ -113,7 +113,6 @@ pub fn cache_key(tree: &ExprTree, cm: &CostModel, cfg: &OptimizerConfig) -> Opti
         cfg.allow_unrelated_rotation,
         cfg.disable_pruning,
         cfg.disable_lower_bounds,
-        cfg.legacy_frontier,
     ]
     .into_iter()
     .enumerate()

@@ -49,11 +49,6 @@ pub struct OptimizerConfig {
     /// unchanged either way — only `dp.bnb_*` and the work done differ —
     /// so this exists for ablations and benchmarks.
     pub disable_lower_bounds: bool,
-    /// Answer dominance queries with the legacy O(live) linear scan instead
-    /// of the Pareto staircase (which also forces the lower-bound skips
-    /// off). Kept for one release as a differential-fuzzing oracle: both
-    /// paths must produce bit-identical frontiers, plans, and counters.
-    pub legacy_frontier: bool,
     /// Restrict the search to one fixed fusion configuration (the
     /// "fusion first" baseline).
     pub fixed_fusion: Option<tce_fusion::FusionConfig>,
@@ -78,11 +73,6 @@ pub struct OptimizerConfig {
     /// serial-stream order (see [`crate::sched`] and
     /// [`SolutionSet::absorb`]).
     pub threads: usize,
-    /// Use the legacy contiguous equal-count partitioner instead of the
-    /// work-stealing block scheduler. Kept for one release as a
-    /// differential-fuzzing oracle: both schedulers must produce
-    /// bit-identical frontiers, plans, and (deterministic) counters.
-    pub contiguous_partition: bool,
     /// Adaptive spawn threshold override: nanoseconds of predicted serial
     /// enumeration per extra worker. `None` = default (10 ms — nodes
     /// predicted cheaper than the floor run inline so spawn + merge can
@@ -120,7 +110,7 @@ pub struct OptimizerConfig {
     /// dominance corner query. Admissible (the incumbent is the cost of a
     /// real plan, so the optimum is ≤ it), hence the winning plan and
     /// cost are bit-identical to a cold run — only search-effort counters
-    /// move. Active only in staircase mode with lower bounds on and no
+    /// move. Active only with pruning and lower bounds on and no
     /// pattern/fusion pins (the same gate as the corner floors).
     pub warm_upper_bound: Option<f64>,
 }
@@ -134,13 +124,11 @@ impl Default for OptimizerConfig {
             mem_limit_words: None,
             disable_pruning: false,
             disable_lower_bounds: false,
-            legacy_frontier: false,
             fixed_fusion: None,
             fixed_patterns: None,
             input_dists: HashMap::new(),
             output_dist: None,
             threads: 0,
-            contiguous_partition: false,
             spawn_amort_ns: None,
             verify: false,
             time_budget_ms: None,
@@ -426,10 +414,8 @@ pub fn optimize(
         let raw_root = detail.floors[&tree.root()];
         let root_floor = tce_cost::bound::certify(raw_root);
         let root_exact = detail.root_exact(tree);
-        let corners_active = !cfg.disable_pruning
-            && !cfg.legacy_frontier
-            && cfg.fixed_patterns.is_none()
-            && cfg.fixed_fusion.is_none();
+        let corners_active =
+            !cfg.disable_pruning && cfg.fixed_patterns.is_none() && cfg.fixed_fusion.is_none();
         // Warm-start cut per node: a candidate whose certified subtree
         // floor exceeds `incumbent − rest_floor(node)` can only complete
         // to plans strictly costlier than the incumbent — and the
@@ -469,7 +455,7 @@ pub fn optimize(
         n => n,
     };
     let memo = CostMemo::with_shards((threads * 4).max(16));
-    let mut sched = crate::sched::Scheduler::new(threads, cfg);
+    let mut sched = crate::sched::Scheduler::new(threads, cfg.spawn_amort_ns);
     let mut sets: HashMap<NodeId, SolutionSet> = HashMap::new();
     let mut stats = Vec::new();
     let mut counters = tce_obs::Counters::new();
@@ -562,11 +548,7 @@ pub fn optimize(
             Some(fc) => vec![fc.prefix(node)],
             None => enumerate_prefixes(&edge_candidates(tree, node), cfg.max_prefix_len),
         };
-        let mut set = SolutionSet::with_mode(
-            !cfg.disable_pruning,
-            cfg.legacy_frontier,
-            !cfg.disable_lower_bounds,
-        );
+        let mut set = SolutionSet::with_mode(!cfg.disable_pruning, !cfg.disable_lower_bounds);
         let node_floor = corner_floors.get(&node).copied().unwrap_or(0.0);
         let warm_cut = floors.warm_cuts.get(&node).copied().unwrap_or(f64::INFINITY);
         // Reuse key for this node, or `None` when reuse is off or any

@@ -106,7 +106,7 @@ fn greedy_cost(tree: &ExprTree, cm: &CostModel, cfg: &OptimizerConfig) -> Option
 
 /// Serve an optimization request: the exact DP, warm-started from the
 /// greedy incumbent when `cfg.time_budget_ms` is set and the warm cut can
-/// apply (no pins, lower bounds and pruning on, staircase frontier).
+/// apply (no pins, lower bounds and pruning on).
 pub fn plan(
     tree: &ExprTree,
     cm: &CostModel,
@@ -116,8 +116,7 @@ pub fn plan(
         && cfg.fixed_patterns.is_none()
         && cfg.fixed_fusion.is_none()
         && !cfg.disable_lower_bounds
-        && !cfg.disable_pruning
-        && !cfg.legacy_frontier;
+        && !cfg.disable_pruning;
     let incumbent = if warm_eligible { greedy_cost(tree, cm, cfg) } else { None };
     let opt = match incumbent {
         Some(cost) => {

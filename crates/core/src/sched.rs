@@ -99,10 +99,9 @@ impl SpawnModel {
     }
 }
 
-/// Per-node enumeration driver owned by one `optimize` run: worker-count
-/// policy (the adaptive [`SpawnModel`]) plus the scheduling strategy
-/// (work-stealing, or the legacy contiguous partitioner kept as a
-/// differential-fuzzing oracle).
+/// Per-node enumeration driver owned by one `optimize` run: the
+/// worker-count policy (the adaptive [`SpawnModel`]) in front of the
+/// work-stealing enumeration.
 pub(crate) struct Scheduler {
     threads: usize,
     /// Hardware threads actually available; the adaptive path never
@@ -112,20 +111,17 @@ pub(crate) struct Scheduler {
     /// (`amort_ns == 0`) bypasses the cap so determinism tests exercise
     /// the merge machinery even on single-core machines.
     hw: usize,
-    /// Use the legacy contiguous equal-count partitioner.
-    contiguous: bool,
     /// Per-extra-worker amortization floor, ns (0 = always spawn).
     amort_ns: u64,
     model: SpawnModel,
 }
 
 impl Scheduler {
-    pub fn new(threads: usize, cfg: &crate::dp::OptimizerConfig) -> Self {
+    pub fn new(threads: usize, spawn_amort_ns: Option<u64>) -> Self {
         Self {
             threads,
             hw: std::thread::available_parallelism().map_or(usize::MAX, |n| n.get()),
-            contiguous: cfg.contiguous_partition,
-            amort_ns: cfg.spawn_amort_ns.unwrap_or(DEFAULT_SPAWN_AMORT_NS),
+            amort_ns: spawn_amort_ns.unwrap_or(DEFAULT_SPAWN_AMORT_NS),
             model: SpawnModel { ns_per_block: 0.0, calibrated: false },
         }
     }
@@ -134,7 +130,7 @@ impl Scheduler {
     /// block), filtered into `out` exactly as the serial loop would.
     /// `mk_state` builds one per-worker scratch state (slate caches, kernel
     /// buffers) that persists across that worker's claimed runs — pure
-    /// memoization, shared by the serial and both parallel paths.
+    /// memoization, shared by the serial and the parallel path.
     pub fn run<T: Sync, S: Send>(
         &mut self,
         items: &[T],
@@ -145,83 +141,20 @@ impl Scheduler {
         let blocks = items.len() as u64;
         // Forced spawning ignores the hardware cap (see `hw`).
         let budget = if self.amort_ns == 0 { self.threads } else { self.threads.min(self.hw) };
-        let workers = if self.contiguous {
-            contiguous_workers(items.len(), budget, self.amort_ns)
-        } else {
-            self.model.workers_for(items.len(), budget, self.amort_ns)
-        };
+        let workers = self.model.workers_for(items.len(), budget, self.amort_ns);
         if workers == 1 {
             let t0 = Instant::now();
             chunk_fn(items, out, &mut mk_state());
             self.model.record(items.len(), t0.elapsed().as_nanos() as f64);
             return EnumStats { workers: 1, merge_us: 0, blocks, steals: 0, busy_us: Vec::new() };
         }
-        let mut stats = if self.contiguous {
-            run_contiguous(items, workers, out, &mk_state, &chunk_fn)
-        } else {
-            run_stealing(items, workers, out, &mk_state, &chunk_fn)
-        };
-        stats.blocks = blocks;
+        let stats = run_stealing(items, workers, out, &mk_state, &chunk_fn);
         // Summed busy time is the serial-equivalent enumeration cost (the
         // same work, minus racing memo refills), which is what the spawn
         // decision needs to predict.
         let busy_ns: u64 = stats.busy_us.iter().sum::<u64>().saturating_mul(1_000);
         self.model.record(items.len(), busy_ns as f64);
         stats
-    }
-}
-
-/// The legacy static threshold: equal-count chunks, one per worker, at
-/// least 32 items each. Kept (behind `OptimizerConfig::contiguous_partition`)
-/// as the seventh fuzz oracle; `amort_ns == 0` forces maximal spawning
-/// just like the stealing path.
-fn contiguous_workers(len: usize, threads: usize, amort_ns: u64) -> usize {
-    const MIN_ITEMS_PER_WORKER: usize = 32;
-    if amort_ns == 0 {
-        return threads.min(len).max(1);
-    }
-    threads.min(len.div_ceil(MIN_ITEMS_PER_WORKER)).max(1)
-}
-
-/// The pre-stealing partitioner: contiguous equal-count chunks, one worker
-/// each, locals absorbed in chunk order.
-fn run_contiguous<T: Sync, S: Send>(
-    items: &[T],
-    workers: usize,
-    out: &mut SolutionSet,
-    mk_state: &(impl Fn() -> S + Sync),
-    chunk_fn: &(impl Fn(&[T], &mut SolutionSet, &mut S) + Sync),
-) -> EnumStats {
-    let mut locals = Vec::with_capacity(workers);
-    let mut busy_us = vec![0u64; workers];
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let chunk = &items[w * items.len() / workers..(w + 1) * items.len() / workers];
-                let mut local = out.empty_like();
-                s.spawn(move || {
-                    let t0 = Instant::now();
-                    chunk_fn(chunk, &mut local, &mut mk_state());
-                    (local, t0.elapsed().as_micros() as u64)
-                })
-            })
-            .collect();
-        for (w, h) in handles.into_iter().enumerate() {
-            let (local, us) = h.join().expect("search worker panicked");
-            busy_us[w] = us;
-            locals.push(local);
-        }
-    });
-    let merge_start = Instant::now();
-    for local in locals {
-        out.absorb(local);
-    }
-    EnumStats {
-        workers,
-        merge_us: merge_start.elapsed().as_micros(),
-        blocks: 0,
-        steals: 0,
-        busy_us,
     }
 }
 
@@ -256,8 +189,8 @@ struct TaggedLocal {
 /// sweeps the other regions round-robin, claiming (stealing) runs from
 /// their cursors. Successive runs that happen to be adjacent extend the
 /// worker's current local set — in the no-steal case each worker therefore
-/// produces exactly one local covering its region, recovering the legacy
-/// partitioner's pruning locality and merge cost.
+/// produces exactly one local covering its region, so pruning locality and
+/// merge cost match a plain equal-count split.
 fn run_stealing<T: Sync, S: Send>(
     items: &[T],
     workers: usize,
@@ -338,7 +271,7 @@ fn run_stealing<T: Sync, S: Send>(
     EnumStats {
         workers,
         merge_us: merge_start.elapsed().as_micros(),
-        blocks: 0,
+        blocks: len as u64,
         steals: steal_count.into_inner(),
         busy_us,
     }

@@ -29,12 +29,12 @@
 //! three axes?* — which lets the combine loops skip whole blocks of
 //! candidates without constructing them.
 //!
-//! Every query is a pure reformulation of the legacy linear scan — the same
-//! boolean on the same predicate — so accept/reject outcomes, storage
-//! order, and counters are bit-identical to the pre-staircase search. The
-//! legacy scan is kept for one release behind
-//! [`OptimizerConfig::legacy_frontier`](crate::OptimizerConfig) as a fuzzing
-//! oracle.
+//! Every query is a pure reformulation of the first-dominator linear scan —
+//! the same boolean on the same predicate — so accept/reject outcomes,
+//! storage order, and counters are bit-identical to the pre-staircase
+//! search. That scan survives only as the reference of this module's tests;
+//! the `frontier` fuzz oracle checks the staircase search end to end
+//! against a run with the corner queries switched off.
 
 use std::collections::HashMap;
 
@@ -200,8 +200,7 @@ struct KeyFront {
     /// Live storage indices, ascending — lookup and candidate-enumeration
     /// order at the parent, which must never change (it feeds tie-breaks).
     live: Vec<u32>,
-    /// Cost-sorted staircase with envelopes; empty in legacy / pruning-off
-    /// modes.
+    /// Cost-sorted staircase with envelopes; empty with pruning off.
     stair: Vec<Stair>,
 }
 
@@ -307,12 +306,8 @@ pub struct SolutionSet {
     /// When `false`, dominated candidates are kept (the §3.3 pruning
     /// ablation); memory-limit pruning stays active.
     pruning_enabled: bool,
-    /// Answer dominance queries with the legacy O(live) linear scan instead
-    /// of the staircase (differential-fuzzing oracle; removed after one
-    /// release).
-    legacy_frontier: bool,
     /// Whether branch-and-bound corner queries are allowed (requires the
-    /// staircase, i.e. pruning on and legacy off).
+    /// staircase, i.e. pruning on).
     bounds_enabled: bool,
 }
 
@@ -323,21 +318,15 @@ impl Default for SolutionSet {
 }
 
 impl SolutionSet {
-    /// Empty set with dominance pruning on (staircase mode, bounds allowed).
+    /// Empty set with dominance pruning and corner queries on.
     pub fn new() -> Self {
-        Self::with_mode(true, false, true)
+        Self::with_mode(true, true)
     }
 
-    /// Empty set with dominance pruning switched on or off.
-    pub fn with_pruning(enabled: bool) -> Self {
-        Self::with_mode(enabled, false, enabled)
-    }
-
-    /// Empty set with every mode knob explicit: dominance pruning, the
-    /// legacy linear-scan dominance path, and branch-and-bound corner
-    /// queries (forced off without pruning or under the legacy path —
-    /// both lack the staircase the corner query reads).
-    pub fn with_mode(pruning: bool, legacy_frontier: bool, bounds: bool) -> Self {
+    /// Empty set with both mode knobs explicit: dominance pruning and
+    /// branch-and-bound corner queries (forced off without pruning, which
+    /// keeps no staircase for the corner query to read).
+    pub fn with_mode(pruning: bool, bounds: bool) -> Self {
         Self {
             arena: Arena::default(),
             keys: HashMap::new(),
@@ -352,15 +341,14 @@ impl SolutionSet {
             bnb_floor: 0,
             bnb_warm: 0,
             pruning_enabled: pruning,
-            legacy_frontier,
-            bounds_enabled: bounds && pruning && !legacy_frontier,
+            bounds_enabled: bounds && pruning,
         }
     }
 
     /// An empty set in the same mode — what worker threads start from so
     /// [`Self::absorb`] merges like with like.
     pub fn empty_like(&self) -> Self {
-        Self::with_mode(self.pruning_enabled, self.legacy_frontier, self.bounds_enabled)
+        Self::with_mode(self.pruning_enabled, self.bounds_enabled)
     }
 
     /// Entries in storage (live + dead). Valid indices for the accessors
@@ -538,24 +526,9 @@ impl SolutionSet {
         choice: impl FnOnce() -> Option<Box<Choice>>,
     ) -> bool {
         if self.pruning_enabled {
-            let dominated = match handle.slot {
-                None => false,
-                Some(s) => {
-                    let kf = &self.fronts[s as usize];
-                    if self.legacy_frontier {
-                        // Legacy oracle: first-dominator linear scan over the
-                        // live entries — the exact pre-staircase predicate.
-                        kf.live.iter().any(|&i| {
-                            let i = i as usize;
-                            self.arena.costs[i] <= cost
-                                && self.arena.mems[i] <= mem
-                                && self.arena.msgs[i] <= msg
-                        })
-                    } else {
-                        stair_dominated(&kf.stair, cost, mem, msg)
-                    }
-                }
-            };
+            let dominated = handle
+                .slot
+                .is_some_and(|s| stair_dominated(&self.fronts[s as usize].stair, cost, mem, msg));
             if dominated {
                 self.pruned_inferior += 1;
                 return false;
@@ -574,40 +547,26 @@ impl SolutionSet {
         };
         let kf = &mut self.fronts[slot];
         if self.pruning_enabled {
-            if self.legacy_frontier {
-                // Evict live entries the newcomer dominates.
-                let (arena, live_all) = (&self.arena, &mut self.live_all);
-                kf.live.retain(|&i| {
-                    let u = i as usize;
-                    let dead =
-                        cost <= arena.costs[u] && mem <= arena.mems[u] && msg <= arena.msgs[u];
-                    if dead {
-                        remove_sorted(live_all, i);
-                    }
-                    !dead
-                });
-            } else {
-                // Every entry the newcomer dominates has cost >= `cost`, so
-                // eviction only scans the staircase tail.
-                let p0 = kf.stair.partition_point(|e| e.cost < cost);
-                let mut w = p0;
-                for r in p0..kf.stair.len() {
-                    let e = kf.stair[r];
-                    if mem <= e.mem && msg <= e.msg {
-                        remove_sorted(&mut kf.live, e.idx);
-                        remove_sorted(&mut self.live_all, e.idx);
-                    } else {
-                        kf.stair[w] = e;
-                        w += 1;
-                    }
+            // Every entry the newcomer dominates has cost >= `cost`, so
+            // eviction only scans the staircase tail.
+            let p0 = kf.stair.partition_point(|e| e.cost < cost);
+            let mut w = p0;
+            for r in p0..kf.stair.len() {
+                let e = kf.stair[r];
+                if mem <= e.mem && msg <= e.msg {
+                    remove_sorted(&mut kf.live, e.idx);
+                    remove_sorted(&mut self.live_all, e.idx);
+                } else {
+                    kf.stair[w] = e;
+                    w += 1;
                 }
-                kf.stair.truncate(w);
-                // Insert the newcomer after its cost ties (its storage index
-                // is the maximum, keeping `(cost, idx)` order).
-                let p = kf.stair.partition_point(|e| e.cost <= cost);
-                kf.stair.insert(p, Stair { cost, mem, msg, env_mem: 0, env_msg: 0, idx });
-                rebuild_envelopes(&mut kf.stair, p0.min(p));
             }
+            kf.stair.truncate(w);
+            // Insert the newcomer after its cost ties (its storage index is
+            // the maximum, keeping `(cost, idx)` order).
+            let p = kf.stair.partition_point(|e| e.cost <= cost);
+            kf.stair.insert(p, Stair { cost, mem, msg, env_mem: 0, env_msg: 0, idx });
+            rebuild_envelopes(&mut kf.stair, p0.min(p));
         }
         kf.live.push(idx);
         self.live_all.push(idx);
@@ -619,8 +578,9 @@ impl SolutionSet {
     /// key at least as good as `(cost, mem, msg)` on all three axes? When
     /// it is, every candidate of this key that the corner lower-bounds is
     /// dominated by that entry (transitivity of `≤`) and can be disposed of
-    /// without being constructed. Only meaningful in staircase mode;
-    /// returns `false` otherwise so callers degrade to the full loop.
+    /// without being constructed. Only meaningful with corner queries on
+    /// (see [`Self::bounds_active`]); returns `false` otherwise so callers
+    /// degrade to the full loop.
     pub fn dominates_corner(
         &self,
         dist: Distribution,
@@ -650,7 +610,7 @@ impl SolutionSet {
     }
 
     /// Whether branch-and-bound corner queries are active (pruning on,
-    /// staircase mode, bounds not disabled).
+    /// bounds not disabled).
     pub fn bounds_active(&self) -> bool {
         self.bounds_enabled
     }
@@ -712,7 +672,6 @@ impl SolutionSet {
     /// limit, so no limit is re-checked here.
     pub fn absorb(&mut self, other: SolutionSet) {
         debug_assert_eq!(self.pruning_enabled, other.pruning_enabled);
-        debug_assert_eq!(self.legacy_frontier, other.legacy_frontier);
         self.candidates_seen += other.candidates_seen;
         self.pruned_inferior += other.pruned_inferior;
         self.pruned_memory += other.pruned_memory;
@@ -998,6 +957,75 @@ mod tests {
         set.live_indices().collect()
     }
 
+    /// The pre-staircase frontier, kept as the staircase's reference: every
+    /// accepted entry in a plain vector, a first-dominator linear scan over
+    /// the live entries of the candidate's key, then eviction of every live
+    /// entry of that key the newcomer dominates.
+    #[derive(Default)]
+    struct ScanRef {
+        entries: Vec<Solution>,
+        live: Vec<bool>,
+        candidates_seen: u64,
+        pruned_inferior: u64,
+        pruned_memory: u64,
+    }
+
+    impl ScanRef {
+        fn insert(&mut self, s: &Solution, mem_limit: u128) -> bool {
+            self.candidates_seen += 1;
+            if s.footprint_words() > mem_limit {
+                self.pruned_memory += 1;
+                return false;
+            }
+            if self.live_of(s.dist, &s.fusion).any(|i| self.entries[i].dominates(s)) {
+                self.pruned_inferior += 1;
+                return false;
+            }
+            for i in self.live_of(s.dist, &s.fusion).collect::<Vec<_>>() {
+                self.live[i] = !s.dominates(&self.entries[i]);
+            }
+            self.entries.push(s.clone());
+            self.live.push(true);
+            true
+        }
+
+        fn live_of<'a>(
+            &'a self,
+            dist: Distribution,
+            fusion: &'a FusionPrefix,
+        ) -> impl Iterator<Item = usize> + 'a {
+            (0..self.entries.len()).filter(move |&i| {
+                self.live[i] && self.entries[i].dist == dist && self.entries[i].fusion == *fusion
+            })
+        }
+
+        fn live_indices(&self) -> Vec<usize> {
+            (0..self.live.len()).filter(|&i| self.live[i]).collect()
+        }
+
+        fn dominates_corner(&self, dist: Distribution, cost: f64, mem: u128, msg: u128) -> bool {
+            let corner = sol(dist, cost, mem, msg);
+            let hit =
+                self.live_of(dist, &corner.fusion).any(|i| self.entries[i].dominates(&corner));
+            hit
+        }
+    }
+
+    /// Everything the reference can observe of `set`: per-entry cost bits,
+    /// memory and message words, the live indices, and the counters.
+    fn assert_matches_ref(set: &SolutionSet, r: &ScanRef, ctx: &str) {
+        assert_eq!(set.len(), r.entries.len(), "{ctx}: stored entries");
+        for (i, e) in r.entries.iter().enumerate() {
+            assert_eq!(set.cost(i).to_bits(), e.comm_cost.to_bits(), "{ctx}: cost of #{i}");
+            assert_eq!(set.mem(i), e.mem_words, "{ctx}: mem of #{i}");
+            assert_eq!(set.msg(i), e.max_msg_words, "{ctx}: msg of #{i}");
+        }
+        assert_eq!(live(set), r.live_indices(), "{ctx}: live indices");
+        assert_eq!(set.candidates_seen, r.candidates_seen, "{ctx}: candidates_seen");
+        assert_eq!(set.pruned_inferior, r.pruned_inferior, "{ctx}: pruned_inferior");
+        assert_eq!(set.pruned_memory, r.pruned_memory, "{ctx}: pruned_memory");
+    }
+
     #[test]
     fn dominated_candidates_are_pruned() {
         let (d1, _) = dists();
@@ -1135,35 +1163,28 @@ mod tests {
         }
     }
 
-    /// The staircase must answer exactly what the legacy linear scan
+    /// The staircase must answer exactly what the linear-scan reference
     /// answers, on a stream dense with cost ties and partial dominance.
     #[test]
-    fn staircase_and_legacy_scan_agree() {
+    fn staircase_and_scan_reference_agree() {
         let (d1, d2) = dists();
         let costs = [5.0, 3.0, 5.0, 4.0, 3.0, 6.0, 2.0, 5.0];
         let mems = [50u128, 80, 50, 60, 70, 40, 90, 45];
         let msgs = [5u128, 3, 4, 6, 3, 2, 7, 4];
-        let mut fast = SolutionSet::with_mode(true, false, true);
-        let mut slow = SolutionSet::with_mode(true, true, false);
+        let mut fast = SolutionSet::new();
+        let mut slow = ScanRef::default();
         for k in 0..costs.len() {
             for j in 0..costs.len() {
                 let d = if (k + j) % 2 == 0 { d1 } else { d2 };
                 let s = sol(d, costs[k], mems[j], msgs[(k + j) % msgs.len()]);
                 assert_eq!(
                     fast.insert(s.clone(), 200),
-                    slow.insert(s, 200),
+                    slow.insert(&s, 200),
                     "candidate ({k},{j}) accept/reject diverged"
                 );
             }
         }
-        assert_eq!(live(&fast), live(&slow));
-        assert_eq!(fast.pruned_inferior, slow.pruned_inferior);
-        assert_eq!(fast.pruned_memory, slow.pruned_memory);
-        for i in 0..fast.len() {
-            assert_eq!(fast.cost(i).to_bits(), slow.cost(i).to_bits());
-            assert_eq!(fast.mem(i), slow.mem(i));
-            assert_eq!(fast.msg(i), slow.msg(i));
-        }
+        assert_matches_ref(&fast, &slow, "dense stream");
     }
 
     #[test]
@@ -1187,12 +1208,17 @@ mod tests {
         assert!(!set.dominates_corner(d2, &f, 100.0, 1000, 1000));
     }
 
+    /// With pruning off or bounds off the corner query must answer `false`
+    /// even where the reference proves the corner dominated, so callers
+    /// fall back to the full loop.
     #[test]
-    fn corner_query_disabled_outside_staircase_mode() {
+    fn corner_query_disabled_without_pruning_or_bounds() {
         let (d1, _) = dists();
         let f = FusionPrefix::empty();
-        for mut set in [SolutionSet::with_pruning(false), SolutionSet::with_mode(true, true, true)]
-        {
+        let mut r = ScanRef::default();
+        r.insert(&sol(d1, 5.0, 50, 5), u128::MAX);
+        assert!(r.dominates_corner(d1, 100.0, 1000, 1000));
+        for mut set in [SolutionSet::with_mode(false, true), SolutionSet::with_mode(true, false)] {
             set.insert(sol(d1, 5.0, 50, 5), u128::MAX);
             assert!(!set.bounds_active());
             assert!(!set.dominates_corner(d1, &f, 100.0, 1000, 1000));
@@ -1239,8 +1265,8 @@ mod tests {
     #[test]
     fn absorb_with_pruning_disabled_concatenates() {
         let (d1, _) = dists();
-        let mut out = SolutionSet::with_pruning(false);
-        let mut local = SolutionSet::with_pruning(false);
+        let mut out = SolutionSet::with_mode(false, false);
+        let mut local = out.empty_like();
         local.insert(sol(d1, 10.0, 100, 5), u128::MAX);
         local.insert(sol(d1, 11.0, 120, 6), u128::MAX); // dominated but kept
         out.absorb(local);
@@ -1258,5 +1284,67 @@ mod tests {
         set.insert(sol(d2, 10.0, 50, 5), u128::MAX);
         let best = set.best().unwrap();
         assert_eq!(set.mem(best), 50);
+    }
+
+    /// Decode one random candidate over three keys, with few enough cost,
+    /// memory and message values that ties on every axis are common.
+    fn candidate(keys: &[Distribution; 3], code: u32) -> Solution {
+        let cost = f64::from(code / 3 % 5) * 0.5;
+        sol(keys[(code % 3) as usize], cost, u128::from(code / 15 % 5), u128::from(code / 75 % 4))
+    }
+
+    fn three_keys() -> [Distribution; 3] {
+        let mut sp = IndexSpace::new();
+        let a = sp.declare("a", 4);
+        let b = sp.declare("b", 4);
+        let c = sp.declare("c", 4);
+        [Distribution::pair(a, b), Distribution::pair(b, a), Distribution::pair(a, c)]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// On random tie-dense streams the staircase agrees with the scan
+        /// reference candidate by candidate; its corner query is exactly
+        /// "some live entry is <= the corner on all three axes"; and
+        /// absorbing the stream cut at random chunk boundaries reproduces
+        /// the serial set.
+        #[test]
+        fn staircase_matches_scan_reference_on_random_streams(
+            stream in proptest::collection::vec(0u32..300, 1..48),
+            corners in proptest::collection::vec(0u32..600, 6),
+            cuts in proptest::collection::vec(proptest::bool::ANY, 48),
+            limit in 3u32..8,
+        ) {
+            let keys = three_keys();
+            let limit = u128::from(limit);
+            let f = FusionPrefix::empty();
+            let mut set = SolutionSet::new();
+            let mut r = ScanRef::default();
+            for (n, &code) in stream.iter().enumerate() {
+                let s = candidate(&keys, code);
+                proptest::prop_assert_eq!(set.insert(s.clone(), limit), r.insert(&s, limit));
+                assert_matches_ref(&set, &r, &format!("after candidate {n}"));
+                for &c in &corners {
+                    let (d, cost) = (keys[(c % 3) as usize], f64::from(c / 3 % 10) * 0.25);
+                    let (mem, msg) = (u128::from(c / 30 % 5), u128::from(c / 150 % 4));
+                    proptest::prop_assert_eq!(
+                        set.dominates_corner(d, &f, cost, mem, msg),
+                        r.dominates_corner(d, cost, mem, msg),
+                        "corner {}", c
+                    );
+                }
+            }
+            let mut merged = SolutionSet::new();
+            let mut local = merged.empty_like();
+            for (n, &code) in stream.iter().enumerate() {
+                local.insert(candidate(&keys, code), limit);
+                if cuts[n] {
+                    merged.absorb(std::mem::replace(&mut local, merged.empty_like()));
+                }
+            }
+            merged.absorb(local);
+            assert_matches_ref(&merged, &r, "chunked absorb");
+        }
     }
 }

@@ -18,16 +18,21 @@
 //!    events (bytes, messages, seconds, per kind) must reproduce the
 //!    plan's cost ledger: exact for redistribution and reduction (the
 //!    simulator charges the plan's own numbers), within the
-//!    characterization interpolation tolerance for rotations.
-//! 6. **Exhaustive cross-check** — on small proper contraction trees, the
+//!    characterization interpolation tolerance for rotations. Plus an
+//!    **exhaustive cross-check**: on small proper contraction trees, the
 //!    DP optimum must equal `exhaustive_min`, and both must agree on
 //!    feasibility under tight limits.
+//! 6. **Frontier equivalence** — the Pareto-staircase search with its
+//!    branch-and-bound corner skips against the same search under
+//!    `disable_lower_bounds: true`: optimum, winner index, plan JSON,
+//!    every per-node live set entry by entry (cost bits included), and
+//!    every counter outside [`tce_obs::NONDETERMINISTIC_COUNTERS`] except
+//!    `lb.floor_fallback` must agree.
 //! 7. **Scheduler equivalence** — the work-stealing enumeration (spawning
 //!    forced via `spawn_amort_ns: Some(0)` so every node actually splits)
-//!    against the legacy contiguous equal-count partitioner
-//!    (`contiguous_partition: true`) at the highest configured thread
-//!    count: costs to the bit, plans, and every deterministic counter
-//!    must agree.
+//!    at the highest configured thread count against the serial run: the
+//!    same fields as the frontier oracle, every deterministic counter
+//!    included.
 //! 8. **Lower-bound admissibility** — the certified communication floor
 //!    (`tce_cost::lower_bound`, DESIGN.md §12) never exceeds the DP
 //!    optimum, and the memory-footprint floor never exceeds the winning
@@ -224,6 +229,68 @@ fn validate_plan_inner(
     ledger::reconcile(tree, &plan, cm, &sim.metrics, &events, cfg.tol_rel)
 }
 
+/// Whether two runs of the search on `tree` agree bit for bit: optimum,
+/// winner index, plan JSON, every per-node frontier (storage size, live
+/// indices, and the cost/mem/msg bits of each live entry), and every
+/// counter outside [`tce_obs::NONDETERMINISTIC_COUNTERS`] and `skip`.
+/// `Err` describes the first difference, `alt` on the right.
+fn same_search(
+    tree: &ExprTree,
+    base: &tce_core::Optimized,
+    alt: &tce_core::Optimized,
+    skip: &[&str],
+) -> Result<(), String> {
+    if alt.comm_cost.to_bits() != base.comm_cost.to_bits()
+        || alt.mem_words != base.mem_words
+        || alt.max_msg_words != base.max_msg_words
+        || alt.best_index != base.best_index
+    {
+        return Err(format!(
+            "cost {} vs {}, mem {} vs {}, best {} vs {}",
+            base.comm_cost,
+            alt.comm_cost,
+            base.mem_words,
+            alt.mem_words,
+            base.best_index,
+            alt.best_index
+        ));
+    }
+    if extract_plan(tree, base).to_json() != extract_plan(tree, alt).to_json() {
+        return Err("plans differ".into());
+    }
+    for (node, set) in &base.sets {
+        let other = alt.sets.get(node).ok_or_else(|| format!("node {node:?} missing"))?;
+        let a: Vec<usize> = set.live_indices().collect();
+        let b: Vec<usize> = other.live_indices().collect();
+        if a != b || set.len() != other.len() {
+            return Err(format!(
+                "node {node:?}: live frontier differs ({} vs {} live, {} vs {} stored)",
+                a.len(),
+                b.len(),
+                set.len(),
+                other.len()
+            ));
+        }
+        for i in a {
+            if set.cost(i).to_bits() != other.cost(i).to_bits()
+                || set.mem(i) != other.mem(i)
+                || set.msg(i) != other.msg(i)
+            {
+                return Err(format!("node {node:?} sol {i}: entries differ"));
+            }
+        }
+    }
+    for (counter, v) in base.counters.iter() {
+        if tce_obs::NONDETERMINISTIC_COUNTERS.contains(&counter) || skip.contains(&counter) {
+            continue;
+        }
+        if v != alt.counters.get(counter) {
+            return Err(format!("counter {counter} {v} vs {}", alt.counters.get(counter)));
+        }
+    }
+    Ok(())
+}
+
 /// Run the full differential loop on one tree. `Ok` carries coverage
 /// statistics; `Err` is the first oracle violation found.
 pub fn check_tree(tree: &ExprTree, cfg: &FuzzConfig) -> Result<TreeStats, Failure> {
@@ -314,90 +381,29 @@ pub fn check_tree(tree: &ExprTree, cfg: &FuzzConfig) -> Result<TreeStats, Failur
             }
         }
 
-        // Oracle 6: the Pareto-staircase / branch-and-bound search against
-        // the legacy linear-scan dominance path. Same predicate, different
-        // data structure — plans, costs, per-node live frontiers, and every
-        // counter except the `dp.bnb_*` pair (the legacy path never skips)
-        // must be bit-identical.
+        // Oracle 6: the Pareto-staircase search with its branch-and-bound
+        // corner skips against the same search with lower bounds off. The
+        // skips may only avoid work, never change an outcome: plans,
+        // costs, per-node live frontiers, and every deterministic counter
+        // must be bit-identical. The floor-fallback count is excluded
+        // because the bounds-off run never computes the floors it counts.
         {
-            let legacy =
-                optimize(tree, &cm, &OptimizerConfig { legacy_frontier: true, ..base_config(cfg) })
-                    .map_err(|e| fail("frontier", format!("p={procs}: {e:?}")))?;
+            let unbounded = optimize(
+                tree,
+                &cm,
+                &OptimizerConfig { disable_lower_bounds: true, ..base_config(cfg) },
+            )
+            .map_err(|e| fail("frontier", format!("p={procs}: {e:?}")))?;
             stats.optimizations += 1;
-            if legacy.comm_cost.to_bits() != base.comm_cost.to_bits()
-                || legacy.mem_words != base.mem_words
-                || legacy.max_msg_words != base.max_msg_words
-                || legacy.best_index != base.best_index
-            {
-                return Err(fail(
-                    "frontier",
-                    format!(
-                        "p={procs}: legacy cost {} vs {}, mem {} vs {}, best {} vs {}",
-                        legacy.comm_cost,
-                        base.comm_cost,
-                        legacy.mem_words,
-                        base.mem_words,
-                        legacy.best_index,
-                        base.best_index
-                    ),
-                ));
-            }
-            if extract_plan(tree, &legacy).to_json() != base_json {
-                return Err(fail("frontier", format!("p={procs}: legacy plan differs")));
-            }
-            for (node, set) in &base.sets {
-                let lset = legacy
-                    .sets
-                    .get(node)
-                    .ok_or_else(|| fail("frontier", format!("p={procs}: node {node:?} missing")))?;
-                let a: Vec<usize> = set.live_indices().collect();
-                let b: Vec<usize> = lset.live_indices().collect();
-                if a != b || set.len() != lset.len() {
-                    return Err(fail(
-                        "frontier",
-                        format!(
-                            "p={procs} node {node:?}: live frontier differs ({} vs {} live, {} vs {} stored)",
-                            a.len(),
-                            b.len(),
-                            set.len(),
-                            lset.len()
-                        ),
-                    ));
-                }
-                for i in a {
-                    if set.cost(i).to_bits() != lset.cost(i).to_bits()
-                        || set.mem(i) != lset.mem(i)
-                        || set.msg(i) != lset.msg(i)
-                    {
-                        return Err(fail(
-                            "frontier",
-                            format!("p={procs} node {node:?} sol {i}: entries differ"),
-                        ));
-                    }
-                }
-            }
-            for (counter, v) in base.counters.iter() {
-                if tce_obs::NONDETERMINISTIC_COUNTERS.contains(&counter) {
-                    continue; // interleaving-/mode-dependent by design
-                }
-                if v != legacy.counters.get(counter) {
-                    return Err(fail(
-                        "frontier",
-                        format!(
-                            "p={procs}: counter {counter} {} vs legacy {}",
-                            v,
-                            legacy.counters.get(counter)
-                        ),
-                    ));
-                }
-            }
+            same_search(tree, &base, &unbounded, &[tce_obs::names::LB_FLOOR_FALLBACK])
+                .map_err(|d| fail("frontier", format!("p={procs}: bounds off: {d}")))?;
         }
 
-        // Oracle 7: work-stealing vs the legacy contiguous equal-count
-        // partitioner. Both forced to actually spawn (`spawn_amort_ns:
-        // Some(0)` defeats the adaptive threshold, which would otherwise
-        // keep these small nodes inline) at the highest configured thread
-        // count, where claim interleaving and steal traffic are maximal.
+        // Oracle 7: the work-stealing merge against the serial run it must
+        // reproduce. Spawning is forced (`spawn_amort_ns: Some(0)` defeats
+        // the adaptive threshold, which would otherwise keep these small
+        // nodes inline) at the highest configured thread count, where claim
+        // interleaving and steal traffic are maximal.
         {
             let t = cfg.threads.iter().copied().max().unwrap_or(1).max(2);
             let steal = optimize(
@@ -405,62 +411,10 @@ pub fn check_tree(tree: &ExprTree, cfg: &FuzzConfig) -> Result<TreeStats, Failur
                 &cm,
                 &OptimizerConfig { threads: t, spawn_amort_ns: Some(0), ..base_config(cfg) },
             )
-            .map_err(|e| fail("scheduler", format!("p={procs} t={t} stealing: {e:?}")))?;
-            let contig = optimize(
-                tree,
-                &cm,
-                &OptimizerConfig {
-                    threads: t,
-                    contiguous_partition: true,
-                    spawn_amort_ns: Some(0),
-                    ..base_config(cfg)
-                },
-            )
-            .map_err(|e| fail("scheduler", format!("p={procs} t={t} contiguous: {e:?}")))?;
-            stats.optimizations += 2;
-            if steal.comm_cost.to_bits() != contig.comm_cost.to_bits()
-                || steal.mem_words != contig.mem_words
-                || steal.max_msg_words != contig.max_msg_words
-                || steal.best_index != contig.best_index
-            {
-                return Err(fail(
-                    "scheduler",
-                    format!(
-                        "p={procs} t={t}: stealing cost {} vs contiguous {}, mem {} vs {}, best {} vs {}",
-                        steal.comm_cost,
-                        contig.comm_cost,
-                        steal.mem_words,
-                        contig.mem_words,
-                        steal.best_index,
-                        contig.best_index
-                    ),
-                ));
-            }
-            let steal_json = extract_plan(tree, &steal).to_json();
-            if steal_json != extract_plan(tree, &contig).to_json() {
-                return Err(fail("scheduler", format!("p={procs} t={t}: plans differ")));
-            }
-            if steal_json != base_json {
-                return Err(fail(
-                    "scheduler",
-                    format!("p={procs} t={t}: stealing plan differs from serial"),
-                ));
-            }
-            for (counter, v) in steal.counters.iter() {
-                if tce_obs::NONDETERMINISTIC_COUNTERS.contains(&counter) {
-                    continue; // interleaving-dependent by design
-                }
-                if v != contig.counters.get(counter) {
-                    return Err(fail(
-                        "scheduler",
-                        format!(
-                            "p={procs} t={t}: counter {counter} {} vs contiguous {}",
-                            v,
-                            contig.counters.get(counter)
-                        ),
-                    ));
-                }
-            }
+            .map_err(|e| fail("scheduler", format!("p={procs} t={t}: {e:?}")))?;
+            stats.optimizations += 1;
+            same_search(tree, &base, &steal, &[])
+                .map_err(|d| fail("scheduler", format!("p={procs} t={t}: stealing: {d}")))?;
         }
 
         // Oracle 9: the greedy warm start. A time budget makes `plan` price
@@ -747,7 +701,8 @@ pub fn check_tree(tree: &ExprTree, cfg: &FuzzConfig) -> Result<TreeStats, Failur
             }
         }
 
-        // Oracle 6: exhaustive agreement on small proper contraction trees.
+        // Oracle 5 (cont.): exhaustive agreement on small proper contraction
+        // trees.
         if tree.is_contraction_tree() && internal <= cfg.exhaustive_max_internal {
             stats.exhaustive = true;
             let ex = exhaustive_min(tree, &cm, machine_limit, cfg.max_prefix_len, false, false);
