@@ -1,118 +1,15 @@
-//! `tce-check`: static verification of execution plans.
+//! `tce-check`: a re-export facade over [`tce_core::check`], where the
+//! static plan checker (diagnostics engine and analysis passes) lives so
+//! that the optimizer can call it directly.
 //!
-//! The §3.3 optimizer emits [`ExecutionPlan`]s whose legality rests on
-//! invariants it never re-checks: Cannon pattern legality (§3.2),
-//! fusion-prefix consistency between producer and consumer, the
-//! per-processor memory bound, and a cost ledger that must be reproducible
-//! from the cost model. This crate verifies all of it *independently* — a
-//! diagnostics engine with stable `TCE0xx` codes ([`diag`]) plus a registry
-//! of analysis passes ([`passes`]) that trust nothing in the plan they can
-//! re-derive from the expression tree and the paper's formulas.
-//!
-//! Entry points:
-//! * [`check_plan`] — run every pass, collect a [`CheckReport`];
-//! * [`validate_plan`] — legacy `Result<(), String>` shim (structural
-//!   passes only; no cost model required);
-//! * [`install`] — register the checker with `tce-core` so the optimizer
-//!   self-checks its own results (under `debug_assertions`, or always with
-//!   `OptimizerConfig::verify`).
+//! Kept only so existing `tce_check::` paths compile; it goes, together
+//! with [`install`], in the next change to `examples/benchmark`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
-#![cfg_attr(not(test), deny(clippy::panic))]
 
-pub mod diag;
-pub mod passes;
+pub use tce_core::check::*;
 
-pub use diag::{codes, CheckReport, Diagnostic, Diagnostics, Severity};
-pub use passes::{CheckContext, Pass};
-
-use tce_core::ExecutionPlan;
-use tce_cost::CostModel;
-use tce_expr::ExprTree;
-
-/// Run the full pass registry over a `(tree, plan)` pair.
-///
-/// The structural gate pass runs first; if it finds errors, the deeper
-/// passes are skipped (they would dereference node and index ids the gate
-/// just proved invalid) and recorded in [`CheckReport::skipped`]. Passes
-/// that need a cost model are skipped with a reason when `cm` is `None`.
-pub fn check_plan(
-    tree: &ExprTree,
-    plan: &ExecutionPlan,
-    cm: Option<&CostModel>,
-    mem_limit_words: Option<u128>,
-) -> CheckReport {
-    let ctx = CheckContext { tree, plan, cm, mem_limit_words };
-    let mut report = CheckReport::default();
-
-    let gate = passes::gate_pass();
-    let mut found = Diagnostics::new();
-    gate.run(&ctx, &mut found);
-    report.passes_run.push(gate.name());
-    let gate_errors = found.error_count();
-    report.diagnostics.extend(found.into_vec());
-    if gate_errors > 0 {
-        for p in passes::analysis_passes() {
-            report.skipped.push((p.name(), "structural errors gate the deeper passes".into()));
-        }
-        return report;
-    }
-
-    for p in passes::analysis_passes() {
-        if p.needs_cost_model() && cm.is_none() {
-            report.skipped.push((p.name(), "no cost model available".into()));
-            continue;
-        }
-        let mut found = Diagnostics::new();
-        p.run(&ctx, &mut found);
-        report.passes_run.push(p.name());
-        report.diagnostics.extend(found.into_vec());
-    }
-    report
-}
-
-/// Legacy shim: the old `tce_core::validate_plan` contract, backed by the
-/// pass registry (cost-model-free subset — structural, shape, fusion, and
-/// what the distribution/cost passes can verify without a model).
-pub fn validate_plan(tree: &ExprTree, plan: &ExecutionPlan) -> Result<(), String> {
-    check_plan(tree, plan, None, None).to_result()
-}
-
-/// The level-2 plan-cache load gate: the full pass registry with the
-/// live cost model and memory limit.
-///
-/// A cached plan was produced by *some* past run; nothing about the file
-/// is trusted. The cost passes recompute every redistribution and
-/// rotation bit-exactly from `cm` and re-add the per-step ledger, the
-/// memory pass re-derives the footprint against `mem_limit_words`, and
-/// the structural/fusion/pattern passes re-prove legality on the *live*
-/// tree — so a stale, corrupted, or adversarial entry can waste a lookup
-/// but can never smuggle a wrong plan into the pipeline.
-pub fn check_cached_plan(
-    tree: &ExprTree,
-    plan: &ExecutionPlan,
-    cm: &CostModel,
-    mem_limit_words: u128,
-) -> Result<(), String> {
-    check_plan(tree, plan, Some(cm), Some(mem_limit_words)).to_result()
-}
-
-/// The hook function registered with `tce-core` (see
-/// [`tce_core::install_plan_checker`]).
-fn hook(
-    tree: &ExprTree,
-    plan: &ExecutionPlan,
-    cm: Option<&CostModel>,
-    mem_limit_words: Option<u128>,
-) -> Result<(), String> {
-    check_plan(tree, plan, cm, mem_limit_words).to_result()
-}
-
-/// Register this crate as `tce-core`'s plan checker, upgrading
-/// `tce_core::validate_plan` and the optimizer's self-check from the
-/// legacy inline checks to the full pass registry. Idempotent.
-pub fn install() {
-    tce_core::install_plan_checker(hook);
-}
+/// No-op. The full checker is always active in `tce-core`; there is
+/// nothing left to register. Kept because `examples/benchmark` calls it.
+pub fn install() {}

@@ -49,8 +49,9 @@ use tce_dist::Distribution;
 use tce_expr::{canonical_form, CanonicalForm, ExprTree, Fnv128, IndexId, NodeId};
 use tce_fusion::FusionPrefix;
 
+use crate::check::check_plan;
 use crate::dp::{NodeStats, Optimized, OptimizerConfig};
-use crate::plan::{validate_plan_basic, ExecutionPlan, PlanOperand, PlanStep};
+use crate::plan::{ExecutionPlan, PlanOperand, PlanStep};
 
 /// Schema stamp written into every entry; bump on any incompatible
 /// change to the entry layout or the key digest.
@@ -568,11 +569,9 @@ fn verify_entry(path: &Path) -> Result<String, String> {
     }
     let plan = plan_from_canonical(&entry.plan, &tree, &form)
         .ok_or("plan does not map onto the canonical form")?;
-    match crate::hook::plan_checker() {
-        Some(check) => check(&tree, &plan, None, None),
-        None => validate_plan_basic(&tree, &plan),
-    }
-    .map_err(|e| format!("plan fails static checks:\n{e}"))?;
+    check_plan(&tree, &plan, None, None)
+        .to_result()
+        .map_err(|e| format!("plan fails static checks:\n{e}"))?;
     Ok(format!("{} steps, comm {:.3} s", plan.steps.len(), plan.comm_cost))
 }
 
@@ -588,9 +587,8 @@ fn instantiate(
     // The gate: full static re-validation with the live cost model and
     // memory limit — the cost passes recompute every redistribution and
     // rotation bit-exactly and re-add the ledger.
-    match crate::hook::plan_checker() {
-        Some(check) => check(tree, &plan, Some(cm), Some(key.mem_limit_words)).ok()?,
-        None => validate_plan_basic(tree, &plan).ok()?,
+    if !check_plan(tree, &plan, Some(cm), Some(key.mem_limit_words)).is_clean() {
+        return None;
     }
     // The checker only sees the plan; tie the headline scalars to it so a
     // corrupted `comm_cost`/footprint cannot outlive plan validation.

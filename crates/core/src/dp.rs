@@ -847,11 +847,9 @@ pub fn optimize(
     // out. Always on in debug builds; `cfg.verify` extends it to release.
     if cfg.verify || cfg!(debug_assertions) {
         let plan = crate::plan::extract_plan(tree, &result);
-        let checked = match crate::hook::plan_checker() {
-            Some(check) => check(tree, &plan, Some(cm), Some(limit)),
-            None => crate::plan::validate_plan_basic(tree, &plan),
-        };
-        checked.map_err(OptimizeError::SelfCheck)?;
+        crate::check::check_plan(tree, &plan, Some(cm), Some(limit))
+            .to_result()
+            .map_err(OptimizeError::SelfCheck)?;
     }
     Ok(result)
 }

@@ -14,6 +14,11 @@
 //! is optimal over the modeled space (validated against
 //! [`exhaustive`] brute force on small instances).
 //!
+//! Every plan the crate emits or serves from its cache passes the static
+//! checker in [`check`], which [`validate_plan`], the optimizer's
+//! self-check and the [`PlanCache`] load gate call directly. The checker
+//! sees only the plan types, never the search's internals.
+//!
 //! ```
 //! use tce_core::{optimize, OptimizerConfig};
 //! use tce_cost::{CostModel, MachineModel};
@@ -33,12 +38,12 @@
 
 pub mod baselines;
 pub mod cache;
+pub mod check;
 mod codegen;
 mod dp;
 pub mod exhaustive;
 mod explain;
 mod frontier;
-mod hook;
 mod plan;
 pub mod portfolio;
 mod provenance;
@@ -52,14 +57,12 @@ pub use codegen::render_spmd;
 pub use dp::{optimize, NodeStats, OptimizeError, Optimized, OptimizerConfig};
 pub use explain::{explain, Explanation};
 pub use frontier::{frontier_plan, root_frontier, FrontierPoint};
-pub use hook::{install_plan_checker, plan_checker, PlanChecker};
 pub use plan::{
-    extract_plan, extract_plan_for, validate_plan, validate_plan_basic, ExecutionPlan, PlanOperand,
-    PlanStep,
+    extract_plan, extract_plan_for, validate_plan, ExecutionPlan, PlanOperand, PlanStep,
 };
 pub use provenance::{
-    build_provenance, render_provenance, report_json, KindProfile, NodeProvenance, Provenance,
-    RunnerUp, KIND_NAMES,
+    build_provenance, invocations, render_provenance, report_json, step_ledger, KindProfile,
+    NodeProvenance, Provenance, RunnerUp, KIND_NAMES,
 };
 pub use report::{build_report, render_plan_dot, render_report, ArrayRow, Report};
 pub use solution::{ChildBinding, Choice, KeySummary, Solution, SolutionSet};

@@ -1,8 +1,6 @@
 //! Execution plans: the optimizer's decisions in executable, reportable
 //! form.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 use tce_dist::{CannonPattern, Distribution};
 use tce_expr::{ExprTree, NodeId};
@@ -189,53 +187,11 @@ impl ExecutionPlan {
     }
 }
 
-/// Check internal consistency between a plan and its tree.
-///
-/// Dispatches to the registered external checker (`tce-check`, once its
-/// `install()` ran — the full pass registry, minus the passes needing a
-/// cost model) and otherwise falls back to the legacy inline checks of
-/// [`validate_plan_basic`]. Returns a human-readable error when violated.
+/// Check a plan against its tree with the full static checker
+/// ([`crate::check::check_plan`]) minus the passes that need a cost model.
+/// Returns the rendered diagnostics when any error is found.
 pub fn validate_plan(tree: &ExprTree, plan: &ExecutionPlan) -> Result<(), String> {
-    match crate::hook::plan_checker() {
-        Some(check) => check(tree, plan, None, None),
-        None => validate_plan_basic(tree, plan),
-    }
-}
-
-/// The legacy inline consistency checks: every internal node appears
-/// exactly once as a step, the fusion configuration is legal, and the cost
-/// ledger adds up. Kept as the fallback when no external checker is
-/// registered (and as a sanity baseline for `tce-check` itself).
-pub fn validate_plan_basic(tree: &ExprTree, plan: &ExecutionPlan) -> Result<(), String> {
-    let internal: Vec<NodeId> =
-        tree.postorder().into_iter().filter(|&n| !tree.node(n).is_leaf()).collect();
-    if internal.len() != plan.steps.len() {
-        return Err(format!(
-            "plan has {} steps for {} internal nodes",
-            plan.steps.len(),
-            internal.len()
-        ));
-    }
-    let by_node: HashMap<NodeId, &PlanStep> = plan.steps.iter().map(|s| (s.node, s)).collect();
-    for &n in &internal {
-        if !by_node.contains_key(&n) {
-            return Err(format!("node `{}` missing from plan", tree.node(n).tensor.name));
-        }
-    }
-    plan.fusion_config().validate(tree)?;
-    let ledger = plan.sum_step_comm();
-    if (ledger - plan.comm_cost).abs() > 1e-6 * plan.comm_cost.max(1.0) {
-        return Err(format!("step costs sum to {ledger}, plan total is {}", plan.comm_cost));
-    }
-    // Fused edges must have matching produced/required layouts.
-    for step in &plan.steps {
-        for op in &step.operands {
-            if !op.fusion.is_empty() && op.produced_dist != op.required_dist {
-                return Err(format!("fused operand `{}` changes layout mid-fusion", op.name));
-            }
-        }
-    }
-    Ok(())
+    crate::check::check_plan(tree, plan, None, None).to_result()
 }
 
 #[cfg(test)]

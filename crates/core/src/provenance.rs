@@ -122,11 +122,11 @@ pub struct Provenance {
 }
 
 /// Number of kernel invocations of `step`: the product of the per-
-/// processor trip counts of its surrounding fused loops. Mirrors the
-/// simulator's `nest` and the fuzz ledger's `invocations` — the
-/// correspondence rules proven there are what make the analytic counts
-/// here trustworthy.
-fn invocations(tree: &ExprTree, step: &PlanStep, grid: ProcGrid) -> u64 {
+/// processor trip counts of its surrounding fused loops, where a loop over
+/// a distributed index covers only the local extent (floor division).
+/// Mirrors the simulator's `nest`; the fuzz `ledger` oracle checks the
+/// simulator's trace against these counts.
+pub fn invocations(tree: &ExprTree, step: &PlanStep, grid: ProcGrid) -> u64 {
     step.surrounding
         .iter()
         .map(|idx| {
@@ -143,8 +143,18 @@ fn invocations(tree: &ExprTree, step: &PlanStep, grid: ProcGrid) -> u64 {
 }
 
 /// Split one step's communication by kind, with analytic event/message
-/// counts (the ledger correspondence rules, run forward).
-fn step_profile(
+/// counts: the one statement of the ledger correspondence rules.
+///
+/// * **Redistribute** — once per step for every unfused operand whose
+///   produced layout differs from the required one, one message per
+///   processor; seconds are the plan's `redist_cost`.
+/// * **Align / Shift / Home** — per invocation, a rotating input pays one
+///   alignment fetch plus `q − 1` shifts and a rotating result `q − 1`
+///   shifts plus one homing round; every round is one message.
+/// * **Reduce** — on a patternless step, one allreduce per invocation
+///   when the summed index is distributed, one message per processor
+///   along that grid dimension; seconds are the `result_rotate_cost`.
+pub fn step_ledger(
     tree: &ExprTree,
     step: &PlanStep,
     grid: ProcGrid,
@@ -271,7 +281,7 @@ pub fn build_provenance(
             .collect();
 
         let (breakdown, kinds) = match steps.get(&node) {
-            Some(step) => step_profile(tree, step, grid),
+            Some(step) => step_ledger(tree, step, grid),
             // Unreachable for a well-formed plan (every internal node of
             // the winning tree has a step), but stay total.
             None => (CommBreakdown::default(), [KindProfile::default(); 5]),

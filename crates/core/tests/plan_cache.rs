@@ -4,9 +4,11 @@
 use std::path::PathBuf;
 
 use tce_core::{
-    cache_key, extract_plan, optimize, validate_plan, OptimizerConfig, PlanCache, PLAN_CACHE_SCHEMA,
+    cache_key, extract_plan, optimize, validate_plan, ExecutionPlan, OptimizerConfig, PlanCache,
+    PLAN_CACHE_SCHEMA,
 };
 use tce_cost::{CostModel, MachineModel};
+use tce_expr::examples::{ccsd_tree, PaperExtents};
 use tce_expr::{parse, ExprTree};
 
 fn tmp_cache(tag: &str) -> PathBuf {
@@ -180,6 +182,48 @@ fn corrupt_and_stale_entries_are_evicted() {
     assert_eq!(counter(&cache, "cache.evict_digest"), 1);
     assert_eq!(counter(&cache, "cache.evict_plan"), 1);
     assert_eq!(counter(&cache, "cache.store"), 4);
+    let _ = std::fs::remove_dir_all(cache.dir());
+}
+
+/// The load gate re-prices every cost term, not just the ledger sum: an
+/// entry whose step ledger, headline and footprint all still add up but
+/// whose rotation is charged to the wrong array is evicted as a bad plan.
+#[test]
+fn misattributed_rotation_cost_is_evicted() {
+    let tree = ccsd_tree(PaperExtents::tiny());
+    let cm = CostModel::for_square(MachineModel::itanium_cluster(), 16).unwrap();
+    let cfg = OptimizerConfig { threads: 1, ..Default::default() };
+    let opt = optimize(&tree, &cm, &cfg).unwrap();
+    let plan = extract_plan(&tree, &opt);
+    let cache = PlanCache::at(tmp_cache("misattributed"));
+    let key = cache_key(&tree, &cm, &cfg).unwrap();
+    let path = cache.dir().join(key.file_name());
+    cache.store(&tree, &key, &plan, &opt).unwrap();
+
+    // Move half of one operand's rotation cost onto its step's result.
+    let mut entry: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let stored = serde_json::to_string(entry.get("plan").unwrap()).unwrap();
+    let mut stored = ExecutionPlan::from_json(&stored).unwrap();
+    let step = stored
+        .steps
+        .iter_mut()
+        .find(|s| s.operands.iter().any(|o| o.rotate_cost > 0.0))
+        .expect("a step rotates an operand");
+    let op = step.operands.iter_mut().find(|o| o.rotate_cost > 0.0).unwrap();
+    let moved = op.rotate_cost / 2.0;
+    op.rotate_cost -= moved;
+    step.result_rotate_cost += moved;
+    let ledger = stored.sum_step_comm();
+    assert!((ledger - stored.comm_cost).abs() <= 1e-9 * stored.comm_cost, "ledger must add up");
+    assert_eq!((stored.mem_words, stored.max_msg_words), (plan.mem_words, plan.max_msg_words));
+    entry.insert("plan", serde_json::from_str(&stored.to_json()).unwrap());
+    std::fs::write(&path, serde_json::to_string_pretty(&entry).unwrap()).unwrap();
+
+    let out = cache.lookup(&tree, &cm, &key);
+    assert!(out.run.is_none(), "misattributed entry was served");
+    assert_eq!(out.evicted, Some(tce_obs::names::CACHE_EVICT_PLAN));
+    assert!(!path.exists(), "evicted entry must be deleted");
     let _ = std::fs::remove_dir_all(cache.dir());
 }
 

@@ -4,62 +4,29 @@
 //! The optimizer prices every step when it builds the plan; the simulator
 //! independently re-derives the communication while executing it. If the
 //! two ever disagree beyond interpolation error, one of them is wrong.
-//! This module states the exact correspondence:
+//! The expected per-kind event and message counts of each step come from
+//! [`tce_core::step_ledger`], the one statement of the correspondence
+//! rules; this module holds the simulator's trace against them:
 //!
-//! * **Invocations** — a step's kernel runs once per point of its
-//!   surrounding fused loops, where a loop over a distributed index only
-//!   covers the local extent. This mirrors the simulator's `nest`.
-//! * **Redistribute** — charged once per step (on the first invocation)
-//!   for every unfused operand whose produced layout differs from the
-//!   required one; seconds must equal the plan's `redist_cost` exactly
-//!   and each event carries one message per processor.
-//! * **Reduce** — charged per invocation; the per-step total must equal
-//!   the plan's `result_rotate_cost` exactly (the plan prices the whole
-//!   fused loop nest).
-//! * **Align / Shift / Home** — a rotating input pays one alignment fetch
-//!   plus `q − 1` shifts per invocation; a rotating result pays `q − 1`
-//!   shifts plus one homing round. Event *counts* are exact; *seconds*
-//!   are compared within a relative tolerance because the optimizer
-//!   prices rotations through the interpolated `RCost` characterization
-//!   while the simulator charges the raw machine model.
+//! * **Counts** — events and messages of every kind are exact.
+//! * **Redistribute / Reduce seconds** — must equal the plan's
+//!   `redist_cost` / `result_rotate_cost` exactly.
+//! * **Align / Shift / Home seconds** — compared within a relative
+//!   tolerance, because the optimizer prices rotations through the
+//!   interpolated `RCost` characterization while the simulator charges
+//!   the raw machine model.
 
 use std::collections::HashMap;
 
-use tce_core::{ExecutionPlan, PlanStep};
+use tce_core::ExecutionPlan;
 use tce_cost::CostModel;
-use tce_dist::cannon::num_steps;
-use tce_dist::{Operand, ProcGrid};
-use tce_expr::{ExprTree, NodeKind};
+use tce_expr::ExprTree;
 use tce_sim::{CommEvent, CommKind, Metrics};
 
 use crate::{approx_eq, Failure};
 
 fn fail(detail: String) -> Failure {
     Failure { oracle: "ledger", detail }
-}
-
-/// Number of kernel invocations of `step`: the product of the per-
-/// processor trip counts of its surrounding fused loops (mirrors the
-/// simulator's `nest`).
-pub fn invocations(tree: &ExprTree, step: &PlanStep, grid: ProcGrid) -> u64 {
-    step.surrounding
-        .iter()
-        .map(|idx| {
-            let extent = tree.space.extent(idx);
-            match placement_at(step, idx) {
-                None => extent,
-                Some(d) => extent / u64::from(grid.extent(d)),
-            }
-        })
-        .product()
-}
-
-/// The grid placement of `id` in any of the step's distributions
-/// (mirrors the simulator's `placement_at`).
-fn placement_at(step: &PlanStep, id: tce_expr::IndexId) -> Option<tce_dist::GridDim> {
-    std::iter::once(step.result_dist)
-        .chain(step.operands.iter().map(|o| o.required_dist))
-        .find_map(|d| d.position_of(id))
 }
 
 /// Per-kind aggregation of one step's trace.
@@ -118,166 +85,58 @@ pub fn reconcile(
     }
 
     let empty: [KindTotals; 5] = Default::default();
-    let kind_slot = |k: CommKind| {
-        CommKind::ALL.iter().position(|&x| x == k).expect("CommKind::ALL is exhaustive")
-    };
-
     for step in &plan.steps {
         let measured = by_step.get(step.result_name.as_str()).unwrap_or(&empty);
-        let get = |k: CommKind| &measured[kind_slot(k)];
-        let inv = invocations(tree, step, grid);
+        let (_, expected) = tce_core::step_ledger(tree, step, grid);
         let name = &step.result_name;
 
-        // Redistribution: exact seconds, one event per redistributed
-        // unfused operand, one message per processor per event.
-        let planned_redist: f64 = step.operands.iter().map(|o| o.redist_cost).sum();
-        let expected_redists = step
-            .operands
-            .iter()
-            .filter(|o| o.fusion.is_empty() && o.produced_dist != o.required_dist)
-            .count() as u64;
-        let redist = get(CommKind::Redistribute);
-        if !approx_eq(redist.seconds, planned_redist, 1e-9) {
-            return Err(fail(format!(
-                "step {name}: measured redistribution {}s, plan charges {planned_redist}s",
-                redist.seconds
-            )));
-        }
-        if redist.count != expected_redists {
-            return Err(fail(format!(
-                "step {name}: {} redistribution events, expected {expected_redists}",
-                redist.count
-            )));
-        }
-        if redist.messages != expected_redists * u64::from(grid.num_procs()) {
-            return Err(fail(format!(
-                "step {name}: redistribution carried {} messages, expected {} per event",
-                redist.messages,
-                grid.num_procs()
-            )));
-        }
-
-        let rotation_seconds = get(CommKind::Align).seconds
-            + get(CommKind::Shift).seconds
-            + get(CommKind::Home).seconds;
-        let planned_rotation: f64 =
-            step.result_rotate_cost + step.operands.iter().map(|o| o.rotate_cost).sum::<f64>();
-
-        match step.pattern {
-            Some(pat) => {
-                // No reductions inside a Cannon step.
-                if get(CommKind::Reduce).count != 0 {
-                    return Err(fail(format!("step {name}: Reduce events in a Cannon step")));
-                }
-                let rounds =
-                    if pat.rotation_index().is_some() { u64::from(num_steps(grid)) } else { 1 };
-                let rotating_inputs = [Operand::Left, Operand::Right]
-                    .iter()
-                    .filter(|&&o| pat.travel_dim(o).is_some())
-                    .count() as u64;
-                let result_rotates = u64::from(pat.travel_dim(Operand::Result).is_some());
-                let expect = [
-                    (CommKind::Align, rotating_inputs * inv),
-                    (CommKind::Shift, (rounds - 1) * (rotating_inputs + result_rotates) * inv),
-                    (CommKind::Home, result_rotates * inv),
-                ];
-                for (kind, count) in expect {
-                    let m = get(kind);
-                    if m.count != count {
-                        return Err(fail(format!(
-                            "step {name}: {} {kind} events, expected {count} \
-                             ({inv} invocations × {rounds} rounds)",
-                            m.count
-                        )));
-                    }
-                    if m.messages != count {
-                        return Err(fail(format!(
-                            "step {name}: {kind} carried {} messages for {count} events",
-                            m.messages
-                        )));
-                    }
-                    // Every rotation round moves at most the staging buffer.
-                    if m.max_bytes > plan.max_msg_words * 8 {
-                        return Err(fail(format!(
-                            "step {name}: {kind} round of {} bytes exceeds the plan's \
-                             staging buffer of {} words",
-                            m.max_bytes, plan.max_msg_words
-                        )));
-                    }
-                }
-                if !approx_eq(rotation_seconds, planned_rotation, tol_rel) {
-                    return Err(fail(format!(
-                        "step {name}: measured rotation {rotation_seconds}s vs planned \
-                         {planned_rotation}s (beyond {tol_rel} relative)"
-                    )));
-                }
+        for ((kind, m), want) in CommKind::ALL.iter().zip(measured).zip(&expected) {
+            if m.count != want.events || m.messages != want.messages {
+                return Err(fail(format!(
+                    "step {name}: {} {kind} events carrying {} messages, expected {} carrying \
+                     {} ({} invocations)",
+                    m.count,
+                    m.messages,
+                    want.events,
+                    want.messages,
+                    tce_core::invocations(tree, step, grid)
+                )));
             }
-            None => {
-                // Reduce / element-wise steps never rotate.
-                if rotation_seconds != 0.0
-                    || get(CommKind::Align).count
-                        + get(CommKind::Shift).count
-                        + get(CommKind::Home).count
-                        != 0
-                {
-                    return Err(fail(format!(
-                        "step {name}: rotation events on a patternless step"
-                    )));
-                }
-                let planned_op_rotation: f64 = step.operands.iter().map(|o| o.rotate_cost).sum();
-                if planned_op_rotation != 0.0 {
-                    return Err(fail(format!(
-                        "step {name}: plan charges {planned_op_rotation}s operand rotation \
-                         on a patternless step"
-                    )));
-                }
-                let reduce = get(CommKind::Reduce);
-                let distributed_sum = match &tree.node(step.node).kind {
-                    NodeKind::Reduce { sum, .. } => {
-                        step.operands[0].required_dist.position_of(*sum)
-                    }
-                    _ => None,
-                };
-                match distributed_sum {
-                    Some(d) => {
-                        if reduce.count != inv {
-                            return Err(fail(format!(
-                                "step {name}: {} Reduce events for {inv} invocations",
-                                reduce.count
-                            )));
-                        }
-                        if reduce.messages != inv * u64::from(grid.extent(d)) {
-                            return Err(fail(format!(
-                                "step {name}: Reduce carried {} messages, expected {} \
-                                 per invocation",
-                                reduce.messages,
-                                grid.extent(d)
-                            )));
-                        }
-                        if !approx_eq(reduce.seconds, step.result_rotate_cost, 1e-9) {
-                            return Err(fail(format!(
-                                "step {name}: measured reduction {}s, plan charges {}s",
-                                reduce.seconds, step.result_rotate_cost
-                            )));
-                        }
-                    }
-                    None => {
-                        if reduce.count != 0 {
-                            return Err(fail(format!(
-                                "step {name}: Reduce events with no distributed summation \
-                                 dimension"
-                            )));
-                        }
-                        if step.result_rotate_cost != 0.0 {
-                            return Err(fail(format!(
-                                "step {name}: plan charges {}s reduction but nothing is \
-                                 reduced",
-                                step.result_rotate_cost
-                            )));
-                        }
-                    }
-                }
+        }
+        let [align, shift, home, redist, reduce] = measured;
+        for (kind, m, want) in [
+            (CommKind::Redistribute, redist, &expected[3]),
+            (CommKind::Reduce, reduce, &expected[4]),
+        ] {
+            if !approx_eq(m.seconds, want.seconds, 1e-9) {
+                return Err(fail(format!(
+                    "step {name}: measured {kind} {}s, plan charges {}s",
+                    m.seconds, want.seconds
+                )));
             }
+        }
+        // Every rotation round moves at most the staging buffer.
+        for (kind, m) in
+            [(CommKind::Align, align), (CommKind::Shift, shift), (CommKind::Home, home)]
+        {
+            if m.max_bytes > plan.max_msg_words * 8 {
+                return Err(fail(format!(
+                    "step {name}: {kind} round of {} bytes exceeds the plan's staging buffer \
+                     of {} words",
+                    m.max_bytes, plan.max_msg_words
+                )));
+            }
+        }
+        // A patternless step's result cost is its reduction, not rotation.
+        let result_rotation = if step.pattern.is_some() { step.result_rotate_cost } else { 0.0 };
+        let planned_rotation =
+            result_rotation + step.operands.iter().map(|o| o.rotate_cost).sum::<f64>();
+        let rotation_seconds = align.seconds + shift.seconds + home.seconds;
+        if !approx_eq(rotation_seconds, planned_rotation, tol_rel) {
+            return Err(fail(format!(
+                "step {name}: measured rotation {rotation_seconds}s vs planned \
+                 {planned_rotation}s (beyond {tol_rel} relative)"
+            )));
         }
     }
 
@@ -290,4 +149,15 @@ pub fn reconcile(
         )));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use tce_sim::CommKind;
+
+    /// `step_ledger`'s kind slots line up with the simulator's kinds.
+    #[test]
+    fn kind_names_follow_the_simulator_order() {
+        assert_eq!(CommKind::ALL.map(|k| k.name()), tce_core::KIND_NAMES);
+    }
 }

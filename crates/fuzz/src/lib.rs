@@ -938,16 +938,3 @@ pub fn replay_file(path: &str, cfg: &FuzzConfig) -> Result<TreeStats, Failure> {
     let tree = tce_bench::workload_tree(path).map_err(|e| fail("optimize", e))?;
     check_tree(&tree, cfg)
 }
-
-/// Convenience used by tests: the per-node placement map of the plan's
-/// fused loops (mirrors the simulator's `placement_at`).
-pub fn fused_invocations(
-    tree: &ExprTree,
-    plan: &tce_core::ExecutionPlan,
-    cm: &CostModel,
-) -> HashMap<String, u64> {
-    plan.steps
-        .iter()
-        .map(|s| (s.result_name.clone(), ledger::invocations(tree, s, cm.grid)))
-        .collect()
-}

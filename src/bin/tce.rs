@@ -452,9 +452,6 @@ fn observability_json(opt: &Optimized) -> serde_json::Value {
 }
 
 fn main() -> ExitCode {
-    // Upgrade every validate_plan call (and the optimizer's self-check)
-    // from the legacy inline checks to the full tce-check pass registry.
-    tensor_contraction_opt::check::install();
     let args = match parse_args() {
         Ok(a) => a,
         Err(code) => return code,

@@ -52,7 +52,6 @@ const CORPUS: [(&str, &str); 4] = [
 
 #[test]
 fn every_corpus_entry_is_evicted_with_its_reason() {
-    tensor_contraction_opt::check::install();
     let tree = reference_tree();
     let cm = reference_model();
     let cfg = OptimizerConfig::default();
@@ -92,7 +91,6 @@ fn every_corpus_entry_is_evicted_with_its_reason() {
 #[test]
 #[ignore = "writes golden/bad_cache from the live implementation"]
 fn regen_bad_cache_corpus() {
-    tensor_contraction_opt::check::install();
     let tree = reference_tree();
     let cm = reference_model();
     let cfg = OptimizerConfig::default();
