@@ -5,10 +5,13 @@
 //! paper (EXPERIMENTS.md).
 
 use tensor_contraction_opt::core::{
-    build_report, extract_plan, optimize, render_report, OptimizerConfig,
+    build_report, extract_plan, optimize, render_report, render_search_stats, OptimizerConfig,
 };
+use tensor_contraction_opt::cost::units::PAPER_MB;
 use tensor_contraction_opt::cost::{CostModel, MachineModel};
 use tensor_contraction_opt::expr::examples::{ccsd_tree, PAPER_EXTENTS};
+use tensor_contraction_opt::expr::parse;
+use tensor_contraction_opt::opmin::lower_program;
 
 fn report_for(procs: u32) -> String {
     let tree = ccsd_tree(PAPER_EXTENTS);
@@ -49,4 +52,63 @@ fn golden_files_contain_the_paper_landmarks() {
     assert!(t2.contains("108.0MB"));
     let f1 = std::fs::read_to_string("golden/fig1.txt").unwrap();
     assert!(f1.contains("99.0x"), "Fig. 1 speedup at N=100");
+}
+
+/// The per-node search statistics (candidates, kept, pruned, redistribution
+/// fallbacks, keys, widest staircase, arena high-water) and the `total:`
+/// line of `tce optimize --stats --threads 1`, on every shipped workload at
+/// 16 processors and on the enlarged `ccsd_tiny` cell. These numbers are a
+/// pure function of the search space, so a refactor of the combine loops
+/// must leave them unchanged. The memo and bound-skip lines are left out:
+/// they measure how the work was avoided, which pruning changes may move.
+#[test]
+fn search_statistics_are_pinned() {
+    let cells: [(&str, u32, bool, Option<f64>); 7] = [
+        ("ccsd.tce", 16, false, None),
+        ("ccsd_tiny.tce", 16, false, None),
+        ("fig1.tce", 16, false, None),
+        ("ladder.tce", 16, false, None),
+        ("repeated.tce", 16, false, None),
+        ("transform.tce", 16, false, None),
+        ("ccsd_tiny.tce", 64, true, Some(0.0001)),
+    ];
+    let mut rendered = String::new();
+    for (file, procs, enlarged, mem_gb) in cells {
+        let path = format!("{}/workloads/{file}", env!("CARGO_MANIFEST_DIR"));
+        let src = std::fs::read_to_string(&path).expect("readable workload");
+        let tree =
+            lower_program(&parse(&src).expect("parses")).expect("lowers").to_tree().expect("tree");
+        let mut machine = MachineModel::itanium_cluster();
+        let mut header = format!("== {file} --procs {procs}");
+        if enlarged {
+            header.push_str(" --replication --unrelated-rotation");
+        }
+        if let Some(gb) = mem_gb {
+            machine.mem_per_node_bytes = (gb * 1024.0 * PAPER_MB) as u64;
+            header.push_str(&format!(" --mem-gb {gb}"));
+        }
+        let cm = CostModel::for_square(machine, procs).unwrap();
+        let cfg = OptimizerConfig {
+            allow_replication: enlarged,
+            allow_unrelated_rotation: enlarged,
+            threads: 1,
+            ..Default::default()
+        };
+        let opt = optimize(&tree, &cm, &cfg).unwrap_or_else(|e| panic!("{header}: {e}"));
+        rendered.push_str(&header);
+        rendered.push('\n');
+        for line in render_search_stats(&opt).lines() {
+            rendered.push_str(line);
+            rendered.push('\n');
+            if line.starts_with("total:") {
+                break;
+            }
+        }
+    }
+    let golden =
+        std::fs::read_to_string("golden/search_stats.txt").expect("golden/search_stats.txt");
+    assert!(
+        rendered == golden,
+        "search statistics diverged from golden/search_stats.txt.\n--- regenerated ---\n{rendered}\n--- golden ---\n{golden}"
+    );
 }
