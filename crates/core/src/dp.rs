@@ -20,7 +20,7 @@ use tce_dist::{dist_size, enumerate_patterns, CannonPattern, Distribution, GridD
 use tce_expr::{ExprTree, IndexId, IndexSet, NodeId, NodeKind};
 use tce_fusion::{edge_candidates, enumerate_prefixes, FusionPrefix};
 
-use crate::solution::{ChildBinding, Choice, SolutionSet};
+use crate::solution::{ChildBinding, Choice, KeyHandle, SolutionSet};
 
 /// Search-space knobs.
 #[derive(Clone, Debug)]
@@ -626,52 +626,23 @@ pub fn optimize(
                     counters.add(tce_obs::names::SUBTREE_MISS, 1);
                 }
                 let fresh = match &n.kind {
-                    NodeKind::Contract { left, right, .. } => {
-                        if let Ok(groups) = tree.contraction_groups(node) {
-                            let patterns =
-                                match cfg.fixed_patterns.as_ref().and_then(|m| m.get(&node)) {
-                                    Some(p) => vec![*p],
-                                    None => enumerate_patterns(&groups, cfg.allow_replication),
-                                };
-                            combine_contraction(
-                                tree,
-                                cm,
-                                cfg,
-                                &memo,
-                                &mut sched,
-                                node,
-                                *left,
-                                *right,
-                                &patterns,
-                                &my_prefixes,
-                                &sets,
-                                limit,
-                                node_floor,
-                                warm_cut,
-                                &mut set,
-                            )
-                        } else {
-                            // Element-wise multiplication (shared non-summed
-                            // indices, e.g. Fig. 1's T3 = T1 × T2): aligned
-                            // distributions, no rotation.
-                            combine_elementwise(
-                                tree,
-                                cm,
-                                cfg,
-                                &memo,
-                                &mut sched,
-                                node,
-                                *left,
-                                *right,
-                                &my_prefixes,
-                                &sets,
-                                limit,
-                                node_floor,
-                                warm_cut,
-                                &mut set,
-                            )
-                        }
-                    }
+                    NodeKind::Contract { left, right, .. } => combine_binary(
+                        tree,
+                        cm,
+                        cfg,
+                        &memo,
+                        &mut sched,
+                        node,
+                        *left,
+                        *right,
+                        &binary_layouts(tree, cfg, node, *left, *right),
+                        &my_prefixes,
+                        &sets,
+                        limit,
+                        node_floor,
+                        warm_cut,
+                        &mut set,
+                    ),
                     NodeKind::Reduce { sum, child } => combine_reduce(
                         tree,
                         cm,
@@ -871,9 +842,9 @@ struct ChildOpt {
 ///
 /// * `floors[i]` — per-axis minimum of `(comm_cost + redist_cost,
 ///   mem_words, max_msg_words)` over `opts[i..]` (the lower-bound corner);
-/// * `sfx_max_mem[i]` / `sfx_max_msg[i]` — per-axis maxima over `opts[i..]`
-///   (an upper bound proving a whole skipped block fits the memory limit);
-/// * `sfx_noredist[i]` — options in `opts[i..]` with zero redistribution
+/// * `sfx_agg[i]` — the maximum memory and maximum message over `opts[i..]`
+///   (an upper bound proving a whole skipped block fits the memory limit),
+///   and the number of options in `opts[i..]` with zero redistribution
 ///   cost (for O(1) `redist_fallbacks` accounting of skipped blocks);
 /// * `comm`/`redist`/`mem`/`msg` — structure-of-arrays columns of `opts`,
 ///   the inputs of the batched [`tce_cost::kernel`] combine kernels (one
@@ -882,9 +853,7 @@ struct ChildOpt {
 struct OptSlate {
     opts: Vec<ChildOpt>,
     floors: Vec<(f64, u128, u128)>,
-    sfx_max_mem: Vec<u128>,
-    sfx_max_msg: Vec<u128>,
-    sfx_noredist: Vec<u64>,
+    sfx_agg: Vec<(u128, u128, u64)>,
     comm: Vec<f64>,
     redist: Vec<f64>,
     mem: Vec<u128>,
@@ -897,23 +866,17 @@ impl OptSlate {
             opts.iter().map(|o| (o.comm_cost + o.redist_cost, o.mem_words, o.max_msg_words)),
         );
         let n = opts.len();
-        let mut sfx_max_mem = vec![0u128; n];
-        let mut sfx_max_msg = vec![0u128; n];
-        let mut sfx_noredist = vec![0u64; n];
+        let mut sfx_agg = vec![(0u128, 0u128, 0u64); n];
         let (mut mem, mut msg, mut nored) = (0u128, 0u128, 0u64);
         for i in (0..n).rev() {
             mem = mem.max(opts[i].mem_words);
             msg = msg.max(opts[i].max_msg_words);
             nored += (opts[i].redist_cost == 0.0) as u64;
-            sfx_max_mem[i] = mem;
-            sfx_max_msg[i] = msg;
-            sfx_noredist[i] = nored;
+            sfx_agg[i] = (mem, msg, nored);
         }
         Self {
             floors,
-            sfx_max_mem,
-            sfx_max_msg,
-            sfx_noredist,
+            sfx_agg,
             comm: opts.iter().map(|o| o.comm_cost).collect(),
             redist: opts.iter().map(|o| o.redist_cost).collect(),
             mem: opts.iter().map(|o| o.mem_words).collect(),
@@ -934,29 +897,26 @@ struct KernelScratch {
     msg: Vec<u128>,
 }
 
-/// Account a skipped block `lslate.opts[row..] × rslate.opts` (every pair
-/// proven dominated by a corner query) with the exact per-candidate
-/// classification [`SolutionSet::try_insert`] would have applied. O(1) when
-/// the suffix maxima prove every pair fits the memory limit (the common
-/// case); exact per-pair fallback otherwise.
-#[allow(clippy::too_many_arguments)]
+/// Account a skipped block `rows × rslate.opts` (every pair proven
+/// dominated by a corner query or cut by the warm start) with the exact
+/// per-candidate classification [`SolutionSet::try_insert`] would have
+/// applied. `agg` is the `OptSlate::sfx_agg` entry of `rows`: their
+/// maximum memory, maximum message and number of options without
+/// redistribution. O(1) when the maxima prove every pair fits the memory
+/// limit (the common case); exact per-pair fallback otherwise.
 fn account_block(
     local: &mut SolutionSet,
-    lslate: &OptSlate,
-    row: usize,
+    rows: &[ChildOpt],
+    agg: (u128, u128, u64),
     rslate: &OptSlate,
     my_mem: u128,
     block_msg: u128,
     limit: u128,
 ) {
-    let rows = &lslate.opts[row..];
+    let ((lmem, lmsg, lnored), (rmem, rmsg, rnored)) = (agg, rslate.sfx_agg[0]);
     let pairs = (rows.len() * rslate.opts.len()) as u64;
-    let max_fp = lslate.sfx_max_mem[row]
-        + rslate.sfx_max_mem[0]
-        + my_mem
-        + block_msg.max(lslate.sfx_max_msg[row]).max(rslate.sfx_max_msg[0]);
-    if max_fp <= limit {
-        let nored = lslate.sfx_noredist[row] * rslate.sfx_noredist[0];
+    if lmem + rmem + my_mem + block_msg.max(lmsg).max(rmsg) <= limit {
+        let nored = lnored * rnored;
         local.account_skipped_many(pairs, pairs - nored, 0);
     } else {
         for l2 in rows {
@@ -970,37 +930,6 @@ fn account_block(
                     limit,
                 );
             }
-        }
-    }
-}
-
-/// [`account_block`] for a single left option (a row skip).
-fn account_row(
-    local: &mut SolutionSet,
-    lopt: &ChildOpt,
-    rslate: &OptSlate,
-    my_mem: u128,
-    block_msg: u128,
-    limit: u128,
-) {
-    let pairs = rslate.opts.len() as u64;
-    let max_fp = lopt.mem_words
-        + rslate.sfx_max_mem[0]
-        + my_mem
-        + block_msg.max(lopt.max_msg_words).max(rslate.sfx_max_msg[0]);
-    if max_fp <= limit {
-        let nored = if lopt.redist_cost == 0.0 { rslate.sfx_noredist[0] } else { 0 };
-        local.account_skipped_many(pairs, pairs - nored, 0);
-    } else {
-        for r2 in &rslate.opts {
-            local.account_skipped(
-                lopt.redist_cost > 0.0 || r2.redist_cost > 0.0,
-                lopt.mem_words
-                    + r2.mem_words
-                    + my_mem
-                    + block_msg.max(lopt.max_msg_words).max(r2.max_msg_words),
-                limit,
-            );
         }
     }
 }
@@ -1121,8 +1050,101 @@ fn child_fusions(
     }
 }
 
+/// One layout a binary node can be computed in: the generalized-Cannon
+/// pattern (`None` for an element-wise multiply, which aligns both
+/// operands and rotates nothing) plus the left, right and result
+/// distributions it requires.
+type Layout = (Option<CannonPattern>, Distribution, Distribution, Distribution);
+
+/// The layouts a binary node is searched over, in the serial enumeration
+/// order: one per Cannon pattern for a contraction; for an element-wise
+/// multiply (shared non-summed indices, e.g. Fig. 1's T3 = T1 × T2) one
+/// per result distribution, restricted to each child's dimensions.
+fn binary_layouts(
+    tree: &ExprTree,
+    cfg: &OptimizerConfig,
+    node: NodeId,
+    left: NodeId,
+    right: NodeId,
+) -> Vec<Layout> {
+    let Ok(groups) = tree.contraction_groups(node) else {
+        let dims = tree.node(node).tensor.dim_set();
+        let restrict = |d: Distribution, c: NodeId| {
+            let t = &tree.node(c).tensor;
+            Distribution { d1: d.d1.filter(|&i| t.has_dim(i)), d2: d.d2.filter(|&i| t.has_dim(i)) }
+        };
+        return Distribution::enumerate(&dims, cfg.allow_replication || dims.len() < 2)
+            .into_iter()
+            .map(|o| (None, restrict(o, left), restrict(o, right), o))
+            .collect();
+    };
+    let patterns = match cfg.fixed_patterns.as_ref().and_then(|m| m.get(&node)) {
+        Some(p) => vec![*p],
+        None => enumerate_patterns(&groups, cfg.allow_replication),
+    };
+    patterns
+        .into_iter()
+        .map(|p| {
+            let dist = |op| p.operand_dist(op);
+            (Some(p), dist(Operand::Left), dist(Operand::Right), dist(Operand::Result))
+        })
+        .collect()
+}
+
+/// The one branch-and-bound skip decision (DESIGN.md §9) for a block of
+/// `pairs` candidates of key `kh` whose costs are all at least `raw` and
+/// whose memory and message sizes are at least `mem` and `msg`. The bound
+/// is `certify(raw)` raised to the static subtree floor: that floor is an
+/// independent admissible lower bound on every candidate of the node, and
+/// the max of two admissible floors is admissible and can only widen the
+/// skip. In order:
+///
+/// 1. *warm*: the bound exceeds the warm-start cut — a static test against
+///    the incumbent, checked before the frontier-dependent corner query so
+///    it fires identically no matter how the block stream is partitioned
+///    across workers;
+/// 2. *dominated*: a live entry dominates the corner. When only the
+///    static floor made that so, the skip is attributed to it
+///    (`bnb_floor`);
+/// 3. otherwise the block is kept and priced.
+///
+/// A skipped block bumps `bnb_block` (and `bnb_warm` by `pairs` when
+/// warm); the caller accounts its candidates and moves on.
 #[allow(clippy::too_many_arguments)]
-fn combine_contraction(
+#[inline]
+fn bnb_skip(
+    local: &mut SolutionSet,
+    kh: &KeyHandle,
+    raw: f64,
+    mem: u128,
+    msg: u128,
+    node_floor: f64,
+    warm_cut: f64,
+    pairs: u64,
+) -> bool {
+    let b = tce_cost::bound::certify(raw).max(node_floor);
+    if b > warm_cut {
+        local.bnb_warm += pairs;
+    } else if local.dominates_corner(kh, b, mem, msg) {
+        if b == node_floor && !local.dominates_corner(kh, tce_cost::bound::certify(raw), mem, msg) {
+            local.bnb_floor += 1;
+        }
+    } else {
+        return false;
+    }
+    local.bnb_block += 1;
+    true
+}
+
+/// The §3.3 combine of a binary node (contraction or element-wise
+/// multiply): every `(layout, fusion triple)` block prices each pair of
+/// left and right child options a row at a time, after the
+/// branch-and-bound tests of [`bnb_skip`] on the block's tail and row.
+/// Rotation is priced only for a Cannon layout; an element-wise layout
+/// prices zero rotation and zero messages, which is bit-identical to
+/// leaving those terms out (`x + 0.0 == x` for every non-negative cost).
+#[allow(clippy::too_many_arguments)]
+fn combine_binary(
     tree: &ExprTree,
     cm: &CostModel,
     cfg: &OptimizerConfig,
@@ -1131,7 +1153,7 @@ fn combine_contraction(
     node: NodeId,
     left: NodeId,
     right: NodeId,
-    patterns: &[CannonPattern],
+    layouts: &[Layout],
     my_prefixes: &[FusionPrefix],
     sets: &HashMap<NodeId, SolutionSet>,
     limit: u128,
@@ -1162,11 +1184,11 @@ fn combine_contraction(
     let left_tensor = &tree.node(left).tensor;
     let right_tensor = &tree.node(right).tensor;
 
-    // One item per (pattern, triple), pattern-major — the serial nesting
+    // One item per (layout, triple), layout-major — the serial nesting
     // order, so every claimed run is a contiguous slice of the serial
     // candidate stream (the precondition of [`SolutionSet::absorb`]).
     let items: Vec<(usize, usize)> =
-        (0..patterns.len()).flat_map(|p| (0..triples.len()).map(move |t| (p, t))).collect();
+        (0..layouts.len()).flat_map(|p| (0..triples.len()).map(move |t| (p, t))).collect();
 
     type Caches = (
         HashMap<(usize, Distribution), OptSlate>,
@@ -1174,85 +1196,82 @@ fn combine_contraction(
         KernelScratch,
     );
     // Child options depend only on (edge fusion, required layout), not on
-    // which pattern/triple asked — cached in the per-worker state, which
+    // which layout/triple asked — cached in the per-worker state, which
     // persists across every run the worker claims (pure memoization, so
     // cache hits cannot perturb results).
     let mk_state = || -> Caches { (HashMap::new(), HashMap::new(), KernelScratch::default()) };
     sched.run(&items, out, mk_state, |chunk, local, state| {
         let (lcache, rcache, scratch) = state;
         for &(p, t) in chunk {
-            let pat = &patterns[p];
-            let ldist = pat.operand_dist(Operand::Left);
-            let rdist = pat.operand_dist(Operand::Right);
-            let odist = pat.operand_dist(Operand::Result);
-            let rot_index = pat.rotation_index();
+            let (pat, ldist, rdist, odist) = layouts[p];
             let (li, ri, ui) = triples[t];
             let (fl, fr, fu) = (&lf_all[li], &rf_all[ri], &my_prefixes[ui]);
 
-            // The fused loops surrounding this contraction.
+            // The fused loops surrounding this node.
             let surrounding = fl.join(fr).join(fu).clone();
-            // The rotation step loop cannot be fused around the contraction.
-            if let Some(k) = rot_index {
-                if surrounding.contains(k) {
+            // Rotation costs and message sizes (left, right, result).
+            let mut rotate = [0.0f64; 3];
+            let mut msg = [0u128; 3];
+            if let Some(pat) = pat {
+                // The rotation step loop cannot be fused around the
+                // contraction.
+                if pat.rotation_index().is_some_and(|k| surrounding.contains(k)) {
                     continue;
                 }
-            }
-            let surround_set = surrounding.as_set();
-            // Per-processor trip count of a surrounding loop: reduced when
-            // the pattern distributes that index.
-            let trip = |j: IndexId| -> u64 {
-                let dim = odist
-                    .position_of(j)
-                    .or_else(|| ldist.position_of(j))
-                    .or_else(|| rdist.position_of(j));
-                match dim {
-                    Some(d) => tce_dist::block_len(space.extent(j), cm.grid.extent(d)),
-                    None => space.extent(j),
+                let surround_set = surrounding.as_set();
+                // Per-processor trip count of a surrounding loop: reduced
+                // when the pattern distributes that index.
+                let trip = |j: IndexId| -> u64 {
+                    let dim = odist
+                        .position_of(j)
+                        .or_else(|| ldist.position_of(j))
+                        .or_else(|| rdist.position_of(j));
+                    match dim {
+                        Some(d) => tce_dist::block_len(space.extent(j), cm.grid.extent(d)),
+                        None => space.extent(j),
+                    }
+                };
+
+                // Paper-faithful restriction: every rotated array must
+                // carry all surrounding fused loops (the `MsgFactor`
+                // formula's domain). `allow_unrelated_rotation` lifts it.
+                if !cfg.allow_unrelated_rotation
+                    && pat.rotated_operands().iter().any(|&op| {
+                        let dims = match op {
+                            Operand::Left => left_tensor.dim_set(),
+                            Operand::Right => right_tensor.dim_set(),
+                            Operand::Result => result_tensor.dim_set(),
+                        };
+                        !surround_set.is_subset(&dims)
+                    })
+                {
+                    continue;
                 }
-            };
 
-            // Paper-faithful restriction: every rotated array must carry
-            // all surrounding fused loops (the `MsgFactor` formula's
-            // domain). `allow_unrelated_rotation` lifts it.
-            if !cfg.allow_unrelated_rotation
-                && pat.rotated_operands().iter().any(|&op| {
-                    let dims = match op {
-                        Operand::Left => left_tensor.dim_set(),
-                        Operand::Right => right_tensor.dim_set(),
-                        Operand::Result => result_tensor.dim_set(),
-                    };
-                    !surround_set.is_subset(&dims)
-                })
-            {
-                continue;
-            }
-
-            // Rotation costs and message sizes at this contraction.
-            let mut rotate = [0.0f64; 3]; // left, right, result
-            let mut msg = [0u128; 3];
-            for (slot, op, id, tensor, dist) in [
-                (0usize, Operand::Left, left, left_tensor, ldist),
-                (1, Operand::Right, right, right_tensor, rdist),
-                (2, Operand::Result, node, result_tensor, odist),
-            ] {
-                if let Some(travel) = pat.travel_dim(op) {
-                    rotate[slot] = memo.rotate_cost_surrounded(
-                        cm,
-                        id.0,
-                        tensor,
-                        space,
-                        dist,
-                        travel,
-                        &surround_set,
-                        trip,
-                    );
-                    msg[slot] = tce_cost::rotate::message_words(
-                        tensor,
-                        space,
-                        cm.grid,
-                        dist,
-                        &surround_set,
-                    );
+                for (slot, op, id, tensor, dist) in [
+                    (0usize, Operand::Left, left, left_tensor, ldist),
+                    (1, Operand::Right, right, right_tensor, rdist),
+                    (2, Operand::Result, node, result_tensor, odist),
+                ] {
+                    if let Some(travel) = pat.travel_dim(op) {
+                        rotate[slot] = memo.rotate_cost_surrounded(
+                            cm,
+                            id.0,
+                            tensor,
+                            space,
+                            dist,
+                            travel,
+                            &surround_set,
+                            trip,
+                        );
+                        msg[slot] = tce_cost::rotate::message_words(
+                            tensor,
+                            space,
+                            cm.grid,
+                            dist,
+                            &surround_set,
+                        );
+                    }
                 }
             }
 
@@ -1271,74 +1290,46 @@ fn combine_contraction(
             // contribute through the slate floors) and message size.
             let rot_total = rotate[0] + rotate[1] + rotate[2];
             let block_msg = msg[0].max(msg[1]).max(msg[2]);
-            let (rc0, rm0, rg0) =
-                if rslate.floors.is_empty() { (0.0, 0, 0) } else { rslate.floors[0] };
+            let (rc0, rm0, rg0) = rslate.floors[0];
+            let ropts = rslate.opts.len() as u64;
             let bnb = local.bounds_active();
             let mut kh = local.key_handle(odist, fu);
             'rows: for (row, lopt) in lslate.opts.iter().enumerate() {
                 if bnb {
-                    // Tail corner over this row AND every later one: if a
-                    // live entry dominates it, every remaining candidate of
-                    // the block is dominated — account them and move on.
+                    // Tail corner over this row AND every later one: a skip
+                    // disposes of every remaining candidate of the block.
                     let (lc, lm, lg) = lslate.floors[row];
-                    // The static subtree floor is an independent admissible
-                    // lower bound on every candidate here; the max of two
-                    // admissible floors is admissible and can only widen
-                    // the skip.
-                    let tail = tce_cost::bound::certify(lc + rc0 + rot_total).max(node_floor);
-                    let tail_mem = lm + rm0 + my_mem;
-                    let tail_msg = block_msg.max(lg).max(rg0);
-                    // Warm-start: a static cut against the incumbent,
-                    // checked before the frontier-dependent corner query
-                    // so it fires identically no matter how the block
-                    // stream is partitioned across workers.
-                    if tail > warm_cut {
-                        let pairs = (lslate.opts.len() - row) as u64 * rslate.opts.len() as u64;
-                        account_block(local, lslate, row, rslate, my_mem, block_msg, limit);
-                        local.bnb_block += 1;
-                        local.bnb_warm += pairs;
-                        break 'rows;
-                    }
-                    if local.dominates_corner_keyed(&kh, tail, tail_mem, tail_msg) {
-                        if tail == node_floor
-                            && !local.dominates_corner_keyed(
-                                &kh,
-                                tce_cost::bound::certify(lc + rc0 + rot_total),
-                                tail_mem,
-                                tail_msg,
-                            )
-                        {
-                            local.bnb_floor += 1;
-                        }
-                        account_block(local, lslate, row, rslate, my_mem, block_msg, limit);
-                        local.bnb_block += 1;
+                    let tail = &lslate.opts[row..];
+                    if bnb_skip(
+                        local,
+                        &kh,
+                        lc + rc0 + rot_total,
+                        lm + rm0 + my_mem,
+                        block_msg.max(lg).max(rg0),
+                        node_floor,
+                        warm_cut,
+                        tail.len() as u64 * ropts,
+                    ) {
+                        let agg = lslate.sfx_agg[row];
+                        account_block(local, tail, agg, rslate, my_mem, block_msg, limit);
                         break 'rows;
                     }
                     // Row corner (this left option against the best of all
                     // right options) — tighter, skips just this row.
-                    let lt = lopt.comm_cost + lopt.redist_cost;
-                    let rowb = tce_cost::bound::certify(lt + rc0 + rot_total).max(node_floor);
-                    let row_mem = lopt.mem_words + rm0 + my_mem;
-                    let row_msg = block_msg.max(lopt.max_msg_words).max(rg0);
-                    if rowb > warm_cut {
-                        account_row(local, lopt, rslate, my_mem, block_msg, limit);
-                        local.bnb_block += 1;
-                        local.bnb_warm += rslate.opts.len() as u64;
-                        continue 'rows;
-                    }
-                    if local.dominates_corner_keyed(&kh, rowb, row_mem, row_msg) {
-                        if rowb == node_floor
-                            && !local.dominates_corner_keyed(
-                                &kh,
-                                tce_cost::bound::certify(lt + rc0 + rot_total),
-                                row_mem,
-                                row_msg,
-                            )
-                        {
-                            local.bnb_floor += 1;
-                        }
-                        account_row(local, lopt, rslate, my_mem, block_msg, limit);
-                        local.bnb_block += 1;
+                    if bnb_skip(
+                        local,
+                        &kh,
+                        lopt.comm_cost + lopt.redist_cost + rc0 + rot_total,
+                        lopt.mem_words + rm0 + my_mem,
+                        block_msg.max(lopt.max_msg_words).max(rg0),
+                        node_floor,
+                        warm_cut,
+                        ropts,
+                    ) {
+                        let agg =
+                            (lopt.mem_words, lopt.max_msg_words, (lopt.redist_cost == 0.0) as u64);
+                        let row = std::slice::from_ref(lopt);
+                        account_block(local, row, agg, rslate, my_mem, block_msg, limit);
                         continue 'rows;
                     }
                 }
@@ -1361,7 +1352,7 @@ fn combine_contraction(
                 );
                 let l_fallback = lopt.redist_cost > 0.0;
                 for (i, ropt) in rslate.opts.iter().enumerate() {
-                    local.try_insert_keyed(
+                    local.try_insert(
                         &mut kh,
                         odist,
                         fu,
@@ -1372,7 +1363,7 @@ fn combine_contraction(
                         limit,
                         || {
                             Some(Box::new(Choice {
-                                pattern: Some(*pat),
+                                pattern: pat,
                                 children: vec![
                                     ChildBinding {
                                         node: left,
@@ -1394,196 +1385,6 @@ fn combine_contraction(
                                     },
                                 ],
                                 result_rotate_cost: rotate[2],
-                                surrounding: surrounding.clone(),
-                            }))
-                        },
-                    );
-                }
-            }
-        }
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn combine_elementwise(
-    tree: &ExprTree,
-    cm: &CostModel,
-    cfg: &OptimizerConfig,
-    memo: &CostMemo,
-    sched: &mut crate::sched::Scheduler,
-    node: NodeId,
-    left: NodeId,
-    right: NodeId,
-    my_prefixes: &[FusionPrefix],
-    sets: &HashMap<NodeId, SolutionSet>,
-    limit: u128,
-    node_floor: f64,
-    warm_cut: f64,
-    out: &mut SolutionSet,
-) -> crate::sched::EnumStats {
-    let space = &tree.space;
-    let result_tensor = &tree.node(node).tensor;
-    let dims = result_tensor.dim_set();
-    let dists = Distribution::enumerate(&dims, cfg.allow_replication || dims.len() < 2);
-    let lf_all = child_fusions(tree, cfg, left, sets);
-    let rf_all = child_fusions(tree, cfg, right, sets);
-
-    // Restriction of the result distribution to a child's dimensions.
-    let restrict = |d: Distribution, t: &tce_expr::Tensor| Distribution {
-        d1: d.d1.filter(|&i| t.has_dim(i)),
-        d2: d.d2.filter(|&i| t.has_dim(i)),
-    };
-
-    // Chain-compatible (f_left, f_right, f_up) triples, in the serial
-    // nesting order (they do not depend on the distribution).
-    let mut triples: Vec<(usize, usize, usize)> = Vec::new();
-    for (li, fl) in lf_all.iter().enumerate() {
-        for (ri, fr) in rf_all.iter().enumerate() {
-            if !fl.chain_compatible(fr) {
-                continue;
-            }
-            for (ui, fu) in my_prefixes.iter().enumerate() {
-                if fu.chain_compatible(fl) && fu.chain_compatible(fr) {
-                    triples.push((li, ri, ui));
-                }
-            }
-        }
-    }
-
-    // Distribution-major order mirrors the serial loop nest.
-    let items: Vec<(usize, usize)> =
-        (0..dists.len()).flat_map(|d| (0..triples.len()).map(move |t| (d, t))).collect();
-
-    type Caches = (
-        HashMap<(usize, Distribution), OptSlate>,
-        HashMap<(usize, Distribution), OptSlate>,
-        KernelScratch,
-    );
-    let mk_state = || -> Caches { (HashMap::new(), HashMap::new(), KernelScratch::default()) };
-    sched.run(&items, out, mk_state, |chunk, local, state| {
-        let (lcache, rcache, scratch) = state;
-        for &(d, t) in chunk {
-            let odist = dists[d];
-            let ldist = restrict(odist, &tree.node(left).tensor);
-            let rdist = restrict(odist, &tree.node(right).tensor);
-            let (li, ri, ui) = triples[t];
-            let (fl, fr, fu) = (&lf_all[li], &rf_all[ri], &my_prefixes[ui]);
-            let surrounding = fl.join(fr).join(fu).clone();
-            let my_mem = dist_size(result_tensor, space, cm.grid, odist, &fu.as_set());
-            let lslate = lcache.entry((li, ldist)).or_insert_with(|| {
-                OptSlate::new(child_options(tree, cm, cfg, memo, left, fl, ldist, sets))
-            });
-            let rslate = rcache.entry((ri, rdist)).or_insert_with(|| {
-                OptSlate::new(child_options(tree, cm, cfg, memo, right, fr, rdist, sets))
-            });
-            if rslate.opts.is_empty() {
-                continue;
-            }
-            let (rc0, rm0, rg0) =
-                if rslate.floors.is_empty() { (0.0, 0, 0) } else { rslate.floors[0] };
-            let bnb = local.bounds_active();
-            let mut kh = local.key_handle(odist, fu);
-            'rows: for (row, lopt) in lslate.opts.iter().enumerate() {
-                if bnb {
-                    let (lc, lm, lg) = lslate.floors[row];
-                    let tail = tce_cost::bound::certify(lc + rc0).max(node_floor);
-                    let tail_mem = lm + rm0 + my_mem;
-                    let tail_msg = lg.max(rg0);
-                    // Warm-start static cut, before the frontier query
-                    // (see combine_contraction).
-                    if tail > warm_cut {
-                        let pairs = (lslate.opts.len() - row) as u64 * rslate.opts.len() as u64;
-                        account_block(local, lslate, row, rslate, my_mem, 0, limit);
-                        local.bnb_block += 1;
-                        local.bnb_warm += pairs;
-                        break 'rows;
-                    }
-                    if local.dominates_corner_keyed(&kh, tail, tail_mem, tail_msg) {
-                        if tail == node_floor
-                            && !local.dominates_corner_keyed(
-                                &kh,
-                                tce_cost::bound::certify(lc + rc0),
-                                tail_mem,
-                                tail_msg,
-                            )
-                        {
-                            local.bnb_floor += 1;
-                        }
-                        account_block(local, lslate, row, rslate, my_mem, 0, limit);
-                        local.bnb_block += 1;
-                        break 'rows;
-                    }
-                    let lt = lopt.comm_cost + lopt.redist_cost;
-                    let rowb = tce_cost::bound::certify(lt + rc0).max(node_floor);
-                    let row_mem = lopt.mem_words + rm0 + my_mem;
-                    let row_msg = lopt.max_msg_words.max(rg0);
-                    if rowb > warm_cut {
-                        account_row(local, lopt, rslate, my_mem, 0, limit);
-                        local.bnb_block += 1;
-                        local.bnb_warm += rslate.opts.len() as u64;
-                        continue 'rows;
-                    }
-                    if local.dominates_corner_keyed(&kh, rowb, row_mem, row_msg) {
-                        if rowb == node_floor
-                            && !local.dominates_corner_keyed(
-                                &kh,
-                                tce_cost::bound::certify(lt + rc0),
-                                row_mem,
-                                row_msg,
-                            )
-                        {
-                            local.bnb_floor += 1;
-                        }
-                        account_row(local, lopt, rslate, my_mem, 0, limit);
-                        local.bnb_block += 1;
-                        continue 'rows;
-                    }
-                }
-                // Batched row kernels (bit-exact per-element op order).
-                tce_cost::kernel::combine4(
-                    lopt.comm_cost,
-                    lopt.redist_cost,
-                    &rslate.comm,
-                    &rslate.redist,
-                    &mut scratch.cost,
-                );
-                tce_cost::kernel::add_u128(lopt.mem_words + my_mem, &rslate.mem, &mut scratch.mem);
-                tce_cost::kernel::max_u128(lopt.max_msg_words, &rslate.msg, &mut scratch.msg);
-                let l_fallback = lopt.redist_cost > 0.0;
-                for (i, ropt) in rslate.opts.iter().enumerate() {
-                    local.try_insert_keyed(
-                        &mut kh,
-                        odist,
-                        fu,
-                        scratch.cost[i],
-                        scratch.mem[i],
-                        scratch.msg[i],
-                        l_fallback || rslate.redist[i] > 0.0,
-                        limit,
-                        || {
-                            Some(Box::new(Choice {
-                                pattern: None,
-                                children: vec![
-                                    ChildBinding {
-                                        node: left,
-                                        sol_index: lopt.sol_index,
-                                        produced_dist: lopt.produced,
-                                        required_dist: ldist,
-                                        fusion: fl.clone(),
-                                        redist_cost: lopt.redist_cost,
-                                        rotate_cost: 0.0,
-                                    },
-                                    ChildBinding {
-                                        node: right,
-                                        sol_index: ropt.sol_index,
-                                        produced_dist: ropt.produced,
-                                        required_dist: rdist,
-                                        fusion: fr.clone(),
-                                        redist_cost: ropt.redist_cost,
-                                        rotate_cost: 0.0,
-                                    },
-                                ],
-                                result_rotate_cost: 0.0,
                                 surrounding: surrounding.clone(),
                             }))
                         },
@@ -1692,26 +1493,12 @@ fn combine_reduce(
             let mut kh = local.key_handle(odist, fu);
             if local.bounds_active() {
                 let (cc0, cm0, cg0) = cslate.floors[0];
-                let lb = tce_cost::bound::certify(cc0 + reduce_cost).max(node_floor);
-                // Warm-start static cut, checked before the frontier
-                // query (see combine_contraction).
-                let warm_skip = lb > warm_cut;
-                if warm_skip || local.dominates_corner_keyed(&kh, lb, cm0 + my_mem, cg0) {
-                    if !warm_skip
-                        && lb == node_floor
-                        && !local.dominates_corner_keyed(
-                            &kh,
-                            tce_cost::bound::certify(cc0 + reduce_cost),
-                            cm0 + my_mem,
-                            cg0,
-                        )
-                    {
-                        local.bnb_floor += 1;
-                    }
-                    let n = cslate.opts.len() as u64;
-                    let max_fp = cslate.sfx_max_mem[0] + my_mem + cslate.sfx_max_msg[0];
-                    if max_fp <= limit {
-                        local.account_skipped_many(n, n - cslate.sfx_noredist[0], 0);
+                let n = cslate.opts.len() as u64;
+                let raw = cc0 + reduce_cost;
+                if bnb_skip(local, &kh, raw, cm0 + my_mem, cg0, node_floor, warm_cut, n) {
+                    let (max_mem, max_msg, nored) = cslate.sfx_agg[0];
+                    if max_mem + my_mem + max_msg <= limit {
+                        local.account_skipped_many(n, n - nored, 0);
                     } else {
                         for c2 in &cslate.opts {
                             local.account_skipped(
@@ -1720,10 +1507,6 @@ fn combine_reduce(
                                 limit,
                             );
                         }
-                    }
-                    local.bnb_block += 1;
-                    if warm_skip {
-                        local.bnb_warm += n;
                     }
                     continue;
                 }
@@ -1738,7 +1521,7 @@ fn combine_reduce(
             );
             tce_cost::kernel::add_u128(my_mem, &cslate.mem, &mut scratch.mem);
             for (i, copt) in cslate.opts.iter().enumerate() {
-                local.try_insert_keyed(
+                local.try_insert(
                     &mut kh,
                     odist,
                     fu,
@@ -1799,6 +1582,31 @@ mod tests {
             assert!(!set.dist(s).contains(i));
             assert!(set.dist(s).d1.is_none() || set.dist(s).d2.is_none());
         }
+    }
+
+    /// The skip helper tests the warm cut before the corner query, and
+    /// attributes a dominated skip to the static floor only when the
+    /// unfloored corner would not have been dominated.
+    #[test]
+    fn bnb_skip_decides_warm_then_corner_then_floor() {
+        let (d, f) = (Distribution { d1: None, d2: None }, FusionPrefix::empty());
+        let mut set = SolutionSet::new();
+        let mut kh = set.key_handle(d, &f);
+        assert!(set.try_insert(&mut kh, d, &f, 10.0, 100, 10, false, u128::MAX, || None));
+        let counts = |s: &SolutionSet| (s.bnb_block, s.bnb_floor, s.bnb_warm);
+        let inf = f64::INFINITY;
+        // The corner undercuts the live entry: keep.
+        assert!(!bnb_skip(&mut set, &kh, 5.0, 100, 10, 0.0, inf, 7));
+        assert_eq!(counts(&set), (0, 0, 0));
+        // Dominated on its own bound.
+        assert!(bnb_skip(&mut set, &kh, 20.0, 100, 10, 0.0, inf, 7));
+        assert_eq!(counts(&set), (1, 0, 0));
+        // Dominated only because the floor raised the bound.
+        assert!(bnb_skip(&mut set, &kh, 5.0, 100, 10, 15.0, inf, 7));
+        assert_eq!(counts(&set), (2, 1, 0));
+        // Over the warm cut: a warm skip, although the corner is dominated.
+        assert!(bnb_skip(&mut set, &kh, 20.0, 100, 10, 0.0, 4.0, 7));
+        assert_eq!(counts(&set), (3, 1, 7));
     }
 
     /// The element-wise path prices redistribution of misaligned children.

@@ -419,7 +419,9 @@ impl SolutionSet {
         let Solution { dist, fusion, comm_cost, mem_words, max_msg_words, choice } = sol;
         let has_redist =
             choice.as_ref().is_some_and(|c| c.children.iter().any(|b| b.redist_cost > 0.0));
+        let mut handle = self.key_handle(dist, &fusion);
         self.try_insert(
+            &mut handle,
             dist,
             &fusion,
             comm_cost,
@@ -432,50 +434,24 @@ impl SolutionSet {
     }
 
     /// Resolve a `(dist, fusion)` key once, for a block of keyed operations
-    /// ([`Self::try_insert_keyed`], [`Self::dominates_corner_keyed`]). The
-    /// handle stays valid across insertions into this set (slots are
-    /// append-only; evictions mutate fronts in place).
+    /// ([`Self::try_insert`], [`Self::dominates_corner`]). The handle stays
+    /// valid across insertions into this set (slots are append-only;
+    /// evictions mutate fronts in place).
     pub fn key_handle(&self, dist: Distribution, fusion: &FusionPrefix) -> KeyHandle {
         KeyHandle { slot: self.keys.get(fusion).and_then(|m| m.get(&dist)).copied() }
     }
 
-    /// The hot-path form of [`Self::insert`]: the candidate arrives as bare
-    /// scalars and the decision record is built *only on accept* — for the
+    /// The hot-path form of [`Self::insert`], against a pre-resolved key
+    /// (see [`Self::key_handle`]): the candidate arrives as bare scalars and
+    /// the decision record is built *only on accept* — for the
     /// overwhelmingly common rejected candidate this does no allocation at
     /// all. Counter semantics are identical to `insert` (seen, redist
     /// fallback, memory check, dominance check, in that order).
+    /// `dist`/`fusion` must be the pair the handle was resolved for — they
+    /// are only read to create the key on a first accept and to fill the
+    /// arena columns.
     #[allow(clippy::too_many_arguments)]
     pub fn try_insert(
-        &mut self,
-        dist: Distribution,
-        fusion: &FusionPrefix,
-        comm_cost: f64,
-        mem_words: u128,
-        max_msg_words: u128,
-        has_redist: bool,
-        mem_limit: u128,
-        choice: impl FnOnce() -> Option<Box<Choice>>,
-    ) -> bool {
-        let mut handle = self.key_handle(dist, fusion);
-        self.try_insert_keyed(
-            &mut handle,
-            dist,
-            fusion,
-            comm_cost,
-            mem_words,
-            max_msg_words,
-            has_redist,
-            mem_limit,
-            choice,
-        )
-    }
-
-    /// [`Self::try_insert`] against a pre-resolved key (see
-    /// [`Self::key_handle`]); `dist`/`fusion` must be the pair the handle
-    /// was resolved for — they are only read to create the key on a first
-    /// accept and to fill the arena columns.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_insert_keyed(
         &mut self,
         handle: &mut KeyHandle,
         dist: Distribution,
@@ -495,27 +471,13 @@ impl SolutionSet {
             self.pruned_memory += 1;
             return false;
         }
-        self.insert_checked_keyed(handle, dist, fusion, comm_cost, mem_words, max_msg_words, choice)
-    }
-
-    /// The dominance half of the insert path, against an unresolved key.
-    fn insert_checked(
-        &mut self,
-        dist: Distribution,
-        fusion: &FusionPrefix,
-        cost: f64,
-        mem: u128,
-        msg: u128,
-        choice: impl FnOnce() -> Option<Box<Choice>>,
-    ) -> bool {
-        let mut handle = self.key_handle(dist, fusion);
-        self.insert_checked_keyed(&mut handle, dist, fusion, cost, mem, msg, choice)
+        self.insert_checked(handle, dist, fusion, comm_cost, mem_words, max_msg_words, choice)
     }
 
     /// The dominance half of [`Self::try_insert`]: the candidate has
     /// already been counted and has already passed the memory limit.
     #[allow(clippy::too_many_arguments)]
-    fn insert_checked_keyed(
+    fn insert_checked(
         &mut self,
         handle: &mut KeyHandle,
         dist: Distribution,
@@ -581,25 +543,7 @@ impl SolutionSet {
     /// without being constructed. Only meaningful with corner queries on
     /// (see [`Self::bounds_active`]); returns `false` otherwise so callers
     /// degrade to the full loop.
-    pub fn dominates_corner(
-        &self,
-        dist: Distribution,
-        fusion: &FusionPrefix,
-        cost: f64,
-        mem: u128,
-        msg: u128,
-    ) -> bool {
-        self.dominates_corner_keyed(&self.key_handle(dist, fusion), cost, mem, msg)
-    }
-
-    /// [`Self::dominates_corner`] against a pre-resolved key.
-    pub fn dominates_corner_keyed(
-        &self,
-        handle: &KeyHandle,
-        cost: f64,
-        mem: u128,
-        msg: u128,
-    ) -> bool {
+    pub fn dominates_corner(&self, handle: &KeyHandle, cost: f64, mem: u128, msg: u128) -> bool {
         if !self.bounds_enabled {
             return false;
         }
@@ -683,7 +627,8 @@ impl SolutionSet {
         let Arena { costs, mems, msgs, dists, fusions, choices } = other.arena;
         let it = costs.into_iter().zip(mems).zip(msgs).zip(dists).zip(fusions).zip(choices);
         for (((((cost, mem), msg), dist), fusion), choice) in it {
-            self.insert_checked(dist, &fusion, cost, mem, msg, move || choice);
+            let mut handle = self.key_handle(dist, &fusion);
+            self.insert_checked(&mut handle, dist, &fusion, cost, mem, msg, move || choice);
         }
     }
 
@@ -1196,16 +1141,16 @@ mod tests {
         set.insert(sol(d1, 7.0, 40, 7), u128::MAX);
         let f = FusionPrefix::empty();
         // Dominated corner: (5,50,5) is <= (6,60,6).
-        assert!(set.dominates_corner(d1, &f, 6.0, 60, 6));
+        assert!(set.dominates_corner(&set.key_handle(d1, &f), 6.0, 60, 6));
         // Equal corner counts (insert would reject ties as dominated).
-        assert!(set.dominates_corner(d1, &f, 5.0, 50, 5));
+        assert!(set.dominates_corner(&set.key_handle(d1, &f), 5.0, 50, 5));
         // Nothing has cost <= 2.
-        assert!(!set.dominates_corner(d1, &f, 2.0, 1000, 1000));
+        assert!(!set.dominates_corner(&set.key_handle(d1, &f), 2.0, 1000, 1000));
         // Cost ok but nothing with cost <= 4 has mem <= 60.
-        assert!(!set.dominates_corner(d1, &f, 4.0, 60, 100));
+        assert!(!set.dominates_corner(&set.key_handle(d1, &f), 4.0, 60, 100));
         // Unknown key.
         let (_, d2) = dists();
-        assert!(!set.dominates_corner(d2, &f, 100.0, 1000, 1000));
+        assert!(!set.dominates_corner(&set.key_handle(d2, &f), 100.0, 1000, 1000));
     }
 
     /// With pruning off or bounds off the corner query must answer `false`
@@ -1221,7 +1166,7 @@ mod tests {
         for mut set in [SolutionSet::with_mode(false, true), SolutionSet::with_mode(true, false)] {
             set.insert(sol(d1, 5.0, 50, 5), u128::MAX);
             assert!(!set.bounds_active());
-            assert!(!set.dominates_corner(d1, &f, 100.0, 1000, 1000));
+            assert!(!set.dominates_corner(&set.key_handle(d1, &f), 100.0, 1000, 1000));
         }
     }
 
@@ -1258,7 +1203,7 @@ mod tests {
         // Dominance state survives compaction: a candidate dominated by a
         // survivor is still rejected, and the corner query still fires.
         assert!(!set.insert(sol(d1, 9.5, 95, 5), u128::MAX));
-        assert!(set.dominates_corner(d1, &FusionPrefix::empty(), 9.0, 90, 4));
+        assert!(set.dominates_corner(&set.key_handle(d1, &FusionPrefix::empty()), 9.0, 90, 4));
         assert_eq!(set.compact(), 0, "second compaction is a no-op");
     }
 
@@ -1329,7 +1274,7 @@ mod tests {
                     let (d, cost) = (keys[(c % 3) as usize], f64::from(c / 3 % 10) * 0.25);
                     let (mem, msg) = (u128::from(c / 30 % 5), u128::from(c / 150 % 4));
                     proptest::prop_assert_eq!(
-                        set.dominates_corner(d, &f, cost, mem, msg),
+                        set.dominates_corner(&set.key_handle(d, &f), cost, mem, msg),
                         r.dominates_corner(d, cost, mem, msg),
                         "corner {}", c
                     );

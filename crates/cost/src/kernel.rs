@@ -17,10 +17,12 @@
 //! are exactly associative, so those kernels may hoist the loop-invariant
 //! part into `base` without changing any bit.
 
-/// Contraction combine: per element,
+/// Binary combine: per element,
 /// `out[i] = ((((((lc + rc[i]) + lr) + rr[i]) + rot0) + rot1) + rot2)` —
 /// the scalar order of
 /// `lopt.comm + ropt.comm + lopt.redist + ropt.redist + rot[0] + rot[1] + rot[2]`.
+/// An element-wise multiply rotates nothing and passes `rot = [0.0; 3]`,
+/// which leaves every non-negative sum bit-identical (`x + 0.0 == x`).
 pub fn combine7(lc: f64, lr: f64, rc: &[f64], rr: &[f64], rot: &[f64; 3], out: &mut Vec<f64>) {
     debug_assert_eq!(rc.len(), rr.len());
     out.clear();
@@ -29,15 +31,6 @@ pub fn combine7(lc: f64, lr: f64, rc: &[f64], rr: &[f64], rot: &[f64; 3], out: &
             .zip(rr)
             .map(|(&rci, &rri)| (((((lc + rci) + lr) + rri) + rot[0]) + rot[1]) + rot[2]),
     );
-}
-
-/// Element-wise combine: per element,
-/// `out[i] = (((lc + rc[i]) + lr) + rr[i])` — the scalar order of
-/// `lopt.comm + ropt.comm + lopt.redist + ropt.redist`.
-pub fn combine4(lc: f64, lr: f64, rc: &[f64], rr: &[f64], out: &mut Vec<f64>) {
-    debug_assert_eq!(rc.len(), rr.len());
-    out.clear();
-    out.extend(rc.iter().zip(rr).map(|(&rci, &rri)| ((lc + rci) + lr) + rri));
 }
 
 /// Reduction combine: per element,
@@ -90,13 +83,13 @@ mod tests {
     }
 
     #[test]
-    fn combine4_matches_scalar_order_bit_for_bit() {
+    fn combine7_without_rotation_matches_elementwise_order_bit_for_bit() {
         let (rc, rr) = cols(41, 11);
         let (lc, lr) = (3.0e-2, 1.0e-7);
         let mut out = Vec::new();
-        combine4(lc, lr, &rc, &rr, &mut out);
+        combine7(lc, lr, &rc, &rr, &[0.0; 3], &mut out);
         for i in 0..rc.len() {
-            let scalar = lc + rc[i] + lr + rr[i];
+            let scalar = ((lc + rc[i]) + lr) + rr[i];
             assert_eq!(out[i].to_bits(), scalar.to_bits(), "lane {i}");
         }
     }
@@ -129,9 +122,9 @@ mod tests {
     fn kernels_reuse_buffers_without_stale_tail() {
         let (rc, rr) = cols(16, 3);
         let mut out = Vec::new();
-        combine4(1.0, 2.0, &rc, &rr, &mut out);
+        combine7(1.0, 2.0, &rc, &rr, &[0.0; 3], &mut out);
         assert_eq!(out.len(), 16);
-        combine4(1.0, 2.0, &rc[..4], &rr[..4], &mut out);
+        combine7(1.0, 2.0, &rc[..4], &rr[..4], &[0.0; 3], &mut out);
         assert_eq!(out.len(), 4);
     }
 }

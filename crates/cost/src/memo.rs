@@ -9,20 +9,20 @@
 //! lifetime of one optimizer run.
 //!
 //! The table is sharded behind small mutexes so parallel search workers
-//! share it without serializing on one lock; hit/miss totals are kept in a
-//! lock-free [`tce_obs::AtomicCounters`] bag and surface as the
-//! `dp.memo_hit` / `dp.memo_miss` counters of the run.
+//! share it without serializing on one lock; hit/miss totals are kept in
+//! two relaxed atomics and surface as the `dp.memo_hit` / `dp.memo_miss`
+//! counters of the run.
 //!
 //! Memoized values are computed by exactly the formulas the un-memoized
 //! entry points use, so a memoized search returns bit-identical costs.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use tce_dist::{dist_size, Distribution, GridDim};
 use tce_expr::{IndexId, IndexSet, IndexSpace, Tensor};
-use tce_obs::AtomicCounters;
 
 use crate::model::CostModel;
 use crate::units::WORD_BYTES;
@@ -51,7 +51,8 @@ fn shard_of(key: &Key, shards: usize) -> usize {
 /// Sharded `(kernel arguments) → cost` table for one optimizer run.
 pub struct CostMemo {
     shards: Vec<Mutex<HashMap<Key, f64>>>,
-    counters: AtomicCounters,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl Default for CostMemo {
@@ -71,20 +72,21 @@ impl CostMemo {
     pub fn with_shards(shards: usize) -> Self {
         Self {
             shards: (0..shards.max(1)).map(|_| Mutex::new(HashMap::new())).collect(),
-            counters: AtomicCounters::new(&[tce_obs::names::MEMO_HIT, tce_obs::names::MEMO_MISS]),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
     }
 
     fn lookup_or(&self, key: Key, compute: impl FnOnce() -> f64) -> f64 {
         let shard = &self.shards[shard_of(&key, self.shards.len())];
         if let Some(&v) = shard.lock().expect("memo shard poisoned").get(&key) {
-            self.counters.add(tce_obs::names::MEMO_HIT, 1);
+            self.hits.fetch_add(1, Ordering::Relaxed);
             return v;
         }
         // Compute outside the lock: kernels are pure, so two workers racing
         // on the same key store the same value (one insert wins, both are
         // misses — which is why memo counters are interleaving-dependent).
-        self.counters.add(tce_obs::names::MEMO_MISS, 1);
+        self.misses.fetch_add(1, Ordering::Relaxed);
         let v = compute();
         self.shards[shard_of(&key, self.shards.len())]
             .lock()
@@ -139,18 +141,12 @@ impl CostMemo {
 
     /// Kernel calls answered from the table.
     pub fn hits(&self) -> u64 {
-        self.counters.get(tce_obs::names::MEMO_HIT)
+        self.hits.load(Ordering::Relaxed)
     }
 
     /// Kernel calls computed and stored.
     pub fn misses(&self) -> u64 {
-        self.counters.get(tce_obs::names::MEMO_MISS)
-    }
-
-    /// The hit/miss totals as an owned counter bag (for merging into a
-    /// run's [`tce_obs::Counters`]).
-    pub fn counters(&self) -> tce_obs::Counters {
-        self.counters.snapshot()
+        self.misses.load(Ordering::Relaxed)
     }
 }
 
@@ -189,7 +185,6 @@ mod tests {
         // A different tensor id is a different entry even with equal dists.
         memo.redistribution_cost(&cm, 8, &t, &sp, from, to, &none);
         assert_eq!((memo.hits(), memo.misses()), (1, 2));
-        assert_eq!(memo.counters().get(tce_obs::names::MEMO_MISS), 2);
     }
 
     #[test]

@@ -33,7 +33,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![cfg_attr(not(test), deny(clippy::panic))]
 
-mod atomic;
 mod chrome;
 mod counters;
 mod jsonfmt;
@@ -41,7 +40,6 @@ pub mod metrics;
 mod sink;
 pub mod stream;
 
-pub use atomic::AtomicCounters;
 pub use chrome::{ChromeTraceSink, TraceFlushGuard};
 pub use counters::Counters;
 pub use sink::{RecordingSink, Sink, TraceEvent};
