@@ -640,6 +640,7 @@ fn instantiate(
         stats,
         arena_hw_bytes: entry.arena_hw_bytes,
         counters,
+        worker_busy_us: Default::default(),
         comm_lower_bound: entry.comm_lower_bound,
         comm_floor_exact: entry.comm_floor_exact,
     };

@@ -233,6 +233,11 @@ pub struct Optimized {
     /// Aggregate search counters for this run (see [`tce_obs::names`]);
     /// `stats` is the per-node breakdown of the same numbers.
     pub counters: tce_obs::Counters,
+    /// Busy time of every spawned worker on every node, microseconds:
+    /// wall clock, so it varies run to run and stays out of `counters`
+    /// (the `dp.worker_busy_us` histogram of the metrics snapshot). Empty
+    /// for nodes run inline and for cached runs.
+    pub worker_busy_us: tce_obs::metrics::Histogram,
     /// Certified communication lower bound for this expression under this
     /// cost model (`tce_cost::lower_bound`, DESIGN.md §12): every plan any
     /// configuration of this search can emit costs at least this many
@@ -309,49 +314,6 @@ fn select_root_index(
     )
 }
 
-/// Emit one `node` record plus a (rate-limited) `heartbeat` to the
-/// installed progress stream. Runs on the coordinator thread only, after a
-/// node's frontier is sealed: pure output, so it cannot perturb the search.
-fn emit_progress(
-    node_name: &str,
-    counters: &tce_obs::Counters,
-    nodes_done: usize,
-    nodes_total: usize,
-    run_start: std::time::Instant,
-    arena_hw: u64,
-) {
-    use tce_obs::stream::{emit, ProgressRecord};
-    let candidates = counters.get(tce_obs::names::CANDIDATES);
-    let frontier = counters.get(tce_obs::names::FRONTIER);
-    let elapsed = run_start.elapsed().as_secs_f64();
-    let cps = if elapsed > 0.0 { candidates as f64 / elapsed } else { 0.0 };
-    let bnb_skip = counters.get(tce_obs::names::BNB_SKIP);
-    let bnb_rate = if candidates > 0 { bnb_skip as f64 / candidates as f64 } else { 0.0 };
-    let hits = counters.get(tce_obs::names::MEMO_HIT);
-    let misses = counters.get(tce_obs::names::MEMO_MISS);
-    let memo_rate = if hits + misses > 0 { hits as f64 / (hits + misses) as f64 } else { 0.0 };
-    emit(&ProgressRecord {
-        event: "node",
-        node: Some(node_name),
-        fields: &[("done", (nodes_done as u64).into()), ("total", (nodes_total as u64).into())],
-    });
-    emit(&ProgressRecord {
-        event: "heartbeat",
-        node: None,
-        fields: &[
-            ("done", (nodes_done as u64).into()),
-            ("total", (nodes_total as u64).into()),
-            ("candidates", candidates.into()),
-            ("candidates_per_sec", cps.into()),
-            ("frontier", frontier.into()),
-            ("bnb_skip_rate", bnb_rate.into()),
-            ("memo_hit_rate", memo_rate.into()),
-            ("arena_hw_bytes", arena_hw.into()),
-            ("t_ms", ((elapsed * 1e3) as u64).into()),
-        ],
-    });
-}
-
 /// Run the §3.3 dynamic programming.
 pub fn optimize(
     tree: &ExprTree,
@@ -390,7 +352,7 @@ pub fn optimize(
     // Nearest-grid rcost extrapolations are surfaced per run as a counter
     // delta (the process-wide total minus this snapshot). Concurrent runs
     // can interleave into the delta, which is one more reason the counter
-    // sits in `NONDETERMINISTIC_COUNTERS`.
+    // is flagged nondeterministic in `tce_obs::names::ALL`.
     let rcost_fallbacks_before = tce_cost::rcost_fallback_count();
     struct Floors {
         corners: HashMap<NodeId, f64>,
@@ -459,25 +421,20 @@ pub fn optimize(
     let mut sets: HashMap<NodeId, SolutionSet> = HashMap::new();
     let mut stats = Vec::new();
     let mut counters = tce_obs::Counters::new();
+    let mut worker_busy_us = tce_obs::metrics::Histogram::default();
     let mut run_span = tce_obs::span("dp", "optimize");
     run_span.arg("threads", threads);
 
-    // Progress stream bookkeeping, all coordinator-side: emission happens
-    // only between nodes on this thread and nothing in the search reads
-    // the stream, so enabling it cannot perturb results (DESIGN.md §10).
+    // Trace events for stream sinks (the progress stream's `start`, `node`
+    // and `done` records), all coordinator-side: they are emitted only
+    // between nodes on this thread and nothing in the search reads a sink,
+    // so installing one cannot perturb results (DESIGN.md §10).
     let nodes_total = tree.postorder().iter().filter(|&&id| !tree.node(id).is_leaf()).count();
-    let run_start = std::time::Instant::now();
     let mut nodes_done = 0usize;
-    if tce_obs::stream::enabled() {
-        tce_obs::stream::emit(&tce_obs::stream::ProgressRecord {
-            event: "start",
-            node: None,
-            fields: &[
-                ("nodes_total", (nodes_total as u64).into()),
-                ("threads", (threads as u64).into()),
-            ],
-        });
-    }
+    let mut start_marker = tce_obs::span("dp", "start");
+    start_marker.arg("nodes_total", nodes_total);
+    start_marker.arg("threads", threads);
+    drop(start_marker);
     // Arena accounting: bytes already committed by compacted frontiers,
     // and the run-wide high-water (committed + the enumerating node's
     // pre-compaction working set). Both are deterministic functions of
@@ -678,8 +635,8 @@ pub fn optimize(
         counters.add(tce_obs::names::BNB_WARM, set.bnb_warm);
         // Scheduler counters: block count is the serial item count (a pure
         // function of the search space, identical at every thread count);
-        // the steal total is a race outcome and joins the memo/bnb families
-        // in `NONDETERMINISTIC_COUNTERS`.
+        // the steal total is a race outcome and is flagged nondeterministic
+        // with the memo/bnb families.
         counters.add(tce_obs::names::BLOCKS, enum_stats.blocks);
         counters.add(tce_obs::names::STEAL, enum_stats.steals);
         // Memo totals are cumulative over the run; `set` overwrites the
@@ -701,21 +658,18 @@ pub fn optimize(
         node_span.arg("merge_us", enum_stats.merge_us);
         node_span.arg("blocks", enum_stats.blocks);
         node_span.arg("steals", enum_stats.steals);
-        drop(node_span);
+        nodes_done += 1;
+        node_span.arg("done", nodes_done);
+        node_span.arg("total", nodes_total);
         // Sample the cumulative counters so the trace shows them growing
-        // node by node.
+        // node by node; before the span closes, so a stream sink has this
+        // node's totals when the span arrives.
         counters.sample_all();
-        if tce_obs::metrics::enabled() {
-            tce_obs::metrics::counter_add(tce_obs::names::CANDIDATES, set.candidates_seen);
-            tce_obs::metrics::counter_add(tce_obs::names::NODES, 1);
-            tce_obs::metrics::gauge_max(tce_obs::names::ARENA_HW_BYTES, arena_hw);
-            tce_obs::metrics::observe(tce_obs::names::NODE_CANDIDATES, set.candidates_seen);
-            tce_obs::metrics::observe(tce_obs::names::NODE_LIVE, set.total_live());
-            // Per-worker busy histogram, observed coordinator-side after
-            // the join (pure output — nothing in the search reads it).
-            for &busy in &enum_stats.busy_us {
-                tce_obs::metrics::observe(tce_obs::names::WORKER_BUSY_US, busy);
-            }
+        drop(node_span);
+        // Per-worker busy times, observed coordinator-side after the join
+        // (wall clock, so outside the deterministic counter bag).
+        for &busy in &enum_stats.busy_us {
+            worker_busy_us.observe(busy);
         }
         stats.push(NodeStats {
             name: n.tensor.name.clone(),
@@ -729,10 +683,6 @@ pub fn optimize(
             arena_hw_bytes: arena_hw,
             floor_exact: floors.node_exact.get(&node).copied().unwrap_or(false),
         });
-        nodes_done += 1;
-        if tce_obs::stream::enabled() {
-            emit_progress(&n.tensor.name, &counters, nodes_done, nodes_total, run_start, arena_hw);
-        }
         // The node is finished: nothing can reference its dead (evicted)
         // entries anymore — parents bind only live indices and run strictly
         // later — so drop them and free their decision records.
@@ -780,19 +730,6 @@ pub fn optimize(
     run_span.arg("candidates", counters.get(tce_obs::names::CANDIDATES));
     run_span.arg("comm_cost", best_cost + output_redist_cost);
     drop(run_span);
-    if tce_obs::stream::enabled() {
-        tce_obs::stream::emit(&tce_obs::stream::ProgressRecord {
-            event: "done",
-            node: None,
-            fields: &[
-                ("nodes_total", (nodes_total as u64).into()),
-                ("candidates", counters.get(tce_obs::names::CANDIDATES).into()),
-                ("comm_cost", (best_cost + output_redist_cost).into()),
-                ("arena_hw_bytes", arena_hw.into()),
-                ("t_ms", (run_start.elapsed().as_millis() as u64).into()),
-            ],
-        });
-    }
     // Fallback accounting: the floor-fallback count is a deterministic
     // function of the tree (computed once coordinator-side), so it joins
     // the report counters; the rcost delta is interleaving-dependent.
@@ -810,6 +747,7 @@ pub fn optimize(
         stats,
         arena_hw_bytes: arena_hw,
         counters,
+        worker_busy_us,
         sets,
         comm_lower_bound,
         comm_floor_exact: floors.root_exact,

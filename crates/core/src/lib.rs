@@ -66,4 +66,4 @@ pub use provenance::{
 };
 pub use report::{build_report, render_plan_dot, render_report, ArrayRow, Report};
 pub use solution::{ChildBinding, Choice, KeySummary, Solution, SolutionSet};
-pub use stats::render_search_stats;
+pub use stats::{metrics_snapshot, render_search_stats};

@@ -398,7 +398,7 @@ pub fn render_provenance(tree: &ExprTree, prov: &Provenance) -> String {
 /// the level-1 subtree-reuse tallies).
 /// Every field is a deterministic function of the search result: wall
 /// clock and the interleaving-dependent counters
-/// ([`tce_obs::NONDETERMINISTIC_COUNTERS`]) are excluded, so the JSON is
+/// (flagged in [`tce_obs::names::ALL`]) are excluded, so the JSON is
 /// bit-identical at any thread count.
 pub fn report_json(
     tree: &ExprTree,
@@ -417,7 +417,7 @@ pub fn report_json(
     let counters: Vec<(String, Value)> = opt
         .counters
         .iter()
-        .filter(|(name, _)| !tce_obs::NONDETERMINISTIC_COUNTERS.contains(name))
+        .filter(|&(name, _)| tce_obs::names::is_deterministic(name))
         .map(|(name, v)| (name.to_string(), uint(v)))
         .collect();
 
@@ -656,8 +656,8 @@ mod tests {
         assert!(v.get("nodes").and_then(|n| n.as_array()).map(|n| !n.is_empty()).unwrap_or(false));
         // The nondeterministic counters never leak into the report.
         let counters = v.get("counters").expect("counters section");
-        for name in tce_obs::NONDETERMINISTIC_COUNTERS {
-            assert!(counters.get(name).is_none(), "{name} leaked into the report");
+        for (name, deterministic) in tce_obs::names::ALL {
+            assert!(deterministic || counters.get(name).is_none(), "{name} leaked into the report");
         }
     }
 }

@@ -23,7 +23,7 @@
 //! costs, storage order, `best_index` tie-breaks, and every deterministic
 //! counter. Only `dp.steal` (who drained whose region) and the
 //! `dp.memo_*`/`dp.bnb_*` families depend on the interleaving — see
-//! [`tce_obs::NONDETERMINISTIC_COUNTERS`] and DESIGN.md §11.
+//! the flags in [`tce_obs::names::ALL`] and DESIGN.md §11.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;

@@ -3,7 +3,8 @@
 //! One formatter used by both the `tce … --stats` CLI flag and the
 //! experiment-S2 `pruning_stats` binary, so the two always report identical
 //! numbers (they both read [`Optimized::stats`] and [`Optimized::counters`],
-//! which the search fills from the per-node [`SolutionSet`] counters).
+//! which the search fills from the per-node [`SolutionSet`] counters), and
+//! the metrics snapshot rendered from the same run.
 
 use std::fmt::Write as _;
 
@@ -67,6 +68,32 @@ pub fn render_search_stats(opt: &Optimized) -> String {
         );
     }
     out
+}
+
+/// The run's metrics snapshot (`--metrics-out`): every counter of the bag
+/// except the high-water mark, which is the `dp.arena_hw_bytes` gauge (a
+/// Prometheus name has one type), the per-node `dp.node_candidates` /
+/// `dp.node_live` histograms and the wall-clock `dp.worker_busy_us`
+/// histogram. A pure function of the returned run, so a cached run renders
+/// the snapshot of the search that stored it (without busy times).
+pub fn metrics_snapshot(opt: &Optimized) -> tce_obs::metrics::Snapshot {
+    use tce_obs::{metrics::Histogram, names};
+    let mut node_candidates = Histogram::default();
+    let mut node_live = Histogram::default();
+    for s in &opt.stats {
+        node_candidates.observe(s.candidates);
+        node_live.observe(s.live as u64);
+    }
+    let histograms = [
+        (names::NODE_CANDIDATES, node_candidates),
+        (names::NODE_LIVE, node_live),
+        (names::WORKER_BUSY_US, opt.worker_busy_us.clone()),
+    ];
+    tce_obs::metrics::Snapshot {
+        counters: opt.counters.iter().filter(|&(n, _)| n != names::ARENA_HW_BYTES).collect(),
+        gauges: vec![(names::ARENA_HW_BYTES, opt.arena_hw_bytes)],
+        histograms: histograms.into_iter().filter(|(_, h)| h.count > 0).collect(),
+    }
 }
 
 #[cfg(test)]

@@ -510,13 +510,13 @@ S[a,p] = sum[c,r] T1[a,c] * T2[p,r];
 
     // Every counter outside the documented nondeterministic set agrees.
     for (name, value) in with.counters.iter() {
-        if tce_obs::NONDETERMINISTIC_COUNTERS.contains(&name) {
+        if !tce_obs::names::is_deterministic(name) {
             continue;
         }
         assert_eq!(value, without.counters.get(name), "counter {name} diverged");
     }
     for (name, value) in without.counters.iter() {
-        if tce_obs::NONDETERMINISTIC_COUNTERS.contains(&name) {
+        if !tce_obs::names::is_deterministic(name) {
             continue;
         }
         assert_eq!(value, with.counters.get(name), "counter {name} diverged");

@@ -25,7 +25,7 @@ use crate::machine::MachineModel;
 /// Process-wide count of nearest-grid scaled fallbacks served by
 /// [`Characterization::rcost`] (the `cost.rcost_fallback` counter —
 /// interleaving-dependent because rcost memoization upstream makes query
-/// counts depend on thread scheduling; see `NONDETERMINISTIC_COUNTERS`).
+/// counts depend on thread scheduling; see `tce_obs::names::ALL`).
 static RCOST_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 
 /// Grid step counts already warned about on stderr (once per grid per

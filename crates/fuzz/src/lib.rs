@@ -26,8 +26,8 @@
 //!    branch-and-bound corner skips against the same search under
 //!    `disable_lower_bounds: true`: optimum, winner index, plan JSON,
 //!    every per-node live set entry by entry (cost bits included), and
-//!    every counter outside [`tce_obs::NONDETERMINISTIC_COUNTERS`] except
-//!    `lb.floor_fallback` must agree.
+//!    every deterministic counter ([`tce_obs::names::is_deterministic`])
+//!    except `lb.floor_fallback` must agree.
 //! 7. **Scheduler equivalence** — the work-stealing enumeration (spawning
 //!    forced via `spawn_amort_ns: Some(0)` so every node actually splits)
 //!    at the highest configured thread count against the serial run: the
@@ -46,8 +46,8 @@
 //!     hash-seeded commutative operand swaps must hash to the same
 //!     canonical key and optimize to the same optimal cost; and a
 //!     store/lookup round-trip through an on-disk plan cache must return
-//!     the identical plan, cost scalars, counters (modulo
-//!     [`tce_obs::NONDETERMINISTIC_COUNTERS`]), and per-node statistics —
+//!     the identical plan, cost scalars, deterministic counters
+//!     ([`tce_obs::names::is_deterministic`]), and per-node statistics —
 //!     including when looked up through the renamed isomorph.
 //!
 //! On failure, [`shrink::shrink_tree`] minimizes the tree (drop subtrees,
@@ -232,7 +232,8 @@ fn validate_plan_inner(
 /// Whether two runs of the search on `tree` agree bit for bit: optimum,
 /// winner index, plan JSON, every per-node frontier (storage size, live
 /// indices, and the cost/mem/msg bits of each live entry), and every
-/// counter outside [`tce_obs::NONDETERMINISTIC_COUNTERS`] and `skip`.
+/// deterministic counter ([`tce_obs::names::is_deterministic`]) outside
+/// `skip`.
 /// `Err` describes the first difference, `alt` on the right.
 fn same_search(
     tree: &ExprTree,
@@ -281,7 +282,7 @@ fn same_search(
         }
     }
     for (counter, v) in base.counters.iter() {
-        if tce_obs::NONDETERMINISTIC_COUNTERS.contains(&counter) || skip.contains(&counter) {
+        if !tce_obs::names::is_deterministic(counter) || skip.contains(&counter) {
             continue;
         }
         if v != alt.counters.get(counter) {
@@ -458,8 +459,8 @@ pub fn check_tree(tree: &ExprTree, cfg: &FuzzConfig) -> Result<TreeStats, Failur
         //     splice in frontiers that the disabled run recomputes from
         //     scratch, never change them.
         // (b) Disk round-trip: store the reference run, look it up again,
-        //     and require the identical plan, cost scalars, counters
-        //     (modulo [`tce_obs::NONDETERMINISTIC_COUNTERS`]), and
+        //     and require the identical plan, cost scalars, deterministic
+        //     counters ([`tce_obs::names::is_deterministic`]), and
         //     per-node statistics back.
         // (c) Rename/commute invariance: re-render the tree with reversed
         //     declarations (renumbering every index and node id on
@@ -535,7 +536,7 @@ pub fn check_tree(tree: &ExprTree, cfg: &FuzzConfig) -> Result<TreeStats, Failur
                         return Err(fail("cache", format!("p={procs}: round-trip scalars differ")));
                     }
                     for (counter, v) in base.counters.iter() {
-                        if tce_obs::NONDETERMINISTIC_COUNTERS.contains(&counter) {
+                        if !tce_obs::names::is_deterministic(counter) {
                             continue; // cache-state-dependent by design
                         }
                         if v != run.opt.counters.get(counter) {

@@ -11,11 +11,15 @@
 //!   [`Sink`] as [`TraceEvent`]s on named lanes.
 //! * **Sinks** — [`RecordingSink`] buffers events in memory for tests and
 //!   programmatic inspection; [`ChromeTraceSink`] renders the Chrome
-//!   trace-event JSON format loadable in `chrome://tracing` / Perfetto.
+//!   trace-event JSON format loadable in `chrome://tracing` / Perfetto;
+//!   [`stream::ProgressSink`] renders the JSONL progress stream. A
+//!   `Vec<Arc<dyn Sink>>` is itself a sink that fans every event out.
 //!
-//! With no sink installed every emission site is a single relaxed atomic
-//! load — the "null sink" costs nothing measurable, so instrumentation can
-//! stay on in release builds.
+//! The installed sink is the crate's one process-wide switch. With none
+//! installed every emission site is a single relaxed atomic load — the
+//! "null sink" costs nothing measurable, so instrumentation can stay on in
+//! release builds. [`metrics::Snapshot`] holds no global state: callers
+//! render it from the counters a run returns.
 //!
 //! ```
 //! let sink = std::sync::Arc::new(tce_obs::RecordingSink::new());
@@ -102,16 +106,16 @@ pub mod names {
     /// excluded from serial-vs-parallel equivalence checks.
     pub const STEAL: &str = "dp.steal";
     /// Histogram of per-worker busy time per node, microseconds (metrics
-    /// registry only — wall-clock, never part of the deterministic counter
+    /// snapshot only — wall-clock, never part of the deterministic counter
     /// bag). The spread between workers is the load-imbalance the stealing
     /// scheduler is there to close.
     pub const WORKER_BUSY_US: &str = "dp.worker_busy_us";
     /// High-water mark of solution-arena bytes held live during the search
     /// (committed frontiers plus the largest pre-compaction working set).
     pub const ARENA_HW_BYTES: &str = "dp.arena_hw_bytes";
-    /// Histogram of candidates generated per node (metrics registry).
+    /// Histogram of candidates generated per node (metrics snapshot).
     pub const NODE_CANDIDATES: &str = "dp.node_candidates";
-    /// Histogram of live frontier size per node (metrics registry).
+    /// Histogram of live frontier size per node (metrics snapshot).
     pub const NODE_LIVE: &str = "dp.node_live";
     /// Candidates skipped because their certified subtree floor plus the
     /// rest-of-tree floor already exceeds a warm incumbent upper bound
@@ -161,83 +165,67 @@ pub mod names {
     /// returning a bad plan.
     pub const CACHE_EVICT_PLAN: &str = "cache.evict_plan";
 
-    /// Every counter name above, in declaration order — for interning and
-    /// exhaustive listings.
-    pub const ALL: [&str; 29] = [
-        CANDIDATES,
-        PRUNED_MEMORY,
-        PRUNED_INFERIOR,
-        REDIST_FALLBACKS,
-        FRONTIER,
-        NODES,
-        MEMO_HIT,
-        MEMO_MISS,
-        BNB_SKIP,
-        BNB_BLOCK,
-        BNB_FLOOR,
-        BLOCKS,
-        STEAL,
-        WORKER_BUSY_US,
-        ARENA_HW_BYTES,
-        NODE_CANDIDATES,
-        NODE_LIVE,
-        BNB_WARM,
-        LB_FLOOR_FALLBACK,
-        RCOST_FALLBACK,
-        SUBTREE_HIT,
-        SUBTREE_MISS,
-        CACHE_HIT,
-        CACHE_MISS,
-        CACHE_STORE,
-        CACHE_EVICT_CORRUPT,
-        CACHE_EVICT_VERSION,
-        CACHE_EVICT_DIGEST,
-        CACHE_EVICT_PLAN,
+    /// Every name above with its determinism flag, in declaration order:
+    /// the one table [`intern`] and [`is_deterministic`] read.
+    ///
+    /// A flag is `false` when the counter's total depends on how the work
+    /// was done rather than on what was computed, so serial-vs-parallel,
+    /// cache-on-vs-off and reuse-on-vs-off equivalence checks and the
+    /// byte-stable `tce report` skip it (the *values the search returns*
+    /// never depend on it). That covers the memo pair (two workers racing
+    /// on one memo key both count a miss), the branch-and-bound family
+    /// (each worker prunes against its own partial frontier, so smaller
+    /// chunks skip less), the steal count (which worker drains a region
+    /// first is a race), the rcost fallbacks (query counts follow memo
+    /// races), and the `dp.subtree_*` and `cache.*` counters, which are
+    /// fixed for one configuration but vary with cache state and subtree
+    /// reuse while the results stay bit-identical. The three histogram
+    /// names never enter a [`crate::Counters`] bag; their flag is moot.
+    pub const ALL: [(&str, bool); 29] = [
+        (CANDIDATES, true),
+        (PRUNED_MEMORY, true),
+        (PRUNED_INFERIOR, true),
+        (REDIST_FALLBACKS, true),
+        (FRONTIER, true),
+        (NODES, true),
+        (MEMO_HIT, false),
+        (MEMO_MISS, false),
+        (BNB_SKIP, false),
+        (BNB_BLOCK, false),
+        (BNB_FLOOR, false),
+        (BLOCKS, true),
+        (STEAL, false),
+        (WORKER_BUSY_US, true),
+        (ARENA_HW_BYTES, true),
+        (NODE_CANDIDATES, true),
+        (NODE_LIVE, true),
+        (BNB_WARM, false),
+        (LB_FLOOR_FALLBACK, true),
+        (RCOST_FALLBACK, false),
+        (SUBTREE_HIT, false),
+        (SUBTREE_MISS, false),
+        (CACHE_HIT, false),
+        (CACHE_MISS, false),
+        (CACHE_STORE, false),
+        (CACHE_EVICT_CORRUPT, false),
+        (CACHE_EVICT_VERSION, false),
+        (CACHE_EVICT_DIGEST, false),
+        (CACHE_EVICT_PLAN, false),
     ];
 
     /// Map a counter name back to its `'static` constant — needed to load
     /// a persisted counter bag into a [`crate::Counters`], whose `add`
     /// takes `&'static str`. `None` for names no release ever emitted.
     pub fn intern(name: &str) -> Option<&'static str> {
-        ALL.iter().copied().find(|&c| c == name)
+        ALL.iter().find(|&&(c, _)| c == name).map(|&(c, _)| c)
+    }
+
+    /// Whether `name`'s total is a function of the computation alone (see
+    /// [`ALL`]). Names outside the table count as deterministic.
+    pub fn is_deterministic(name: &str) -> bool {
+        ALL.iter().find(|&&(c, _)| c == name).is_none_or(|&(_, d)| d)
     }
 }
-
-/// The counters whose totals depend on worker-thread interleaving and are
-/// therefore excluded from serial-vs-parallel equivalence checks (the
-/// *values the search returns* never depend on them): the memo pair (two
-/// workers racing on one memo key both count a miss), the branch-and-bound
-/// pair (each worker prunes against its own partial frontier, so smaller
-/// chunks skip less), and the steal count (which worker drains a region
-/// first is a race).
-///
-/// The `dp.subtree_*` and `cache.*` counters are deterministic for a fixed
-/// configuration but vary with cache state (warm vs. cold disk cache,
-/// subtree reuse on vs. off) while the *results* stay bit-identical, so
-/// they join the list for the same reason: equivalence checks compare
-/// outcomes, not how the work was avoided.
-///
-/// `tests/parallel_equivalence.rs` and the fuzz `threads` oracle both
-/// consume this list instead of hardcoding their own copies.
-pub const NONDETERMINISTIC_COUNTERS: [&str; 17] = [
-    names::MEMO_HIT,
-    names::MEMO_MISS,
-    names::BNB_SKIP,
-    names::BNB_BLOCK,
-    names::BNB_FLOOR,
-    names::BNB_WARM,
-    names::STEAL,
-    names::RCOST_FALLBACK,
-    names::SUBTREE_HIT,
-    names::SUBTREE_MISS,
-    names::CACHE_HIT,
-    names::CACHE_MISS,
-    names::CACHE_STORE,
-    names::CACHE_EVICT_CORRUPT,
-    names::CACHE_EVICT_VERSION,
-    names::CACHE_EVICT_DIGEST,
-    names::CACHE_EVICT_PLAN,
-];
 
 struct Global {
     enabled: AtomicBool,
@@ -438,6 +426,59 @@ mod tests {
             }
             other => panic!("expected slice, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn name_table_lists_every_constant_once_with_its_flag() {
+        // Every `pub const NAME: &str` of `names`, read from this file.
+        let consts: Vec<&str> = include_str!("lib.rs")
+            .lines()
+            .filter_map(|l| {
+                let rest = l.trim().strip_prefix("pub const ")?;
+                rest.split_once(": &str = \"")?.1.strip_suffix("\";")
+            })
+            .collect();
+        let table: Vec<&str> = names::ALL.iter().map(|&(n, _)| n).collect();
+        assert_eq!(consts, table, "table must list the constants in declaration order");
+        for name in &table {
+            assert_eq!(table.iter().filter(|n| *n == name).count(), 1, "{name} listed twice");
+            assert_eq!(names::intern(name), Some(*name));
+        }
+        let mut nondeterministic: Vec<&str> =
+            table.iter().copied().filter(|n| !names::is_deterministic(n)).collect();
+        nondeterministic.sort_unstable();
+        let mut expected = vec![
+            names::MEMO_HIT,
+            names::MEMO_MISS,
+            names::BNB_SKIP,
+            names::BNB_BLOCK,
+            names::BNB_FLOOR,
+            names::BNB_WARM,
+            names::STEAL,
+            names::RCOST_FALLBACK,
+            names::SUBTREE_HIT,
+            names::SUBTREE_MISS,
+            names::CACHE_HIT,
+            names::CACHE_MISS,
+            names::CACHE_STORE,
+            names::CACHE_EVICT_CORRUPT,
+            names::CACHE_EVICT_VERSION,
+            names::CACHE_EVICT_DIGEST,
+            names::CACHE_EVICT_PLAN,
+        ];
+        expected.sort_unstable();
+        assert_eq!(nondeterministic, expected);
+        assert!(names::is_deterministic("no.such_counter"));
+        assert_eq!(names::intern("no.such_counter"), None);
+    }
+
+    #[test]
+    fn fan_out_delivers_each_event_to_every_sink() {
+        let (a, b) = (Arc::new(RecordingSink::new()), Arc::new(RecordingSink::new()));
+        let fan: Vec<Arc<dyn Sink>> = vec![a.clone(), b.clone()];
+        fan.event(TraceEvent::Counter { name: "c".into(), ts_us: 1.0, value: 2 });
+        assert_eq!(a.events(), b.events());
+        assert_eq!(a.events().len(), 1);
     }
 
     #[test]

@@ -1,15 +1,10 @@
 //! Typed metrics: counters, gauges, and log₂-bucketed histograms.
 //!
-//! The [`Counters`](crate::Counters) bag travels *with* a result (the DP
-//! search hands its counters back inside `Optimized`); the registry here is
-//! the complementary *process-wide* view a long-running service needs: any
-//! subsystem can record into [`global()`], and an exporter thread (or the
-//! CLI, at exit) takes a point-in-time [`Snapshot`] and renders it as
-//! Prometheus text format or schema-stable JSON.
-//!
-//! Recording is gated on [`enabled`] — one relaxed atomic load — so probes
-//! compiled into hot paths cost nothing while no consumer asked for
-//! metrics (the same null-sink contract as the trace [`Sink`](crate::Sink)).
+//! A [`Snapshot`] is a point-in-time set of named metrics, rendered as
+//! Prometheus text format or schema-stable JSON. It holds no process-wide
+//! state: a caller builds it from the numbers a run hands back (the DP
+//! search's come from `tce_core::metrics_snapshot`), so a snapshot always
+//! describes exactly one run.
 //!
 //! # Histogram bucketing
 //!
@@ -18,10 +13,6 @@
 //! exactly one bucket (`u64::MAX` lands in bucket 64), and merging two
 //! histograms is element-wise addition — monotone, so merged cumulative
 //! counts never decrease.
-
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
 
 use crate::jsonfmt::{json_number, json_string, sep};
 
@@ -87,75 +78,8 @@ impl Histogram {
     }
 }
 
-#[derive(Default)]
-struct Inner {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, u64>,
-    histograms: BTreeMap<&'static str, Histogram>,
-}
-
-/// A thread-safe registry of named metrics.
-///
-/// All mutation goes through one mutex: metric updates in this workspace
-/// happen at node granularity (tens per search), never per candidate, so
-/// contention is irrelevant and the simple lock keeps the crate
-/// dependency-free.
-#[derive(Default)]
-pub struct Registry {
-    inner: Mutex<Inner>,
-}
-
-impl Registry {
-    /// Empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().expect("metrics registry lock poisoned")
-    }
-
-    /// Add `delta` to the named monotone counter (created at 0).
-    pub fn counter_add(&self, name: &'static str, delta: u64) {
-        *self.lock().counters.entry(name).or_insert(0) += delta;
-    }
-
-    /// Set the named gauge to `value`.
-    pub fn gauge_set(&self, name: &'static str, value: u64) {
-        self.lock().gauges.insert(name, value);
-    }
-
-    /// Raise the named gauge to `value` if larger (high-water tracking).
-    pub fn gauge_max(&self, name: &'static str, value: u64) {
-        let mut inner = self.lock();
-        let g = inner.gauges.entry(name).or_insert(0);
-        *g = (*g).max(value);
-    }
-
-    /// Record one observation into the named histogram.
-    pub fn observe(&self, name: &'static str, value: u64) {
-        self.lock().histograms.entry(name).or_default().observe(value);
-    }
-
-    /// Point-in-time copy of every metric, sorted by name.
-    pub fn snapshot(&self) -> Snapshot {
-        let inner = self.lock();
-        Snapshot {
-            counters: inner.counters.iter().map(|(&k, &v)| (k, v)).collect(),
-            gauges: inner.gauges.iter().map(|(&k, &v)| (k, v)).collect(),
-            histograms: inner.histograms.iter().map(|(&k, v)| (k, v.clone())).collect(),
-        }
-    }
-
-    /// Drop every metric (tests; a service would snapshot-and-reset).
-    pub fn reset(&self) {
-        *self.lock() = Inner::default();
-    }
-}
-
-/// A point-in-time copy of a [`Registry`], ready for export. All three
-/// sections are sorted by metric name, so two snapshots of identical
-/// registries render byte-identically.
+/// A point-in-time set of metrics, ready for export. All three sections
+/// are sorted by metric name, so equal snapshots render byte-identically.
 #[derive(Clone, Debug, Default)]
 pub struct Snapshot {
     /// Monotone counters, sorted by name.
@@ -179,11 +103,6 @@ fn prom_name(name: &str) -> String {
 }
 
 impl Snapshot {
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
     /// Render as Prometheus text exposition format (what a `/metrics`
     /// endpoint serves). Histogram buckets are cumulative with `le` upper
     /// bounds, capped by the conventional `+Inf` bucket; empty trailing
@@ -266,71 +185,6 @@ impl Snapshot {
     }
 }
 
-struct GlobalMetrics {
-    enabled: AtomicBool,
-    registry: Registry,
-}
-
-fn global_metrics() -> &'static GlobalMetrics {
-    static GLOBAL: OnceLock<GlobalMetrics> = OnceLock::new();
-    GLOBAL.get_or_init(|| GlobalMetrics {
-        enabled: AtomicBool::new(false),
-        registry: Registry::new(),
-    })
-}
-
-/// The process-wide registry. Recording through the free functions below
-/// is preferred (they honor the [`enabled`] gate); direct access exists
-/// for exporters.
-pub fn global() -> &'static Registry {
-    &global_metrics().registry
-}
-
-/// Turn the global registry's recording gate on.
-pub fn enable() {
-    global_metrics().enabled.store(true, Ordering::Release);
-}
-
-/// Turn recording off (snapshots still work).
-pub fn disable() {
-    global_metrics().enabled.store(false, Ordering::Release);
-}
-
-/// Whether the global registry is recording — one relaxed atomic load,
-/// cheap enough to guard every probe.
-#[inline]
-pub fn enabled() -> bool {
-    global_metrics().enabled.load(Ordering::Relaxed)
-}
-
-/// Add to a global counter (no-op while disabled).
-pub fn counter_add(name: &'static str, delta: u64) {
-    if enabled() {
-        global().counter_add(name, delta);
-    }
-}
-
-/// Set a global gauge (no-op while disabled).
-pub fn gauge_set(name: &'static str, value: u64) {
-    if enabled() {
-        global().gauge_set(name, value);
-    }
-}
-
-/// Raise a global gauge to `value` if larger (no-op while disabled).
-pub fn gauge_max(name: &'static str, value: u64) {
-    if enabled() {
-        global().gauge_max(name, value);
-    }
-}
-
-/// Record into a global histogram (no-op while disabled).
-pub fn observe(name: &'static str, value: u64) {
-    if enabled() {
-        global().observe(name, value);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,16 +247,22 @@ mod tests {
         assert_eq!(a.buckets[64], 1, "u64::MAX lands in the last bucket");
     }
 
+    fn demo_snapshot() -> Snapshot {
+        let mut live = Histogram::default();
+        for v in [0, 3, 5] {
+            live.observe(v);
+        }
+        Snapshot {
+            counters: vec![("dp.candidates", 42)],
+            gauges: vec![("dp.arena_hw_bytes", 4096)],
+            histograms: vec![("dp.node_live", live)],
+        }
+    }
+
     /// Golden: the Prometheus exposition shape is pinned byte for byte.
     #[test]
     fn prometheus_export_shape_is_pinned() {
-        let r = Registry::new();
-        r.counter_add("dp.candidates", 42);
-        r.gauge_set("dp.arena_hw_bytes", 4096);
-        r.observe("dp.node_live", 0);
-        r.observe("dp.node_live", 3);
-        r.observe("dp.node_live", 5);
-        let text = r.snapshot().to_prometheus();
+        let text = demo_snapshot().to_prometheus();
         let expected = "\
 # TYPE tce_dp_candidates counter
 tce_dp_candidates 42
@@ -423,13 +283,7 @@ tce_dp_node_live_count 3
     /// Golden: the JSON export shape is pinned byte for byte.
     #[test]
     fn json_export_shape_is_pinned() {
-        let r = Registry::new();
-        r.counter_add("dp.candidates", 42);
-        r.gauge_set("dp.arena_hw_bytes", 4096);
-        r.observe("dp.node_live", 0);
-        r.observe("dp.node_live", 3);
-        r.observe("dp.node_live", 5);
-        let json = r.snapshot().to_json();
+        let json = demo_snapshot().to_json();
         let expected = "{\n\
 \"schema\":\"tce-metrics/v1\",\n\
 \"counters\":{\"dp.candidates\":42},\n\
@@ -437,29 +291,5 @@ tce_dp_node_live_count 3
 \"histograms\":{\"dp.node_live\":{\"count\":3,\"sum\":8,\"mean\":2.6666666666666665,\"buckets\":{\"0\":1,\"3\":1,\"7\":1}}}\n\
 }\n";
         assert_eq!(json, expected);
-    }
-
-    #[test]
-    fn registry_accumulates_and_resets() {
-        let r = Registry::new();
-        r.counter_add("c", 1);
-        r.counter_add("c", 2);
-        r.gauge_set("g", 5);
-        r.gauge_max("g", 3); // lower: kept at 5
-        r.gauge_max("g", 9); // higher: raised
-        let s = r.snapshot();
-        assert_eq!(s.counters, vec![("c", 3)]);
-        assert_eq!(s.gauges, vec![("g", 9)]);
-        r.reset();
-        assert!(r.snapshot().is_empty());
-    }
-
-    #[test]
-    fn disabled_global_records_nothing() {
-        // The global gate is process-wide; this test only relies on its
-        // own names so parallel tests cannot interfere.
-        disable();
-        counter_add("test.disabled_counter", 7);
-        assert!(!global().snapshot().counters.iter().any(|(n, _)| *n == "test.disabled_counter"));
     }
 }

@@ -1,6 +1,6 @@
 //! The sink abstraction and the in-memory recording sink.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// One observability event, as delivered to a [`Sink`].
 ///
@@ -67,5 +67,15 @@ impl RecordingSink {
 impl Sink for RecordingSink {
     fn event(&self, ev: TraceEvent) {
         self.events.lock().expect("recording sink lock poisoned").push(ev);
+    }
+}
+
+/// Fan-out: every event goes to each sink in order, so one installed sink
+/// can feed a trace file and the progress stream at once.
+impl Sink for Vec<Arc<dyn Sink>> {
+    fn event(&self, ev: TraceEvent) {
+        for sink in self {
+            sink.event(ev.clone());
+        }
     }
 }

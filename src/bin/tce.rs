@@ -17,11 +17,13 @@
 //! automatically.
 //!
 //! Observability: `--trace out.json` writes a Chrome trace-event file
-//! (open in `chrome://tracing` or Perfetto) of the DP search (optimize) or
-//! the simulated communication timeline (simulate); `--stats` prints the
+//! (open in `chrome://tracing` or Perfetto) of the DP search or, for
+//! simulate, the simulated communication timeline; `--stats` prints the
 //! search/communication summary tables; `--progress[=MS]` streams JSONL
-//! progress records while the search runs; `--metrics-out FILE` writes a
-//! metrics-registry snapshot (Prometheus text or JSON) after the run.
+//! progress records while the search runs; `--metrics-out FILE` writes the
+//! run's metrics snapshot (Prometheus text or JSON). Trace and progress
+//! are sinks of the one installed `tce_obs` sink; the snapshot is rendered
+//! from the run the command used, cached or fresh.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -32,8 +34,9 @@ use tensor_contraction_opt::obs::ChromeTraceSink;
 use tensor_contraction_opt::check::check_plan;
 use tensor_contraction_opt::core::portfolio::plan as plan_with;
 use tensor_contraction_opt::core::{
-    build_provenance, build_report, extract_plan, optimize, render_plan_dot, render_provenance,
-    render_report, report_json, root_frontier, validate_plan, Optimized, OptimizerConfig,
+    build_provenance, build_report, extract_plan, metrics_snapshot, optimize, render_plan_dot,
+    render_provenance, render_report, report_json, root_frontier, validate_plan, OptimizeError,
+    Optimized, OptimizerConfig,
 };
 use tensor_contraction_opt::cost::units::{fmt_paper_bytes, words_to_bytes};
 use tensor_contraction_opt::cost::{CostModel, MachineModel};
@@ -163,18 +166,17 @@ options:
   --deny-warnings        lint: exit non-zero on warnings too
   --spmd                 optimize: emit SPMD pseudocode for the plan
   --trace out.json       write a Chrome trace-event file (chrome://tracing,
-                         Perfetto): DP-search spans and counters (optimize)
-                         or the virtual-time communication timeline
-                         (simulate)
+                         Perfetto): DP-search spans and counters, or for
+                         simulate the virtual-time communication timeline
   --stats                print search statistics (optimize) and per-kind
                          communication totals (simulate)
-  --progress[=MS]        optimize/explain/report: stream JSONL progress
-                         records (start/node/heartbeat/done) while the
-                         search runs; heartbeats at most every MS ms [500]
+  --progress[=MS]        stream JSONL progress records (start/node/
+                         heartbeat/done) while the search runs; heartbeats
+                         at most every MS ms [500]
   --progress-out FILE    where the progress stream is written [stderr]
-  --metrics-out FILE     write a metrics-registry snapshot after the run;
-                         a `.prom` suffix selects Prometheus text format,
-                         anything else the tce-metrics/v1 JSON schema
+  --metrics-out FILE     write the run's metrics snapshot (also on a plan-
+                         cache hit); a `.prom` suffix selects Prometheus
+                         text format, anything else tce-metrics/v1 JSON
   --simulate             report: execute the plan on the virtual cluster
                          and include the measured per-kind roll-up (needs
                          simulatable extents, e.g. ccsd_tiny)
@@ -373,32 +375,21 @@ fn opt_config(args: &Args, tree: &ExprTree) -> Result<OptimizerConfig, String> {
     Ok(cfg)
 }
 
-/// Run `f` with a Chrome trace sink installed when `--trace` was given,
-/// writing the trace file afterwards. A [`obs::TraceFlushGuard`] holds the
-/// output path, so the file is written even when `f` fails partway or
-/// panics — a partial timeline is exactly what debugging a failure needs.
-fn with_trace<T>(path: Option<&str>, f: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
-    let Some(path) = path else { return f() };
-    let sink = Arc::new(ChromeTraceSink::new());
-    obs::install(sink.clone());
-    let guard = obs::TraceFlushGuard::new(sink.clone(), path);
-    let result = f();
-    obs::uninstall();
-    guard.finish().map_err(|e| format!("writing trace {path}: {e}"))?;
-    eprintln!("wrote Chrome trace to {path} ({} events)", sink.len());
-    result
-}
-
-/// Run `f` with the streaming-progress sink and metrics registry switched
-/// on per `--progress` / `--metrics-out`, tearing both down afterwards and
-/// writing the metrics snapshot. With neither flag set this is a plain
-/// call — the observability hot path stays a single relaxed atomic load.
-fn with_progress_and_metrics<T>(
+/// Run `f` with the flags' observability installed as the one `tce_obs`
+/// sink: a Chrome trace of `trace`, the JSONL progress stream when
+/// `progress` and `--progress` are both set, and a fan-out of the two
+/// when both are on. With neither, `f` runs plain. A
+/// [`obs::TraceFlushGuard`] holds the trace path, so the file is written
+/// even when `f` fails partway or panics — a partial timeline is exactly
+/// what debugging a failure needs.
+fn with_sinks<T>(
     args: &Args,
+    trace: Option<&str>,
+    progress: bool,
     f: impl FnOnce() -> Result<T, String>,
 ) -> Result<T, String> {
-    use tensor_contraction_opt::obs::{metrics, stream};
-    if let Some(every_ms) = args.progress {
+    let mut sinks: Vec<Arc<dyn obs::Sink>> = Vec::new();
+    if let (true, Some(every_ms)) = (progress, args.progress) {
         let writer: Box<dyn std::io::Write + Send> = match &args.progress_out {
             Some(path) => Box::new(
                 std::fs::File::create(path)
@@ -406,24 +397,50 @@ fn with_progress_and_metrics<T>(
             ),
             None => Box::new(std::io::stderr()),
         };
-        stream::install(Arc::new(stream::ProgressSink::new(writer, every_ms)));
+        sinks.push(Arc::new(obs::stream::ProgressSink::new(writer, every_ms)));
     }
-    if args.metrics_out.is_some() {
-        metrics::global().reset();
-        metrics::enable();
+    let chrome = trace.map(|path| {
+        let sink = Arc::new(ChromeTraceSink::new());
+        sinks.push(sink.clone());
+        (obs::TraceFlushGuard::new(sink.clone(), path), sink, path)
+    });
+    match sinks.len() {
+        0 => return f(),
+        1 => obs::install(sinks.remove(0)),
+        _ => obs::install(Arc::new(sinks)),
     }
     let result = f();
-    if args.progress.is_some() {
-        let _ = stream::uninstall();
-    }
-    if let Some(path) = &args.metrics_out {
-        metrics::disable();
-        let snap = metrics::global().snapshot();
-        let text = if path.ends_with(".prom") { snap.to_prometheus() } else { snap.to_json() };
-        std::fs::write(path, text).map_err(|e| format!("writing metrics {path}: {e}"))?;
-        eprintln!("wrote metrics snapshot to {path}");
+    obs::uninstall();
+    if let Some((guard, sink, path)) = chrome {
+        guard.finish().map_err(|e| format!("writing trace {path}: {e}"))?;
+        eprintln!("wrote Chrome trace to {path} ({} events)", sink.len());
     }
     result
+}
+
+/// Run one search under the flags' observability: `--trace` when `trace`
+/// (simulate keeps its trace for the simulated timeline), `--progress`,
+/// and `--metrics-out` rendered from the returned run.
+fn search(
+    args: &Args,
+    trace: bool,
+    f: impl FnOnce() -> Result<Optimized, OptimizeError>,
+) -> Result<Optimized, String> {
+    let trace = args.trace.as_deref().filter(|_| trace);
+    let opt = with_sinks(args, trace, true, || f().map_err(|e| e.to_string()))?;
+    write_metrics(args, &opt)?;
+    Ok(opt)
+}
+
+/// Write `--metrics-out`, if given, from `opt`: Prometheus text for a
+/// `.prom` path, else the `tce-metrics/v1` JSON schema.
+fn write_metrics(args: &Args, opt: &Optimized) -> Result<(), String> {
+    let Some(path) = &args.metrics_out else { return Ok(()) };
+    let snap = metrics_snapshot(opt);
+    let text = if path.ends_with(".prom") { snap.to_prometheus() } else { snap.to_json() };
+    std::fs::write(path, text).map_err(|e| format!("writing metrics {path}: {e}"))?;
+    eprintln!("wrote metrics snapshot to {path}");
+    Ok(())
 }
 
 /// The `observability` section of `--json` output: the run's search
@@ -616,15 +633,14 @@ fn cmd_optimize(args: &Args) -> Result<(), String> {
             if let Some(k) = &key {
                 eprintln!("plan cache: warm hit (canonical hash {:032x})", k.expr_hash);
             }
+            if args.trace.is_some() || args.progress.is_some() {
+                eprintln!("plan cache: no search ran, so there was nothing to trace or stream");
+            }
+            write_metrics(args, &run.opt)?;
             (run.opt, run.plan)
         }
         None => {
-            let opt = with_progress_and_metrics(args, || {
-                with_trace(args.trace.as_deref(), || {
-                    plan_with(&tree, &cm, &cfg).map_err(|e| e.to_string())
-                })
-            })?
-            .opt;
+            let opt = search(args, true, || plan_with(&tree, &cm, &cfg).map(|p| p.opt))?;
             let plan = extract_plan(&tree, &opt);
             validate_plan(&tree, &plan)?;
             if let (Some(c), Some(k)) = (&cache, &key) {
@@ -749,12 +765,12 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
             plan
         }
         None => {
-            let planned =
-                plan_with(&tree, &cm, &opt_config(args, &tree)?).map_err(|e| e.to_string())?;
-            extract_plan(&tree, &planned.opt)
+            let cfg = opt_config(args, &tree)?;
+            let opt = search(args, false, || plan_with(&tree, &cm, &cfg).map(|p| p.opt))?;
+            extract_plan(&tree, &opt)
         }
     };
-    let (report, events) = with_trace(args.trace.as_deref(), || {
+    let (report, events) = with_sinks(args, args.trace.as_deref(), false, || {
         simulate_traced(&tree, &plan, &cm, args.seed, true).map_err(render_sim_error)
     })?;
     println!(
@@ -811,10 +827,8 @@ fn optimize_for_provenance(args: &Args) -> Result<(ExprTree, CostModel, Optimize
     let tree = load_tree(&args.file)?;
     let cm = cost_model(args)?;
     let cfg = opt_config(args, &tree)?;
-    let planned = with_progress_and_metrics(args, || {
-        with_trace(args.trace.as_deref(), || plan_with(&tree, &cm, &cfg).map_err(|e| e.to_string()))
-    })?;
-    Ok((tree, cm, planned.opt))
+    let opt = search(args, true, || plan_with(&tree, &cm, &cfg).map(|p| p.opt))?;
+    Ok((tree, cm, opt))
 }
 
 /// How many runner-up candidates `explain`/`report` record per node.
@@ -901,9 +915,9 @@ fn cmd_check(args: &Args) -> Result<(), String> {
                 .map_err(|e| format!("parsing {path}: {e}"))?
         }
         None => {
-            let planned =
-                plan_with(&tree, &cm, &opt_config(args, &tree)?).map_err(|e| e.to_string())?;
-            extract_plan(&tree, &planned.opt)
+            let cfg = opt_config(args, &tree)?;
+            let opt = search(args, true, || plan_with(&tree, &cm, &cfg).map(|p| p.opt))?;
+            extract_plan(&tree, &opt)
         }
     };
     let mut report = check_plan(&tree, &plan, Some(&cm), Some(cm.mem_limit_words()));
@@ -983,7 +997,7 @@ fn cmd_frontier(args: &Args) -> Result<(), String> {
     let tree = load_tree(&args.file)?;
     let cm = cost_model(args)?;
     let cfg = OptimizerConfig { mem_limit_words: Some(u128::MAX), ..opt_config(args, &tree)? };
-    let opt = optimize(&tree, &cm, &cfg).map_err(|e| e.to_string())?;
+    let opt = search(args, true, || optimize(&tree, &cm, &cfg))?;
     println!("{:>16} {:>14}   fits", "footprint/proc", "comm (s)");
     for p in root_frontier(&tree, &opt) {
         println!(

@@ -17,7 +17,7 @@
 //! and the tests would never exercise the parallel merge at all.
 //!
 //! The only permitted divergences are interleaving-dependent counters
-//! (`NONDETERMINISTIC_COUNTERS`): the `dp.memo_hit` / `dp.memo_miss` pair
+//! (flagged in `obs::names::ALL`): the `dp.memo_hit` / `dp.memo_miss` pair
 //! (two workers racing on one memo key both count a miss), the
 //! branch-and-bound skip/block totals, and `dp.steal` (how many runs were
 //! claimed outside a worker's home region). The *values* computed never
@@ -68,7 +68,7 @@ fn assert_identical(name: &str, tree: &ExprTree, serial: &Optimized, parallel: &
     );
     assert_eq!(serial.stats, parallel.stats, "{name}: per-node statistics");
     for (counter, v) in serial.counters.iter() {
-        if tensor_contraction_opt::obs::NONDETERMINISTIC_COUNTERS.contains(&counter) {
+        if !tensor_contraction_opt::obs::names::is_deterministic(counter) {
             continue; // interleaving-dependent by design
         }
         assert_eq!(v, parallel.counters.get(counter), "{name}: counter {counter}");
@@ -132,13 +132,26 @@ fn enlarged_space_identical_across_thread_counts() {
 }
 
 /// The bit-identity contract must survive the observability surface being
-/// switched on: a progress stream installed (heartbeats at every node) and
-/// the metrics registry recording. Both are pure outputs of the
-/// coordinator thread — nothing in the search reads them — so results at
-/// 1/2/4 threads must stay byte-for-byte what they are with sinks off.
+/// switched on: the progress stream installed as the one `tce_obs` sink
+/// (heartbeats at every node). It is a pure output of the coordinator
+/// thread — nothing in the search reads it — so results at 1/2/4 threads
+/// must stay byte-for-byte what they are with no sink installed.
 #[test]
 fn observability_enabled_runs_stay_identical() {
-    use tensor_contraction_opt::obs::{metrics, stream};
+    use std::sync::{Arc, Mutex};
+    use tensor_contraction_opt::obs::{self, names, stream::ProgressSink};
+    /// A Write that appends into a shared buffer.
+    #[derive(Clone, Default)]
+    struct Shared(Arc<Mutex<Vec<u8>>>);
+    impl std::io::Write for Shared {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
     let cm = CostModel::for_square(MachineModel::itanium_cluster(), 16).unwrap();
     let (name, tree) = workload_trees()
         .into_iter()
@@ -150,23 +163,26 @@ fn observability_enabled_runs_stay_identical() {
     };
     // Baseline with every sink off.
     let baseline = run(1);
-    // Same searches with progress streaming and metrics recording on.
-    stream::install(std::sync::Arc::new(stream::ProgressSink::new(Box::new(std::io::sink()), 0)));
-    metrics::enable();
+    // Same searches with the progress stream installed.
+    let buf = Shared::default();
+    obs::install(Arc::new(ProgressSink::new(Box::new(buf.clone()), 0)));
     let serial = run(1);
     let parallels: Vec<_> = [2, 4].into_iter().map(run).collect();
-    metrics::disable();
-    stream::uninstall().expect("progress sink was installed");
+    obs::uninstall().expect("progress sink was installed");
     assert_identical(&format!("{name} obs-on serial"), &tree, &baseline, &serial);
     for (threads, parallel) in [2usize, 4].into_iter().zip(&parallels) {
         assert_identical(&format!("{name} obs-on @{threads}"), &tree, &baseline, parallel);
     }
-    // The registry actually recorded while enabled.
-    let snap = metrics::global().snapshot();
-    assert!(
-        snap.counters.iter().any(|&(n, v)| n == "dp.candidates" && v > 0),
-        "metrics registry saw no candidates: {snap:?}"
+    // The sink actually streamed: each of the three runs ends with a
+    // `done` record carrying the run's candidate total. (Other tests of
+    // this binary may search concurrently, so their records can interleave.)
+    let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+    let done = format!(
+        "\"event\":\"done\",\"nodes_total\":{},\"candidates\":{},",
+        baseline.stats.len(),
+        baseline.counters.get(names::CANDIDATES)
     );
+    assert!(text.lines().filter(|l| l.contains(&done)).count() >= 3, "no done records:\n{text}");
 }
 
 /// Pruning disabled (the §3.3 ablation) must also be thread-invariant:

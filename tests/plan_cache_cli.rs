@@ -126,3 +126,52 @@ fn unknown_cache_action_is_an_error() {
     let out = tce(&["cache", "frobnicate"]);
     assert!(!out.status.success());
 }
+
+/// A warm hit runs no search, but `--metrics-out` still describes the run
+/// the cache served (the snapshot of the search that stored it), and the
+/// flags that need a live search say on stderr why they wrote nothing.
+#[test]
+fn warm_hit_writes_metrics_from_the_cached_run() {
+    let dir = std::env::temp_dir().join(format!("tce-cache-metrics-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let cache = dir.join("cache");
+    let cache = cache.to_str().expect("utf-8 path");
+    let src = workload();
+    let run = |metrics: &Path, extra: &[&str]| {
+        let metrics = metrics.to_str().expect("utf-8 path");
+        let mut args =
+            vec!["optimize", &src, "--procs", "16", "--threads", "1", "--plan-cache", cache];
+        args.extend_from_slice(&["--metrics-out", metrics]);
+        args.extend_from_slice(extra);
+        let out = tce(&args);
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "run failed: {err}");
+        err
+    };
+    let snapshot = |path: &Path| -> serde_json::Value {
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("{} not written: {e}", path.display()));
+        serde_json::from_str(&text).expect("metrics JSON parses")
+    };
+
+    let (cold_m, warm_m) = (dir.join("cold.json"), dir.join("warm.json"));
+    let cold_err = run(&cold_m, &[]);
+    assert!(cold_err.contains("plan cache: stored"), "{cold_err}");
+    let warm_err = run(&warm_m, &["--progress"]);
+    assert!(warm_err.contains("plan cache: warm hit"), "{warm_err}");
+    assert!(warm_err.contains("no search ran"), "no note on the idle --progress: {warm_err}");
+    let (cold, warm) = (snapshot(&cold_m), snapshot(&warm_m));
+    for v in [&cold, &warm] {
+        assert_eq!(v.get("schema").and_then(|s| s.as_str()), Some("tce-metrics/v1"));
+    }
+    // The deterministic search numbers are the cached run's own.
+    let candidates = |v: &serde_json::Value| {
+        v.get("counters").and_then(|c| c.get("dp.candidates")).and_then(|c| c.as_u64())
+    };
+    assert!(candidates(&cold).is_some_and(|c| c > 0), "{cold:?}");
+    assert_eq!(candidates(&cold), candidates(&warm));
+    assert_eq!(cold.get("gauges"), warm.get("gauges"));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
