@@ -95,17 +95,18 @@ pub fn minimize_memory(tree: &ExprTree, max_prefix_len: usize) -> MemMinResult {
                     out.push(Partial { prefix: up.clone(), words, config });
                 }
             }
-            // Keep the cheapest solution per distinct prefix.
-            let mut best: HashMap<FusionPrefix, Partial> = HashMap::new();
+            // Keep the cheapest solution per distinct prefix, in order of
+            // first appearance, so ties at the root break the same way on
+            // every run.
+            let mut best: Vec<Partial> = Vec::new();
             for p in out {
-                match best.get(&p.prefix) {
+                match best.iter_mut().find(|b| b.prefix == p.prefix) {
                     Some(b) if b.words <= p.words => {}
-                    _ => {
-                        best.insert(p.prefix.clone(), p);
-                    }
+                    Some(b) => *b = p,
+                    None => best.push(p),
                 }
             }
-            best.into_values().collect()
+            best
         };
         best_at.insert(node, sols);
     }

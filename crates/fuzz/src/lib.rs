@@ -218,7 +218,7 @@ fn validate_plan_inner(
     let (sim, events) = simulate_traced(tree, &plan, cm, cfg.data_seed, true)
         .map_err(|e| fail("simulate", e.to_string()))?;
     stats.simulations += 1;
-    if sim.max_abs_err > 1e-9 {
+    if sim.max_abs_err > tce_sim::VERIFY_ABS_TOL {
         return Err(fail(
             "numeric",
             format!("max |simulated − reference| = {:.3e}", sim.max_abs_err),

@@ -3,9 +3,9 @@
 
 use std::collections::HashMap;
 
-use tce_expr::{ExprTree, NodeId, NodeKind, Tensor};
+use tce_expr::{ExprTree, NodeId};
 
-use crate::tensor::{contract_blocks, elementwise_blocks, reduce_block, Block};
+use crate::tensor::Block;
 
 /// Reproducible random inputs for a tree: one full block per *leaf node*
 /// keyed by node id; two leaves referring to the same input name get the
@@ -27,35 +27,17 @@ pub fn random_inputs(tree: &ExprTree, seed: u64) -> HashMap<NodeId, Block> {
 pub fn evaluate(tree: &ExprTree, inputs: &HashMap<NodeId, Block>) -> HashMap<NodeId, Block> {
     let mut values: HashMap<NodeId, Block> = HashMap::new();
     for id in tree.postorder() {
-        let node = tree.node(id);
-        match &node.kind {
-            NodeKind::Leaf => {}
-            NodeKind::Contract { sum, left, right } => {
-                let lb = block_of(tree, *left, inputs, &values);
-                let rb = block_of(tree, *right, inputs, &values);
-                let mut out = Block::full(&node.tensor, &tree.space);
-                if sum.is_empty() && same_dims(&node.tensor, tree, *left, *right) {
-                    elementwise_blocks(lb, rb, &mut out);
-                } else {
-                    contract_blocks(lb, rb, &mut out);
-                }
-                values.insert(id, out);
-            }
-            NodeKind::Reduce { sum, child } => {
-                let cb = block_of(tree, *child, inputs, &values);
-                let mut out = Block::full(&node.tensor, &tree.space);
-                reduce_block(cb, *sum, &mut out);
-                values.insert(id, out);
-            }
+        if tree.node(id).is_leaf() {
+            continue;
         }
+        let children = tree.children(id);
+        let srcs: Vec<&Block> =
+            children.iter().map(|&c| block_of(tree, c, inputs, &values)).collect();
+        let mut out = Block::full(&tree.node(id).tensor, &tree.space);
+        out.combine(&srcs, |a, v| a + v);
+        values.insert(id, out);
     }
     values
-}
-
-fn same_dims(result: &Tensor, tree: &ExprTree, left: NodeId, right: NodeId) -> bool {
-    let l = tree.node(left).tensor.dim_set();
-    let r = tree.node(right).tensor.dim_set();
-    l == r && l == result.dim_set()
 }
 
 fn block_of<'a>(

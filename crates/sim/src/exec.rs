@@ -24,7 +24,7 @@ use tce_expr::{ExprTree, IndexId, NodeId, NodeKind, Tensor};
 
 use crate::einsum;
 use crate::metrics::{CommEvent, CommKind, Metrics};
-use crate::tensor::{contract_blocks, elementwise_blocks, reduce_block, Block, BoxIter};
+use crate::tensor::Block;
 
 /// Simulation error.
 #[derive(Debug)]
@@ -40,6 +40,12 @@ pub enum SimError {
         /// The grid extent it must divide by.
         parts: u32,
     },
+    /// The sequential reference (one full array per tree node) cannot be
+    /// allocated.
+    ReferenceTooLarge {
+        /// Bytes it needs (saturated at `u128::MAX`).
+        bytes: u128,
+    },
     /// Internal inconsistency between plan and execution (a bug).
     Inconsistent(String),
 }
@@ -53,12 +59,20 @@ impl std::fmt::Display for SimError {
                 "extent {extent} of `{index}` is not divisible by {parts}; \
                  the simulator requires exact blocking"
             ),
+            SimError::ReferenceTooLarge { bytes } => write!(
+                f,
+                "the sequential reference needs {bytes} bytes of memory, more than can be allocated"
+            ),
             SimError::Inconsistent(m) => write!(f, "plan/execution inconsistency: {m}"),
         }
     }
 }
 
 impl std::error::Error for SimError {}
+
+/// The largest max |simulated − reference| a run may show and still pass
+/// verification (absolute).
+pub const VERIFY_ABS_TOL: f64 = 1e-9;
 
 /// Simulation outcome.
 #[derive(Clone, Debug)]
@@ -134,6 +148,7 @@ pub fn simulate_traced(
     if !cm.grid.is_square() {
         return Err(SimError::NonSquareGrid);
     }
+    reserve_reference(tree)?;
     let inputs = einsum::random_inputs(tree, seed);
     let reference = einsum::evaluate(tree, &inputs);
 
@@ -163,13 +178,27 @@ pub fn simulate_traced(
         let (_, block) = sim.store[rank as usize]
             .get(&root)
             .ok_or_else(|| SimError::Inconsistent("missing root block".into()))?;
-        for idx in BoxIter::new(block.ranges.clone()) {
-            assembled.set(&idx, block.get(&idx));
-        }
+        assembled.combine(&[block], |_, v| v);
     }
     let max_abs_err = assembled.max_abs_diff(&reference[&root]);
     let events = sim.trace.take().unwrap_or_default();
     Ok((SimReport { metrics: sim.metrics, max_abs_err, result_words: assembled.words() }, events))
+}
+
+/// Fail with [`SimError::ReferenceTooLarge`], instead of aborting in the
+/// allocator, when the reference's arrays cannot all be allocated at once.
+fn reserve_reference(tree: &ExprTree) -> Result<(), SimError> {
+    let words = tree.ids().try_fold(0u128, |acc, id| {
+        acc.checked_add(tree.space.checked_volume(&tree.node(id).tensor.dims)?)
+    });
+    let fits = words
+        .and_then(|w| usize::try_from(w).ok())
+        .is_some_and(|w| Vec::<f64>::new().try_reserve_exact(w).is_ok());
+    if fits {
+        return Ok(());
+    }
+    let bytes = words.and_then(|w| w.checked_mul(8)).unwrap_or(u128::MAX);
+    Err(SimError::ReferenceTooLarge { bytes })
 }
 
 impl<'a> Sim<'a> {
@@ -416,10 +445,7 @@ impl<'a> Sim<'a> {
         // Assemble the full array from the old blocks…
         let mut full = Block::full(&tensor, &self.tree.space);
         for rank in 0..self.grid().num_procs() {
-            let (_, b) = &self.store[rank as usize][&node];
-            for idx in BoxIter::new(b.ranges.clone()) {
-                full.set(&idx, b.get(&idx));
-            }
+            full.combine(&[&self.store[rank as usize][&node].1], |_, v| v);
         }
         // …and re-split under the new distribution.
         for rank in 0..self.grid().num_procs() {
@@ -676,7 +702,7 @@ impl<'a> Sim<'a> {
                     let (_, out) = self.store[rank as usize]
                         .get_mut(&step.node)
                         .expect("result allocated above");
-                    let flops = reduce_block(&cb, *sum, out);
+                    let flops = out.combine(&[&cb], |a, v| a + v);
                     per_proc = per_proc.max(flops);
                     total += flops;
                 }
@@ -706,16 +732,18 @@ impl<'a> Sim<'a> {
                 Ok(())
             }
             NodeKind::Contract { sum, left, right } => {
-                // Aligned local step: a pure element-wise multiply when
-                // nothing is summed and the shapes coincide, otherwise a
-                // batched local contraction (shared non-summed indices keep
-                // operands aligned; summed indices are never distributed on
-                // this path, so no communication is needed).
+                // Aligned local step: a pure element-wise multiply (1 flop
+                // per point) when nothing is summed and the shapes coincide,
+                // otherwise a batched local contraction (2 flops per point;
+                // shared non-summed indices keep operands aligned; summed
+                // indices are never distributed on this path, so no
+                // communication is needed).
                 let elementwise = sum.is_empty()
                     && self.tree.node(*left).tensor.dim_set()
                         == self.tree.node(step.node).tensor.dim_set()
                     && self.tree.node(*right).tensor.dim_set()
                         == self.tree.node(step.node).tensor.dim_set();
+                let flops_per_point = if elementwise { 1 } else { 2 };
                 let mut per_proc = 0u128;
                 let mut total = 0u128;
                 for rank in 0..grid.num_procs() {
@@ -727,11 +755,7 @@ impl<'a> Sim<'a> {
                     let (_, out) = self.store[rank as usize]
                         .get_mut(&step.node)
                         .expect("result allocated above");
-                    let flops = if elementwise {
-                        elementwise_blocks(&lb, &rb, out)
-                    } else {
-                        contract_blocks(&lb, &rb, out)
-                    };
+                    let flops = flops_per_point * out.combine(&[&lb, &rb], |a, v| a + v);
                     per_proc = per_proc.max(flops);
                     total += flops;
                 }
@@ -781,9 +805,7 @@ impl<'a> Sim<'a> {
                                 "allreduce blocks disagree on ranges".into(),
                             ));
                         }
-                        for (tv, bv) in t.data.iter_mut().zip(&b.data) {
-                            *tv += bv;
-                        }
+                        t.combine(&[&b], |a, v| a + v);
                     }
                 }
             }
@@ -792,13 +814,17 @@ impl<'a> Sim<'a> {
             for &rank in &line {
                 let entry =
                     self.store[rank as usize].get_mut(&node).expect("result allocated above");
-                for idx in BoxIter::new(total.ranges.clone()) {
-                    entry.1.set(&idx, total.get(&idx));
-                }
+                entry.1.combine(&[&total], |_, v| v);
             }
         }
         Ok(())
     }
+}
+
+/// One processor's local multiply, `result += left × right`, at 2 flops per
+/// point.
+fn local_multiply(left: &Block, right: &Block, result: &mut Block) -> u128 {
+    2 * result.combine(&[left, right], |a, v| a + v)
 }
 
 /// Run every virtual processor's local multiply for one Cannon round.
@@ -812,7 +838,7 @@ fn parallel_local_multiply(left: &[Block], right: &[Block], results: &mut [Block
         return results
             .iter_mut()
             .enumerate()
-            .map(|(rank, res)| contract_blocks(&left[rank], &right[rank], res))
+            .map(|(rank, res)| local_multiply(&left[rank], &right[rank], res))
             .collect();
     }
     let flops = std::sync::Mutex::new(vec![0u128; results.len()]);
@@ -824,7 +850,7 @@ fn parallel_local_multiply(left: &[Block], right: &[Block], results: &mut [Block
             scope.spawn(move || {
                 for (off, res) in res_chunk.iter_mut().enumerate() {
                     let rank = ci * chunk + off;
-                    let f = contract_blocks(&left[rank], &right[rank], res);
+                    let f = local_multiply(&left[rank], &right[rank], res);
                     flops.lock().expect("flops mutex poisoned")[rank] = f;
                 }
             });

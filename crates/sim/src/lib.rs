@@ -21,5 +21,5 @@ mod exec;
 mod metrics;
 pub mod tensor;
 
-pub use exec::{simulate, simulate_traced, SimError, SimReport};
+pub use exec::{simulate, simulate_traced, SimError, SimReport, VERIFY_ABS_TOL};
 pub use metrics::{per_kind_totals, CommEvent, CommKind, KindTotals, Metrics};

@@ -6,41 +6,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tce_expr::{IndexId, IndexSpace, Tensor};
 
-/// Iterate over every point of a multi-dimensional index box.
-pub struct BoxIter {
-    ranges: Vec<Range<u64>>,
-    current: Vec<u64>,
-    done: bool,
-}
-
-impl BoxIter {
-    /// Iterate the given ranges, last dimension fastest.
-    pub fn new(ranges: Vec<Range<u64>>) -> Self {
-        let done = ranges.iter().any(|r| r.is_empty());
-        let current = ranges.iter().map(|r| r.start).collect();
-        Self { ranges, current, done }
-    }
-}
-
-impl Iterator for BoxIter {
-    type Item = Vec<u64>;
-    fn next(&mut self) -> Option<Vec<u64>> {
-        if self.done {
-            return None;
-        }
-        let out = self.current.clone();
-        for d in (0..self.ranges.len()).rev() {
-            self.current[d] += 1;
-            if self.current[d] < self.ranges[d].end {
-                return Some(out);
-            }
-            self.current[d] = self.ranges[d].start;
-        }
-        self.done = true;
-        Some(out)
-    }
-}
-
 /// A rectangular block of a conceptual global array: global index `ranges`
 /// per dimension, dense row-major storage. A block whose ranges span the
 /// whole extent of every dimension *is* the full array.
@@ -84,11 +49,6 @@ impl Block {
         self.data.len() as u128
     }
 
-    /// Local lengths per dimension.
-    pub fn lens(&self) -> Vec<u64> {
-        self.ranges.iter().map(|r| r.end - r.start).collect()
-    }
-
     fn offset(&self, global: &[u64]) -> usize {
         debug_assert_eq!(global.len(), self.dims.len());
         let mut off = 0usize;
@@ -111,12 +71,6 @@ impl Block {
         self.data[off] = v;
     }
 
-    /// Accumulate by global indices.
-    pub fn add(&mut self, global: &[u64], v: f64) {
-        let off = self.offset(global);
-        self.data[off] += v;
-    }
-
     /// The position of dimension `id`, if present.
     pub fn dim_pos(&self, id: IndexId) -> Option<usize> {
         self.dims.iter().position(|&d| d == id)
@@ -132,19 +86,15 @@ impl Block {
                 "sub-block {req:?} outside {mine:?}"
             );
         }
-        let mut out = Block::zeros(self.dims.clone(), ranges.clone());
-        for idx in BoxIter::new(ranges) {
-            out.set(&idx, self.get(&idx));
-        }
+        let mut out = Block::zeros(self.dims.clone(), ranges);
+        out.combine(&[self], |_, v| v);
         out
     }
 
     /// Add every element of `other` (same dims, ranges ⊆ ours) into self.
     pub fn accumulate(&mut self, other: &Block) {
         assert_eq!(self.dims, other.dims);
-        for idx in BoxIter::new(other.ranges.clone()) {
-            self.add(&idx, other.get(&idx));
-        }
+        self.combine(&[other], |a, v| a + v);
     }
 
     /// Largest absolute difference on the intersection of ranges.
@@ -153,105 +103,238 @@ impl Block {
         assert_eq!(self.ranges, other.ranges);
         self.data.iter().zip(&other.data).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max)
     }
-}
 
-/// Generic block contraction: `result[I ∪ J] += Σ_K left × right`, where
-/// shared loop ranges are the *intersection* of the blocks' ranges for that
-/// dimension and result writes stay within the result block's ranges. In a
-/// correctly aligned Cannon step all shared ranges coincide; the
-/// intersection semantics makes misalignment produce wrong *values* (caught
-/// by verification) rather than panics.
-pub fn contract_blocks(left: &Block, right: &Block, result: &mut Block) -> u128 {
-    // Collect the loop dimensions: union of left and right dims.
-    let mut loop_dims: Vec<IndexId> = left.dims.clone();
-    for &d in &right.dims {
-        if !loop_dims.contains(&d) {
-            loop_dims.push(d);
-        }
-    }
-    let ranges: Vec<Range<u64>> = loop_dims
-        .iter()
-        .map(|&d| {
-            let l = left.dim_pos(d).map(|p| left.ranges[p].clone());
-            let r = right.dim_pos(d).map(|p| right.ranges[p].clone());
-            let res = result.dim_pos(d).map(|p| result.ranges[p].clone());
-            let mut range = l.or(r.clone()).expect("dim owned by an operand");
-            for other in [r, res].into_iter().flatten() {
-                range.start = range.start.max(other.start);
-                range.end = range.end.min(other.end);
+    /// The one block loop: `self[p] = f(self[p], Π srcs[p])` at every point
+    /// `p` of the loop box; returns the number of points visited. The box
+    /// spans the union of the sources' dimensions (first source's first,
+    /// then each later source's new ones, last dimension fastest), each
+    /// over the intersection of the ranges of every block carrying it,
+    /// `self` included, so misaligned blocks yield wrong *values* (caught
+    /// by verification) rather than panics. `self`'s dimensions must all
+    /// come from the sources; a dimension it lacks is summed (`a + v`) or
+    /// overwritten (`|_, v| v`). The walk steps per-block offsets by
+    /// precomputed strides, so it allocates nothing per point.
+    pub fn combine(&mut self, srcs: &[&Block], f: impl Fn(f64, f64) -> f64) -> u128 {
+        assert!(!srcs.is_empty(), "combine needs a source block");
+        let mut dims: Vec<IndexId> = Vec::new();
+        for &d in srcs.iter().flat_map(|s| &s.dims) {
+            if !dims.contains(&d) {
+                dims.push(d);
             }
-            range
-        })
-        .collect();
-    let mut flops = 0u128;
-    let pick = |b: &Block, point: &[u64]| -> Vec<u64> {
-        b.dims
+        }
+        assert!(self.dims.iter().all(|d| dims.contains(d)), "result dim missing from sources");
+        let blocks = || std::iter::once(&*self).chain(srcs.iter().copied());
+        let ranges: Vec<Range<u64>> = dims
             .iter()
             .map(|&d| {
-                point[loop_dims.iter().position(|&x| x == d).expect("operand dim is a loop dim")]
+                blocks()
+                    .filter_map(|b| b.dim_pos(d).map(|p| &b.ranges[p]))
+                    .fold(0..u64::MAX, |acc, r| acc.start.max(r.start)..acc.end.min(r.end))
             })
-            .collect()
-    };
-    for point in BoxIter::new(ranges) {
-        let lv = left.get(&pick(left, &point));
-        let rv = right.get(&pick(right, &point));
-        let ridx = pick(result, &point);
-        result.add(&ridx, lv * rv);
-        flops += 2;
-    }
-    flops
-}
-
-/// Reduce a block over one dimension: `result[dims∖{sum}] += Σ_sum block`.
-pub fn reduce_block(block: &Block, sum: IndexId, result: &mut Block) -> u128 {
-    let mut flops = 0u128;
-    for point in BoxIter::new(block.ranges.clone()) {
-        let ridx: Vec<u64> =
-            block.dims.iter().zip(&point).filter(|(&d, _)| d != sum).map(|(_, &v)| v).collect();
-        result.add(&ridx, block.get(&point));
-        flops += 1;
-    }
-    flops
-}
-
-/// Element-wise multiply: `result[dims] += left × right` over the
-/// intersection of the blocks' ranges (operand dims ⊆ result dims; fused
-/// operand slices may be narrower than the result block).
-pub fn elementwise_blocks(left: &Block, right: &Block, result: &mut Block) -> u128 {
-    let mut flops = 0u128;
-    let ranges: Vec<std::ops::Range<u64>> = result
-        .dims
-        .iter()
-        .zip(&result.ranges)
-        .map(|(&d, r)| {
-            let mut out = r.clone();
-            for b in [left, right] {
-                if let Some(p) = b.dim_pos(d) {
-                    out.start = out.start.max(b.ranges[p].start);
-                    out.end = out.end.min(b.ranges[p].end);
+            .collect();
+        if ranges.iter().any(|r| r.is_empty()) {
+            return 0;
+        }
+        let lens: Vec<usize> = ranges.iter().map(|r| (r.end - r.start) as usize).collect();
+        // Per block, `self` first: the offset of the box's first point and
+        // the stride of each loop dimension (0 where the block lacks it).
+        let (mut offs, strides): (Vec<usize>, Vec<Vec<usize>>) =
+            blocks().map(|b| b.walk(&dims, &ranges)).unzip();
+        let outer = dims.len().saturating_sub(1);
+        let inner = lens.get(outer).copied().unwrap_or(1);
+        let step: Vec<usize> = strides.iter().map(|s| s.get(outer).copied().unwrap_or(0)).collect();
+        let mut odometer = vec![0usize; outer];
+        loop {
+            for i in 0..inner {
+                let mut v = srcs[0].data[offs[1] + i * step[1]];
+                for (s, src) in srcs.iter().enumerate().skip(1) {
+                    v *= src.data[offs[s + 1] + i * step[s + 1]];
+                }
+                let o = offs[0] + i * step[0];
+                self.data[o] = f(self.data[o], v);
+            }
+            // Advance the odometer over the outer dimensions.
+            let mut d = outer;
+            loop {
+                if d == 0 {
+                    return lens.iter().map(|&n| n as u128).product();
+                }
+                d -= 1;
+                odometer[d] += 1;
+                if odometer[d] < lens[d] {
+                    for (o, s) in offs.iter_mut().zip(&strides) {
+                        *o += s[d];
+                    }
+                    break;
+                }
+                odometer[d] = 0;
+                for (o, s) in offs.iter_mut().zip(&strides) {
+                    *o -= s[d] * (lens[d] - 1);
                 }
             }
-            out
-        })
-        .collect();
-    for point in BoxIter::new(ranges) {
-        let pick = |b: &Block| -> Vec<u64> {
-            b.dims
-                .iter()
-                .map(|&d| point[result.dim_pos(d).expect("operand dims subset of result")])
-                .collect()
-        };
-        let v = left.get(&pick(left)) * right.get(&pick(right));
-        result.add(&point, v);
-        flops += 1;
+        }
     }
-    flops
+
+    /// Where a walk over the box `ranges` of loop dimensions `dims` starts
+    /// in this block's data, and the row-major stride of each loop
+    /// dimension (0 for one this block does not carry).
+    fn walk(&self, dims: &[IndexId], ranges: &[Range<u64>]) -> (usize, Vec<usize>) {
+        let mut row = vec![0usize; self.dims.len()];
+        let mut stride = 1;
+        for (p, r) in self.ranges.iter().enumerate().rev() {
+            row[p] = stride;
+            stride *= (r.end - r.start) as usize;
+        }
+        let mut start = 0;
+        let strides = dims
+            .iter()
+            .zip(ranges)
+            .map(|(&d, r)| match self.dim_pos(d) {
+                Some(p) => {
+                    start += (r.start - self.ranges[p].start) as usize * row[p];
+                    row[p]
+                }
+                None => 0,
+            })
+            .collect();
+        (start, strides)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tce_expr::IndexSpace;
+
+    /// Iterate over every point of a multi-dimensional index box, last
+    /// dimension fastest: the per-point walk `combine` replaced, kept as
+    /// its reference.
+    struct BoxIter {
+        ranges: Vec<Range<u64>>,
+        current: Vec<u64>,
+        done: bool,
+    }
+
+    impl BoxIter {
+        fn new(ranges: Vec<Range<u64>>) -> Self {
+            let done = ranges.iter().any(|r| r.is_empty());
+            let current = ranges.iter().map(|r| r.start).collect();
+            Self { ranges, current, done }
+        }
+    }
+
+    impl Iterator for BoxIter {
+        type Item = Vec<u64>;
+        fn next(&mut self) -> Option<Vec<u64>> {
+            if self.done {
+                return None;
+            }
+            let out = self.current.clone();
+            for d in (0..self.ranges.len()).rev() {
+                self.current[d] += 1;
+                if self.current[d] < self.ranges[d].end {
+                    return Some(out);
+                }
+                self.current[d] = self.ranges[d].start;
+            }
+            self.done = true;
+            Some(out)
+        }
+    }
+
+    /// `combine` point by point: build every index tuple and read and write
+    /// through `get`/`set`.
+    fn combine_per_point(out: &mut Block, srcs: &[&Block], f: impl Fn(f64, f64) -> f64) -> u128 {
+        let mut dims: Vec<IndexId> = Vec::new();
+        for s in srcs {
+            for &d in &s.dims {
+                if !dims.contains(&d) {
+                    dims.push(d);
+                }
+            }
+        }
+        let mut ranges = Vec::new();
+        for &d in &dims {
+            let mut r = 0..u64::MAX;
+            for b in std::iter::once(&*out).chain(srcs.iter().copied()) {
+                if let Some(p) = b.dim_pos(d) {
+                    r.start = r.start.max(b.ranges[p].start);
+                    r.end = r.end.min(b.ranges[p].end);
+                }
+            }
+            ranges.push(r);
+        }
+        let pick = |b: &Block, point: &[u64]| -> Vec<u64> {
+            b.dims.iter().map(|d| point[dims.iter().position(|x| x == d).unwrap()]).collect()
+        };
+        let mut points = 0;
+        for point in BoxIter::new(ranges) {
+            let v = srcs.iter().map(|s| s.get(&pick(s, &point))).reduce(|a, b| a * b).unwrap();
+            let idx = pick(out, &point);
+            out.set(&idx, f(out.get(&idx), v));
+            points += 1;
+        }
+        points
+    }
+
+    /// A block over a random ordered subset of `pool` (at least `min_dims`
+    /// of them), with random, possibly empty, sub-ranges of each extent.
+    fn random_block(rng: &mut StdRng, pool: &[(IndexId, u64)], min_dims: usize) -> Block {
+        let mut dims: Vec<(IndexId, u64)> = pool.to_vec();
+        for i in (1..dims.len()).rev() {
+            dims.swap(i, rng.gen_range(0..=i));
+        }
+        dims.truncate(rng.gen_range(min_dims..=pool.len()));
+        let ranges = dims
+            .iter()
+            .map(|&(_, n)| {
+                let start = rng.gen_range(0..=n);
+                start..rng.gen_range(start..=n)
+            })
+            .collect();
+        let mut b = Block::zeros(dims.iter().map(|&(d, _)| d).collect(), ranges);
+        for v in &mut b.data {
+            *v = rng.gen_range(-1.0..1.0);
+        }
+        b
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// The strided walk equals the per-point walk bit for bit, over
+        /// random dimension orders, partially overlapping and empty range
+        /// intersections, one and two sources, and both `+=` and copy.
+        #[test]
+        fn combine_matches_the_per_point_walk(
+            seed in 0u64..u64::MAX,
+            two in proptest::bool::ANY,
+            copy in proptest::bool::ANY,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut sp = IndexSpace::new();
+            let pool: Vec<(IndexId, u64)> = (0..4)
+                .map(|i| {
+                    let n = rng.gen_range(1..6);
+                    (sp.declare(&format!("x{i}"), n), n)
+                })
+                .collect();
+            let mut srcs = vec![random_block(&mut rng, &pool, 0)];
+            if two {
+                srcs.push(random_block(&mut rng, &pool, 0));
+            }
+            let union: Vec<(IndexId, u64)> =
+                pool.iter().copied().filter(|(d, _)| srcs.iter().any(|s| s.dims.contains(d))).collect();
+            let mut out = random_block(&mut rng, &union, 0);
+            let mut want = out.clone();
+            let refs: Vec<&Block> = srcs.iter().collect();
+            let f = move |a: f64, v: f64| if copy { v } else { a + v };
+            let points = out.combine(&refs, f);
+            proptest::prop_assert_eq!(points, combine_per_point(&mut want, &refs, f));
+            let bits = |b: &Block| b.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&out), bits(&want));
+        }
+    }
 
     fn space() -> (IndexSpace, IndexId, IndexId, IndexId) {
         let mut sp = IndexSpace::new();
@@ -304,8 +387,8 @@ mod tests {
         let ab = Block::random(&a, &sp, 1);
         let bb = Block::random(&b, &sp, 2);
         let mut cb = Block::full(&c, &sp);
-        let flops = contract_blocks(&ab, &bb, &mut cb);
-        assert_eq!(flops, 2 * 4 * 5 * 6);
+        let points = cb.combine(&[&ab, &bb], |a, v| a + v);
+        assert_eq!(2 * points, 2 * 4 * 5 * 6);
         // Manual check at one point.
         let mut want = 0.0;
         for kk in 0..6 {
@@ -325,14 +408,14 @@ mod tests {
         let ab = Block::random(&a, &sp, 3);
         let bb = Block::random(&b, &sp, 4);
         let mut full = Block::full(&c, &sp);
-        contract_blocks(&ab, &bb, &mut full);
+        full.combine(&[&ab, &bb], |a, v| a + v);
         let mut partial = Block::full(&c, &sp);
         let a1 = ab.sub_block(vec![0..4, 0..3]);
         let b1 = bb.sub_block(vec![0..3, 0..5]);
         let a2 = ab.sub_block(vec![0..4, 3..6]);
         let b2 = bb.sub_block(vec![3..6, 0..5]);
-        contract_blocks(&a1, &b1, &mut partial);
-        contract_blocks(&a2, &b2, &mut partial);
+        partial.combine(&[&a1, &b1], |a, v| a + v);
+        partial.combine(&[&a2, &b2], |a, v| a + v);
         assert!(full.max_abs_diff(&partial) < 1e-12);
     }
 
@@ -343,7 +426,7 @@ mod tests {
         let b = Block::random(&t, &sp, 5);
         let r = Tensor::new("R", vec![j]);
         let mut out = Block::full(&r, &sp);
-        reduce_block(&b, i, &mut out);
+        out.combine(&[&b], |a, v| a + v);
         let mut want = 0.0;
         for ii in 0..4 {
             want += b.get(&[ii, 2]);
@@ -358,7 +441,7 @@ mod tests {
         let x = Block::random(&t, &sp, 6);
         let y = Block::random(&Tensor::new("Y", vec![i, j]), &sp, 7);
         let mut out = Block::full(&Tensor::new("Z", vec![i, j]), &sp);
-        elementwise_blocks(&x, &y, &mut out);
+        out.combine(&[&x, &y], |a, v| a + v);
         assert!((out.get(&[1, 2]) - x.get(&[1, 2]) * y.get(&[1, 2])).abs() < 1e-12);
     }
 

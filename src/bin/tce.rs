@@ -41,10 +41,10 @@ use tensor_contraction_opt::core::{
 use tensor_contraction_opt::cost::units::{fmt_paper_bytes, words_to_bytes};
 use tensor_contraction_opt::cost::{CostModel, MachineModel};
 use tensor_contraction_opt::expr::printer::{render_sequence, render_unfused_loops};
-use tensor_contraction_opt::expr::{parse, ExprTree};
+use tensor_contraction_opt::expr::{parse, ExprTree, FormulaSequence};
 use tensor_contraction_opt::fusion::{code::render_fused, minimize_memory};
 use tensor_contraction_opt::opmin::lower_program;
-use tensor_contraction_opt::sim::simulate_traced;
+use tensor_contraction_opt::sim::{simulate_traced, VERIFY_ABS_TOL};
 
 struct Args {
     command: String,
@@ -315,6 +315,14 @@ type DeclSpans = std::collections::HashMap<String, (usize, usize)>;
 /// Load a tree, also returning the source positions of array declarations
 /// so diagnostics can be anchored as `file:line:col`.
 fn load_tree_spanned(path: &str) -> Result<(ExprTree, DeclSpans), String> {
+    let (seq, spans) = load_sequence(path)?;
+    let tree = seq.to_tree().map_err(|e| e.to_string())?;
+    Ok((tree, spans))
+}
+
+/// Read, parse and lower a `.tce` file to its formula sequence, with the
+/// source positions of its array declarations.
+fn load_sequence(path: &str) -> Result<(FormulaSequence, DeclSpans), String> {
     let src = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let prog = parse(&src).map_err(|e| match e {
         tensor_contraction_opt::expr::ExprError::Parse { line, col, ref msg } => {
@@ -324,8 +332,7 @@ fn load_tree_spanned(path: &str) -> Result<(ExprTree, DeclSpans), String> {
     })?;
     let spans = prog.spans.clone();
     let seq = lower_program(&prog).map_err(|e| e.to_string())?;
-    let tree = seq.to_tree().map_err(|e| e.to_string())?;
-    Ok((tree, spans))
+    Ok((seq, spans))
 }
 
 fn cost_model(args: &Args) -> Result<CostModel, String> {
@@ -719,11 +726,9 @@ fn cmd_optimize(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_compile(args: &Args) -> Result<(), String> {
-    let tree = load_tree(&args.file)?;
+    let (seq, _) = load_sequence(&args.file)?;
+    let tree = seq.to_tree().map_err(|e| e.to_string())?;
     println!("--- formula sequence ---");
-    let src = std::fs::read_to_string(&args.file).map_err(|e| e.to_string())?;
-    let prog = parse(&src).map_err(|e| e.to_string())?;
-    let seq = lower_program(&prog).map_err(|e| e.to_string())?;
     print!("{}", render_sequence(&seq));
     println!("\n--- unfused loops ---");
     print!("{}", render_unfused_loops(&tree));
@@ -746,6 +751,10 @@ fn render_sim_error(e: tensor_contraction_opt::sim::SimError) -> String {
         SimError::NonSquareGrid => {
             format!("{e}\nhint: pass a processor count that is a perfect square (4, 16, 64, ...)")
         }
+        SimError::ReferenceTooLarge { .. } => format!(
+            "{e}\nhint: the simulator holds every array whole; use smaller extents \
+             (e.g. workloads/ccsd_tiny.tce)"
+        ),
         SimError::Inconsistent(_) => {
             format!("{e}\nhint: this is a bug; re-run with --trace and report it")
         }
@@ -815,7 +824,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
             );
         }
     }
-    if report.max_abs_err > 1e-9 {
+    if report.max_abs_err > VERIFY_ABS_TOL {
         return Err("verification failed".into());
     }
     Ok(())

@@ -170,3 +170,19 @@ fn four_index_transform_full_stack() {
         assert!(report.max_abs_err < 1e-10);
     }
 }
+
+/// `tce compile`'s memory-minimal fusion breaks ties the same way on every
+/// run: on `ladder` several configurations reach the minimum, and which
+/// one is printed must not depend on hash-map iteration order.
+#[test]
+fn memory_minimal_fusion_is_deterministic() {
+    use tensor_contraction_opt::fusion::{code::render_fused, minimize_memory};
+    let path = format!("{}/workloads/ladder.tce", env!("CARGO_MANIFEST_DIR"));
+    let src = std::fs::read_to_string(path).expect("readable workload");
+    let tree = lower_program(&parse(&src).unwrap()).unwrap().to_tree().unwrap();
+    let render = || render_fused(&tree, &minimize_memory(&tree, usize::MAX).config);
+    let first = render();
+    for _ in 0..8 {
+        assert_eq!(render(), first);
+    }
+}

@@ -131,3 +131,47 @@ fn cli_simulate_rejects_non_square_processor_counts() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn oversized_reference_is_a_structured_error_not_an_abort() {
+    // Two 2^62-word arrays: the volumes fit in u128 and the word count in
+    // usize, but the bytes exceed isize::MAX, so the reservation fails
+    // deterministically without touching memory.
+    let tree = fused_workload(1 << 31, 1 << 31);
+    let cm = tce_bench::paper_cost_model(4);
+    let cfg =
+        OptimizerConfig { mem_limit_words: Some(u128::MAX), threads: 1, ..Default::default() };
+    let plan = extract_plan(&tree, &optimize(&tree, &cm, &cfg).expect("unlimited memory"));
+    match simulate(&tree, &plan, &cm, 42) {
+        Err(SimError::ReferenceTooLarge { bytes }) => {
+            // A0 (2^31) + A1, T0 (2^62 each) + T1 (2^31) words, 8 bytes each.
+            assert_eq!(bytes, 8 * ((2u128 << 62) + (2u128 << 31)));
+        }
+        other => panic!("expected ReferenceTooLarge, got {other:?}"),
+    }
+
+    let dir = std::env::temp_dir().join(format!("tce-sim-errors-big-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let src_path = dir.join("big.tce");
+    let plan_path = dir.join("big.plan.json");
+    std::fs::write(&src_path, tensor_contraction_opt::expr::printer::render_tce_source(&tree))
+        .expect("write source");
+    std::fs::write(&plan_path, plan.to_json()).expect("write plan");
+    let out = Command::new(env!("CARGO_BIN_EXE_tce"))
+        .args([
+            "simulate",
+            src_path.to_str().expect("utf-8 path"),
+            "--procs",
+            "4",
+            "--plan",
+            plan_path.to_str().expect("utf-8 path"),
+        ])
+        .output()
+        .expect("run tce");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "expected a clean failure: {stderr}");
+    assert!(stderr.contains("bytes of memory"), "missing diagnostic: {stderr}");
+    assert!(stderr.contains("hint:") && stderr.contains("ccsd_tiny"), "missing hint: {stderr}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
