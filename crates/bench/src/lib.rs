@@ -1,31 +1,20 @@
 //! # tce-bench — the experiment harness
 //!
-//! Shared scenario builders for the binaries that regenerate every table
-//! and figure of the paper (see DESIGN.md's experiment index):
-//!
-//! | id | artifact | binary |
-//! |----|----------|--------|
-//! | T1 | Table 1 (64 procs) | `table1` |
-//! | T2 | Table 2 (16 procs) | `table2` |
-//! | F1 | Fig. 1 op counts | `fig1` |
-//! | F2 | Fig. 2 rewriting + fusion | `fig2` |
-//! | S1 | comm vs processor count | `sweep_procs` |
-//! | S2 | pruning effectiveness | `pruning_stats` |
-//! | S3 | DP vs exhaustive | `exhaustive_check` |
-//! | S4 | comm vs memory limit | `sweep_memory` |
-//! | X1 | beyond-paper search extensions | `extensions` |
-//! | —  | simulator cross-validation | `simulate_check` |
-//! | X8 | tracked search benchmark | retired; end-to-end successor in `examples/benchmark` |
+//! [`repro`] regenerates every table and figure of the paper, one id of
+//! [`repro::IDS`] per experiment (`cargo run --release -p tce-bench --bin
+//! repro -- <id>`; EXPERIMENTS.md has paper-vs-measured numbers for each).
+//! The crate also holds the scenario builders and random-tree generators
+//! that the fuzzer and the tests share.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::panic))]
 
-use tce_core::{build_report, extract_plan, optimize, OptimizerConfig};
 use tce_cost::{CostModel, MachineModel};
 use tce_expr::examples::{ccsd_tree, PaperExtents, PAPER_EXTENTS};
 use tce_expr::ExprTree;
 
 pub mod randtree;
+pub mod repro;
 
 pub use randtree::skewed_tree;
 
@@ -58,20 +47,6 @@ pub fn workload_tree(path: &str) -> Result<ExprTree, String> {
         .map_err(|e| format!("{path}: {e}"))
 }
 
-/// Optimize the paper workload on `procs` processors and render the
-/// Table 1/2-style report.
-pub fn paper_table(procs: u32, cfg: &OptimizerConfig) -> String {
-    let tree = paper_tree();
-    let cm = paper_cost_model(procs);
-    match optimize(&tree, &cm, cfg) {
-        Err(e) => format!("optimization failed: {e}\n"),
-        Ok(opt) => {
-            let plan = extract_plan(&tree, &opt);
-            tce_core::render_report(&build_report(&tree, &plan, &cm))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,11 +67,5 @@ mod tests {
         let internal = |t: &ExprTree| t.ids().filter(|&i| !t.node(i).is_leaf()).count();
         assert_eq!(internal(&t1), 1);
         assert_eq!(internal(&t3), 3);
-    }
-
-    #[test]
-    fn paper_table_renders() {
-        let text = paper_table(64, &OptimizerConfig::default());
-        assert!(text.contains("T1(b,c,d,f)"));
     }
 }

@@ -1,10 +1,13 @@
 //! Shared rendering of DP-search statistics.
 //!
-//! One formatter used by both the `tce … --stats` CLI flag and the
-//! experiment-S2 `pruning_stats` binary, so the two always report identical
-//! numbers (they both read [`Optimized::stats`] and [`Optimized::counters`],
-//! which the search fills from the per-node [`SolutionSet`] counters), and
-//! the metrics snapshot rendered from the same run.
+//! One formatter used by the `tce … --stats` CLI flag, experiment S2
+//! (`repro S2`) and the metrics snapshot rendered from the same run. All
+//! read [`Optimized::stats`] and [`Optimized::counters`], which the search
+//! fills from the per-node [`SolutionSet`] counters. The per-node rows
+//! and the totals depend only on the search space; the `cost memo:` and
+//! `bound skips:` lines depend on how the work was split across worker
+//! threads, so S2 and the CLI print the same table only at the same
+//! `--threads` (S2 runs at 1).
 
 use std::fmt::Write as _;
 

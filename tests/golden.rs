@@ -1,45 +1,67 @@
-//! Golden-output regression tests: the regenerated paper tables are pinned
-//! byte-for-byte. Any change to the cost model, the search, or the
+//! Golden-output regression tests: the regenerated paper experiments are
+//! pinned byte-for-byte. Any change to the cost model, the search, or the
 //! rendering that shifts the reproduced numbers fails here first, with a
 //! readable diff — update `golden/` only after re-validating against the
 //! paper (EXPERIMENTS.md).
 
-use tensor_contraction_opt::core::{
-    build_report, extract_plan, optimize, render_report, render_search_stats, OptimizerConfig,
-};
+use tensor_contraction_opt::bench::repro;
+use tensor_contraction_opt::core::{optimize, render_search_stats, OptimizerConfig};
 use tensor_contraction_opt::cost::units::PAPER_MB;
 use tensor_contraction_opt::cost::{CostModel, MachineModel};
-use tensor_contraction_opt::expr::examples::{ccsd_tree, PAPER_EXTENTS};
 use tensor_contraction_opt::expr::parse;
 use tensor_contraction_opt::opmin::lower_program;
 
-fn report_for(procs: u32) -> String {
-    let tree = ccsd_tree(PAPER_EXTENTS);
-    let cm = CostModel::for_square(MachineModel::itanium_cluster(), procs).unwrap();
-    let opt = optimize(&tree, &cm, &OptimizerConfig::default()).unwrap();
-    let plan = extract_plan(&tree, &opt);
-    render_report(&build_report(&tree, &plan, &cm))
-}
-
-fn assert_matches_golden(rendered: &str, golden_path: &str) {
-    let golden = std::fs::read_to_string(golden_path)
-        .unwrap_or_else(|e| panic!("reading {golden_path}: {e}"));
-    // The golden files are full binary outputs; the report must appear
-    // verbatim inside them.
-    assert!(
-        golden.contains(rendered),
-        "regenerated report diverged from {golden_path}.\n--- regenerated ---\n{rendered}\n--- golden ---\n{golden}"
-    );
+/// Runs `repro <id>` in-process and compares its full output with its golden
+/// file: `golden/table1.txt`, `table2.txt` and `fig1.txt` for T1, T2 and F1,
+/// `golden/repro/<id>.txt` for the rest. S2 leaves out its `cost memo:` and
+/// `bound skips:` lines, as `search_statistics_are_pinned` does. Returns the
+/// diff message when the output diverged.
+fn repro_divergence(id: &str) -> Option<String> {
+    let mut out = Vec::new();
+    repro::run(id, &mut out).unwrap_or_else(|e| panic!("repro {id}: {e}"));
+    let mut rendered = String::from_utf8(out).expect("utf-8 output");
+    if id == "S2" {
+        rendered = rendered
+            .lines()
+            .filter(|l| !l.starts_with("cost memo:") && !l.starts_with("bound skips:"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+    }
+    let path = match id {
+        "T1" => "golden/table1.txt".to_string(),
+        "T2" => "golden/table2.txt".to_string(),
+        "F1" => "golden/fig1.txt".to_string(),
+        _ => format!("golden/repro/{id}.txt"),
+    };
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
+    (rendered != golden).then(|| {
+        format!("repro {id} diverged from {path}.\n--- regenerated ---\n{rendered}\n--- golden ---\n{golden}")
+    })
 }
 
 #[test]
 fn table1_report_is_pinned() {
-    assert_matches_golden(&report_for(64), "golden/table1.txt");
+    if let Some(diff) = repro_divergence("T1") {
+        panic!("{diff}");
+    }
 }
 
 #[test]
 fn table2_report_is_pinned() {
-    assert_matches_golden(&report_for(16), "golden/table2.txt");
+    if let Some(diff) = repro_divergence("T2") {
+        panic!("{diff}");
+    }
+}
+
+/// Every other `repro` id; T1 and T2 have their own tests above.
+#[test]
+fn every_experiment_output_is_pinned() {
+    let diverged: Vec<String> = repro::IDS
+        .iter()
+        .filter(|(id, _)| !matches!(*id, "T1" | "T2"))
+        .filter_map(|(id, _)| repro_divergence(id))
+        .collect();
+    assert!(diverged.is_empty(), "{}", diverged.join("\n"));
 }
 
 #[test]
