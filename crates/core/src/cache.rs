@@ -1,4 +1,4 @@
-//! Level-2 persistent plan cache (`tce-plan-cache/v2`).
+//! Level-2 persistent plan cache (`tce-plan-cache/v3`).
 //!
 //! Memoizes full optimization outcomes — the [`ExecutionPlan`], its cost
 //! scalars, the certified communication floor, and the run's
@@ -14,7 +14,7 @@
 //!   characterization tables, so a plan memoized for one machine profile
 //!   can never be served for another;
 //! * a **configuration digest** over every `OptimizerConfig` knob that
-//!   can change the stored outcome (search-space switches, warm start,
+//!   can change the stored outcome (search-space switches, warm upper bound,
 //!   pins and output layout in canonical numbering);
 //! * the **code version**.
 //!
@@ -55,7 +55,7 @@ use crate::plan::{ExecutionPlan, PlanOperand, PlanStep};
 
 /// Schema stamp written into every entry; bump on any incompatible
 /// change to the entry layout or the key digest.
-pub const PLAN_CACHE_SCHEMA: &str = "tce-plan-cache/v2";
+pub const PLAN_CACHE_SCHEMA: &str = "tce-plan-cache/v3";
 
 /// Code version stamp: entries written by another build are evicted
 /// (`cache.evict_version`) rather than trusted across releases.
@@ -123,13 +123,6 @@ pub fn cache_key(tree: &ExprTree, cm: &CostModel, cfg: &OptimizerConfig) -> Opti
         }
     }
     h.write_u64(flags);
-    match cfg.time_budget_ms {
-        None => h.write(&[0]),
-        Some(ms) => {
-            h.write(&[1]);
-            h.write_u64(ms);
-        }
-    }
     match cfg.warm_upper_bound {
         None => h.write(&[0]),
         Some(ub) => {

@@ -44,10 +44,12 @@ pub struct OptimizerConfig {
     /// Disable dominance pruning (for the §3.3 pruning-effectiveness
     /// ablation; the result is unchanged, only the work done).
     pub disable_pruning: bool,
-    /// Disable the admissible lower-bound (branch-and-bound) corner skips
-    /// in the combine loops. The result and every pre-existing counter are
-    /// unchanged either way — only `dp.bnb_*` and the work done differ —
-    /// so this exists for ablations and benchmarks.
+    /// Stop the search from using the certified floors: the
+    /// memory-feasibility prover, the branch-and-bound corner skips and
+    /// the warm cut. The floors are still computed for the optimality
+    /// certificate, so the plan, the certificate and every counter except
+    /// `dp.bnb_*` are unchanged either way — only the work done differs —
+    /// and this exists for ablations.
     pub disable_lower_bounds: bool,
     /// Restrict the search to one fixed fusion configuration (the
     /// "fusion first" baseline).
@@ -85,12 +87,6 @@ pub struct OptimizerConfig {
     /// runs; this flag extends it to release builds. Failures surface as
     /// [`OptimizeError::SelfCheck`].
     pub verify: bool,
-    /// Wall-clock budget (milliseconds) of the request. [`optimize`]
-    /// ignores it; its only effect is that [`crate::portfolio::plan`]
-    /// first prices one greedy configuration and warm-starts the exact
-    /// branch-and-bound with its cost ([`Self::warm_upper_bound`]). The
-    /// plan and cost bits are unchanged; only `dp.bnb_*` effort moves.
-    pub time_budget_ms: Option<u64>,
     /// Disable the in-run level-1 subtree reuse: with reuse on (the
     /// default), completed node frontiers are keyed by their strict
     /// canonical subtree form (`tce_expr::canon`) plus everything else
@@ -131,7 +127,6 @@ impl Default for OptimizerConfig {
             threads: 0,
             spawn_amort_ns: None,
             verify: false,
-            time_budget_ms: None,
             disable_subtree_reuse: false,
             warm_upper_bound: None,
         }
@@ -201,8 +196,8 @@ pub struct NodeStats {
     /// contents, so equivalence checks compare it like any other field.
     pub arena_hw_bytes: u64,
     /// Whether this node's own communication floor was computed exactly
-    /// (`false` when the combo-budget fallback collapsed it to zero, or
-    /// when lower bounds are disabled). Deterministic.
+    /// (`false` when the combo-budget fallback collapsed it to zero).
+    /// Deterministic.
     pub floor_exact: bool,
 }
 
@@ -241,18 +236,17 @@ pub struct Optimized {
     /// Certified communication lower bound for this expression under this
     /// cost model (`tce_cost::lower_bound`, DESIGN.md §12): every plan any
     /// configuration of this search can emit costs at least this many
-    /// model seconds. Zero (trivially admissible) when lower bounds are
-    /// disabled. `comm_cost − comm_lower_bound` is the certified
+    /// model seconds. `comm_cost − comm_lower_bound` is the certified
     /// optimality gap reported by `tce explain` / `tce report`.
     pub comm_lower_bound: f64,
     /// Whether `comm_lower_bound` is the exact kernel minimum at every
     /// node. `false` when any node's floor enumeration fell back to the
-    /// degenerate zero (`MAX_COMBOS_PER_NODE` in `tce_cost::lower_bound`)
-    /// or when lower bounds are disabled: the certificate is still
-    /// admissible, but the reported gap is an over-estimate and must not
-    /// be read as tight. Surfaced in `tce explain` / `tce report`; the
-    /// per-node breakdown is [`NodeStats::floor_exact`] and the fallback
-    /// count is the `lb.floor_fallback` counter.
+    /// degenerate zero (`MAX_COMBOS_PER_NODE` in `tce_cost::lower_bound`):
+    /// the certificate is still admissible, but the reported gap is an
+    /// over-estimate and must not be read as tight. Surfaced in
+    /// `tce explain` / `tce report`; the per-node breakdown is
+    /// [`NodeStats::floor_exact`] and the fallback count is the
+    /// `lb.floor_fallback` counter.
     pub comm_floor_exact: bool,
 }
 
@@ -320,6 +314,27 @@ pub fn optimize(
     cm: &CostModel,
     cfg: &OptimizerConfig,
 ) -> Result<Optimized, OptimizeError> {
+    run_dp(tree, cm, cfg, true)
+}
+
+/// [`optimize`] without the floors: no optimality certificate
+/// (`comm_lower_bound` is zero and not exact) and no floor-based skip.
+/// For passes that read only the cost, such as the greedy incumbent of
+/// [`crate::portfolio::plan`].
+pub(crate) fn optimize_uncertified(
+    tree: &ExprTree,
+    cm: &CostModel,
+    cfg: &OptimizerConfig,
+) -> Result<Optimized, OptimizeError> {
+    run_dp(tree, cm, cfg, false)
+}
+
+fn run_dp(
+    tree: &ExprTree,
+    cm: &CostModel,
+    cfg: &OptimizerConfig,
+    certify: bool,
+) -> Result<Optimized, OptimizeError> {
     if tree.node(tree.root()).is_leaf() {
         return Err(OptimizeError::Unsupported(
             "the expression tree computes nothing (its root is an input array)".into(),
@@ -346,8 +361,8 @@ pub fn optimize(
     // cost term at its true minimum of zero. Pinned patterns may predate
     // the current `allow_replication` setting, so the certificate widens
     // its pattern universe to the replication superset then; the corner
-    // floors simply stay off under pins (they only ever widen skips,
-    // never change which plan wins).
+    // floors simply stay off under pins and `disable_lower_bounds` (they
+    // only ever widen skips, never change which plan wins).
     let lb_replication = cfg.allow_replication || cfg.fixed_patterns.is_some();
     // Nearest-grid rcost extrapolations are surfaced per run as a counter
     // delta (the process-wide total minus this snapshot). Concurrent runs
@@ -362,7 +377,7 @@ pub fn optimize(
         node_exact: HashMap<NodeId, bool>,
         fallback_nodes: u64,
     }
-    let floors = if cfg.disable_lower_bounds {
+    let floors = if !certify {
         Floors {
             corners: HashMap::new(),
             warm_cuts: HashMap::new(),
@@ -376,8 +391,10 @@ pub fn optimize(
         let raw_root = detail.floors[&tree.root()];
         let root_floor = tce_cost::bound::certify(raw_root);
         let root_exact = detail.root_exact(tree);
-        let corners_active =
-            !cfg.disable_pruning && cfg.fixed_patterns.is_none() && cfg.fixed_fusion.is_none();
+        let corners_active = !cfg.disable_lower_bounds
+            && !cfg.disable_pruning
+            && cfg.fixed_patterns.is_none()
+            && cfg.fixed_fusion.is_none();
         // Warm-start cut per node: a candidate whose certified subtree
         // floor exceeds `incumbent − rest_floor(node)` can only complete
         // to plans strictly costlier than the incumbent — and the

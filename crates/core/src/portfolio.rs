@@ -1,18 +1,19 @@
-//! The planner entry point: the exact §3.3 search, optionally
+//! The request-serving planner entry point: the exact §3.3 search,
 //! warm-started from a greedy incumbent.
 //!
-//! Without a time budget, [`plan`] is [`optimize`]. With one
-//! ([`OptimizerConfig::time_budget_ms`]), it first prices one greedy
-//! configuration — at every contraction node the pattern with the
-//! cheapest node-local rotation, fusion left to the DP — by running
-//! [`optimize`] with that pattern pinned. The pinned space is a subset of
-//! the full one, so the greedy cost is the cost of a real plan and never
-//! below the optimum: a sound [`OptimizerConfig::warm_upper_bound`] for
-//! the exact branch-and-bound. The winning plan, its cost bits and the
-//! certified floor are bit-identical to a cold run; only the `dp.bnb_*`
-//! effort counters move. A greedy configuration that does not fit the
-//! memory limit simply leaves the exact search cold, so feasibility is
-//! always decided by the exact search alone.
+//! [`plan`] first prices one greedy configuration — at every contraction
+//! node the pattern with the cheapest node-local rotation, fusion left to
+//! the DP — by running the DP with that pattern pinned. The pinned space
+//! is a subset of the full one, so the greedy cost is the cost of a real
+//! plan and never below the optimum: a sound
+//! [`OptimizerConfig::warm_upper_bound`] for the exact branch-and-bound.
+//! The winning plan, its cost bits and the certified floor are
+//! bit-identical to a cold [`optimize`]; only search-effort output moves
+//! (the `dp.*` counters, live counts, frontier composition and
+//! runner-ups; DESIGN.md §13). A greedy configuration that does not fit
+//! the memory limit simply leaves the exact search cold, so feasibility is
+//! always decided by the exact search alone. [`optimize`] itself stays the
+//! paper's cold search.
 
 use std::collections::HashMap;
 
@@ -20,7 +21,7 @@ use tce_cost::CostModel;
 use tce_dist::{enumerate_patterns, CannonPattern};
 use tce_expr::{ExprTree, IndexSet, NodeId, NodeKind};
 
-use crate::dp::{optimize, OptimizeError, Optimized, OptimizerConfig};
+use crate::dp::{optimize, optimize_uncertified, OptimizeError, Optimized, OptimizerConfig};
 
 /// A [`plan`] result.
 #[derive(Debug)]
@@ -90,9 +91,10 @@ fn local_rotation_score(
 }
 
 /// The greedy configuration's cost through the restricted DP, or `None`
-/// when it does not fit the memory limit. Lower bounds and verification
-/// are off: only the cost is read.
+/// when it does not fit the memory limit. Lower bounds, the certificate
+/// and verification are off: only the cost is read.
 fn greedy_cost(tree: &ExprTree, cm: &CostModel, cfg: &OptimizerConfig) -> Option<f64> {
+    let _span = tce_obs::span("dp", "warm_start");
     let restricted = OptimizerConfig {
         fixed_patterns: Some(greedy_patterns(tree, cm, cfg)),
         fixed_fusion: None,
@@ -101,19 +103,18 @@ fn greedy_cost(tree: &ExprTree, cm: &CostModel, cfg: &OptimizerConfig) -> Option
         warm_upper_bound: None,
         ..cfg.clone()
     };
-    optimize(tree, cm, &restricted).ok().map(|o| o.comm_cost)
+    optimize_uncertified(tree, cm, &restricted).ok().map(|o| o.comm_cost)
 }
 
 /// Serve an optimization request: the exact DP, warm-started from the
-/// greedy incumbent when `cfg.time_budget_ms` is set and the warm cut can
-/// apply (no pins, lower bounds and pruning on).
+/// greedy incumbent whenever the warm cut can apply (no pins, lower
+/// bounds and pruning on).
 pub fn plan(
     tree: &ExprTree,
     cm: &CostModel,
     cfg: &OptimizerConfig,
 ) -> Result<Planned, OptimizeError> {
-    let warm_eligible = cfg.time_budget_ms.is_some()
-        && cfg.fixed_patterns.is_none()
+    let warm_eligible = cfg.fixed_patterns.is_none()
         && cfg.fixed_fusion.is_none()
         && !cfg.disable_lower_bounds
         && !cfg.disable_pruning;

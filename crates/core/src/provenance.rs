@@ -12,11 +12,18 @@
 //! untouched — and every listing is sorted, so the output is a
 //! deterministic function of the (thread-count-invariant) search result.
 //!
-//! `tce explain` renders [`Provenance`] as a per-node table;
+//! The output falls into two classes (DESIGN.md §13). *Plan class* — the
+//! winners, their costs and patterns, the per-kind breakdown, the totals
+//! and the certificate — is a function of the plan alone. *Effort class*
+//! — runner-ups, frontier keys, live counts and the `dp.*` counters — is
+//! drawn from what the search kept, so the warm start, pruning and subtree
+//! reuse move it. `tce explain` renders [`Provenance`] as a per-node table
+//! with the effort class in one labelled section after the plan class;
 //! `tce report` serializes it (plus simulator roll-ups) as the
-//! `tce-report/v4` JSON schema (v2 added the certified `lower_bound` /
-//! `gap` pair; v3 the additive `cache` section; v4 dropped the CLI's
-//! `planner` / `budget_exhausted` fields with the heuristic planners).
+//! `tce-report/v5` JSON schema, with the effort class under `search` (v2
+//! added the certified `lower_bound` / `gap` pair; v3 the additive `cache`
+//! section; v4 dropped the CLI's `planner` / `budget_exhausted` fields
+//! with the heuristic planners; v5 moved the effort class into `search`).
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -87,7 +94,8 @@ pub struct NodeProvenance {
     pub breakdown: CommBreakdown,
     /// Per-kind seconds + analytic event/message counts for this step.
     pub kinds: [KindProfile; 5],
-    /// Cheapest live alternatives ≠ winner, ascending cost (top-k).
+    /// Cheapest live alternatives ≠ winner, ascending cost (top-k),
+    /// without grid-transposed mirrors (see [`build_provenance`]).
     pub runner_ups: Vec<RunnerUp>,
     /// Per-`(dist, fusion)` live frontier sizes, sorted.
     pub keys: Vec<KeySummary>,
@@ -240,8 +248,17 @@ fn winner_indices(tree: &ExprTree, opt: &Optimized) -> HashMap<NodeId, usize> {
     winners
 }
 
+/// Whether `a` and `b` differ only by a grid transposition (`<x,y>` vs
+/// `<y,x>`).
+fn transposed(a: Distribution, b: Distribution) -> bool {
+    a != b && a.d1 == b.d2 && a.d2 == b.d1
+}
+
 /// Build the full provenance of an optimization result. `top_k` bounds the
-/// runner-up listing per node (the acceptance bar is 3).
+/// runner-up listing per node (the acceptance bar is 3). A live entry
+/// that is only a grid-transposed mirror of the winner or of a runner-up
+/// already listed — transposed distribution, same fusion, equal cost bits
+/// — is skipped: on a symmetric grid it says nothing new.
 pub fn build_provenance(
     tree: &ExprTree,
     opt: &Optimized,
@@ -268,10 +285,23 @@ pub fn build_provenance(
         // then storage index (live_indices is already ascending).
         let mut alts: Vec<usize> = set.live_indices().filter(|&i| i != winner_index).collect();
         alts.sort_by(|&a, &b| set.cost(a).total_cmp(&set.cost(b)).then(a.cmp(&b)));
-        let runner_ups = alts
-            .into_iter()
-            .take(top_k)
-            .map(|i| RunnerUp {
+        let mut shown = vec![winner_index];
+        for i in alts {
+            if shown.len() > top_k {
+                break;
+            }
+            let mirror = shown.iter().any(|&j| {
+                transposed(set.dist(i), set.dist(j))
+                    && set.fusion(i) == set.fusion(j)
+                    && set.cost(i).to_bits() == set.cost(j).to_bits()
+            });
+            if !mirror {
+                shown.push(i);
+            }
+        }
+        let runner_ups = shown[1..]
+            .iter()
+            .map(|&i| RunnerUp {
                 dist: set.dist(i),
                 fusion: set.fusion(i).clone(),
                 cost: set.cost(i),
@@ -323,7 +353,9 @@ fn render_key(space: &tce_expr::IndexSpace, dist: Distribution, fusion: &FusionP
     }
 }
 
-/// The `tce explain` per-node table.
+/// The `tce explain` per-node table: the plan-class lines (winners,
+/// per-kind breakdowns, totals, certificate) first, then one labelled
+/// search-effort section with each node's runner-ups and frontier.
 pub fn render_provenance(tree: &ExprTree, prov: &Provenance) -> String {
     let space = &tree.space;
     let mut out = String::new();
@@ -346,32 +378,6 @@ pub fn render_provenance(tree: &ExprTree, prov: &Provenance) -> String {
             "  step comm by kind: align {:.6}  shift {:.6}  home {:.6}  redist {:.6}  reduce {:.6}",
             b.align, b.shift, b.home, b.redistribute, b.reduce
         );
-        if np.runner_ups.is_empty() {
-            let _ = writeln!(out, "  runner-ups: none (frontier of 1)");
-        } else {
-            for (i, r) in np.runner_ups.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "  runner-up {}: {} — {:.6} s (Δ {:+.6})",
-                    i + 1,
-                    render_key(space, r.dist, &r.fusion),
-                    r.cost,
-                    r.delta,
-                );
-            }
-        }
-        let keys: Vec<String> = np
-            .keys
-            .iter()
-            .map(|k| format!("{}×{}", render_key(space, k.dist, &k.fusion), k.live))
-            .collect();
-        let _ = writeln!(
-            out,
-            "  frontier: {} live over {} keys [{}]",
-            np.keys.iter().map(|k| k.live).sum::<usize>(),
-            np.keys.len(),
-            keys.join(", ")
-        );
     }
     if prov.output_redist_cost > 0.0 {
         let _ = writeln!(out, "final output redistribution: {:.6} s", prov.output_redist_cost);
@@ -390,16 +396,53 @@ pub fn render_provenance(tree: &ExprTree, prov: &Provenance) -> String {
         prov.gap,
         if prov.lower_bound_exact { "" } else { "; floor inexact — gap is an over-estimate" }
     );
+    let _ = writeln!(
+        out,
+        "search effort (drawn from the candidates this search kept; the lines above do not \
+         depend on it):"
+    );
+    for np in &prov.nodes {
+        let _ = writeln!(out, "  {}:", np.name);
+        if np.runner_ups.is_empty() {
+            let _ = writeln!(out, "    runner-ups: none among the kept candidates");
+        }
+        for (i, r) in np.runner_ups.iter().enumerate() {
+            let _ = writeln!(
+                out,
+                "    runner-up {}: {} — {:.6} s (Δ {:+.6})",
+                i + 1,
+                render_key(space, r.dist, &r.fusion),
+                r.cost,
+                r.delta,
+            );
+        }
+        let keys: Vec<String> = np
+            .keys
+            .iter()
+            .map(|k| format!("{}×{}", render_key(space, k.dist, &k.fusion), k.live))
+            .collect();
+        let _ = writeln!(
+            out,
+            "    frontier: {} live over {} keys [{}]",
+            np.keys.iter().map(|k| k.live).sum::<usize>(),
+            np.keys.len(),
+            keys.join(", ")
+        );
+    }
     out
 }
 
-/// The `tce-report/v4` machine-readable roll-up of the optimizer side
-/// (v3 added the additive `cache` section: canonical expression hash and
-/// the level-1 subtree-reuse tallies).
+/// The `tce-report/v5` machine-readable roll-up of the optimizer side.
 /// Every field is a deterministic function of the search result: wall
 /// clock and the interleaving-dependent counters
 /// (flagged in [`tce_obs::names::ALL`]) are excluded, so the JSON is
 /// bit-identical at any thread count.
+///
+/// The top level is plan class: the same bytes whatever the search
+/// effort (threads, warm start, subtree reuse, bounds). The `search`
+/// object depends on search effort: the deterministic counters, the arena
+/// high-water, the level-1 reuse tallies and each node's candidate, prune,
+/// live and frontier statistics with its runner-ups.
 pub fn report_json(
     tree: &ExprTree,
     opt: &Optimized,
@@ -410,16 +453,13 @@ pub fn report_json(
     let uint = |v: u64| Value::Number(Number::UInt(u128::from(v)));
     let big = |v: u128| Value::Number(Number::UInt(v));
     let float = |v: f64| Value::Number(Number::Float(v));
+    let string = |s: String| Value::String(s);
+    let obj = |fields: Vec<(&str, Value)>| {
+        Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    };
     let space = &tree.space;
 
     let prov = build_provenance(tree, opt, cm, top_k);
-
-    let counters: Vec<(String, Value)> = opt
-        .counters
-        .iter()
-        .filter(|&(name, _)| tce_obs::names::is_deterministic(name))
-        .map(|(name, v)| (name.to_string(), uint(v)))
-        .collect();
 
     let kind_obj = |kinds: &[KindProfile; 5]| {
         Value::Object(
@@ -429,10 +469,10 @@ pub fn report_json(
                 .map(|(name, k)| {
                     (
                         name.to_string(),
-                        Value::Object(vec![
-                            ("seconds".to_string(), float(k.seconds)),
-                            ("events".to_string(), uint(k.events)),
-                            ("messages".to_string(), uint(k.messages)),
+                        obj(vec![
+                            ("seconds", float(k.seconds)),
+                            ("events", uint(k.events)),
+                            ("messages", uint(k.messages)),
                         ]),
                     )
                 })
@@ -441,121 +481,118 @@ pub fn report_json(
     };
 
     let mut kind_totals = [KindProfile::default(); 5];
-    let nodes: Vec<Value> = prov
-        .nodes
-        .iter()
-        .zip(opt.stats.iter())
-        .map(|(np, stats)| {
-            for (t, k) in kind_totals.iter_mut().zip(np.kinds.iter()) {
-                t.seconds += k.seconds;
-                t.events += k.events;
-                t.messages += k.messages;
-            }
-            let runner_ups: Vec<Value> = np
-                .runner_ups
-                .iter()
-                .map(|r| {
-                    Value::Object(vec![
-                        ("dist".to_string(), Value::String(r.dist.render(space))),
-                        ("fusion".to_string(), Value::String(r.fusion.render(space))),
-                        ("cost".to_string(), float(r.cost)),
-                        ("delta".to_string(), float(r.delta)),
-                        ("mem_words".to_string(), big(r.mem_words)),
-                    ])
-                })
-                .collect();
-            let keys: Vec<Value> = np
-                .keys
-                .iter()
-                .map(|k| {
-                    Value::Object(vec![
-                        ("dist".to_string(), Value::String(k.dist.render(space))),
-                        ("fusion".to_string(), Value::String(k.fusion.render(space))),
-                        ("live".to_string(), uint(k.live as u64)),
-                    ])
-                })
-                .collect();
-            Value::Object(vec![
-                ("name".to_string(), Value::String(np.name.clone())),
-                ("winner_dist".to_string(), Value::String(np.winner_dist.render(space))),
-                ("winner_fusion".to_string(), Value::String(np.winner_fusion.render(space))),
-                ("winner_cost".to_string(), float(np.winner_cost)),
-                (
-                    "pattern".to_string(),
-                    match &np.pattern {
-                        Some(p) => Value::String(p.render(space)),
-                        None => Value::Null,
-                    },
-                ),
-                ("comm_by_kind".to_string(), kind_obj(&np.kinds)),
-                ("runner_ups".to_string(), Value::Array(runner_ups)),
-                ("frontier_keys".to_string(), Value::Array(keys)),
-                ("floor_exact".to_string(), Value::Bool(stats.floor_exact)),
-                ("candidates".to_string(), uint(stats.candidates)),
-                ("pruned_inferior".to_string(), uint(stats.pruned_inferior)),
-                ("pruned_memory".to_string(), uint(stats.pruned_memory)),
-                ("redist_fallbacks".to_string(), uint(stats.redist_fallbacks)),
-                ("live".to_string(), uint(stats.live as u64)),
-                ("keys".to_string(), uint(stats.keys as u64)),
-                ("widest_front".to_string(), uint(stats.widest_front as u64)),
-                ("arena_hw_bytes".to_string(), uint(stats.arena_hw_bytes)),
-            ])
-        })
-        .collect();
+    let mut plan_nodes = Vec::new();
+    let mut search_nodes = Vec::new();
+    for (np, stats) in prov.nodes.iter().zip(opt.stats.iter()) {
+        for (t, k) in kind_totals.iter_mut().zip(np.kinds.iter()) {
+            t.seconds += k.seconds;
+            t.events += k.events;
+            t.messages += k.messages;
+        }
+        plan_nodes.push(obj(vec![
+            ("name", string(np.name.clone())),
+            ("winner_dist", string(np.winner_dist.render(space))),
+            ("winner_fusion", string(np.winner_fusion.render(space))),
+            ("winner_cost", float(np.winner_cost)),
+            ("pattern", np.pattern.map_or(Value::Null, |p| string(p.render(space)))),
+            ("comm_by_kind", kind_obj(&np.kinds)),
+            ("floor_exact", Value::Bool(stats.floor_exact)),
+        ]));
+        let runner_ups = np
+            .runner_ups
+            .iter()
+            .map(|r| {
+                obj(vec![
+                    ("dist", string(r.dist.render(space))),
+                    ("fusion", string(r.fusion.render(space))),
+                    ("cost", float(r.cost)),
+                    ("delta", float(r.delta)),
+                    ("mem_words", big(r.mem_words)),
+                ])
+            })
+            .collect();
+        let keys = np
+            .keys
+            .iter()
+            .map(|k| {
+                obj(vec![
+                    ("dist", string(k.dist.render(space))),
+                    ("fusion", string(k.fusion.render(space))),
+                    ("live", uint(k.live as u64)),
+                ])
+            })
+            .collect();
+        search_nodes.push(obj(vec![
+            ("name", string(np.name.clone())),
+            ("candidates", uint(stats.candidates)),
+            ("pruned_inferior", uint(stats.pruned_inferior)),
+            ("pruned_memory", uint(stats.pruned_memory)),
+            ("redist_fallbacks", uint(stats.redist_fallbacks)),
+            ("live", uint(stats.live as u64)),
+            ("keys", uint(stats.keys as u64)),
+            ("widest_front", uint(stats.widest_front as u64)),
+            ("arena_hw_bytes", uint(stats.arena_hw_bytes)),
+            ("runner_ups", Value::Array(runner_ups)),
+            ("frontier_keys", Value::Array(keys)),
+        ]));
+    }
 
-    // Cache identity and reuse tallies. The report path always runs the
-    // search (provenance needs the live solution sets), so level 2 is
-    // reported as not hit; level 1 is the in-run subtree reuse, counted
+    // Level-1 reuse tallies: the in-run subtree reuse, counted
     // deterministically at any thread count.
     let l1_hits = opt.counters.get(tce_obs::names::SUBTREE_HIT);
     let l1_misses = opt.counters.get(tce_obs::names::SUBTREE_MISS);
-    let cache = Value::Object(vec![
+    let l1_rate =
+        if l1_hits + l1_misses == 0 { 0.0 } else { l1_hits as f64 / (l1_hits + l1_misses) as f64 };
+    let counters = opt
+        .counters
+        .iter()
+        .filter(|&(name, _)| tce_obs::names::is_deterministic(name))
+        .map(|(name, v)| (name.to_string(), uint(v)))
+        .collect();
+    let search = obj(vec![
+        ("counters", Value::Object(counters)),
+        ("arena_hw_bytes", uint(opt.arena_hw_bytes)),
         (
-            "canonical_hash".to_string(),
-            Value::String(format!("{:032x}", tce_expr::canonical_form(tree).hash)),
-        ),
-        ("level1_hits".to_string(), uint(l1_hits)),
-        ("level1_misses".to_string(), uint(l1_misses)),
-        (
-            "level1_hit_rate".to_string(),
-            float(if l1_hits + l1_misses == 0 {
-                0.0
-            } else {
-                l1_hits as f64 / (l1_hits + l1_misses) as f64
-            }),
-        ),
-        ("level2_hit".to_string(), Value::Bool(false)),
-    ]);
-
-    Value::Object(vec![
-        ("schema".to_string(), Value::String("tce-report/v4".to_string())),
-        ("cache".to_string(), cache),
-        ("comm_cost".to_string(), float(opt.comm_cost)),
-        ("lower_bound".to_string(), float(prov.lower_bound)),
-        ("lower_bound_exact".to_string(), Value::Bool(prov.lower_bound_exact)),
-        ("gap".to_string(), float(prov.gap)),
-        ("output_redist_cost".to_string(), float(opt.output_redist_cost)),
-        ("mem_words".to_string(), big(opt.mem_words)),
-        ("max_msg_words".to_string(), big(opt.max_msg_words)),
-        ("arena_hw_bytes".to_string(), uint(opt.arena_hw_bytes)),
-        (
-            "comm_by_kind".to_string(),
-            Value::Object(vec![
-                ("seconds".to_string(), {
-                    let t = &prov.total;
-                    Value::Object(
-                        KIND_NAMES
-                            .iter()
-                            .zip([t.align, t.shift, t.home, t.redistribute, t.reduce])
-                            .map(|(n, s)| (n.to_string(), float(s)))
-                            .collect(),
-                    )
-                }),
-                ("step_profiles".to_string(), kind_obj(&kind_totals)),
+            "cache",
+            obj(vec![
+                ("level1_hits", uint(l1_hits)),
+                ("level1_misses", uint(l1_misses)),
+                ("level1_hit_rate", float(l1_rate)),
             ]),
         ),
-        ("counters".to_string(), Value::Object(counters)),
-        ("nodes".to_string(), Value::Array(nodes)),
+        ("nodes", Value::Array(search_nodes)),
+    ]);
+
+    // The report path always runs the search (provenance needs the live
+    // solution sets), so level 2 is reported as not hit.
+    let cache = obj(vec![
+        ("canonical_hash", string(format!("{:032x}", tce_expr::canonical_form(tree).hash))),
+        ("level2_hit", Value::Bool(false)),
+    ]);
+    let t = &prov.total;
+    let seconds = Value::Object(
+        KIND_NAMES
+            .iter()
+            .zip([t.align, t.shift, t.home, t.redistribute, t.reduce])
+            .map(|(n, s)| (n.to_string(), float(s)))
+            .collect(),
+    );
+    obj(vec![
+        ("schema", string("tce-report/v5".to_string())),
+        ("cache", cache),
+        ("comm_cost", float(opt.comm_cost)),
+        ("lower_bound", float(prov.lower_bound)),
+        ("lower_bound_exact", Value::Bool(prov.lower_bound_exact)),
+        ("gap", float(prov.gap)),
+        ("output_redist_cost", float(opt.output_redist_cost)),
+        ("mem_words", big(opt.mem_words)),
+        ("max_msg_words", big(opt.max_msg_words)),
+        (
+            "comm_by_kind",
+            obj(vec![("seconds", seconds), ("step_profiles", kind_obj(&kind_totals))]),
+        ),
+        ("nodes", Value::Array(plan_nodes)),
+        ("search", search),
     ])
 }
 
@@ -616,6 +653,35 @@ mod tests {
         }
     }
 
+    /// On `ccsd` at 16 processors most Δ 0 runner-ups used to be grid
+    /// transpositions of the winner or of each other (`<b,c>` beside
+    /// `<c,b>`); none may be listed now.
+    #[test]
+    fn runner_ups_skip_transposed_mirrors() {
+        use tce_expr::examples::{ccsd_tree, PAPER_EXTENTS};
+        let tree = ccsd_tree(PAPER_EXTENTS);
+        let cm = CostModel::for_square(MachineModel::itanium_cluster(), 16).unwrap();
+        let opt = optimize(&tree, &cm, &OptimizerConfig::default()).unwrap();
+        let prov = build_provenance(&tree, &opt, &cm, 3);
+        for np in &prov.nodes {
+            assert_eq!(np.runner_ups.len(), 3, "{}: enough distinct runner-ups", np.name);
+            let listed = std::iter::once((np.winner_dist, &np.winner_fusion, np.winner_cost))
+                .chain(np.runner_ups.iter().map(|r| (r.dist, &r.fusion, r.cost)))
+                .collect::<Vec<_>>();
+            for (i, a) in listed.iter().enumerate() {
+                for b in &listed[..i] {
+                    assert!(
+                        !(transposed(a.0, b.0) && a.1 == b.1 && a.2.to_bits() == b.2.to_bits()),
+                        "{}: {} mirrors {}",
+                        np.name,
+                        a.0.render(&tree.space),
+                        b.0.render(&tree.space)
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn rendering_mentions_every_node_and_the_total() {
         let (tree, cm) = matmul();
@@ -638,15 +704,18 @@ mod tests {
         let b = serde_json::to_string_pretty(&report_json(&tree, &opt2, &cm, 3)).unwrap();
         assert_eq!(a, b, "same search, same report bytes");
         let v: serde_json::Value = serde_json::from_str(&a).unwrap();
-        assert_eq!(v.get("schema").and_then(|s| s.as_str()), Some("tce-report/v4"));
+        assert_eq!(v.get("schema").and_then(|s| s.as_str()), Some("tce-report/v5"));
         assert!(v.get("comm_by_kind").is_some());
-        // v3: the cache section records the canonical identity and the
-        // level-1 reuse tallies; the report path never serves level 2.
+        // The cache section records the canonical identity; the report
+        // path never serves level 2. The level-1 reuse tallies are effort
+        // class, under `search`.
         let cache = v.get("cache").expect("cache section");
         let hash = cache.get("canonical_hash").and_then(|h| h.as_str()).expect("hash");
         assert_eq!(hash.len(), 32, "canonical hash must be 32 hex chars: {hash}");
         assert!(matches!(cache.get("level2_hit"), Some(serde_json::Value::Bool(false))));
-        assert!(cache.get("level1_hit_rate").and_then(|r| r.as_f64()).is_some());
+        let search = v.get("search").expect("search section");
+        let l1 = search.get("cache").expect("search.cache");
+        assert!(l1.get("level1_hit_rate").and_then(|r| r.as_f64()).is_some());
         // The certificate is admissible and carried into the report.
         let lb = v.get("lower_bound").and_then(|x| x.as_f64()).expect("lower_bound");
         let cost = v.get("comm_cost").and_then(|x| x.as_f64()).expect("comm_cost");
@@ -654,8 +723,14 @@ mod tests {
         assert!(lb > 0.0 && lb <= cost, "lb {lb} vs cost {cost}");
         assert!((gap - (cost - lb)).abs() <= 1e-12 * cost.abs().max(1.0));
         assert!(v.get("nodes").and_then(|n| n.as_array()).map(|n| !n.is_empty()).unwrap_or(false));
+        // No effort-class field leaks into the plan-class nodes.
+        for node in v.get("nodes").and_then(|n| n.as_array()).expect("nodes") {
+            for key in ["candidates", "live", "runner_ups", "frontier_keys"] {
+                assert!(node.get(key).is_none(), "{key} outside `search`: {node:?}");
+            }
+        }
         // The nondeterministic counters never leak into the report.
-        let counters = v.get("counters").expect("counters section");
+        let counters = search.get("counters").expect("counters section");
         for (name, deterministic) in tce_obs::names::ALL {
             assert!(deterministic || counters.get(name).is_none(), "{name} leaked into the report");
         }

@@ -27,7 +27,7 @@
 //!    `disable_lower_bounds: true`: optimum, winner index, plan JSON,
 //!    every per-node live set entry by entry (cost bits included), and
 //!    every deterministic counter ([`tce_obs::names::is_deterministic`])
-//!    except `lb.floor_fallback` must agree.
+//!    must agree.
 //! 7. **Scheduler equivalence** — the work-stealing enumeration (spawning
 //!    forced via `spawn_amort_ns: Some(0)` so every node actually splits)
 //!    at the highest configured thread count against the serial run: the
@@ -38,9 +38,11 @@
 //!    optimum, and the memory-footprint floor never exceeds the winning
 //!    plan's actual per-processor footprint.
 //! 9. **Warm start** — warm-starting the exact branch-and-bound with the
-//!    greedy incumbent (`tce_core::portfolio::plan` under a time budget)
-//!    leaves the exact plan, cost, and footprint bit-identical (only
-//!    `dp.bnb_*` effort counters and the frontier shape may move).
+//!    greedy incumbent (`tce_core::portfolio::plan`) leaves the plan, cost
+//!    bits, footprint and certified floor of the cold `optimize` run
+//!    bit-identical, at the machine limit and at the tightened
+//!    `(mem+msg)·3/4` limit, where both must also agree on feasibility
+//!    (only effort output — counters, frontier shape — may move).
 //! 10. **Canonicalization & plan cache** — re-rendering the tree with
 //!     reversed declarations (renumbering every index and node id) and
 //!     hash-seeded commutative operand swaps must hash to the same
@@ -230,26 +232,27 @@ fn validate_plan_inner(
 }
 
 /// Whether two runs of the search on `tree` agree bit for bit: optimum,
-/// winner index, plan JSON, every per-node frontier (storage size, live
-/// indices, and the cost/mem/msg bits of each live entry), and every
-/// deterministic counter ([`tce_obs::names::is_deterministic`]) outside
-/// `skip`.
+/// certificate, winner index, plan JSON, every per-node frontier (storage
+/// size, live indices, and the cost/mem/msg bits of each live entry), and
+/// every deterministic counter ([`tce_obs::names::is_deterministic`]).
 /// `Err` describes the first difference, `alt` on the right.
 fn same_search(
     tree: &ExprTree,
     base: &tce_core::Optimized,
     alt: &tce_core::Optimized,
-    skip: &[&str],
 ) -> Result<(), String> {
     if alt.comm_cost.to_bits() != base.comm_cost.to_bits()
+        || alt.comm_lower_bound.to_bits() != base.comm_lower_bound.to_bits()
         || alt.mem_words != base.mem_words
         || alt.max_msg_words != base.max_msg_words
         || alt.best_index != base.best_index
     {
         return Err(format!(
-            "cost {} vs {}, mem {} vs {}, best {} vs {}",
+            "cost {} vs {}, floor {} vs {}, mem {} vs {}, best {} vs {}",
             base.comm_cost,
             alt.comm_cost,
+            base.comm_lower_bound,
+            alt.comm_lower_bound,
             base.mem_words,
             alt.mem_words,
             base.best_index,
@@ -282,12 +285,54 @@ fn same_search(
         }
     }
     for (counter, v) in base.counters.iter() {
-        if !tce_obs::names::is_deterministic(counter) || skip.contains(&counter) {
+        if !tce_obs::names::is_deterministic(counter) {
             continue;
         }
         if v != alt.counters.get(counter) {
             return Err(format!("counter {counter} {v} vs {}", alt.counters.get(counter)));
         }
+    }
+    Ok(())
+}
+
+/// Oracle 9: the greedy warm start of [`tce_core::portfolio::plan`]
+/// against the cold [`optimize`] run `cold` of the same configuration. The
+/// warm cut only removes candidates that cannot beat a real plan's cost,
+/// so both must reach the same verdict and, on success, the same plan
+/// JSON, cost bits, footprint and certified floor.
+fn warm_matches_cold(
+    tree: &ExprTree,
+    cm: &CostModel,
+    cfg: &OptimizerConfig,
+    cold: Result<&tce_core::Optimized, &OptimizeError>,
+) -> Result<(), String> {
+    let warm = tce_core::portfolio::plan(tree, cm, cfg).map(|p| p.opt);
+    let (cold, warm) = match (cold, &warm) {
+        (Ok(c), Ok(w)) => (c, w),
+        (Err(c), Err(w)) if c == w => return Ok(()),
+        (c, w) => {
+            return Err(format!("verdicts differ: cold {:?}, warm {:?}", c.err(), w.as_ref().err()))
+        }
+    };
+    if warm.comm_cost.to_bits() != cold.comm_cost.to_bits()
+        || warm.mem_words != cold.mem_words
+        || warm.max_msg_words != cold.max_msg_words
+        || warm.comm_lower_bound.to_bits() != cold.comm_lower_bound.to_bits()
+    {
+        return Err(format!(
+            "warm-started run moved: cost {} vs {}, mem {} vs {}, msg {} vs {}, floor {} vs {}",
+            warm.comm_cost,
+            cold.comm_cost,
+            warm.mem_words,
+            cold.mem_words,
+            warm.max_msg_words,
+            cold.max_msg_words,
+            warm.comm_lower_bound,
+            cold.comm_lower_bound
+        ));
+    }
+    if extract_plan(tree, warm).to_json() != extract_plan(tree, cold).to_json() {
+        return Err("warm-started plan differs from cold".into());
     }
     Ok(())
 }
@@ -385,9 +430,8 @@ pub fn check_tree(tree: &ExprTree, cfg: &FuzzConfig) -> Result<TreeStats, Failur
         // Oracle 6: the Pareto-staircase search with its branch-and-bound
         // corner skips against the same search with lower bounds off. The
         // skips may only avoid work, never change an outcome: plans,
-        // costs, per-node live frontiers, and every deterministic counter
-        // must be bit-identical. The floor-fallback count is excluded
-        // because the bounds-off run never computes the floors it counts.
+        // costs, the certificate, per-node live frontiers, and every
+        // deterministic counter must be bit-identical.
         {
             let unbounded = optimize(
                 tree,
@@ -396,7 +440,7 @@ pub fn check_tree(tree: &ExprTree, cfg: &FuzzConfig) -> Result<TreeStats, Failur
             )
             .map_err(|e| fail("frontier", format!("p={procs}: {e:?}")))?;
             stats.optimizations += 1;
-            same_search(tree, &base, &unbounded, &[tce_obs::names::LB_FLOOR_FALLBACK])
+            same_search(tree, &base, &unbounded)
                 .map_err(|d| fail("frontier", format!("p={procs}: bounds off: {d}")))?;
         }
 
@@ -414,43 +458,15 @@ pub fn check_tree(tree: &ExprTree, cfg: &FuzzConfig) -> Result<TreeStats, Failur
             )
             .map_err(|e| fail("scheduler", format!("p={procs} t={t}: {e:?}")))?;
             stats.optimizations += 1;
-            same_search(tree, &base, &steal, &[])
+            same_search(tree, &base, &steal)
                 .map_err(|d| fail("scheduler", format!("p={procs} t={t}: stealing: {d}")))?;
         }
 
-        // Oracle 9: the greedy warm start. A time budget makes `plan` price
-        // one greedy configuration first and hand its cost to the exact
-        // branch-and-bound as a warm upper bound; warm skips only remove
-        // candidates that cannot beat a real plan's cost, so the plan,
-        // cost bits, and footprint must match the cold run exactly.
-        {
-            let warm = tce_core::portfolio::plan(
-                tree,
-                &cm,
-                &OptimizerConfig { time_budget_ms: Some(100), ..base_config(cfg) },
-            )
-            .map_err(|e| fail("warm_start", format!("p={procs}: {e:?}")))?
-            .opt;
-            stats.optimizations += 2;
-            if warm.comm_cost.to_bits() != base.comm_cost.to_bits()
-                || warm.mem_words != base.mem_words
-                || warm.max_msg_words != base.max_msg_words
-            {
-                return Err(fail(
-                    "warm_start",
-                    format!(
-                        "p={procs}: warm-started exact run moved: cost {} vs {}, mem {} vs {}",
-                        warm.comm_cost, base.comm_cost, warm.mem_words, base.mem_words
-                    ),
-                ));
-            }
-            if extract_plan(tree, &warm).to_json() != base_json {
-                return Err(fail(
-                    "warm_start",
-                    format!("p={procs}: warm-started exact plan differs from cold"),
-                ));
-            }
-        }
+        // Oracle 9: the greedy warm start of `portfolio::plan` against the
+        // cold reference run (again at the tight limit below).
+        warm_matches_cold(tree, &cm, &base_cfg, Ok(&base))
+            .map_err(|d| fail("warm_start", format!("p={procs}: {d}")))?;
+        stats.optimizations += 2;
 
         // Oracle 10: canonicalization and the two-level plan cache.
         //
@@ -650,12 +666,12 @@ pub fn check_tree(tree: &ExprTree, cfg: &FuzzConfig) -> Result<TreeStats, Failur
         let free_footprint = base.mem_words + base.max_msg_words;
         let tight = free_footprint * 3 / 4;
         let tight_result = if tight > 0 {
-            let r = optimize(
-                tree,
-                &cm,
-                &OptimizerConfig { mem_limit_words: Some(tight), ..base_config(cfg) },
-            );
+            let tight_cfg = OptimizerConfig { mem_limit_words: Some(tight), ..base_config(cfg) };
+            let r = optimize(tree, &cm, &tight_cfg);
             stats.optimizations += 1;
+            warm_matches_cold(tree, &cm, &tight_cfg, r.as_ref())
+                .map_err(|d| fail("warm_start", format!("p={procs} tight={tight}: {d}")))?;
+            stats.optimizations += 2;
             match r {
                 Ok(opt) => {
                     validate_plan_deeply(

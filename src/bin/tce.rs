@@ -81,9 +81,6 @@ struct Args {
     threads: usize,
     /// Statically verify the optimizer's plan even in release builds.
     verify: bool,
-    /// Wall-clock budget (ms); its only effect is the greedy warm start
-    /// of the branch-and-bound.
-    time_budget_ms: Option<u64>,
     /// fuzz: number of generator seeds to run.
     fuzz_seeds: u64,
     /// fuzz: first generator seed.
@@ -127,12 +124,15 @@ commands:
              grids, and the memory-feasibility prover, with stable
              TCE1xx diagnostics (same pass on `optimize` as a pre-pass)
   explain    per-node decision record of the winning plan: the winning
-             (distribution, fusion) pair, top runner-ups with cost deltas,
-             frontier shape, and the per-kind communication breakdown
+             (distribution, fusion) pair and the per-kind communication
+             breakdown, then a search-effort section with the top
+             runner-ups the search kept and the frontier shape
   report     machine-readable JSON roll-up of the whole run (schema
-             tce-report/v4): headline costs, per-kind attribution, search
-             counters, and per-node provenance; with --simulate, also the
-             measured per-kind totals from the virtual cluster
+             tce-report/v5): headline costs, per-kind attribution and
+             per-node plan provenance, plus a `search` section (counters,
+             live counts, runner-ups, frontier keys) that depends on
+             search effort; with --simulate, also the measured per-kind
+             totals from the virtual cluster
   fuzz       differential fuzzing: random trees through optimizer,
              checker, simulator, and exhaustive search; failures are
              minimized and pinned as reproducers (no file argument)
@@ -156,9 +156,6 @@ options:
                          optimizing
   --verify               optimize: statically verify the winning plan even
                          in release builds (debug builds always do)
-  --time-budget-ms N     warm-start branch-and-bound from a greedy
-                         incumbent (the plan is bit-identical to a cold
-                         run; only the dp.bnb_* effort counters move)
   --dot                  optimize: emit the plan as Graphviz dot
   --json                 optimize: emit the plan as JSON (with an
                          `observability` section of search counters);
@@ -230,7 +227,6 @@ fn parse_args() -> Result<Args, ExitCode> {
         report_simulate: false,
         threads: 0,
         verify: false,
-        time_budget_ms: None,
         fuzz_seeds: 50,
         fuzz_start: 0,
         replay: None,
@@ -268,7 +264,6 @@ fn parse_args() -> Result<Args, ExitCode> {
             "--metrics-out" => args.metrics_out = Some(value("--metrics-out")?),
             "--simulate" => args.report_simulate = true,
             "--verify" => args.verify = true,
-            "--time-budget-ms" => args.time_budget_ms = Some(parsed!("--time-budget-ms")),
             "--replication" => args.allow_replication = true,
             "--unrelated-rotation" => args.allow_unrelated_rotation = true,
             "--dot" => args.dot = true,
@@ -369,7 +364,6 @@ fn opt_config(args: &Args, tree: &ExprTree) -> Result<OptimizerConfig, String> {
         allow_unrelated_rotation: args.allow_unrelated_rotation,
         threads: args.threads,
         verify: args.verify,
-        time_budget_ms: args.time_budget_ms,
         disable_subtree_reuse: args.no_subtree_reuse,
         ..Default::default()
     };
@@ -1072,7 +1066,6 @@ mod tests {
             report_simulate: false,
             threads: 3,
             verify: false,
-            time_budget_ms: Some(100),
             fuzz_seeds: 50,
             fuzz_start: 0,
             replay: None,
@@ -1087,6 +1080,5 @@ mod tests {
         assert_eq!(cfg.threads, 3);
         assert!(cfg.input_dists.contains_key("A"));
         assert!(cfg.output_dist.is_some());
-        assert_eq!(cfg.time_budget_ms, Some(100));
     }
 }

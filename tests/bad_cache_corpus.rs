@@ -16,6 +16,7 @@
 
 use std::path::PathBuf;
 
+use tensor_contraction_opt::core::portfolio::plan;
 use tensor_contraction_opt::core::{
     cache_key, extract_plan, optimize, OptimizerConfig, PlanCache, PLAN_CACHE_SCHEMA,
 };
@@ -95,10 +96,11 @@ fn regen_bad_cache_corpus() {
     let cm = reference_model();
     let cfg = OptimizerConfig::default();
     let key = cache_key(&tree, &cm, &cfg).expect("default request is cacheable");
-    // Serial, so the stored interleaving-dependent counters (`dp.steal`,
-    // `dp.bnb_*`) come out the same on every machine.
+    // The warm-started search `tce optimize` stores, serial so the stored
+    // interleaving-dependent counters (`dp.steal`, `dp.bnb_*`) come out
+    // the same on every machine.
     let serial = OptimizerConfig { threads: 1, ..OptimizerConfig::default() };
-    let opt = optimize(&tree, &cm, &serial).expect("reference search succeeds");
+    let opt = plan(&tree, &cm, &serial).expect("reference search succeeds").opt;
     let plan = extract_plan(&tree, &opt);
 
     let dir = std::env::temp_dir().join(format!("tce-bad-cache-regen-{}", std::process::id()));
@@ -121,7 +123,7 @@ fn regen_bad_cache_corpus() {
         .expect("truncated.json");
     std::fs::write(
         out.join("stale_version.json"),
-        good.replacen(PLAN_CACHE_SCHEMA, "tce-plan-cache/v1", 1),
+        good.replacen(PLAN_CACHE_SCHEMA, "tce-plan-cache/v2", 1),
     )
     .expect("stale_version.json");
     let digest = good

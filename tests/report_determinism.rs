@@ -30,7 +30,7 @@ fn report_json_is_bit_identical_across_thread_counts() {
     for threads in [2, 4] {
         assert_eq!(serial, render(threads), "report JSON diverged at {threads} threads");
     }
-    assert!(serial.contains("tce-report/v4"));
+    assert!(serial.contains("tce-report/v5"));
 }
 
 #[test]
@@ -46,9 +46,17 @@ fn explain_breakdown_sums_to_plan_total_on_ccsd_tiny() {
         opt.comm_cost
     );
     // The rendering carries the acceptance surface: winning (dist,fusion)
-    // per node, runner-up deltas, and the per-kind table.
+    // per node and the per-kind table, then the runner-ups and frontiers
+    // in one search-effort section after every plan-class line.
     let text = render_provenance(&tree, &prov);
     assert!(text.contains("winner"), "{text}");
     assert!(text.contains("step comm by kind:"), "{text}");
     assert!(text.contains("total comm by kind:"), "{text}");
+    let (plan_part, effort_part) =
+        text.split_once("\nsearch effort (").expect("one labelled search-effort section");
+    assert!(plan_part.contains("certified lower bound:"), "{text}");
+    for effort_line in ["runner-up", "frontier:"] {
+        assert!(!plan_part.contains(effort_line), "{effort_line} before the section: {text}");
+        assert!(effort_part.contains(effort_line), "{effort_line} missing: {text}");
+    }
 }
