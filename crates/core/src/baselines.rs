@@ -18,7 +18,7 @@ use tce_cost::CostModel;
 use tce_expr::{ExprTree, NodeId};
 use tce_fusion::{minimize_memory, FusionConfig};
 
-use crate::dp::{optimize, OptimizeError, Optimized, OptimizerConfig};
+use crate::dp::{optimize, OptimizeError, OptimizerConfig};
 use crate::plan::{extract_plan, ExecutionPlan};
 
 /// Outcome of a baseline strategy.
@@ -30,17 +30,6 @@ pub struct BaselineResult {
     pub error: Option<OptimizeError>,
     /// The fusion configuration the strategy committed to (if any).
     pub fixed_fusion: Option<FusionConfig>,
-}
-
-/// The joint optimizer with the memory limit lifted — what a
-/// communication-only optimization would choose.
-pub fn optimize_unconstrained(
-    tree: &ExprTree,
-    cm: &CostModel,
-    base: &OptimizerConfig,
-) -> Result<Optimized, OptimizeError> {
-    let cfg = OptimizerConfig { mem_limit_words: Some(u128::MAX), ..base.clone() };
-    optimize(tree, cm, &cfg)
 }
 
 /// Baseline 1 — distribution first: pin every node to the pattern the

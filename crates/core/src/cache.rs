@@ -1,4 +1,4 @@
-//! Level-2 persistent plan cache (`tce-plan-cache/v3`).
+//! Level-2 persistent plan cache (`tce-plan-cache/v4`).
 //!
 //! Memoizes full optimization outcomes — the [`ExecutionPlan`], its cost
 //! scalars, the certified communication floor, and the run's
@@ -35,9 +35,13 @@
 //!
 //! One JSON file per entry, named by the hex key digest, in a flat
 //! directory (default `~/.cache/tce`, overridable with `--plan-cache`).
-//! `stats.json` holds the persistent hit/miss/eviction totals shown by
-//! `tce cache stats`. Every file is written to a per-writer temp file and
-//! renamed into place, so concurrent clients never read a torn file.
+//! Every entry is written to a per-writer temp file and renamed into
+//! place, so concurrent clients never read a torn entry. The persistent
+//! hit/miss/eviction totals shown by `tce cache stats` live in the
+//! append-only journal `stats.log`: one counter-name line per event, each
+//! added by a single `write` to a file opened for appending, so concurrent
+//! processes never lose one another's counts. A `stats.json` left by a
+//! `v3` build is ignored.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -55,7 +59,7 @@ use crate::plan::{ExecutionPlan, PlanOperand, PlanStep};
 
 /// Schema stamp written into every entry; bump on any incompatible
 /// change to the entry layout or the key digest.
-pub const PLAN_CACHE_SCHEMA: &str = "tce-plan-cache/v3";
+pub const PLAN_CACHE_SCHEMA: &str = "tce-plan-cache/v4";
 
 /// Code version stamp: entries written by another build are evicted
 /// (`cache.evict_version`) rather than trusted across releases.
@@ -249,19 +253,19 @@ pub struct LookupOutcome {
     pub evicted: Option<&'static str>,
 }
 
-/// Persistent totals kept in `stats.json` (process counters reset every
-/// run; `tce cache stats` wants history).
-#[derive(Default, Serialize, Deserialize)]
-struct StatsFile {
-    schema: String,
-    hit: u64,
-    miss: u64,
-    store: u64,
-    evict_corrupt: u64,
-    evict_version: u64,
-    evict_digest: u64,
-    evict_plan: u64,
-}
+/// The counter journal's file name in the cache directory.
+const JOURNAL: &str = "stats.log";
+
+/// The counters the journal records, in `tce cache stats` order.
+const JOURNAL_COUNTERS: [&str; 7] = [
+    tce_obs::names::CACHE_HIT,
+    tce_obs::names::CACHE_MISS,
+    tce_obs::names::CACHE_STORE,
+    tce_obs::names::CACHE_EVICT_CORRUPT,
+    tce_obs::names::CACHE_EVICT_VERSION,
+    tce_obs::names::CACHE_EVICT_DIGEST,
+    tce_obs::names::CACHE_EVICT_PLAN,
+];
 
 /// Aggregate cache state for `tce cache stats`.
 pub struct CacheStats {
@@ -316,26 +320,16 @@ impl PlanCache {
         self.dir.join(key.file_name())
     }
 
-    fn bump(&self, field: &'static str) {
-        let path = self.dir.join("stats.json");
-        let mut st: StatsFile = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|s| serde_json::from_str(&s).ok())
-            .unwrap_or_default();
-        st.schema = PLAN_CACHE_SCHEMA.to_string();
-        match field {
-            "hit" => st.hit += 1,
-            "miss" => st.miss += 1,
-            "store" => st.store += 1,
-            "evict_corrupt" => st.evict_corrupt += 1,
-            "evict_version" => st.evict_version += 1,
-            "evict_digest" => st.evict_digest += 1,
-            _ => st.evict_plan += 1,
-        }
-        if std::fs::create_dir_all(&self.dir).is_ok() {
-            if let Ok(json) = serde_json::to_string_pretty(&st) {
-                let _ = atomic_write(&path, &json);
-            }
+    /// Append one `counter` event to the journal: a single `write` of one
+    /// line to a file opened for appending, so concurrent appends from
+    /// any number of processes all land. Best effort, like the cache.
+    fn record(&self, counter: &'static str) {
+        use std::io::Write as _;
+        let path = self.dir.join(JOURNAL);
+        let open = || std::fs::OpenOptions::new().create(true).append(true).open(&path);
+        let file = open().or_else(|_| std::fs::create_dir_all(&self.dir).and_then(|()| open()));
+        if let Ok(mut f) = file {
+            let _ = f.write_all(format!("{counter}\n").as_bytes());
         }
     }
 
@@ -345,36 +339,36 @@ impl PlanCache {
     pub fn lookup(&self, tree: &ExprTree, cm: &CostModel, key: &CacheKey) -> LookupOutcome {
         let path = self.entry_path(key);
         let Ok(text) = std::fs::read_to_string(&path) else {
-            self.bump("miss");
+            self.record(tce_obs::names::CACHE_MISS);
             return LookupOutcome { run: None, evicted: None };
         };
-        let evict = |reason: &'static str, field: &'static str| {
+        let evict = |reason: &'static str| {
             let _ = std::fs::remove_file(&path);
-            self.bump(field);
-            self.bump("miss");
+            self.record(reason);
+            self.record(tce_obs::names::CACHE_MISS);
             LookupOutcome { run: None, evicted: Some(reason) }
         };
         let entry: Entry = match serde_json::from_str(&text) {
             Ok(e) => e,
-            Err(_) => return evict(tce_obs::names::CACHE_EVICT_CORRUPT, "evict_corrupt"),
+            Err(_) => return evict(tce_obs::names::CACHE_EVICT_CORRUPT),
         };
         if entry.schema != PLAN_CACHE_SCHEMA || entry.code_version != CODE_VERSION {
-            return evict(tce_obs::names::CACHE_EVICT_VERSION, "evict_version");
+            return evict(tce_obs::names::CACHE_EVICT_VERSION);
         }
         if entry.cost_digest != hex128(key.cost_digest) {
-            return evict(tce_obs::names::CACHE_EVICT_DIGEST, "evict_digest");
+            return evict(tce_obs::names::CACHE_EVICT_DIGEST);
         }
         if entry.expr_hash != hex128(key.expr_hash)
             || entry.procs != key.procs
             || entry.mem_limit_words != key.mem_limit_words
             || entry.cfg_digest != hex128(key.cfg_digest)
         {
-            return evict(tce_obs::names::CACHE_EVICT_CORRUPT, "evict_corrupt");
+            return evict(tce_obs::names::CACHE_EVICT_CORRUPT);
         }
         let Some(run) = instantiate(tree, cm, key, &entry) else {
-            return evict(tce_obs::names::CACHE_EVICT_PLAN, "evict_plan");
+            return evict(tce_obs::names::CACHE_EVICT_PLAN);
         };
-        self.bump("hit");
+        self.record(tce_obs::names::CACHE_HIT);
         LookupOutcome { run: Some(Box::new(run)), evicted: None }
     }
 
@@ -447,7 +441,7 @@ impl PlanCache {
         let json = serde_json::to_string_pretty(&entry).map_err(|e| e.to_string())?;
         atomic_write(&self.entry_path(key), &json)
             .map_err(|e| format!("writing plan cache entry: {e}"))?;
-        self.bump("store");
+        self.record(tce_obs::names::CACHE_STORE);
         Ok(())
     }
 
@@ -457,6 +451,7 @@ impl PlanCache {
             .flatten()
             .map(|e| e.path())
             .filter(|p| {
+                // A `v3` build's counter file is not an entry.
                 p.extension().is_some_and(|x| x == "json")
                     && p.file_name().is_some_and(|n| n != "stats.json")
             })
@@ -465,27 +460,20 @@ impl PlanCache {
         files
     }
 
-    /// Entry count, byte total, and the persistent counters.
+    /// Entry count, byte total, and the persistent counters (the
+    /// journal's lines per counter name).
     pub fn stats(&self) -> CacheStats {
         let files = self.entry_files();
         let bytes = files.iter().filter_map(|p| std::fs::metadata(p).ok()).map(|m| m.len()).sum();
-        let st: StatsFile = std::fs::read_to_string(self.dir.join("stats.json"))
-            .ok()
-            .and_then(|s| serde_json::from_str(&s).ok())
-            .unwrap_or_default();
-        CacheStats {
-            entries: files.len() as u64,
-            bytes,
-            counters: vec![
-                (tce_obs::names::CACHE_HIT, st.hit),
-                (tce_obs::names::CACHE_MISS, st.miss),
-                (tce_obs::names::CACHE_STORE, st.store),
-                (tce_obs::names::CACHE_EVICT_CORRUPT, st.evict_corrupt),
-                (tce_obs::names::CACHE_EVICT_VERSION, st.evict_version),
-                (tce_obs::names::CACHE_EVICT_DIGEST, st.evict_digest),
-                (tce_obs::names::CACHE_EVICT_PLAN, st.evict_plan),
-            ],
+        let journal = std::fs::read_to_string(self.dir.join(JOURNAL)).unwrap_or_default();
+        let mut counters: Vec<(&'static str, u64)> =
+            JOURNAL_COUNTERS.iter().map(|&n| (n, 0)).collect();
+        for line in journal.lines() {
+            if let Some(c) = counters.iter_mut().find(|(n, _)| *n == line) {
+                c.1 += 1;
+            }
         }
+        CacheStats { entries: files.len() as u64, bytes, counters }
     }
 
     /// Re-check every stored entry: parse, stamps, and — by rebuilding
@@ -503,8 +491,9 @@ impl PlanCache {
             .collect()
     }
 
-    /// Delete every entry file, the stats file and any temp file a killed
-    /// writer left behind; returns how many entries were removed.
+    /// Delete every entry file, the counter journal (and a `v3`
+    /// `stats.json`) and any temp file a killed writer left behind;
+    /// returns how many entries were removed.
     pub fn clear(&self) -> Result<u64, String> {
         let files = self.entry_files();
         let mut removed = 0u64;
@@ -512,6 +501,7 @@ impl PlanCache {
             std::fs::remove_file(f).map_err(|e| format!("removing {}: {e}", f.display()))?;
             removed += 1;
         }
+        let _ = std::fs::remove_file(self.dir.join(JOURNAL));
         let _ = std::fs::remove_file(self.dir.join("stats.json"));
         if let Ok(rd) = std::fs::read_dir(&self.dir) {
             for p in rd.flatten().map(|e| e.path()) {
@@ -785,58 +775,32 @@ fn align_operands(tree: &ExprTree, plan: &mut ExecutionPlan) -> Option<()> {
 /// Render the canonical form of the tree back to parseable `.tce` source
 /// with placeholder names (`x<number>` indices, `n<position>` arrays) —
 /// the expression record `tce cache verify` rebuilds and checks against.
+/// `None` when the form does not cover the tree.
 fn canonical_source(tree: &ExprTree, form: &CanonicalForm) -> Option<String> {
-    use std::fmt::Write as _;
-    use tce_expr::NodeKind;
-    let number: HashMap<IndexId, u32> =
-        form.index_order.iter().enumerate().map(|(n, &ix)| (ix, n as u32)).collect();
-    let position: HashMap<NodeId, u32> =
-        form.node_order.iter().enumerate().map(|(p, &n)| (n, p as u32)).collect();
-    let dims_of = |node: NodeId| -> Option<String> {
-        let names: Vec<String> = tree
-            .node(node)
-            .tensor
-            .dims
-            .iter()
-            .map(|d| number.get(d).map(|x| format!("x{x}")))
-            .collect::<Option<_>>()?;
-        Some(names.join(","))
-    };
-    let mut src = String::new();
-    for (n, &ix) in form.index_order.iter().enumerate() {
-        let _ = writeln!(src, "range x{n} = {};", tree.space.extent(ix));
-    }
-    for &node in &form.node_order {
-        let p = position.get(&node)?;
-        match &tree.node(node).kind {
-            NodeKind::Leaf => {
-                let _ = writeln!(src, "input n{p}[{}];", dims_of(node)?);
-            }
-            NodeKind::Contract { sum, left, right } => {
-                let lhs = format!("n{p}[{}]", dims_of(node)?);
-                let l = format!("n{}[{}]", position.get(left)?, dims_of(*left)?);
-                let r = format!("n{}[{}]", position.get(right)?, dims_of(*right)?);
-                if sum.is_empty() {
-                    let _ = writeln!(src, "{lhs} = {l} * {r};");
-                } else {
-                    let sums: Vec<String> = sum
-                        .iter()
-                        .map(|s| number.get(&s).map(|x| format!("x{x}")))
-                        .collect::<Option<_>>()?;
-                    let _ = writeln!(src, "{lhs} = sum[{}] {l} * {r};", sums.join(","));
-                }
-            }
-            NodeKind::Reduce { sum, child } => {
-                let _ = writeln!(
-                    src,
-                    "n{p}[{}] = sum[x{}] n{}[{}];",
-                    dims_of(node)?,
-                    number.get(sum)?,
-                    position.get(child)?,
-                    dims_of(*child)?,
-                );
-            }
+    let number: HashMap<IndexId, usize> =
+        form.index_order.iter().enumerate().map(|(n, &ix)| (ix, n)).collect();
+    let position: HashMap<NodeId, usize> =
+        form.node_order.iter().enumerate().map(|(p, &n)| (n, p)).collect();
+    let (inputs, statements): (Vec<NodeId>, Vec<NodeId>) =
+        form.node_order.iter().partition(|&&n| tree.node(n).is_leaf());
+    let uncovered = std::cell::Cell::new(false);
+    let name = |prefix: char, found: Option<&usize>| match found {
+        Some(x) => format!("{prefix}{x}"),
+        None => {
+            uncovered.set(true);
+            String::new()
         }
-    }
-    Some(src)
+    };
+    let src = tce_expr::printer::render_tce(
+        tree,
+        &tce_expr::printer::TceLayout {
+            ranges: &form.index_order,
+            inputs: &inputs,
+            statements: &statements,
+            index_name: &|ix| name('x', number.get(&ix)),
+            array_name: &|n| name('n', position.get(&n)),
+            swapped: &|_| false,
+        },
+    );
+    (!uncovered.get()).then_some(src)
 }

@@ -66,10 +66,3 @@ pub fn analysis_passes() -> Vec<Box<dyn Pass>> {
         Box::new(cost::CostPass),
     ]
 }
-
-/// All passes (gate first), for listing.
-pub fn all_passes() -> Vec<Box<dyn Pass>> {
-    let mut v = vec![gate_pass()];
-    v.extend(analysis_passes());
-    v
-}

@@ -44,7 +44,7 @@ pub struct OptimizerConfig {
     /// Disable dominance pruning (for the §3.3 pruning-effectiveness
     /// ablation; the result is unchanged, only the work done).
     pub disable_pruning: bool,
-    /// Stop the search from using the certified floors: the
+    /// Stop the search from using the certified floors and bounds: the
     /// memory-feasibility prover, the branch-and-bound corner skips and
     /// the warm cut. The floors are still computed for the optimality
     /// certificate, so the plan, the certificate and every counter except
@@ -90,10 +90,9 @@ pub struct OptimizerConfig {
     /// Disable the in-run level-1 subtree reuse: with reuse on (the
     /// default), completed node frontiers are keyed by their strict
     /// canonical subtree form (`tce_expr::canon`) plus everything else
-    /// that can influence the frontier (edge candidates, leaf pins, corner
-    /// floor, warm cut), and an isomorphic subtree replays the stored
-    /// Pareto staircase under the rename bijection instead of
-    /// re-enumerating. Replay is bit-identical to a fresh enumeration —
+    /// that can influence the frontier (edge candidates, leaf pins, warm
+    /// cut), and an isomorphic subtree replays the stored Pareto
+    /// staircase under the rename bijection instead of re-enumerating. Replay is bit-identical to a fresh enumeration —
     /// only the `dp.subtree_hit`/`dp.subtree_miss` counters and the work
     /// done differ — which the fuzz `cache` oracle verifies
     /// differentially. Reuse is gated off automatically under
@@ -107,7 +106,7 @@ pub struct OptimizerConfig {
     /// real plan, so the optimum is ≤ it), hence the winning plan and
     /// cost are bit-identical to a cold run — only search-effort counters
     /// move. Active only with pruning and lower bounds on and no
-    /// pattern/fusion pins (the same gate as the corner floors).
+    /// pattern/fusion pins.
     pub warm_upper_bound: Option<f64>,
 }
 
@@ -354,15 +353,13 @@ fn run_dp(
     }
     // Per-node subtree communication floors (DESIGN.md §12), certified
     // once here, used two ways: the root floor becomes the plan's
-    // optimality certificate (`Optimized::comm_lower_bound`), and the
-    // per-node floors strengthen the branch-and-bound corner queries.
-    // Each node's floor minimizes the exact rotation kernel over every
+    // optimality certificate (`Optimized::comm_lower_bound`), and with a
+    // warm incumbent the per-node floors set each node's warm cut. Each
+    // node's floor minimizes the exact rotation kernel over every
     // pattern/surrounding the DP may enumerate and floors every other
     // cost term at its true minimum of zero. Pinned patterns may predate
     // the current `allow_replication` setting, so the certificate widens
-    // its pattern universe to the replication superset then; the corner
-    // floors simply stay off under pins and `disable_lower_bounds` (they
-    // only ever widen skips, never change which plan wins).
+    // its pattern universe to the replication superset then.
     let lb_replication = cfg.allow_replication || cfg.fixed_patterns.is_some();
     // Nearest-grid rcost extrapolations are surfaced per run as a counter
     // delta (the process-wide total minus this snapshot). Concurrent runs
@@ -370,7 +367,6 @@ fn run_dp(
     // is flagged nondeterministic in `tce_obs::names::ALL`.
     let rcost_fallbacks_before = tce_cost::rcost_fallback_count();
     struct Floors {
-        corners: HashMap<NodeId, f64>,
         warm_cuts: HashMap<NodeId, f64>,
         root: f64,
         root_exact: bool,
@@ -379,7 +375,6 @@ fn run_dp(
     }
     let floors = if !certify {
         Floors {
-            corners: HashMap::new(),
             warm_cuts: HashMap::new(),
             root: 0.0,
             root_exact: false,
@@ -391,7 +386,7 @@ fn run_dp(
         let raw_root = detail.floors[&tree.root()];
         let root_floor = tce_cost::bound::certify(raw_root);
         let root_exact = detail.root_exact(tree);
-        let corners_active = !cfg.disable_lower_bounds
+        let cuts_active = !cfg.disable_lower_bounds
             && !cfg.disable_pruning
             && cfg.fixed_patterns.is_none()
             && cfg.fixed_fusion.is_none();
@@ -401,10 +396,10 @@ fn run_dp(
         // incumbent is the cost of a real plan of this configuration, so
         // the optimum (and every tie with it) survives. `certify` shrinks
         // the rest floor so float re-association cannot make the cut
-        // inadmissible. Gated exactly like the corner floors: the skip
-        // never changes which plan wins, only the work done.
+        // inadmissible. The skip never changes which plan wins, only the
+        // work done.
         let warm_cuts = match cfg.warm_upper_bound {
-            Some(ub) if corners_active => detail
+            Some(ub) if cuts_active => detail
                 .floors
                 .iter()
                 .map(|(&n, &f)| {
@@ -414,13 +409,7 @@ fn run_dp(
                 .collect(),
             _ => HashMap::new(),
         };
-        let corners = if corners_active {
-            detail.floors.into_iter().map(|(k, v)| (k, tce_cost::bound::certify(v))).collect()
-        } else {
-            HashMap::new()
-        };
         Floors {
-            corners,
             warm_cuts,
             root: root_floor,
             root_exact,
@@ -428,7 +417,6 @@ fn run_dp(
             fallback_nodes: detail.fallback_nodes,
         }
     };
-    let (corner_floors, comm_lower_bound) = (floors.corners, floors.root);
     let threads = match cfg.threads {
         0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
         n => n,
@@ -462,8 +450,8 @@ fn run_dp(
     // Level-1 in-run subtree reuse (DESIGN.md §14): each completed node's
     // frontier is memoized under its canonical subtree form plus every
     // other input the enumeration depends on — edge candidates, leaf
-    // pins, certified floor and warm cut of every internal node of the
-    // subtree, all expressed in canonical index numbering so the key is
+    // pins and the warm cut of every internal node of the subtree, all
+    // expressed in canonical index numbering so the key is
     // rename-invariant. A later isomorphic subtree whose canonical index
     // bijection is *monotone* in `IndexId` order replays the stored
     // Pareto staircase through [`SolutionSet::remap`] instead of
@@ -487,14 +475,12 @@ fn run_dp(
         /// an unpinned leaf, otherwise the pinned distribution's indices
         /// as canonical numbers.
         pin_sig: Vec<Option<(Option<u32>, Option<u32>)>>,
-        /// Certified corner floor of every internal subtree node, in
-        /// canonical node order, bit-exact. Keying on *all* descendants
-        /// (not just the root of the subtree) guarantees that when this
-        /// key matches, every descendant's enumeration inputs matched
-        /// too, so the stored `sol_index` back-pointers into child sets
-        /// land on identically laid-out arenas.
-        floor_bits: Vec<u64>,
-        /// Warm-start cut of every internal subtree node, same encoding.
+        /// Warm-start cut of every internal subtree node, in canonical
+        /// node order, bit-exact. Keying on *all* descendants (not just
+        /// the root of the subtree) guarantees that when this key matches,
+        /// every descendant's enumeration inputs matched too, so the
+        /// stored `sol_index` back-pointers into child sets land on
+        /// identically laid-out arenas.
         warm_bits: Vec<u64>,
     }
     struct ReuseEntry {
@@ -523,7 +509,6 @@ fn run_dp(
             None => enumerate_prefixes(&edge_candidates(tree, node), cfg.max_prefix_len),
         };
         let mut set = SolutionSet::with_mode(!cfg.disable_pruning, !cfg.disable_lower_bounds);
-        let node_floor = corner_floors.get(&node).copied().unwrap_or(0.0);
         let warm_cut = floors.warm_cuts.get(&node).copied().unwrap_or(f64::INFINITY);
         // Reuse key for this node, or `None` when reuse is off or any
         // index fails to map (defensive: every pin/edge index is a dim of
@@ -546,7 +531,6 @@ fn run_dp(
                 }
                 edge_sig.sort_unstable();
                 let mut pin_sig = Vec::new();
-                let mut floor_bits = Vec::new();
                 let mut warm_bits = Vec::new();
                 for &m in &form.nodes {
                     let mn = tree.node(m);
@@ -556,13 +540,12 @@ fn run_dp(
                             Some(d) => pin_sig.push(Some((map_ix(d.d1)?, map_ix(d.d2)?))),
                         }
                     } else {
-                        floor_bits.push(corner_floors.get(&m).copied().unwrap_or(0.0).to_bits());
                         warm_bits.push(
                             floors.warm_cuts.get(&m).copied().unwrap_or(f64::INFINITY).to_bits(),
                         );
                     }
                 }
-                Some(ReuseKey { hash: form.hash, edge_sig, pin_sig, floor_bits, warm_bits })
+                Some(ReuseKey { hash: form.hash, edge_sig, pin_sig, warm_bits })
             })()
         } else {
             None
@@ -613,7 +596,6 @@ fn run_dp(
                         &my_prefixes,
                         &sets,
                         limit,
-                        node_floor,
                         warm_cut,
                         &mut set,
                     ),
@@ -629,7 +611,6 @@ fn run_dp(
                         &my_prefixes,
                         &sets,
                         limit,
-                        node_floor,
                         warm_cut,
                         &mut set,
                     ),
@@ -648,7 +629,6 @@ fn run_dp(
         // checks skip them; every other counter is interleaving-invariant.
         counters.add(tce_obs::names::BNB_SKIP, set.bnb_skip);
         counters.add(tce_obs::names::BNB_BLOCK, set.bnb_block);
-        counters.add(tce_obs::names::BNB_FLOOR, set.bnb_floor);
         counters.add(tce_obs::names::BNB_WARM, set.bnb_warm);
         // Scheduler counters: block count is the serial item count (a pure
         // function of the search space, identical at every thread count);
@@ -766,7 +746,7 @@ fn run_dp(
         counters,
         worker_busy_us,
         sets,
-        comm_lower_bound,
+        comm_lower_bound: floors.root,
         comm_floor_exact: floors.root_exact,
     };
     // Self-check: statically verify the winning plan before handing it
@@ -1048,19 +1028,14 @@ fn binary_layouts(
 
 /// The one branch-and-bound skip decision (DESIGN.md §9) for a block of
 /// `pairs` candidates of key `kh` whose costs are all at least `raw` and
-/// whose memory and message sizes are at least `mem` and `msg`. The bound
-/// is `certify(raw)` raised to the static subtree floor: that floor is an
-/// independent admissible lower bound on every candidate of the node, and
-/// the max of two admissible floors is admissible and can only widen the
-/// skip. In order:
+/// whose memory and message sizes are at least `mem` and `msg`, bounded
+/// below by `certify(raw)`. In order:
 ///
 /// 1. *warm*: the bound exceeds the warm-start cut — a static test against
 ///    the incumbent, checked before the frontier-dependent corner query so
 ///    it fires identically no matter how the block stream is partitioned
 ///    across workers;
-/// 2. *dominated*: a live entry dominates the corner. When only the
-///    static floor made that so, the skip is attributed to it
-///    (`bnb_floor`);
+/// 2. *dominated*: a live entry dominates the corner;
 /// 3. otherwise the block is kept and priced.
 ///
 /// A skipped block bumps `bnb_block` (and `bnb_warm` by `pairs` when
@@ -1073,18 +1048,13 @@ fn bnb_skip(
     raw: f64,
     mem: u128,
     msg: u128,
-    node_floor: f64,
     warm_cut: f64,
     pairs: u64,
 ) -> bool {
-    let b = tce_cost::bound::certify(raw).max(node_floor);
+    let b = tce_cost::bound::certify(raw);
     if b > warm_cut {
         local.bnb_warm += pairs;
-    } else if local.dominates_corner(kh, b, mem, msg) {
-        if b == node_floor && !local.dominates_corner(kh, tce_cost::bound::certify(raw), mem, msg) {
-            local.bnb_floor += 1;
-        }
-    } else {
+    } else if !local.dominates_corner(kh, b, mem, msg) {
         return false;
     }
     local.bnb_block += 1;
@@ -1112,7 +1082,6 @@ fn combine_binary(
     my_prefixes: &[FusionPrefix],
     sets: &HashMap<NodeId, SolutionSet>,
     limit: u128,
-    node_floor: f64,
     warm_cut: f64,
     out: &mut SolutionSet,
 ) -> crate::sched::EnumStats {
@@ -1261,7 +1230,6 @@ fn combine_binary(
                         lc + rc0 + rot_total,
                         lm + rm0 + my_mem,
                         block_msg.max(lg).max(rg0),
-                        node_floor,
                         warm_cut,
                         tail.len() as u64 * ropts,
                     ) {
@@ -1277,7 +1245,6 @@ fn combine_binary(
                         lopt.comm_cost + lopt.redist_cost + rc0 + rot_total,
                         lopt.mem_words + rm0 + my_mem,
                         block_msg.max(lopt.max_msg_words).max(rg0),
-                        node_floor,
                         warm_cut,
                         ropts,
                     ) {
@@ -1363,7 +1330,6 @@ fn combine_reduce(
     my_prefixes: &[FusionPrefix],
     sets: &HashMap<NodeId, SolutionSet>,
     limit: u128,
-    node_floor: f64,
     warm_cut: f64,
     out: &mut SolutionSet,
 ) -> crate::sched::EnumStats {
@@ -1450,7 +1416,7 @@ fn combine_reduce(
                 let (cc0, cm0, cg0) = cslate.floors[0];
                 let n = cslate.opts.len() as u64;
                 let raw = cc0 + reduce_cost;
-                if bnb_skip(local, &kh, raw, cm0 + my_mem, cg0, node_floor, warm_cut, n) {
+                if bnb_skip(local, &kh, raw, cm0 + my_mem, cg0, warm_cut, n) {
                     let (max_mem, max_msg, nored) = cslate.sfx_agg[0];
                     if max_mem + my_mem + max_msg <= limit {
                         local.account_skipped_many(n, n - nored, 0);
@@ -1539,29 +1505,27 @@ mod tests {
         }
     }
 
-    /// The skip helper tests the warm cut before the corner query, and
-    /// attributes a dominated skip to the static floor only when the
-    /// unfloored corner would not have been dominated.
+    /// The skip helper tests the warm cut before the corner query.
     #[test]
-    fn bnb_skip_decides_warm_then_corner_then_floor() {
+    fn bnb_skip_decides_warm_then_corner() {
         let (d, f) = (Distribution { d1: None, d2: None }, FusionPrefix::empty());
         let mut set = SolutionSet::new();
         let mut kh = set.key_handle(d, &f);
         assert!(set.try_insert(&mut kh, d, &f, 10.0, 100, 10, false, u128::MAX, || None));
-        let counts = |s: &SolutionSet| (s.bnb_block, s.bnb_floor, s.bnb_warm);
+        let counts = |s: &SolutionSet| (s.bnb_block, s.bnb_warm);
         let inf = f64::INFINITY;
         // The corner undercuts the live entry: keep.
-        assert!(!bnb_skip(&mut set, &kh, 5.0, 100, 10, 0.0, inf, 7));
-        assert_eq!(counts(&set), (0, 0, 0));
+        assert!(!bnb_skip(&mut set, &kh, 5.0, 100, 10, inf, 7));
+        assert_eq!(counts(&set), (0, 0));
         // Dominated on its own bound.
-        assert!(bnb_skip(&mut set, &kh, 20.0, 100, 10, 0.0, inf, 7));
-        assert_eq!(counts(&set), (1, 0, 0));
-        // Dominated only because the floor raised the bound.
-        assert!(bnb_skip(&mut set, &kh, 5.0, 100, 10, 15.0, inf, 7));
-        assert_eq!(counts(&set), (2, 1, 0));
+        assert!(bnb_skip(&mut set, &kh, 20.0, 100, 10, inf, 7));
+        assert_eq!(counts(&set), (1, 0));
         // Over the warm cut: a warm skip, although the corner is dominated.
-        assert!(bnb_skip(&mut set, &kh, 20.0, 100, 10, 0.0, 4.0, 7));
-        assert_eq!(counts(&set), (3, 1, 7));
+        assert!(bnb_skip(&mut set, &kh, 20.0, 100, 10, 4.0, 7));
+        assert_eq!(counts(&set), (2, 7));
+        // Over the warm cut and not dominated: still a warm skip.
+        assert!(bnb_skip(&mut set, &kh, 5.0, 100, 10, 4.0, 3));
+        assert_eq!(counts(&set), (3, 10));
     }
 
     /// The element-wise path prices redistribution of misaligned children.

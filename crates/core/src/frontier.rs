@@ -10,7 +10,6 @@
 use tce_expr::ExprTree;
 
 use crate::dp::Optimized;
-use crate::plan::{extract_plan_for, ExecutionPlan};
 
 /// One point of the trade-off frontier.
 #[derive(Clone, Debug)]
@@ -55,11 +54,6 @@ pub fn root_frontier(tree: &ExprTree, opt: &Optimized) -> Vec<FrontierPoint> {
     frontier
 }
 
-/// Materialize the plan of one frontier point.
-pub fn frontier_plan(tree: &ExprTree, opt: &Optimized, point: &FrontierPoint) -> ExecutionPlan {
-    extract_plan_for(tree, opt, point.solution_index)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,7 +79,7 @@ mod tests {
         // The frugal end fits the real machine; its plan extracts cleanly.
         let frugal = &frontier[0];
         assert!(frugal.footprint_words <= cm.mem_limit_words());
-        let plan = frontier_plan(&tree, &opt, frugal);
+        let plan = crate::plan::extract_plan_for(&tree, &opt, frugal.solution_index);
         crate::plan::validate_plan(&tree, &plan).unwrap();
         assert!((plan.comm_cost - frugal.comm_cost).abs() < 1e-9);
     }

@@ -56,7 +56,7 @@ pub use cache::{cache_key, CacheKey, CachedRun, LookupOutcome, PlanCache, PLAN_C
 pub use codegen::render_spmd;
 pub use dp::{optimize, NodeStats, OptimizeError, Optimized, OptimizerConfig};
 pub use explain::{explain, Explanation};
-pub use frontier::{frontier_plan, root_frontier, FrontierPoint};
+pub use frontier::{root_frontier, FrontierPoint};
 pub use plan::{
     extract_plan, extract_plan_for, validate_plan, ExecutionPlan, PlanOperand, PlanStep,
 };

@@ -101,23 +101,6 @@ pub struct Solution {
     pub choice: Option<Box<Choice>>,
 }
 
-impl Solution {
-    /// Memory footprint including the staging buffer, the quantity checked
-    /// against the per-processor limit (§4 "allowing for an extra
-    /// temporary send/receive buffer").
-    pub fn footprint_words(&self) -> u128 {
-        self.mem_words + self.max_msg_words
-    }
-
-    /// `self` dominates `other` within the same `(dist, fusion)` key:
-    /// no worse on cost, memory, and buffer.
-    pub fn dominates(&self, other: &Solution) -> bool {
-        self.comm_cost <= other.comm_cost
-            && self.mem_words <= other.mem_words
-            && self.max_msg_words <= other.max_msg_words
-    }
-}
-
 /// Struct-of-arrays storage for all solutions of one node (live and dead).
 /// Scalar columns are flat vectors; decision records are boxed and only
 /// touched on accept / plan reconstruction.
@@ -293,10 +276,6 @@ pub struct SolutionSet {
     /// Corner-skip events (each covering one or more candidates). Also
     /// interleaving-dependent.
     pub bnb_block: u64,
-    /// Corner-skip events that only succeeded because the caller supplied a
-    /// static subtree communication floor (`tce_cost::lower_bound`) tighter
-    /// than the slate's own tail floor. Interleaving-dependent.
-    pub bnb_floor: u64,
     /// Candidates skipped because their certified floor plus the
     /// rest-of-tree floor exceeds a warm incumbent upper bound
     /// (heuristic warm-start). A subset of `bnb_skip`'s population;
@@ -338,7 +317,6 @@ impl SolutionSet {
             redist_fallbacks: 0,
             bnb_skip: 0,
             bnb_block: 0,
-            bnb_floor: 0,
             bnb_warm: 0,
             pruning_enabled: pruning,
             bounds_enabled: bounds && pruning,
@@ -396,18 +374,6 @@ impl SolutionSet {
     /// Decision record of entry `i` (`None` for leaf-style entries).
     pub fn choice(&self, i: usize) -> Option<&Choice> {
         self.arena.choices[i].as_deref()
-    }
-
-    /// Entry `i` as a by-value [`Solution`] record (clones the plan).
-    pub fn solution(&self, i: usize) -> Solution {
-        Solution {
-            dist: self.arena.dists[i],
-            fusion: self.arena.fusions[i].clone(),
-            comm_cost: self.arena.costs[i],
-            mem_words: self.arena.mems[i],
-            max_msg_words: self.arena.msgs[i],
-            choice: self.arena.choices[i].clone(),
-        }
     }
 
     /// Offer a candidate; it is kept only if it fits `mem_limit` and is not
@@ -622,7 +588,6 @@ impl SolutionSet {
         self.redist_fallbacks += other.redist_fallbacks;
         self.bnb_skip += other.bnb_skip;
         self.bnb_block += other.bnb_block;
-        self.bnb_floor += other.bnb_floor;
         self.bnb_warm += other.bnb_warm;
         let Arena { costs, mems, msgs, dists, fusions, choices } = other.arena;
         let it = costs.into_iter().zip(mems).zip(msgs).zip(dists).zip(fusions).zip(choices);
@@ -770,12 +735,6 @@ impl SolutionSet {
         self.fronts.iter().map(|kf| kf.live.len()).max().unwrap_or(0)
     }
 
-    /// Whether dominance pruning is on (workers mirror this mode into their
-    /// local sets so [`Self::absorb`] merges like with like).
-    pub fn pruning_enabled(&self) -> bool {
-        self.pruning_enabled
-    }
-
     /// Candidates offered to this set (before any pruning) — the
     /// denominator of the §3.3 pruning-effectiveness numbers.
     pub fn total_candidates(&self) -> u64 {
@@ -786,26 +745,6 @@ impl SolutionSet {
     /// [`Self::total_candidates`] in reports.
     pub fn total_live(&self) -> u64 {
         self.live_len() as u64
-    }
-
-    /// How many times larger the candidate stream was than the surviving
-    /// frontier (≥ 1.0 once anything was offered; 1.0 for an empty set).
-    pub fn reduction_factor(&self) -> f64 {
-        if self.live_len() == 0 {
-            return 1.0;
-        }
-        self.candidates_seen as f64 / self.live_len() as f64
-    }
-
-    /// Index of the cheapest live solution over every `(dist, fusion)` key
-    /// (ties broken toward lower memory, then lower storage index), or
-    /// `None` when the set is empty.
-    pub fn best(&self) -> Option<usize> {
-        self.live_indices().min_by(|&a, &b| {
-            self.arena.costs[a]
-                .total_cmp(&self.arena.costs[b])
-                .then(self.arena.mems[a].cmp(&self.arena.mems[b]))
-        })
     }
 
     /// Estimated heap bytes held by this set's arena (live + dead entries):
@@ -906,6 +845,14 @@ mod tests {
     /// accepted entry in a plain vector, a first-dominator linear scan over
     /// the live entries of the candidate's key, then eviction of every live
     /// entry of that key the newcomer dominates.
+    /// `a` dominates `b` within one `(dist, fusion)` key: no worse on
+    /// cost, memory, and buffer.
+    fn dominates(a: &Solution, b: &Solution) -> bool {
+        a.comm_cost <= b.comm_cost
+            && a.mem_words <= b.mem_words
+            && a.max_msg_words <= b.max_msg_words
+    }
+
     #[derive(Default)]
     struct ScanRef {
         entries: Vec<Solution>,
@@ -918,16 +865,16 @@ mod tests {
     impl ScanRef {
         fn insert(&mut self, s: &Solution, mem_limit: u128) -> bool {
             self.candidates_seen += 1;
-            if s.footprint_words() > mem_limit {
+            if s.mem_words + s.max_msg_words > mem_limit {
                 self.pruned_memory += 1;
                 return false;
             }
-            if self.live_of(s.dist, &s.fusion).any(|i| self.entries[i].dominates(s)) {
+            if self.live_of(s.dist, &s.fusion).any(|i| dominates(&self.entries[i], s)) {
                 self.pruned_inferior += 1;
                 return false;
             }
             for i in self.live_of(s.dist, &s.fusion).collect::<Vec<_>>() {
-                self.live[i] = !s.dominates(&self.entries[i]);
+                self.live[i] = !dominates(s, &self.entries[i]);
             }
             self.entries.push(s.clone());
             self.live.push(true);
@@ -951,7 +898,7 @@ mod tests {
         fn dominates_corner(&self, dist: Distribution, cost: f64, mem: u128, msg: u128) -> bool {
             let corner = sol(dist, cost, mem, msg);
             let hit =
-                self.live_of(dist, &corner.fusion).any(|i| self.entries[i].dominates(&corner));
+                self.live_of(dist, &corner.fusion).any(|i| dominates(&self.entries[i], &corner));
             hit
         }
     }
@@ -992,7 +939,7 @@ mod tests {
         set.insert(sol(d1, 9.0, 90, 4), u128::MAX); // dominates the first
         assert_eq!(set.live_len(), 1);
         assert_eq!(set.len(), 2, "dead storage survives for back-pointers");
-        assert_eq!(set.best(), Some(1));
+        assert_eq!(live(&set), vec![1]);
     }
 
     #[test]
@@ -1019,10 +966,9 @@ mod tests {
     }
 
     #[test]
-    fn totals_and_reduction_factor() {
+    fn totals_count_offered_and_live() {
         let (d1, d2) = dists();
         let mut set = SolutionSet::new();
-        assert_eq!(set.reduction_factor(), 1.0, "empty set reduces nothing");
         set.insert(sol(d1, 10.0, 100, 5), u128::MAX);
         set.insert(sol(d1, 11.0, 120, 6), u128::MAX); // dominated
         set.insert(sol(d2, 9.0, 100, 5), u128::MAX);
@@ -1030,7 +976,6 @@ mod tests {
         assert_eq!(set.total_candidates(), 4);
         assert_eq!(set.total_live(), 2);
         assert_eq!(set.total_live(), set.live_len() as u64);
-        assert_eq!(set.reduction_factor(), 2.0);
     }
 
     #[test]
@@ -1219,16 +1164,6 @@ mod tests {
         assert_eq!(out.live_len(), 2);
         assert_eq!(out.candidates_seen, 2);
         assert_eq!(out.pruned_inferior, 0);
-    }
-
-    #[test]
-    fn best_prefers_cost_then_memory() {
-        let (d1, d2) = dists();
-        let mut set = SolutionSet::new();
-        set.insert(sol(d1, 10.0, 100, 5), u128::MAX);
-        set.insert(sol(d2, 10.0, 50, 5), u128::MAX);
-        let best = set.best().unwrap();
-        assert_eq!(set.mem(best), 50);
     }
 
     /// Decode one random candidate over three keys, with few enough cost,

@@ -123,8 +123,8 @@ fn memory_constraint_is_the_price() {
     let tree = ccsd_tree(PAPER_EXTENTS);
     let cm16 = cm(16);
     let constrained = optimize(&tree, &cm16, &OptimizerConfig::default()).unwrap();
-    let unconstrained =
-        baselines::optimize_unconstrained(&tree, &cm16, &OptimizerConfig::default()).unwrap();
+    let lifted = OptimizerConfig { mem_limit_words: Some(u128::MAX), ..Default::default() };
+    let unconstrained = optimize(&tree, &cm16, &lifted).unwrap();
     assert!(unconstrained.comm_cost < constrained.comm_cost);
     // And the unconstrained plan would not fit.
     assert!(unconstrained.mem_words + unconstrained.max_msg_words > cm16.mem_limit_words());

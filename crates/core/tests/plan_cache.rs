@@ -229,8 +229,8 @@ fn misattributed_rotation_cost_is_evicted() {
 
 /// Concurrent clients of one directory: each writer renames its own temp
 /// file into place, so no `store` fails on a rename another writer already
-/// did, and no reader ever sees a torn `stats.json` or entry. (Counter
-/// totals may still lose increments; that is a separate problem.)
+/// did and no reader ever sees a torn entry, and every counter event
+/// lands in the append-only journal, so the totals are exact.
 #[test]
 fn concurrent_writers_of_one_key_never_tear_files() {
     const THREADS: usize = 8;
@@ -242,12 +242,6 @@ fn concurrent_writers_of_one_key_never_tear_files() {
     let plan = extract_plan(&tree, &opt);
     let key = cache_key(&tree, &cm, &cfg).unwrap();
     let cache = PlanCache::at(tmp_cache("concurrent"));
-    let stats_path = cache.dir().join("stats.json");
-    let stats_parse = || {
-        let text = std::fs::read_to_string(&stats_path).expect("stats.json exists");
-        serde_json::from_str::<serde_json::Value>(&text)
-            .unwrap_or_else(|e| panic!("torn stats.json ({e}): {text:?}"));
-    };
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let (tree, cm, key, plan, opt, cache) = (&tree, &cm, &key, &plan, &opt, &cache);
@@ -256,20 +250,43 @@ fn concurrent_writers_of_one_key_never_tear_files() {
                     cache
                         .store(tree, key, plan, opt)
                         .unwrap_or_else(|e| panic!("thread {t} round {round}: store: {e}"));
-                    stats_parse();
                     let hit = cache.lookup(tree, cm, key);
                     assert!(hit.run.is_some(), "thread {t} round {round}: {:?}", hit.evicted);
-                    stats_parse();
                 }
             });
         }
     });
+    let total = (THREADS * ROUNDS) as u64;
+    assert_eq!(counter(&cache, tce_obs::names::CACHE_STORE), total, "lost store counts");
+    assert_eq!(counter(&cache, tce_obs::names::CACHE_HIT), total, "lost hit counts");
+    assert_eq!(counter(&cache, tce_obs::names::CACHE_MISS), 0);
     let verified = cache.verify();
     assert_eq!(verified.len(), 1);
     verified[0].result.as_ref().unwrap();
     // clear() also sweeps temp files a killed writer would leave behind.
     std::fs::write(cache.dir().join("stray.json.1.2.tmp"), "{").unwrap();
     assert_eq!(cache.clear().unwrap(), 1);
+    assert_eq!(std::fs::read_dir(cache.dir()).unwrap().count(), 0, "files left after clear");
+    let _ = std::fs::remove_dir_all(cache.dir());
+}
+
+/// A `stats.json` left by a `v3` build is neither an entry nor a source
+/// of counts: `verify` skips it, `stats` reads only the journal, and
+/// `clear` removes it.
+#[test]
+fn leftover_v3_stats_file_is_ignored() {
+    let cache = PlanCache::at(tmp_cache("v3-stats"));
+    std::fs::create_dir_all(cache.dir()).unwrap();
+    std::fs::write(
+        cache.dir().join("stats.json"),
+        r#"{"schema":"tce-plan-cache/v3","hit":5,"miss":2,"store":2}"#,
+    )
+    .unwrap();
+    assert!(cache.verify().is_empty(), "stats.json was verified as an entry");
+    let stats = cache.stats();
+    assert_eq!(stats.entries, 0);
+    assert!(stats.counters.iter().all(|&(_, v)| v == 0), "{:?}", stats.counters);
+    assert_eq!(cache.clear().unwrap(), 0);
     assert_eq!(std::fs::read_dir(cache.dir()).unwrap().count(), 0, "files left after clear");
     let _ = std::fs::remove_dir_all(cache.dir());
 }

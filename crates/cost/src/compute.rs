@@ -15,16 +15,6 @@ pub fn tree_compute_time(tree: &ExprTree, procs: u32, machine: &MachineModel) ->
     machine.compute_time(tree.total_op_count() as f64 / procs as f64)
 }
 
-/// Seconds of computation for a single node on `procs` processors.
-pub fn node_compute_time(
-    tree: &ExprTree,
-    node: tce_expr::NodeId,
-    procs: u32,
-    machine: &MachineModel,
-) -> f64 {
-    machine.compute_time(tree.node_op_count(node) as f64 / procs as f64)
-}
-
 /// A total-runtime summary in the style of §4's headline numbers.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RuntimeSummary {
@@ -61,10 +51,6 @@ mod tests {
         // 16 procs: 6983.8 − 1907.8 = 5076.0 s.
         let t16 = tree_compute_time(&tree, 16, &m);
         assert!((t16 - 5076.0).abs() / 5076.0 < 0.05, "{t16:.0}");
-        // Per-node times sum to the tree time.
-        let per: f64 =
-            tree.postorder().into_iter().map(|id| node_compute_time(&tree, id, 64, &m)).sum();
-        assert!((per - t64).abs() < 1e-6);
     }
 
     #[test]

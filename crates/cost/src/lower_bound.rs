@@ -20,9 +20,8 @@
 //!   admissible under every optimizer configuration.
 //! * **Subtree floors** ([`subtree_comm_floors`]): postorder sums of the
 //!   per-node floors — a lower bound on the communication cost of *any*
-//!   solution the DP can store at that node, used as branch-and-bound
-//!   corner floors and as the whole-tree certificate
-//!   ([`comm_lower_bound`]).
+//!   solution the DP can store at that node, used for the warm-start
+//!   cut and as the whole-tree certificate ([`comm_lower_bound`]).
 //! * **Memory floor** ([`mem_floor_words`]): every plan stores, at every
 //!   node, at least the smallest distributed block any layout/fusion
 //!   combination allows (leaves and the root cannot be fused away); the

@@ -73,23 +73,6 @@ impl MachineModel {
         }
     }
 
-    /// A modern-ish commodity cluster, for sensitivity studies: 5 GB/s,
-    /// 5 µs latency, 8 Gflop/s, 64 GiB per 16-processor node.
-    pub fn modern_cluster() -> Self {
-        MachineModel {
-            name: "commodity-cluster-modern".into(),
-            latency_s: 5.0e-6,
-            peak_bandwidth: 5.0e9,
-            half_saturation_bytes: 64.0 * 1024.0,
-            flops_per_proc: 8.0e9,
-            mem_per_node_bytes: 64 * 1024 * 1024 * 1024,
-            procs_per_node: 16,
-            rendezvous_cutover_bytes: 16.0 * 1024.0,
-            rendezvous_extra_latency_s: 10.0e-6,
-            dim2_bandwidth_factor: 1.0,
-        }
-    }
-
     /// An asymmetric variant of the Itanium stand-in whose grid dimension 2
     /// maps to links `factor`× faster than dimension 1 (e.g. intra-switch
     /// vs inter-switch). Exercises the per-dimension `RCost`

@@ -33,23 +33,6 @@ pub fn fmt_paper_bytes(bytes: u128) -> String {
     }
 }
 
-/// Format a word count in the paper's units.
-pub fn fmt_paper_words(words: u128) -> String {
-    fmt_paper_bytes(words_to_bytes(words))
-}
-
-/// Format a byte count in decimal megabytes/gigabytes for modern eyes.
-pub fn fmt_decimal_bytes(bytes: u128) -> String {
-    let b = bytes as f64;
-    if b >= 1e9 {
-        format!("{:.2} GB", b / 1e9)
-    } else if b >= 1e6 {
-        format!("{:.2} MB", b / 1e6)
-    } else {
-        format!("{:.1} kB", b / 1e3)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,13 +65,6 @@ mod tests {
     #[test]
     fn t1_total_is_55_3_gb() {
         let words: u128 = 480 * 480 * 480 * 64;
-        assert_eq!(fmt_paper_words(words), "55.296GB");
-    }
-
-    #[test]
-    fn decimal_formatting() {
-        assert_eq!(fmt_decimal_bytes(58_982_400), "58.98 MB");
-        assert_eq!(fmt_decimal_bytes(1_500), "1.5 kB");
-        assert_eq!(fmt_decimal_bytes(2_000_000_000), "2.00 GB");
+        assert_eq!(fmt_paper_bytes(words_to_bytes(words)), "55.296GB");
     }
 }

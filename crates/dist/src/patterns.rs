@@ -96,17 +96,6 @@ impl RoleAssignment {
             .find(|&&r| r != self.dim1 && r != self.dim2)
             .expect("three distinct roles")
     }
-
-    /// The grid dimension carrying a spatial role, if it is spatial.
-    pub fn dim_of(&self, r: Role) -> Option<GridDim> {
-        if self.dim1 == r {
-            Some(GridDim::Dim1)
-        } else if self.dim2 == r {
-            Some(GridDim::Dim2)
-        } else {
-            None
-        }
-    }
 }
 
 /// A fully chosen communication pattern: one index per group (possibly

@@ -294,11 +294,6 @@ impl CanonicalForm {
     pub fn position_of(&self, id: NodeId) -> Option<u32> {
         self.node_order.iter().position(|&n| n == id).map(|p| p as u32)
     }
-
-    /// Canonical number of a source index.
-    pub fn number_of(&self, id: IndexId) -> Option<u32> {
-        self.index_order.iter().position(|&i| i == id).map(|n| n as u32)
-    }
 }
 
 /// Compute the commutative canonical form of the whole tree.

@@ -2,7 +2,7 @@
 //! the table-regeneration harness.
 
 use crate::formula::FormulaSequence;
-use crate::index::{IndexId, IndexSpace};
+use crate::index::IndexSpace;
 use crate::parser::{self, SumOfProducts};
 use crate::tensor::Tensor;
 use crate::tree::ExprTree;
@@ -100,11 +100,6 @@ pub fn fig1_sum_of_products(ni: u64, nj: u64, nk: u64, nt: u64) -> (IndexSpace, 
         factors: vec![Tensor::new("A", vec![i, j, t]), Tensor::new("B", vec![j, k, t])],
     };
     (sp, term)
-}
-
-/// Look up the four paper index groups by name in a CCSD-example space.
-pub fn ccsd_index(space: &IndexSpace, name: &str) -> IndexId {
-    space.lookup(name).expect("a paper index name (a/b/c/d, e/f, i/j/k/l) in a CCSD space")
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
-//! Pretty-printers: formula sequences in the paper's mathematical notation
-//! and the direct (unfused) loop code of Fig. 2(b).
+//! Pretty-printers: formula sequences in the paper's mathematical notation,
+//! the direct (unfused) loop code of Fig. 2(b), and `.tce` source.
 
 use crate::formula::{Formula, FormulaSequence};
-use crate::index::IndexSpace;
-use crate::tree::{ExprTree, NodeKind};
+use crate::index::{IndexId, IndexSpace};
+use crate::tree::{ExprTree, NodeId, NodeKind};
 
 /// Render a formula sequence in the style of Fig. 2(a):
 ///
@@ -139,122 +139,106 @@ mod tests {
     }
 }
 
-/// Render the expression tree in Graphviz dot format: leaves are boxes,
-/// contraction nodes are ellipses labeled with their summation indices.
-pub fn render_dot(tree: &ExprTree) -> String {
-    let sp = &tree.space;
-    let mut out = String::from("digraph expr {\n  rankdir=BT;\n");
-    for id in tree.ids() {
-        let node = tree.node(id);
-        match &node.kind {
-            NodeKind::Leaf => {
-                out.push_str(&format!(
-                    "  n{} [shape=box, label=\"{}\"];\n",
-                    id.0,
-                    node.tensor.render(sp)
-                ));
+/// How [`render_tce`] spells and orders a program.
+pub struct TceLayout<'a> {
+    /// One `range` line per index, in this order.
+    pub ranges: &'a [IndexId],
+    /// One `input` line per leaf node, in this order.
+    pub inputs: &'a [NodeId],
+    /// One statement per internal node, in this order (children first).
+    pub statements: &'a [NodeId],
+    /// The name of an index.
+    pub index_name: &'a dyn Fn(IndexId) -> String,
+    /// The name of a node's array.
+    pub array_name: &'a dyn Fn(NodeId) -> String,
+    /// Whether a contraction names its right operand first.
+    pub swapped: &'a dyn Fn(NodeId) -> bool,
+}
+
+/// Render `tree` as `.tce` source: the `range` lines, then the `input`
+/// lines, then the statements, each as `layout` orders and names them.
+pub fn render_tce(tree: &ExprTree, layout: &TceLayout) -> String {
+    use std::fmt::Write as _;
+    let names = |ids: &[IndexId]| -> String {
+        ids.iter().map(|&ix| (layout.index_name)(ix)).collect::<Vec<_>>().join(",")
+    };
+    let term =
+        |n: NodeId| format!("{}[{}]", (layout.array_name)(n), names(&tree.node(n).tensor.dims));
+    let mut out = String::new();
+    for &ix in layout.ranges {
+        let _ = writeln!(out, "range {} = {};", (layout.index_name)(ix), tree.space.extent(ix));
+    }
+    for &n in layout.inputs {
+        let _ = writeln!(out, "input {};", term(n));
+    }
+    for &n in layout.statements {
+        match &tree.node(n).kind {
+            NodeKind::Leaf => {}
+            NodeKind::Reduce { sum, child } => {
+                let _ = writeln!(
+                    out,
+                    "{} = sum[{}] {};",
+                    term(n),
+                    (layout.index_name)(*sum),
+                    term(*child)
+                );
             }
-            NodeKind::Contract { sum, .. } => {
-                out.push_str(&format!(
-                    "  n{} [shape=ellipse, label=\"{}\\nsum {{{}}}\"];\n",
-                    id.0,
-                    node.tensor.render(sp),
-                    sp.render(sum.as_slice())
-                ));
+            NodeKind::Contract { sum, left, right } => {
+                let (a, b) = if (layout.swapped)(n) { (right, left) } else { (left, right) };
+                let sum = if sum.is_empty() {
+                    String::new()
+                } else {
+                    format!("sum[{}] ", names(sum.as_slice()))
+                };
+                let _ = writeln!(out, "{} = {sum}{} * {};", term(n), term(*a), term(*b));
             }
-            NodeKind::Reduce { sum, .. } => {
-                out.push_str(&format!(
-                    "  n{} [shape=ellipse, label=\"{}\\nsum {{{}}}\"];\n",
-                    id.0,
-                    node.tensor.render(sp),
-                    sp.name(*sum)
-                ));
-            }
-        }
-        if let Some(parent) = node.parent {
-            out.push_str(&format!("  n{} -> n{};\n", id.0, parent.0));
         }
     }
-    out.push_str("}\n");
     out
 }
 
-/// Render an expression tree as a parseable `.tce` program: one `range`
-/// declaration per index used by the tree, one `input` declaration per
-/// distinct leaf name, and one statement per internal node in post order.
-/// Round-trips through [`crate::parser::parse`] +
-/// [`FormulaSequence::to_tree`] to an equivalent tree (same tensors, same
-/// structure; node ids may differ). Used to pin fuzz reproducers as plain
-/// workload files.
+/// Render an expression tree as a parseable `.tce` program under its own
+/// names: one `range` declaration per index used by the tree (declaration
+/// order), one `input` declaration per distinct leaf name and one
+/// statement per internal node, both in post order. Round-trips through
+/// [`crate::parser::parse`] + [`FormulaSequence::to_tree`] to an
+/// equivalent tree (same tensors, same structure; node ids may differ).
+/// Used to pin fuzz reproducers as plain workload files.
 pub fn render_tce_source(tree: &ExprTree) -> String {
-    let sp: &IndexSpace = &tree.space;
-    let mut out = String::new();
-    // Indices actually used, in declaration order.
-    let mut used: Vec<crate::index::IndexId> = Vec::new();
+    let mut ranges: Vec<IndexId> = Vec::new();
     for id in tree.ids() {
-        for &d in &tree.node(id).tensor.dims {
-            if !used.contains(&d) {
-                used.push(d);
-            }
-        }
-        if let NodeKind::Reduce { sum, .. } = &tree.node(id).kind {
-            if !used.contains(sum) {
-                used.push(*sum);
-            }
-        }
-    }
-    used.sort_by_key(|d| d.0);
-    for d in used {
-        out.push_str(&format!("range {} = {};\n", sp.name(d), sp.extent(d)));
-    }
-    let dims = |t: &crate::tensor::Tensor| {
-        t.dims.iter().map(|&d| sp.name(d)).collect::<Vec<_>>().join(",")
-    };
-    let mut declared: Vec<&str> = Vec::new();
-    for id in tree.postorder() {
         let node = tree.node(id);
-        if node.is_leaf() && !declared.contains(&node.tensor.name.as_str()) {
-            declared.push(node.tensor.name.as_str());
-            out.push_str(&format!("input {}[{}];\n", node.tensor.name, dims(&node.tensor)));
-        }
-    }
-    for id in tree.postorder() {
-        let node = tree.node(id);
-        match &node.kind {
-            NodeKind::Leaf => {}
-            NodeKind::Reduce { sum, child } => {
-                let c = &tree.node(*child).tensor;
-                out.push_str(&format!(
-                    "{}[{}] = sum[{}] {}[{}];\n",
-                    node.tensor.name,
-                    dims(&node.tensor),
-                    sp.name(*sum),
-                    c.name,
-                    dims(c)
-                ));
-            }
-            NodeKind::Contract { sum, left, right } => {
-                let l = &tree.node(*left).tensor;
-                let r = &tree.node(*right).tensor;
-                let sum_str = if sum.is_empty() {
-                    String::new()
-                } else {
-                    format!("sum[{}] ", sp.render(sum.as_slice()))
-                };
-                out.push_str(&format!(
-                    "{}[{}] = {}{}[{}] * {}[{}];\n",
-                    node.tensor.name,
-                    dims(&node.tensor),
-                    sum_str,
-                    l.name,
-                    dims(l),
-                    r.name,
-                    dims(r)
-                ));
+        let sum = match &node.kind {
+            NodeKind::Reduce { sum, .. } => Some(sum),
+            _ => None,
+        };
+        for &d in node.tensor.dims.iter().chain(sum) {
+            if !ranges.contains(&d) {
+                ranges.push(d);
             }
         }
     }
-    out
+    ranges.sort_by_key(|d| d.0);
+    let post = tree.postorder();
+    let mut inputs: Vec<NodeId> = Vec::new();
+    for &id in &post {
+        let name = &tree.node(id).tensor.name;
+        if tree.node(id).is_leaf() && !inputs.iter().any(|&n| tree.node(n).tensor.name == *name) {
+            inputs.push(id);
+        }
+    }
+    let statements: Vec<NodeId> = post.into_iter().filter(|&id| !tree.node(id).is_leaf()).collect();
+    render_tce(
+        tree,
+        &TceLayout {
+            ranges: &ranges,
+            inputs: &inputs,
+            statements: &statements,
+            index_name: &|ix| tree.space.name(ix).to_string(),
+            array_name: &|n| tree.node(n).tensor.name.clone(),
+            swapped: &|_| false,
+        },
+    )
 }
 
 #[cfg(test)]
@@ -306,24 +290,5 @@ S[] = sum[b] U[b];
         assert!(rendered.contains("S[] = sum[b] U[b];"));
         let back = parse(&rendered).unwrap().to_sequence().unwrap().to_tree().unwrap();
         assert_eq!(tree.len(), back.len());
-    }
-}
-
-#[cfg(test)]
-mod dot_tests {
-    use super::*;
-    use crate::parser::{parse, FIG2_SOURCE};
-
-    #[test]
-    fn dot_export_has_all_nodes_and_edges() {
-        let tree = parse(FIG2_SOURCE).unwrap().to_sequence().unwrap().to_tree().unwrap();
-        let dot = render_dot(&tree);
-        assert!(dot.starts_with("digraph expr {"));
-        // 7 nodes, 6 edges.
-        assert_eq!(dot.matches("label=").count(), 7);
-        assert_eq!(dot.matches(" -> ").count(), 6);
-        assert!(dot.contains("T1(b,c,d,f)"));
-        assert!(dot.contains("sum {e,l}"));
-        assert!(dot.contains("shape=box"));
     }
 }

@@ -45,11 +45,6 @@ impl Tensor {
         self.dims.contains(&id)
     }
 
-    /// Position of dimension `id`, if present.
-    pub fn dim_position(&self, id: IndexId) -> Option<usize> {
-        self.dims.iter().position(|&d| d == id)
-    }
-
     /// Total number of elements (words), e.g. `N_b·N_c·N_d·N_f` for
     /// `T1(b,c,d,f)`.
     pub fn num_elements(&self, space: &IndexSpace) -> u128 {
@@ -90,7 +85,6 @@ mod tests {
         assert_eq!(t1.num_elements(&sp), 480u128 * 480 * 480 * 64);
         assert_eq!(t1.render(&sp), "T1(b,c,d,f)");
         assert!(t1.has_dim(ids[0]));
-        assert_eq!(t1.dim_position(ids[2]), Some(2));
     }
 
     #[test]

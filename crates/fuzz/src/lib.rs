@@ -788,59 +788,34 @@ pub fn check_tree(tree: &ExprTree, cfg: &FuzzConfig) -> Result<TreeStats, Failur
 /// and commutativity claims. Returns `None` for trees the surface grammar
 /// cannot spell (scalar tensors).
 fn render_renamed_variant(tree: &ExprTree, swap_mask: u128) -> Option<String> {
-    use std::fmt::Write as _;
-    use tce_expr::NodeKind;
+    use tce_expr::{IndexId, NodeId, NodeKind};
     let post = tree.postorder();
     if post.iter().any(|&n| tree.node(n).tensor.dims.is_empty()) {
         return None;
     }
-    let term = |n: tce_expr::NodeId| -> String {
-        let dims: Vec<String> =
-            tree.node(n).tensor.dims.iter().map(|d| format!("v{}", d.as_usize())).collect();
-        format!("t{}[{}]", n.as_usize(), dims.join(","))
-    };
-    let mut src = String::new();
-    for n in (0..tree.space.len()).rev() {
-        let _ = writeln!(src, "range v{n} = {};", tree.space.extent(tce_expr::IndexId(n as u32)));
-    }
-    for &node in post.iter().rev() {
-        if tree.node(node).is_leaf() {
-            let _ = writeln!(src, "input {};", term(node));
-        }
-    }
-    let mut contract_pos = 0u32;
-    for &node in &post {
-        match &tree.node(node).kind {
-            NodeKind::Leaf => {}
-            NodeKind::Contract { sum, left, right } => {
-                let (a, b) = if swap_mask >> (contract_pos % 128) & 1 == 1 {
-                    (*right, *left)
-                } else {
-                    (*left, *right)
-                };
-                contract_pos += 1;
-                if sum.is_empty() {
-                    let _ = writeln!(src, "{} = {} * {};", term(node), term(a), term(b));
-                } else {
-                    let sums: Vec<String> =
-                        sum.iter().map(|s| format!("v{}", s.as_usize())).collect();
-                    let _ = writeln!(
-                        src,
-                        "{} = sum[{}] {} * {};",
-                        term(node),
-                        sums.join(","),
-                        term(a),
-                        term(b)
-                    );
-                }
-            }
-            NodeKind::Reduce { sum, child } => {
-                let _ =
-                    writeln!(src, "{} = sum[v{}] {};", term(node), sum.as_usize(), term(*child));
-            }
-        }
-    }
-    Some(src)
+    let ranges: Vec<IndexId> = (0..tree.space.len() as u32).rev().map(IndexId).collect();
+    let inputs: Vec<NodeId> =
+        post.iter().rev().copied().filter(|&n| tree.node(n).is_leaf()).collect();
+    let statements: Vec<NodeId> = post.into_iter().filter(|&n| !tree.node(n).is_leaf()).collect();
+    let swapped: Vec<NodeId> = statements
+        .iter()
+        .copied()
+        .filter(|&n| matches!(tree.node(n).kind, NodeKind::Contract { .. }))
+        .enumerate()
+        .filter(|&(i, _)| swap_mask >> (i % 128) & 1 == 1)
+        .map(|(_, n)| n)
+        .collect();
+    Some(tce_expr::printer::render_tce(
+        tree,
+        &tce_expr::printer::TceLayout {
+            ranges: &ranges,
+            inputs: &inputs,
+            statements: &statements,
+            index_name: &|ix| format!("v{}", ix.as_usize()),
+            array_name: &|n| format!("t{}", n.as_usize()),
+            swapped: &|n| swapped.contains(&n),
+        },
+    ))
 }
 
 /// A deterministic initial-layout pin for the first input array (postorder)

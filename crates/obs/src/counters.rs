@@ -59,14 +59,6 @@ impl Counters {
         self.entries.is_empty()
     }
 
-    /// Fold another bag into this one (summing shared names) — used to
-    /// aggregate per-step counters into a run total.
-    pub fn merge(&mut self, other: &Counters) {
-        for (name, value) in other.iter() {
-            self.add(name, value);
-        }
-    }
-
     /// Emit every counter's current value to the installed sink (no-op when
     /// observability is disabled).
     pub fn sample_all(&self) {
@@ -109,20 +101,6 @@ mod tests {
         let names: Vec<_> = c.iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["a", "b", "c"], "iteration is name-ordered");
         assert_eq!(c.len(), 3);
-    }
-
-    #[test]
-    fn merge_sums_shared_names() {
-        let mut a = Counters::new();
-        a.add("x", 1);
-        a.add("y", 2);
-        let mut b = Counters::new();
-        b.add("y", 3);
-        b.add("z", 4);
-        a.merge(&b);
-        assert_eq!(a.get("x"), 1);
-        assert_eq!(a.get("y"), 5);
-        assert_eq!(a.get("z"), 4);
     }
 
     #[test]

@@ -88,11 +88,10 @@ pub mod names {
     /// Lower-bound corner queries that pruned a block (a row or tail of a
     /// combine loop). `bnb_skip / bnb_block` is the mean block size.
     pub const BNB_BLOCK: &str = "dp.bnb_block";
-    /// Corner prunes that only succeeded because the per-node subtree
-    /// communication floor (`tce_cost::lower_bound`) was tighter than the
-    /// frontier's own slate floor — the measurable contribution of the
-    /// static lower bounds to branch-and-bound. Thread-interleaving
-    /// dependent for the same reason as `bnb_skip`.
+    /// Retired: corner prunes that only a per-node subtree floor made
+    /// possible. No run emits it (a node's floor never reaches a live
+    /// entry of that node, DESIGN.md §9), so it is not in [`ALL`] and
+    /// reads 0 from every counter bag; the name stays for external readers.
     pub const BNB_FLOOR: &str = "dp.bnb_floor";
     /// Combine blocks scheduled across all nodes — the unit of work the
     /// work-stealing enumeration hands to workers (one block per
@@ -181,7 +180,7 @@ pub mod names {
     /// fixed for one configuration but vary with cache state and subtree
     /// reuse while the results stay bit-identical. The three histogram
     /// names never enter a [`crate::Counters`] bag; their flag is moot.
-    pub const ALL: [(&str, bool); 29] = [
+    pub const ALL: [(&str, bool); 28] = [
         (CANDIDATES, true),
         (PRUNED_MEMORY, true),
         (PRUNED_INFERIOR, true),
@@ -192,7 +191,6 @@ pub mod names {
         (MEMO_MISS, false),
         (BNB_SKIP, false),
         (BNB_BLOCK, false),
-        (BNB_FLOOR, false),
         (BLOCKS, true),
         (STEAL, false),
         (WORKER_BUSY_US, true),
@@ -357,14 +355,6 @@ pub fn counter_sample(name: &str, value: u64) {
     emit(TraceEvent::Counter { name: name.to_string(), ts_us: now_us(), value });
 }
 
-/// Record a named counter value at an explicit (virtual) timestamp.
-pub fn counter_sample_at(name: &str, ts_us: f64, value: u64) {
-    if !enabled() {
-        return;
-    }
-    emit(TraceEvent::Counter { name: name.to_string(), ts_us, value });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,13 +420,15 @@ mod tests {
 
     #[test]
     fn name_table_lists_every_constant_once_with_its_flag() {
-        // Every `pub const NAME: &str` of `names`, read from this file.
+        // Every `pub const NAME: &str` of `names`, read from this file,
+        // except the retired `BNB_FLOOR`, which no run emits.
         let consts: Vec<&str> = include_str!("lib.rs")
             .lines()
             .filter_map(|l| {
                 let rest = l.trim().strip_prefix("pub const ")?;
                 rest.split_once(": &str = \"")?.1.strip_suffix("\";")
             })
+            .filter(|&n| n != names::BNB_FLOOR)
             .collect();
         let table: Vec<&str> = names::ALL.iter().map(|&(n, _)| n).collect();
         assert_eq!(consts, table, "table must list the constants in declaration order");
@@ -452,7 +444,6 @@ mod tests {
             names::MEMO_MISS,
             names::BNB_SKIP,
             names::BNB_BLOCK,
-            names::BNB_FLOOR,
             names::BNB_WARM,
             names::STEAL,
             names::RCOST_FALLBACK,

@@ -10,9 +10,7 @@
 //!
 //! Buckets are powers of two: bucket 0 holds the value `0`, bucket `i`
 //! (1 ≤ i ≤ 64) holds values in `[2^(i−1), 2^i − 1]`. Every `u64` has
-//! exactly one bucket (`u64::MAX` lands in bucket 64), and merging two
-//! histograms is element-wise addition — monotone, so merged cumulative
-//! counts never decrease.
+//! exactly one bucket (`u64::MAX` lands in bucket 64).
 
 use crate::jsonfmt::{json_number, json_string, sep};
 
@@ -60,16 +58,6 @@ impl Histogram {
         self.buckets[bucket_of(value)] += 1;
         self.count += 1;
         self.sum += u128::from(value);
-    }
-
-    /// Fold `other` into `self` (element-wise addition; cumulative bucket
-    /// counts are monotone under this merge).
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
     }
 
     /// Index of the highest non-empty bucket, or `None` when empty.
@@ -209,42 +197,6 @@ mod tests {
                 assert!(v > bucket_upper(b - 1), "{v} below its bucket {b}");
             }
         }
-    }
-
-    #[test]
-    fn histogram_merge_is_monotone_elementwise_addition() {
-        let mut a = Histogram::default();
-        let mut b = Histogram::default();
-        for v in [0u64, 1, 7, 1024] {
-            a.observe(v);
-        }
-        for v in [0u64, 3, u64::MAX] {
-            b.observe(v);
-        }
-        let before: Vec<u64> = a
-            .buckets
-            .iter()
-            .scan(0, |acc, &c| {
-                *acc += c;
-                Some(*acc)
-            })
-            .collect();
-        a.merge(&b);
-        let after: Vec<u64> = a
-            .buckets
-            .iter()
-            .scan(0, |acc, &c| {
-                *acc += c;
-                Some(*acc)
-            })
-            .collect();
-        for (x, y) in before.iter().zip(after.iter()) {
-            assert!(y >= x, "cumulative count decreased under merge");
-        }
-        assert_eq!(a.count, 7);
-        assert_eq!(a.sum, 1 + 7 + 1024 + 3 + u128::from(u64::MAX));
-        assert_eq!(a.buckets[0], 2, "two zeros");
-        assert_eq!(a.buckets[64], 1, "u64::MAX lands in the last bucket");
     }
 
     fn demo_snapshot() -> Snapshot {

@@ -25,6 +25,7 @@
 //! are sinks of the one installed `tce_obs` sink; the snapshot is rendered
 //! from the run the command used, cached or fresh.
 
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -469,27 +470,59 @@ fn observability_json(opt: &Optimized) -> serde_json::Value {
     Value::Object(vec![("counters".to_string(), counters), ("nodes".to_string(), nodes)])
 }
 
+/// Where a command writes its stdout.
+type Out<'a> = &'a mut dyn Write;
+
+/// Why a command stopped early.
+enum Failure {
+    /// A diagnostic for stderr.
+    Msg(String),
+    /// Writing to stdout failed. Every `std::io::Error` a command passes up
+    /// with `?` is one of these: commands turn file errors into messages.
+    Stdout(std::io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Msg(msg)
+    }
+}
+
+impl From<std::io::Error> for Failure {
+    fn from(e: std::io::Error) -> Self {
+        Failure::Stdout(e)
+    }
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(code) => return code,
     };
+    let mut stdout = std::io::stdout().lock();
+    let out: Out = &mut stdout;
     let result = match args.command.as_str() {
-        "optimize" => cmd_optimize(&args),
-        "compile" => cmd_compile(&args),
-        "simulate" => cmd_simulate(&args),
-        "frontier" => cmd_frontier(&args),
-        "check" => cmd_check(&args),
-        "lint" => cmd_lint(&args),
-        "explain" => cmd_explain(&args),
-        "report" => cmd_report(&args),
-        "fuzz" => cmd_fuzz(&args),
-        "cache" => cmd_cache(&args),
+        "optimize" => cmd_optimize(&args, out),
+        "compile" => cmd_compile(&args, out),
+        "simulate" => cmd_simulate(&args, out),
+        "frontier" => cmd_frontier(&args, out),
+        "check" => cmd_check(&args, out),
+        "lint" => cmd_lint(&args, out),
+        "explain" => cmd_explain(&args, out),
+        "report" => cmd_report(&args, out),
+        "fuzz" => cmd_fuzz(&args, out),
+        "cache" => cmd_cache(&args, out),
         _ => return usage(),
     };
-    match result {
+    match result.and_then(|()| Ok(stdout.flush()?)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        // The reader went away (`tce ... | head`): nothing left to say.
+        Err(Failure::Stdout(e)) if e.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Stdout(e)) => {
+            eprintln!("tce: writing output: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Msg(e)) => {
             eprintln!("tce: {e}");
             ExitCode::FAILURE
         }
@@ -511,22 +544,22 @@ fn lint_report(
     )
 }
 
-fn cmd_lint(args: &Args) -> Result<(), String> {
+fn cmd_lint(args: &Args, out: Out) -> Result<(), Failure> {
     let cm = cost_model(args)?;
     let report = lint_report(args, &cm)?;
     if args.json {
-        println!("{}", report.render_json());
+        writeln!(out, "{}", report.render_json())?;
     } else if report.diagnostics.is_empty() {
-        println!("{}: clean ({} passes)", args.file, report.passes_run.len());
+        writeln!(out, "{}: clean ({} passes)", args.file, report.passes_run.len())?;
     } else {
-        print!("{}", report.render_human());
+        write!(out, "{}", report.render_human())?;
     }
     let errors = report.error_count();
     let warnings = report.warning_count();
     if errors > 0 {
-        Err(format!("{errors} error(s) found"))
+        Err(format!("{errors} error(s) found").into())
     } else if args.deny_warnings && warnings > 0 {
-        Err(format!("{warnings} warning(s) found (denied by --deny-warnings)"))
+        Err(format!("{warnings} warning(s) found (denied by --deny-warnings)").into())
     } else {
         Ok(())
     }
@@ -548,53 +581,55 @@ fn resolve_plan_cache(args: &Args) -> Option<tensor_contraction_opt::core::PlanC
     Some(PlanCache::at(dir))
 }
 
-fn cmd_cache(args: &Args) -> Result<(), String> {
+fn cmd_cache(args: &Args, out: Out) -> Result<(), Failure> {
     let cache = resolve_plan_cache(args)
-        .ok_or("no plan-cache directory (pass --plan-cache DIR or set HOME)")?;
+        .ok_or_else(|| "no plan-cache directory (pass --plan-cache DIR or set HOME)".to_string())?;
     match args.file.as_str() {
         "stats" => {
             let s = cache.stats();
-            println!("plan cache at {}", cache.dir().display());
-            println!("  entries: {}", s.entries);
-            println!("  bytes:   {}", s.bytes);
+            writeln!(out, "plan cache at {}", cache.dir().display())?;
+            writeln!(out, "  entries: {}", s.entries)?;
+            writeln!(out, "  bytes:   {}", s.bytes)?;
             for (name, value) in &s.counters {
-                println!("  {name}: {value}");
+                writeln!(out, "  {name}: {value}")?;
             }
             Ok(())
         }
         "verify" => {
             let outcomes = cache.verify();
             if outcomes.is_empty() {
-                println!("plan cache at {}: empty", cache.dir().display());
+                writeln!(out, "plan cache at {}: empty", cache.dir().display())?;
                 return Ok(());
             }
             let mut bad = 0usize;
             for o in &outcomes {
                 match &o.result {
-                    Ok(desc) => println!("  ok  {} ({desc})", o.file),
+                    Ok(desc) => writeln!(out, "  ok  {} ({desc})", o.file)?,
                     Err(why) => {
                         bad += 1;
-                        println!("  BAD {} — {why}", o.file);
+                        writeln!(out, "  BAD {} — {why}", o.file)?;
                     }
                 }
             }
             if bad == 0 {
-                println!("{} entries verified clean", outcomes.len());
+                writeln!(out, "{} entries verified clean", outcomes.len())?;
                 Ok(())
             } else {
-                Err(format!("{bad} of {} entries failed verification", outcomes.len()))
+                Err(format!("{bad} of {} entries failed verification", outcomes.len()).into())
             }
         }
         "clear" => {
             let removed = cache.clear()?;
-            println!("removed {removed} entries from {}", cache.dir().display());
+            writeln!(out, "removed {removed} entries from {}", cache.dir().display())?;
             Ok(())
         }
-        other => Err(format!("unknown cache action `{other}` (expected stats, verify, or clear)")),
+        other => {
+            Err(format!("unknown cache action `{other}` (expected stats, verify, or clear)").into())
+        }
     }
 }
 
-fn cmd_optimize(args: &Args) -> Result<(), String> {
+fn cmd_optimize(args: &Args, out: Out) -> Result<(), Failure> {
     let cm = cost_model(args)?;
     // Cheap static pre-pass: a lint *error* means the search (or the
     // simulation of its plan) is doomed — abort with the anchored
@@ -608,7 +643,8 @@ fn cmd_optimize(args: &Args) -> Result<(), String> {
             "{} lint error(s) in {} (see `tce lint`)",
             lint.error_count(),
             args.file
-        ));
+        )
+        .into());
     }
     let tree = load_tree(&args.file)?;
     let cfg = opt_config(args, &tree)?;
@@ -656,80 +692,83 @@ fn cmd_optimize(args: &Args) -> Result<(), String> {
         }
     };
     if args.stats {
-        println!("search statistics:");
-        print!("{}", tensor_contraction_opt::core::render_search_stats(&opt));
-        println!();
+        writeln!(out, "search statistics:")?;
+        write!(out, "{}", tensor_contraction_opt::core::render_search_stats(&opt))?;
+        writeln!(out)?;
     }
     if opt.output_redist_cost > 0.0 {
-        println!(
+        writeln!(
+            out,
             "(final output redistribution into the requested layout: {:.1} s)",
             opt.output_redist_cost
-        );
+        )?;
     }
     if args.dot {
-        print!("{}", render_plan_dot(&tree, &plan));
+        write!(out, "{}", render_plan_dot(&tree, &plan))?;
         return Ok(());
     }
     if args.json {
         let mut v: serde_json::Value = serde_json::from_str(&plan.to_json())
             .map_err(|e| format!("internal plan JSON error: {e}"))?;
         v.insert("observability", observability_json(&opt));
-        println!("{}", serde_json::to_string_pretty(&v).map_err(|e| e.to_string())?);
+        writeln!(out, "{}", serde_json::to_string_pretty(&v).map_err(|e| e.to_string())?)?;
         return Ok(());
     }
     if args.spmd {
-        print!("{}", tensor_contraction_opt::core::render_spmd(&tree, &plan, args.procs));
+        write!(out, "{}", tensor_contraction_opt::core::render_spmd(&tree, &plan, args.procs))?;
         return Ok(());
     }
-    print!("{}", render_report(&build_report(&tree, &plan, &cm)));
+    write!(out, "{}", render_report(&build_report(&tree, &plan, &cm)))?;
     if warm {
         // The per-node decision record needs the search's solution sets,
         // which a cached run skips producing — re-deriving it would cost
         // the search the cache just saved. `tce explain` still works.
         if let Some(k) = &key {
-            println!(
+            writeln!(
+                out,
                 "\ncache: level-2 warm hit (canonical hash {:032x}); plan revalidated on \
                  load — run `tce explain` for the per-node decision record",
                 k.expr_hash
-            );
+            )?;
         }
     } else {
         // Explain from the run just finished: only the unconstrained
         // comparison search is new, bounded by this run's optimum.
         match tensor_contraction_opt::core::Explanation::from_run(&tree, &cm, &cfg, &opt, &plan) {
-            Ok(e) => println!("\n{}", e.text),
+            Ok(e) => writeln!(out, "\n{}", e.text)?,
             Err(e) => eprintln!("explain: {e}"),
         }
     }
-    println!("\nplan:");
+    writeln!(out, "\nplan:")?;
     for step in &plan.steps {
         let fusion = if step.result_fusion.is_empty() {
             String::new()
         } else {
             format!(" fused ({})", tree.space.render(step.result_fusion.as_slice()))
         };
-        println!(
+        writeln!(
+            out,
             "  {} in {}{} — step comm {:.3} s",
             step.result_name,
             step.result_dist.render(&tree.space),
             fusion,
             step.step_comm()
-        );
+        )?;
     }
     Ok(())
 }
 
-fn cmd_compile(args: &Args) -> Result<(), String> {
+fn cmd_compile(args: &Args, out: Out) -> Result<(), Failure> {
     let (seq, _) = load_sequence(&args.file)?;
     let tree = seq.to_tree().map_err(|e| e.to_string())?;
-    println!("--- formula sequence ---");
-    print!("{}", render_sequence(&seq));
-    println!("\n--- unfused loops ---");
-    print!("{}", render_unfused_loops(&tree));
+    writeln!(out, "--- formula sequence ---")?;
+    write!(out, "{}", render_sequence(&seq))?;
+    writeln!(out, "\n--- unfused loops ---")?;
+    write!(out, "{}", render_unfused_loops(&tree))?;
     let mm = minimize_memory(&tree, usize::MAX);
-    println!("\n--- memory-minimal fused loops ---");
-    print!("{}", render_fused(&tree, &mm.config));
-    println!("\nintermediate words after fusion: {}", mm.words);
+    writeln!(out, "\n--- memory-minimal fused loops ---")?;
+    write!(out, "{}", render_fused(&tree, &mm.config))?;
+    writeln!(out, "\nintermediate words after fusion: {}", mm.words)?;
     Ok(())
 }
 
@@ -755,7 +794,7 @@ fn render_sim_error(e: tensor_contraction_opt::sim::SimError) -> String {
     }
 }
 
-fn cmd_simulate(args: &Args) -> Result<(), String> {
+fn cmd_simulate(args: &Args, out: Out) -> Result<(), Failure> {
     let tree = load_tree(&args.file)?;
     let cm = cost_model(args)?;
     // Either replay a saved plan artifact or optimize fresh.
@@ -776,18 +815,20 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     let (report, events) = with_sinks(args, args.trace.as_deref(), false, || {
         simulate_traced(&tree, &plan, &cm, args.seed, true).map_err(render_sim_error)
     })?;
-    println!(
+    writeln!(
+        out,
         "simulated {} processors: comm {:.4} s (predicted {:.4} s), compute {:.4} s",
         args.procs, report.metrics.comm_seconds, plan.comm_cost, report.metrics.compute_seconds
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "messages/proc {}, volume/proc {} B, peak {} words/proc, flops {}",
         report.metrics.messages,
         report.metrics.volume_bytes,
         report.metrics.peak_words,
         report.metrics.total_flops
-    );
-    println!("max |error| vs sequential reference: {:.3e}", report.max_abs_err);
+    )?;
+    writeln!(out, "max |error| vs sequential reference: {:.3e}", report.max_abs_err)?;
     // Per-step communication breakdown.
     let mut by_step: Vec<(String, f64)> = Vec::new();
     for e in &events {
@@ -796,30 +837,32 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
             None => by_step.push((e.step.clone(), e.seconds)),
         }
     }
-    println!("per-step communication:");
+    writeln!(out, "per-step communication:")?;
     for (step, secs) in by_step {
-        println!("  {step}: {secs:.4} s");
+        writeln!(out, "  {step}: {secs:.4} s")?;
     }
     if args.stats {
         use tensor_contraction_opt::sim::{per_kind_totals, CommKind};
-        println!("communication by kind:");
-        println!(
+        writeln!(out, "communication by kind:")?;
+        writeln!(
+            out,
             "  {:<12} {:>8} {:>10} {:>16} {:>12}",
             "kind", "rounds", "messages", "bytes/proc", "seconds"
-        );
+        )?;
         for (kind, t) in CommKind::ALL.iter().zip(per_kind_totals(&events).iter()) {
-            println!(
+            writeln!(
+                out,
                 "  {:<12} {:>8} {:>10} {:>16} {:>12.4}",
                 kind.name(),
                 t.rounds,
                 t.messages,
                 t.bytes,
                 t.seconds
-            );
+            )?;
         }
     }
     if report.max_abs_err > VERIFY_ABS_TOL {
-        return Err("verification failed".into());
+        return Err(Failure::Msg("verification failed".into()));
     }
     Ok(())
 }
@@ -837,22 +880,23 @@ fn optimize_for_provenance(args: &Args) -> Result<(ExprTree, CostModel, Optimize
 /// How many runner-up candidates `explain`/`report` record per node.
 const PROVENANCE_TOP_K: usize = 3;
 
-fn cmd_explain(args: &Args) -> Result<(), String> {
+fn cmd_explain(args: &Args, out: Out) -> Result<(), Failure> {
     let (tree, cm, opt) = optimize_for_provenance(args)?;
     let prov = build_provenance(&tree, &opt, &cm, PROVENANCE_TOP_K);
-    print!("{}", render_provenance(&tree, &prov));
+    write!(out, "{}", render_provenance(&tree, &prov))?;
     // Cache line: the canonical identity of this expression and how much
     // of the search the in-run subtree reuse absorbed. `explain` always
     // re-optimizes (the decision record needs the live solution sets),
     // so level 2 is reported as not consulted.
     let form = tensor_contraction_opt::expr::canonical_form(&tree);
-    println!(
+    writeln!(
+        out,
         "cache: canonical hash {:032x}; level-1 subtree reuse {} hit / {} miss; \
          level-2 not consulted (explain re-optimizes for the decision record)",
         form.hash,
         opt.counters.get(obs::names::SUBTREE_HIT),
         opt.counters.get(obs::names::SUBTREE_MISS),
-    );
+    )?;
     Ok(())
 }
 
@@ -895,7 +939,7 @@ fn simulator_json(
     ])
 }
 
-fn cmd_report(args: &Args) -> Result<(), String> {
+fn cmd_report(args: &Args, out: Out) -> Result<(), Failure> {
     let (tree, cm, opt) = optimize_for_provenance(args)?;
     let mut v = report_json(&tree, &opt, &cm, PROVENANCE_TOP_K);
     if args.report_simulate {
@@ -904,11 +948,11 @@ fn cmd_report(args: &Args) -> Result<(), String> {
             simulate_traced(&tree, &plan, &cm, args.seed, true).map_err(render_sim_error)?;
         v.insert("simulator", simulator_json(&report, &events));
     }
-    println!("{}", serde_json::to_string_pretty(&v).map_err(|e| e.to_string())?);
+    writeln!(out, "{}", serde_json::to_string_pretty(&v).map_err(|e| e.to_string())?)?;
     Ok(())
 }
 
-fn cmd_check(args: &Args) -> Result<(), String> {
+fn cmd_check(args: &Args, out: Out) -> Result<(), Failure> {
     let (tree, spans) = load_tree_spanned(&args.file)?;
     let cm = cost_model(args)?;
     let plan = match &args.plan_file {
@@ -934,30 +978,31 @@ fn cmd_check(args: &Args) -> Result<(), String> {
         }
     }
     if args.json {
-        println!("{}", report.render_json());
+        writeln!(out, "{}", report.render_json())?;
     } else {
-        print!("{}", report.render_human());
+        write!(out, "{}", report.render_human())?;
     }
     if report.is_clean() {
         Ok(())
     } else {
-        Err(format!("{} error(s) found", report.error_count()))
+        Err(format!("{} error(s) found", report.error_count()).into())
     }
 }
 
-fn cmd_fuzz(args: &Args) -> Result<(), String> {
+fn cmd_fuzz(args: &Args, out: Out) -> Result<(), Failure> {
     let cfg =
         tensor_contraction_opt::fuzz::FuzzConfig { data_seed: args.seed, ..Default::default() };
     // Replay mode: one workload file through the full differential loop.
     if let Some(path) = &args.replay {
         let stats = tensor_contraction_opt::fuzz::replay_file(path, &cfg)
             .map_err(|f| format!("replay {path}: {f}"))?;
-        println!(
+        writeln!(
+            out,
             "replay {path}: clean ({} optimizer configs, {} simulations{})",
             stats.optimizations,
             stats.simulations,
             if stats.exhaustive { ", exhaustive oracle" } else { "" }
-        );
+        )?;
         return Ok(());
     }
     let corpus = (args.corpus != "none").then(|| std::path::PathBuf::from(&args.corpus));
@@ -969,7 +1014,8 @@ fn cmd_fuzz(args: &Args) -> Result<(), String> {
         corpus.as_deref(),
         &mut log,
     );
-    println!(
+    writeln!(
+        out,
         "fuzzed seeds {}..{}: {} optimizer configs, {} simulations, \
          {} trees covered by the exhaustive oracle",
         args.fuzz_start,
@@ -977,38 +1023,40 @@ fn cmd_fuzz(args: &Args) -> Result<(), String> {
         summary.optimizations,
         summary.simulations,
         summary.exhaustive_trees,
-    );
+    )?;
     if summary.failures.is_empty() {
-        println!("no discrepancies found");
+        writeln!(out, "no discrepancies found")?;
         Ok(())
     } else {
         for f in &summary.failures {
-            println!("seed {}: {}", f.seed, f.failure);
+            writeln!(out, "seed {}: {}", f.seed, f.failure)?;
             if let Some(p) = &f.path {
-                println!("  reproducer: {}", p.display());
+                writeln!(out, "  reproducer: {}", p.display())?;
             }
         }
         Err(format!(
             "{} of {} seeds found discrepancies",
             summary.failures.len(),
             summary.seeds_run
-        ))
+        )
+        .into())
     }
 }
 
-fn cmd_frontier(args: &Args) -> Result<(), String> {
+fn cmd_frontier(args: &Args, out: Out) -> Result<(), Failure> {
     let tree = load_tree(&args.file)?;
     let cm = cost_model(args)?;
     let cfg = OptimizerConfig { mem_limit_words: Some(u128::MAX), ..opt_config(args, &tree)? };
     let opt = search(args, true, || optimize(&tree, &cm, &cfg))?;
-    println!("{:>16} {:>14}   fits", "footprint/proc", "comm (s)");
+    writeln!(out, "{:>16} {:>14}   fits", "footprint/proc", "comm (s)")?;
     for p in root_frontier(&tree, &opt) {
-        println!(
+        writeln!(
+            out,
             "{:>16} {:>14.2}   {}",
             fmt_paper_bytes(words_to_bytes(p.footprint_words)),
             p.comm_cost,
             if p.footprint_words <= cm.mem_limit_words() { "yes" } else { "no" }
-        );
+        )?;
     }
     Ok(())
 }

@@ -12,6 +12,8 @@
 //!   and on the enlarged cell it prices under a fifth of them;
 //! - `tce optimize` text stdout is the report, the explanation and the
 //!   plan section, byte for byte, as computed in-process.
+//! - a reader that closes stdout early (`tce optimize ... | head -1`)
+//!   ends `tce optimize` and `tce explain` quietly: status 0, no panic.
 
 use std::process::Command;
 
@@ -245,5 +247,22 @@ fn optimize_text_stdout_is_report_explanation_and_plan() {
             plan_section(&tree, &plan)
         );
         assert_eq!(String::from_utf8_lossy(&out.stdout), want, "{file} @ {procs}");
+    }
+}
+
+#[test]
+fn closed_stdout_ends_optimize_and_explain_quietly() {
+    for command in ["optimize", "explain"] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let run = Command::new(env!("CARGO_BIN_EXE_tce"))
+            .args([command, &workload_path("ccsd.tce"), "--procs", "16", "--no-plan-cache"])
+            .stdout(writer)
+            .output()
+            .expect("run tce");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(!stderr.contains("panicked"), "{command}: {stderr}");
+        assert_eq!(run.status.code(), Some(0), "{command}: {stderr}");
+        assert!(stderr.is_empty(), "{command} wrote to stderr: {stderr}");
     }
 }

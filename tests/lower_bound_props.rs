@@ -5,14 +5,22 @@
 //!
 //! These are the admissibility invariants the branch-and-bound wiring in
 //! `tce-core` relies on (DESIGN.md §12): an inadmissible floor would not
-//! just weaken a certificate, it could prune the optimal corner.
+//! just weaken a certificate, it could cut the optimum with the warm cut.
+//!
+//! A third property is why the search does not raise its corner queries
+//! to the per-node floors (DESIGN.md §9): every live entry of every node
+//! costs strictly more than the certified subtree floor of its node (or
+//! both are 0), so a corner raised to that floor is never dominated by a
+//! live entry of the node.
 
 use tensor_contraction_opt::bench::randtree::{random_tree, TreeParams};
 use tensor_contraction_opt::core::{extract_plan, optimize, OptimizerConfig};
 use tensor_contraction_opt::cost::lower_bound::{
-    comm_lower_bound, mem_floor_words, prove_memory_infeasible,
+    comm_lower_bound, mem_floor_words, prove_memory_infeasible, subtree_comm_floors,
 };
 use tensor_contraction_opt::cost::{bound, CostModel, MachineModel};
+use tensor_contraction_opt::expr::{parse, ExprTree};
+use tensor_contraction_opt::opmin::lower_program;
 
 const SEEDS: u64 = 60;
 
@@ -72,6 +80,61 @@ fn memory_floor_never_exceeds_emitted_plan_footprint() {
                 prove_memory_infeasible(&tree, cm, plan.mem_words, cfg.max_prefix_len).is_none(),
                 "seed {seed}: prover rejected a limit a real plan meets"
             );
+        }
+    }
+}
+
+/// Every live entry of every node of `tree`'s search costs strictly more
+/// than its node's certified subtree floor, or both are 0.
+fn assert_live_entries_clear_their_floor(
+    tree: &ExprTree,
+    cm: &CostModel,
+    enlarged: bool,
+    ctx: &str,
+) {
+    let cfg = OptimizerConfig {
+        allow_replication: enlarged,
+        allow_unrelated_rotation: enlarged,
+        ..Default::default()
+    };
+    let Ok(opt) = optimize(tree, cm, &cfg) else { return };
+    let floors = subtree_comm_floors(tree, cm, enlarged);
+    for (node, set) in &opt.sets {
+        let floor = bound::certify(floors[node]);
+        for i in set.live_indices() {
+            let cost = set.cost(i);
+            assert!(
+                cost > floor || (cost == 0.0 && floor == 0.0),
+                "{ctx} procs {} enlarged {enlarged}: live entry #{i} of `{}` costs {cost}, \
+                 not above its certified floor {floor}",
+                cm.grid.num_procs(),
+                tree.node(*node).tensor.name
+            );
+        }
+    }
+}
+
+#[test]
+fn live_entries_cost_more_than_their_certified_floor() {
+    let params = TreeParams::default();
+    for seed in 0..SEEDS {
+        let tree = random_tree(seed, &params);
+        for cm in &models() {
+            for enlarged in [false, true] {
+                assert_live_entries_clear_their_floor(&tree, cm, enlarged, &format!("seed {seed}"));
+            }
+        }
+    }
+    let cm16 = CostModel::for_square(MachineModel::itanium_cluster(), 16).expect("square");
+    for w in ["ccsd", "ccsd_tiny", "fig1", "ladder", "repeated", "transform"] {
+        let path = format!("{}/workloads/{w}.tce", env!("CARGO_MANIFEST_DIR"));
+        let src = std::fs::read_to_string(&path).expect("readable workload");
+        let tree = lower_program(&parse(&src).expect("parses"))
+            .expect("lowers")
+            .to_tree()
+            .expect("one tree");
+        for enlarged in [false, true] {
+            assert_live_entries_clear_their_floor(&tree, &cm16, enlarged, w);
         }
     }
 }

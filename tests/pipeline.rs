@@ -119,7 +119,7 @@ fn umbrella_reexports() {
 /// simulate each at tiny extents and verify numerics.
 #[test]
 fn every_frontier_point_executes_correctly() {
-    use tensor_contraction_opt::core::{frontier_plan, root_frontier};
+    use tensor_contraction_opt::core::{extract_plan_for, root_frontier};
     use tensor_contraction_opt::expr::examples::{ccsd_tree, PaperExtents};
     let tree = ccsd_tree(PaperExtents::tiny());
     let cm = CostModel::for_square(MachineModel::itanium_cluster(), 4).unwrap();
@@ -129,7 +129,7 @@ fn every_frontier_point_executes_correctly() {
     assert!(frontier.len() >= 2);
     let mut last_cost = f64::INFINITY;
     for point in &frontier {
-        let plan = frontier_plan(&tree, &opt, point);
+        let plan = extract_plan_for(&tree, &opt, point.solution_index);
         validate_plan(&tree, &plan).unwrap();
         let report = simulate(&tree, &plan, &cm, 23).unwrap();
         assert!(report.max_abs_err < 1e-10, "err {}", report.max_abs_err);

@@ -111,6 +111,41 @@ fn cold_store_warm_hit_byte_identical_json_and_cache_subcommands() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One cold store, then 16 warm processes at once on the same directory:
+/// the append-only counter journal records every event, so `tce cache
+/// stats` shows exact totals.
+#[test]
+fn concurrent_warm_processes_keep_exact_totals() {
+    let dir = std::env::temp_dir().join(format!("tce-cache-concurrent-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = dir.to_str().expect("utf-8 path");
+    let src = workload();
+    let args = ["optimize", &src, "--procs", "16", "--threads", "1", "--plan-cache", cache];
+    let cold = tce(&args);
+    assert!(cold.status.success(), "{}", String::from_utf8_lossy(&cold.stderr));
+    let warm: Vec<_> = (0..16)
+        .map(|_| {
+            Command::new(env!("CARGO_BIN_EXE_tce"))
+                .args(args)
+                .stdout(std::process::Stdio::null())
+                .stderr(std::process::Stdio::piped())
+                .spawn()
+                .expect("spawn tce")
+        })
+        .collect();
+    for child in warm {
+        let out = child.wait_with_output().expect("wait for tce");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success() && err.contains("warm hit"), "{err}");
+    }
+    let stats = tce(&["cache", "stats", "--plan-cache", cache]);
+    let stats_out = String::from_utf8_lossy(&stats.stdout);
+    for line in ["  cache.hit: 16", "  cache.miss: 1", "  cache.store: 1"] {
+        assert!(stats_out.lines().any(|l| l == line), "missing `{line}`: {stats_out}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn entries_remain(dir: &Path) -> bool {
     std::fs::read_dir(dir)
         .map(|d| {
