@@ -249,7 +249,8 @@ pub struct CachedRun {
 pub struct LookupOutcome {
     /// The hit, if the entry survived validation.
     pub run: Option<Box<CachedRun>>,
-    /// `tce_obs::names::CACHE_EVICT_*` when an entry was deleted.
+    /// `tce_obs::names::CACHE_EVICT_*` when the invalid entry was deleted
+    /// (`None` when another process replaced it first).
     pub evicted: Option<&'static str>,
 }
 
@@ -333,9 +334,12 @@ impl PlanCache {
         }
     }
 
-    /// Look the key up, validating any entry found. Evictions delete the
-    /// file, record the reason, and report a miss — corruption costs
-    /// time, never a wrong plan and never silence.
+    /// Look the key up, validating any entry found. An invalid entry is
+    /// evicted — the file deleted and the reason recorded — and the lookup
+    /// reports a miss: corruption costs time, never a wrong plan and never
+    /// silence. Only the bytes that failed validation are deleted: an entry
+    /// another process stored in the meantime survives, and then no
+    /// eviction is counted.
     pub fn lookup(&self, tree: &ExprTree, cm: &CostModel, key: &CacheKey) -> LookupOutcome {
         let path = self.entry_path(key);
         let Ok(text) = std::fs::read_to_string(&path) else {
@@ -343,10 +347,12 @@ impl PlanCache {
             return LookupOutcome { run: None, evicted: None };
         };
         let evict = |reason: &'static str| {
-            let _ = std::fs::remove_file(&path);
-            self.record(reason);
+            let evicted = evict_if_unchanged(&path, &text).then_some(reason);
+            if let Some(reason) = evicted {
+                self.record(reason);
+            }
             self.record(tce_obs::names::CACHE_MISS);
-            LookupOutcome { run: None, evicted: Some(reason) }
+            LookupOutcome { run: None, evicted }
         };
         let entry: Entry = match serde_json::from_str(&text) {
             Ok(e) => e,
@@ -514,20 +520,51 @@ impl PlanCache {
     }
 }
 
-/// Write `text` to `path` through a temp file and a rename, so readers
-/// see the old file or the new one, never a mix. The temp name is unique
-/// per write (pid plus a process-wide sequence number): concurrent
-/// writers of one file, threads or processes, never share a temp file.
-fn atomic_write(path: &Path, text: &str) -> std::io::Result<()> {
+/// A temp-file name next to `path`, unique per call (pid plus a
+/// process-wide sequence number), so concurrent users of one file,
+/// threads or processes, never share a temp file. `tce cache clear`
+/// removes any a killed process left behind.
+fn unique_tmp(path: &Path) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     name.push(format!(".{}.{}.tmp", std::process::id(), SEQ.fetch_add(1, Ordering::Relaxed)));
-    let tmp = path.with_file_name(name);
+    path.with_file_name(name)
+}
+
+/// Write `text` to `path` through a temp file and a rename, so readers
+/// see the old file or the new one, never a mix.
+fn atomic_write(path: &Path, text: &str) -> std::io::Result<()> {
+    let tmp = unique_tmp(path);
     let written = std::fs::write(&tmp, text).and_then(|()| std::fs::rename(&tmp, path));
     if written.is_err() {
         let _ = std::fs::remove_file(&tmp);
     }
     written
+}
+
+/// Delete the entry at `path` only if it still holds `text`, the bytes
+/// that failed validation; returns whether they were deleted. The file is
+/// first renamed to a private quarantine name, so no other process can
+/// replace it while it is compared. If it is not `text` — another process
+/// stored a fresh entry after `text` was read — it is linked back to
+/// `path`, which fails harmlessly when a still newer entry is already
+/// there, and the quarantine name is removed either way.
+///
+/// Cold and never inlined: eviction is the rare path, and inlined into
+/// [`PlanCache::lookup`] it cost every warm hit about a millisecond.
+#[cold]
+#[inline(never)]
+fn evict_if_unchanged(path: &Path, text: &str) -> bool {
+    let quarantine = unique_tmp(path);
+    if std::fs::rename(path, &quarantine).is_err() {
+        return false; // already gone: another process evicted it
+    }
+    let unchanged = std::fs::read(&quarantine).is_ok_and(|bytes| bytes == text.as_bytes());
+    if !unchanged {
+        let _ = std::fs::hard_link(&quarantine, path);
+    }
+    let _ = std::fs::remove_file(&quarantine);
+    unchanged
 }
 
 /// Validate one entry file against its own embedded canonical workload.
@@ -803,4 +840,52 @@ fn canonical_source(tree: &ExprTree, form: &CanonicalForm) -> Option<String> {
         },
     );
     (!uncovered.get()).then_some(src)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fresh_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("tce-evict-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        dir
+    }
+
+    fn leftovers(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .expect("read dir")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn eviction_deletes_the_bytes_that_failed_validation() {
+        let dir = fresh_dir("same");
+        let path = dir.join("k.json");
+        std::fs::write(&path, "corrupt").unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(evict_if_unchanged(&path, &text));
+        assert!(leftovers(&dir).is_empty(), "{:?}", leftovers(&dir));
+        // A second evictor finds nothing to delete and counts nothing.
+        assert!(!evict_if_unchanged(&path, &text));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_entry_replaced_between_read_and_evict_survives() {
+        let dir = fresh_dir("replaced");
+        let path = dir.join("k.json");
+        std::fs::write(&path, "corrupt").unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        // Another process stores a fresh entry after the read.
+        atomic_write(&path, "fresh entry").unwrap();
+        assert!(!evict_if_unchanged(&path, &text), "a replaced entry is not an eviction");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "fresh entry");
+        assert_eq!(leftovers(&dir), ["k.json"], "the quarantine name is removed");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

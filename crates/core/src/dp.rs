@@ -1062,9 +1062,11 @@ fn bnb_skip(
 }
 
 /// The §3.3 combine of a binary node (contraction or element-wise
-/// multiply): every `(layout, fusion triple)` block prices each pair of
-/// left and right child options a row at a time, after the
+/// multiply): every admissible `(layout, fusion triple)` block prices each
+/// pair of left and right child options a row at a time, after the
 /// branch-and-bound tests of [`bnb_skip`] on the block's tail and row.
+/// Inadmissible pairs are never built as blocks, so `dp.blocks` counts
+/// admissible blocks only.
 /// Rotation is priced only for a Cannon layout; an element-wise layout
 /// prices zero rotation and zero messages, which is bit-identical to
 /// leaving those terms out (`x + 0.0 == x` for every non-negative cost).
@@ -1089,8 +1091,21 @@ fn combine_binary(
     let lf_all = child_fusions(tree, cfg, left, sets);
     let rf_all = child_fusions(tree, cfg, right, sets);
 
-    // Pre-filter chain-compatible (f_left, f_right, f_up) triples.
-    let mut triples: Vec<(usize, usize, usize)> = Vec::new();
+    let result_tensor = &tree.node(node).tensor;
+    let left_tensor = &tree.node(left).tensor;
+    let right_tensor = &tree.node(right).tensor;
+    let up_sets: Vec<IndexSet> = my_prefixes.iter().map(FusionPrefix::as_set).collect();
+
+    // Chain-compatible (f_left, f_right, f_up) triples, each with the fused
+    // loops surrounding this node (the longest of the three prefixes).
+    struct Triple<'a> {
+        li: usize,
+        ri: usize,
+        ui: usize,
+        surrounding: &'a FusionPrefix,
+        surround_set: IndexSet,
+    }
+    let mut triples: Vec<Triple> = Vec::new();
     for (li, fl) in lf_all.iter().enumerate() {
         for (ri, fr) in rf_all.iter().enumerate() {
             if !fl.chain_compatible(fr) {
@@ -1098,21 +1113,53 @@ fn combine_binary(
             }
             for (ui, fu) in my_prefixes.iter().enumerate() {
                 if fu.chain_compatible(fl) && fu.chain_compatible(fr) {
-                    triples.push((li, ri, ui));
+                    let surrounding = fl.join(fr).join(fu);
+                    let surround_set = surrounding.as_set();
+                    triples.push(Triple { li, ri, ui, surrounding, surround_set });
                 }
             }
         }
     }
 
-    let result_tensor = &tree.node(node).tensor;
-    let left_tensor = &tree.node(left).tensor;
-    let right_tensor = &tree.node(right).tensor;
+    // A Cannon layout admits a triple only when the rotation step loop is
+    // not fused around the contraction and — paper-faithful, unless
+    // `allow_unrelated_rotation` lifts it — every rotated array carries all
+    // surrounding fused loops (the `MsgFactor` formula's domain). An
+    // element-wise layout rotates nothing and admits every triple.
+    let (left_dims, right_dims, result_dims) =
+        (left_tensor.dim_set(), right_tensor.dim_set(), result_tensor.dim_set());
+    let admits = |pat: Option<CannonPattern>| {
+        let rot = pat.and_then(|p| p.rotation_index());
+        let rotated: Vec<&IndexSet> = match pat {
+            Some(p) if !cfg.allow_unrelated_rotation => p
+                .rotated_operands()
+                .into_iter()
+                .map(|op| match op {
+                    Operand::Left => &left_dims,
+                    Operand::Right => &right_dims,
+                    Operand::Result => &result_dims,
+                })
+                .collect(),
+            _ => Vec::new(),
+        };
+        move |t: &Triple| {
+            !rot.is_some_and(|k| t.surrounding.contains(k))
+                && rotated.iter().all(|dims| t.surround_set.is_subset(dims))
+        }
+    };
 
-    // One item per (layout, triple), layout-major — the serial nesting
-    // order, so every claimed run is a contiguous slice of the serial
-    // candidate stream (the precondition of [`SolutionSet::absorb`]).
-    let items: Vec<(usize, usize)> =
-        (0..layouts.len()).flat_map(|p| (0..triples.len()).map(move |t| (p, t))).collect();
+    // One item per admissible (layout, triple), layout-major and
+    // triple-ascending — the serial nesting order, so every claimed run is
+    // a contiguous slice of the serial candidate stream (the precondition
+    // of [`SolutionSet::absorb`]).
+    let items: Vec<(usize, usize)> = layouts
+        .iter()
+        .enumerate()
+        .flat_map(|(p, layout)| {
+            let admits = admits(layout.0);
+            triples.iter().enumerate().filter(move |(_, t)| admits(t)).map(move |(t, _)| (p, t))
+        })
+        .collect();
 
     type Caches = (
         HashMap<(usize, Distribution), OptSlate>,
@@ -1128,21 +1175,13 @@ fn combine_binary(
         let (lcache, rcache, scratch) = state;
         for &(p, t) in chunk {
             let (pat, ldist, rdist, odist) = layouts[p];
-            let (li, ri, ui) = triples[t];
+            let Triple { li, ri, ui, surrounding, ref surround_set } = triples[t];
             let (fl, fr, fu) = (&lf_all[li], &rf_all[ri], &my_prefixes[ui]);
 
-            // The fused loops surrounding this node.
-            let surrounding = fl.join(fr).join(fu).clone();
             // Rotation costs and message sizes (left, right, result).
             let mut rotate = [0.0f64; 3];
             let mut msg = [0u128; 3];
             if let Some(pat) = pat {
-                // The rotation step loop cannot be fused around the
-                // contraction.
-                if pat.rotation_index().is_some_and(|k| surrounding.contains(k)) {
-                    continue;
-                }
-                let surround_set = surrounding.as_set();
                 // Per-processor trip count of a surrounding loop: reduced
                 // when the pattern distributes that index.
                 let trip = |j: IndexId| -> u64 {
@@ -1155,23 +1194,6 @@ fn combine_binary(
                         None => space.extent(j),
                     }
                 };
-
-                // Paper-faithful restriction: every rotated array must
-                // carry all surrounding fused loops (the `MsgFactor`
-                // formula's domain). `allow_unrelated_rotation` lifts it.
-                if !cfg.allow_unrelated_rotation
-                    && pat.rotated_operands().iter().any(|&op| {
-                        let dims = match op {
-                            Operand::Left => left_tensor.dim_set(),
-                            Operand::Right => right_tensor.dim_set(),
-                            Operand::Result => result_tensor.dim_set(),
-                        };
-                        !surround_set.is_subset(&dims)
-                    })
-                {
-                    continue;
-                }
-
                 for (slot, op, id, tensor, dist) in [
                     (0usize, Operand::Left, left, left_tensor, ldist),
                     (1, Operand::Right, right, right_tensor, rdist),
@@ -1185,7 +1207,7 @@ fn combine_binary(
                             space,
                             dist,
                             travel,
-                            &surround_set,
+                            surround_set,
                             trip,
                         );
                         msg[slot] = tce_cost::rotate::message_words(
@@ -1193,13 +1215,13 @@ fn combine_binary(
                             space,
                             cm.grid,
                             dist,
-                            &surround_set,
+                            surround_set,
                         );
                     }
                 }
             }
 
-            let my_mem = dist_size(result_tensor, space, cm.grid, odist, &fu.as_set());
+            let my_mem = dist_size(result_tensor, space, cm.grid, odist, &up_sets[ui]);
 
             let lslate = lcache.entry((li, ldist)).or_insert_with(|| {
                 OptSlate::new(child_options(tree, cm, cfg, memo, left, fl, ldist, sets))

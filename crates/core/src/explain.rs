@@ -6,6 +6,7 @@
 use tce_cost::units::{fmt_paper_bytes, words_to_bytes};
 use tce_cost::CostModel;
 use tce_expr::ExprTree;
+use tce_obs::names;
 
 use crate::dp::{optimize, OptimizeError, Optimized, OptimizerConfig};
 use crate::plan::{extract_plan, ExecutionPlan};
@@ -40,9 +41,12 @@ pub fn explain(
 
 impl Explanation {
     /// Explain a finished constrained run (`constrained`, searched under
-    /// `cfg`, and its extracted `plan`) by comparing it with one more
-    /// search with the limit lifted, bounded by the constrained optimum
-    /// (see [`Self::unconstrained_config`]).
+    /// `cfg`, and its extracted `plan`) by comparing it with the optimum
+    /// with the limit lifted. When the limit rejected no candidate of the
+    /// run (`dp.pruned_memory == 0`), the lifted-limit search is the same
+    /// search, so its optimum and footprint are the run's own (DESIGN.md
+    /// §13); otherwise one more search runs, bounded by the constrained
+    /// optimum (see [`Self::unconstrained_config`]).
     pub fn from_run(
         tree: &ExprTree,
         cm: &CostModel,
@@ -50,7 +54,12 @@ impl Explanation {
         constrained: &Optimized,
         plan: &ExecutionPlan,
     ) -> Result<Explanation, OptimizeError> {
-        let free = optimize(tree, cm, &Self::unconstrained_config(cfg, constrained.comm_cost))?;
+        let (free_comm, free_fp) = if constrained.counters.get(names::PRUNED_MEMORY) == 0 {
+            (constrained.comm_cost, constrained.mem_words + constrained.max_msg_words)
+        } else {
+            let free = optimize(tree, cm, &Self::unconstrained_config(cfg, constrained.comm_cost))?;
+            (free.comm_cost, free.mem_words + free.max_msg_words)
+        };
         let limit = cfg.mem_limit_words.unwrap_or_else(|| cm.mem_limit_words());
         let fusions: Vec<String> = plan
             .steps
@@ -61,7 +70,6 @@ impl Explanation {
             })
             .collect();
 
-        let free_fp = free.mem_words + free.max_msg_words;
         let mut text = String::new();
         if free_fp <= limit {
             text.push_str(&format!(
@@ -69,7 +77,7 @@ impl Explanation {
                  processor), so the limit costs nothing: {:.1} s of communication.",
                 fmt_paper_bytes(words_to_bytes(free_fp)),
                 fmt_paper_bytes(words_to_bytes(limit)),
-                free.comm_cost,
+                free_comm,
             ));
         } else {
             text.push_str(&format!(
@@ -84,16 +92,16 @@ impl Explanation {
             } else {
                 text.push_str(&format!(" by fusing {}", fusions.join(", ")));
             }
-            let ratio = constrained.comm_cost / free.comm_cost.max(1e-12);
+            let ratio = constrained.comm_cost / free_comm.max(1e-12);
             text.push_str(&format!(
                 ": communication rises from {:.1} s to {:.1} s ({:.1}×). \
                  The entire difference is the price of the memory constraint.",
-                free.comm_cost, constrained.comm_cost, ratio
+                free_comm, constrained.comm_cost, ratio
             ));
         }
         Ok(Explanation {
             constrained_comm: constrained.comm_cost,
-            unconstrained_comm: free.comm_cost,
+            unconstrained_comm: free_comm,
             unconstrained_footprint: free_fp,
             limit_words: limit,
             fusions,

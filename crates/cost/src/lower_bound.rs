@@ -93,6 +93,15 @@ pub fn node_comm_floor(
 /// returned floor is the true kernel minimum or the combo-budget
 /// zero fallback (`lower_bound.rs` previously collapsed both to `0.0`
 /// silently, making degenerate certificates look real).
+///
+/// Each surrounding `S ⊆ loops` is a bitmask over `loops` (bit `b` is
+/// `loops[b]`, which ascends like an [`IndexSet`]), so the `2^|loops|`
+/// sweep allocates nothing: the rotation-index bit, the per-loop trip
+/// counts and each operand's dimension mask are computed once per
+/// pattern, and the `RCost` base of an operand is cached densely under
+/// `mask & op_mask`, building an [`IndexSet`] only on a cache miss. The
+/// summation order and the kernel are those of the DP, so every floor is
+/// bit-identical to pricing the combination there.
 pub fn node_comm_floor_detailed(
     tree: &ExprTree,
     cm: &CostModel,
@@ -121,54 +130,57 @@ pub fn node_comm_floor_detailed(
         (&tree.node(right).tensor, Operand::Right),
         (&n.tensor, Operand::Result),
     ];
+    let bit = |j: IndexId| loops.iter().position(|&l| l == j).map_or(0u64, |b| 1 << b);
+    let op_masks = operands.map(|(t, _)| t.dims.iter().fold(0u64, |m, &j| m | bit(j)));
+    let indices = |mask: u64| -> IndexSet {
+        loops.iter().enumerate().filter(|&(b, _)| mask >> b & 1 == 1).map(|(_, &j)| j).collect()
+    };
+    // RCost base per (operand, S ∩ dims), reset per pattern.
+    let mut bases: [Vec<Option<f64>>; 3] = op_masks.map(|m| vec![None; m as usize + 1]);
+    let mut trips = vec![0u64; loops.len()];
 
     let mut best = f64::INFINITY;
     for pat in &patterns {
-        let ldist = pat.operand_dist(Operand::Left);
-        let rdist = pat.operand_dist(Operand::Right);
-        let odist = pat.operand_dist(Operand::Result);
-        let rot_index = pat.rotation_index();
+        let dists = [Operand::Left, Operand::Right, Operand::Result].map(|op| pat.operand_dist(op));
+        let [ldist, rdist, odist] = dists;
+        let travels = operands.map(|(_, op)| pat.travel_dim(op));
+        let rot_bit = pat.rotation_index().map_or(0, bit);
         // Per-processor trip count of a surrounding loop — the DP's rule,
         // verbatim, so per-combination values match it bit for bit.
-        let trip = |j: IndexId| -> u64 {
+        for (t, &j) in trips.iter_mut().zip(&loops) {
             let dim = odist
                 .position_of(j)
                 .or_else(|| ldist.position_of(j))
                 .or_else(|| rdist.position_of(j));
-            match dim {
+            *t = match dim {
                 Some(d) => tce_dist::block_len(space.extent(j), cm.grid.extent(d)),
                 None => space.extent(j),
-            }
-        };
+            };
+        }
+        for cache in &mut bases {
+            cache.fill(None);
+        }
         // The rotation kernel factors as (Π_{j∈S} trip(j)) × RCost(sliced
-        // block): cache the RCost base per (operand, S ∩ dims) so the 2^|S|
-        // sweep multiplies cached bases instead of re-interpolating.
-        let mut bases: [HashMap<IndexSet, f64>; 3] = Default::default();
+        // block): the sweep multiplies cached bases instead of
+        // re-interpolating.
         for mask in 0u64..(1u64 << loops.len()) {
-            let surround: IndexSet = loops
-                .iter()
-                .enumerate()
-                .filter(|&(b, _)| mask >> b & 1 == 1)
-                .map(|(_, &j)| j)
-                .collect();
-            if let Some(k) = rot_index {
-                if surround.contains(k) {
-                    continue; // the step loop cannot be fused around it
-                }
+            if mask & rot_bit != 0 {
+                continue; // the step loop cannot be fused around it
             }
-            let factor: u128 = surround.iter().map(|j| trip(j) as u128).product();
+            let mut factor: u128 = 1;
+            let mut rest = mask;
+            while rest != 0 {
+                factor *= trips[rest.trailing_zeros() as usize] as u128;
+                rest &= rest - 1;
+            }
             // Left, right, result — the DP's summation order.
             let mut total = 0.0f64;
-            for (slot, &(tensor, op)) in operands.iter().enumerate() {
-                let Some(travel) = pat.travel_dim(op) else { continue };
-                let dist = match op {
-                    Operand::Left => ldist,
-                    Operand::Right => rdist,
-                    Operand::Result => odist,
-                };
-                let sliced: IndexSet = surround.intersection(&tensor.dim_set());
-                let base = *bases[slot].entry(sliced.clone()).or_insert_with(|| {
-                    let words = dist_size(tensor, space, cm.grid, dist, &sliced);
+            for slot in 0..3 {
+                let Some(travel) = travels[slot] else { continue };
+                let key = mask & op_masks[slot];
+                let base = *bases[slot][key as usize].get_or_insert_with(|| {
+                    let words =
+                        dist_size(operands[slot].0, space, cm.grid, dists[slot], &indices(key));
                     cm.chr.rcost(cm.grid.extent(travel), travel, (words * WORD_BYTES) as f64)
                 });
                 total += factor as f64 * base;
@@ -468,6 +480,106 @@ fn node_comm_floor_under(
         }
     }
     best
+}
+
+/// The [`IndexSet`] form of [`node_comm_floor_detailed`]'s sweep: one
+/// surrounding set built per mask, `RCost` bases cached in a hash map.
+/// It is the oracle the bitmask sweep is tested against bit for bit
+/// (`tests/lower_bound_props.rs` runs it on random trees and every shipped
+/// workload, which this crate cannot build itself); nothing else calls it.
+#[doc(hidden)]
+pub fn node_comm_floor_reference(
+    tree: &ExprTree,
+    cm: &CostModel,
+    node: NodeId,
+    allow_replication: bool,
+) -> NodeFloor {
+    let n = tree.node(node);
+    let NodeKind::Contract { left, right, .. } = n.kind else {
+        return NodeFloor { floor: 0.0, exact: true };
+    };
+    let Ok(groups) = tree.contraction_groups(node) else {
+        // element-wise multiply: aligned, no rotation
+        return NodeFloor { floor: 0.0, exact: true };
+    };
+    let patterns = enumerate_patterns(&groups, allow_replication);
+    let loops: Vec<IndexId> = n.loop_indices().iter().collect();
+    if patterns.is_empty()
+        || loops.len() >= usize::BITS as usize
+        || patterns.len().saturating_mul(1usize << loops.len()) > MAX_COMBOS_PER_NODE
+    {
+        return NodeFloor { floor: 0.0, exact: false };
+    }
+    let space = &tree.space;
+    let operands: [(&Tensor, Operand); 3] = [
+        (&tree.node(left).tensor, Operand::Left),
+        (&tree.node(right).tensor, Operand::Right),
+        (&n.tensor, Operand::Result),
+    ];
+
+    let mut best = f64::INFINITY;
+    for pat in &patterns {
+        let ldist = pat.operand_dist(Operand::Left);
+        let rdist = pat.operand_dist(Operand::Right);
+        let odist = pat.operand_dist(Operand::Result);
+        let rot_index = pat.rotation_index();
+        // Per-processor trip count of a surrounding loop — the DP's rule,
+        // verbatim, so per-combination values match it bit for bit.
+        let trip = |j: IndexId| -> u64 {
+            let dim = odist
+                .position_of(j)
+                .or_else(|| ldist.position_of(j))
+                .or_else(|| rdist.position_of(j));
+            match dim {
+                Some(d) => tce_dist::block_len(space.extent(j), cm.grid.extent(d)),
+                None => space.extent(j),
+            }
+        };
+        // The rotation kernel factors as (Π_{j∈S} trip(j)) × RCost(sliced
+        // block): cache the RCost base per (operand, S ∩ dims) so the 2^|S|
+        // sweep multiplies cached bases instead of re-interpolating.
+        let mut bases: [HashMap<IndexSet, f64>; 3] = Default::default();
+        for mask in 0u64..(1u64 << loops.len()) {
+            let surround: IndexSet = loops
+                .iter()
+                .enumerate()
+                .filter(|&(b, _)| mask >> b & 1 == 1)
+                .map(|(_, &j)| j)
+                .collect();
+            if let Some(k) = rot_index {
+                if surround.contains(k) {
+                    continue; // the step loop cannot be fused around it
+                }
+            }
+            let factor: u128 = surround.iter().map(|j| trip(j) as u128).product();
+            // Left, right, result — the DP's summation order.
+            let mut total = 0.0f64;
+            for (slot, &(tensor, op)) in operands.iter().enumerate() {
+                let Some(travel) = pat.travel_dim(op) else { continue };
+                let dist = match op {
+                    Operand::Left => ldist,
+                    Operand::Right => rdist,
+                    Operand::Result => odist,
+                };
+                let sliced: IndexSet = surround.intersection(&tensor.dim_set());
+                let base = *bases[slot].entry(sliced.clone()).or_insert_with(|| {
+                    let words = dist_size(tensor, space, cm.grid, dist, &sliced);
+                    cm.chr.rcost(cm.grid.extent(travel), travel, (words * WORD_BYTES) as f64)
+                });
+                total += factor as f64 * base;
+            }
+            if total < best {
+                best = total;
+            }
+        }
+    }
+    if best.is_finite() {
+        NodeFloor { floor: best, exact: true }
+    } else {
+        // Defensive: every pattern's mask-0 combination contributes a
+        // finite total when patterns are non-empty, so this is a fallback.
+        NodeFloor { floor: 0.0, exact: false }
+    }
 }
 
 #[cfg(test)]

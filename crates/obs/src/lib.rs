@@ -95,9 +95,11 @@ pub mod names {
     pub const BNB_FLOOR: &str = "dp.bnb_floor";
     /// Combine blocks scheduled across all nodes — the unit of work the
     /// work-stealing enumeration hands to workers (one block per
-    /// `(pattern, fusion-triple)` / `(distribution, pair)` item of the
-    /// serial candidate stream). A pure function of the search space, so
-    /// identical at every thread count including serial runs.
+    /// admissible `(layout, fusion-triple)` item of a binary node and per
+    /// `(distribution, fusion-pair)` item of a reduction; a Cannon layout
+    /// whose rotation filters reject a triple never becomes a block). A
+    /// pure function of the search space, so identical at every thread
+    /// count including serial runs.
     pub const BLOCKS: &str = "dp.blocks";
     /// Combine-block runs a worker claimed from another worker's region of
     /// the serial stream. Zero in serial runs; in parallel runs the total

@@ -732,8 +732,9 @@ fn cmd_optimize(args: &Args, out: Out) -> Result<(), Failure> {
             )?;
         }
     } else {
-        // Explain from the run just finished: only the unconstrained
-        // comparison search is new, bounded by this run's optimum.
+        // Explain from the run just finished: the unconstrained comparison
+        // search runs only if the memory limit rejected a candidate, and
+        // then bounded by this run's optimum.
         match tensor_contraction_opt::core::Explanation::from_run(&tree, &cm, &cfg, &opt, &plan) {
             Ok(e) => writeln!(out, "\n{}", e.text)?,
             Err(e) => eprintln!("explain: {e}"),

@@ -8,6 +8,10 @@
 //!   and the text equal a reference that runs the two cold searches the
 //!   explanation used to run (limit lifted, limit kept) and narrates them
 //!   exactly as before;
+//! - the explanation searches again only when the memory limit rejected
+//!   some candidate of the run (`dp.pruned_memory > 0`): a collecting
+//!   `tce_obs` sink sees no `dp`/`optimize` span from
+//!   `Explanation::from_run` on any other cell;
 //! - the bounded search never prices more candidates than the cold one,
 //!   and on the enlarged cell it prices under a fifth of them;
 //! - `tce optimize` text stdout is the report, the explanation and the
@@ -16,15 +20,16 @@
 //!   ends `tce optimize` and `tce explain` quietly: status 0, no panic.
 
 use std::process::Command;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use tensor_contraction_opt::core::{
     build_report, explain, extract_plan, optimize, render_report, ExecutionPlan, Explanation,
-    Optimized, OptimizerConfig,
+    OptimizeError, Optimized, OptimizerConfig,
 };
 use tensor_contraction_opt::cost::units::{fmt_paper_bytes, words_to_bytes, PAPER_MB};
 use tensor_contraction_opt::cost::{CostModel, MachineModel};
 use tensor_contraction_opt::expr::{parse, ExprTree};
-use tensor_contraction_opt::obs::names;
+use tensor_contraction_opt::obs::{self, names, RecordingSink, TraceEvent};
 use tensor_contraction_opt::opmin::lower_program;
 
 /// `--mem-gb` of the enlarged cell: tight enough that the limit binds
@@ -133,15 +138,44 @@ fn reference(
     }
 }
 
-/// Check one cell; returns the candidates priced by the bounded and the
-/// cold unconstrained search, or `None` when nothing fits the limit (then
-/// `tce optimize` fails before it explains, and `explain` fails alike).
-fn check_cell(
-    label: &str,
+/// The trace sink is process-wide: tests of this file that search
+/// in-process hold this lock, so a sink installed by one of them records
+/// only its own searches.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// `Explanation::from_run` under a collecting sink, with the number of
+/// searches (`dp`/`optimize` spans) it ran.
+fn from_run_counting_searches(
     tree: &ExprTree,
     cm: &CostModel,
     cfg: &OptimizerConfig,
-) -> Option<(u64, u64)> {
+    constrained: &Optimized,
+) -> (Result<Explanation, OptimizeError>, usize) {
+    let plan = extract_plan(tree, constrained);
+    let sink = Arc::new(RecordingSink::new());
+    obs::install(sink.clone());
+    let got = Explanation::from_run(tree, cm, cfg, constrained, &plan);
+    obs::uninstall();
+    let is_search = |e: &TraceEvent| matches!(e, TraceEvent::Slice { lane, name, .. } if lane == "dp" && name == "optimize");
+    let searches = sink.events().iter().filter(|e| is_search(e)).count();
+    (got, searches)
+}
+
+/// What [`check_cell`] measured on a feasible cell.
+struct Cell {
+    /// Candidates priced by the bounded and the cold unconstrained search.
+    warm: u64,
+    cold: u64,
+    /// Whether `Explanation::from_run` searched again.
+    searched: bool,
+}
+
+/// Check one cell, or return `None` when nothing fits the limit (then
+/// `tce optimize` fails before it explains, and `explain` fails alike).
+fn check_cell(label: &str, tree: &ExprTree, cm: &CostModel, cfg: &OptimizerConfig) -> Option<Cell> {
     let constrained = match optimize(tree, cm, cfg) {
         Ok(c) => c,
         Err(e) => {
@@ -152,8 +186,10 @@ fn check_cell(
     let free_cfg = OptimizerConfig { mem_limit_words: Some(u128::MAX), ..cfg.clone() };
     let free = optimize(tree, cm, &free_cfg).unwrap_or_else(|e| panic!("{label}: {e}"));
     let want = reference(tree, cm, cfg, &constrained, &free);
-    let got = Explanation::from_run(tree, cm, cfg, &constrained, &extract_plan(tree, &constrained))
-        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    let (got, searches) = from_run_counting_searches(tree, cm, cfg, &constrained);
+    let got = got.unwrap_or_else(|e| panic!("{label}: {e}"));
+    let bound = constrained.counters.get(names::PRUNED_MEMORY) > 0;
+    assert_eq!(searches, usize::from(bound), "{label}: searches run by the explanation");
 
     assert_eq!(got.constrained_comm.to_bits(), want.constrained_comm.to_bits(), "{label}");
     assert_eq!(got.unconstrained_comm.to_bits(), want.unconstrained_comm.to_bits(), "{label}");
@@ -169,31 +205,38 @@ fn check_cell(
         (bounded.counters.get(names::CANDIDATES), free.counters.get(names::CANDIDATES));
     assert!(warm <= cold, "{label}: bounded search priced {warm} candidates, cold {cold}");
     println!("{label}: bounded search priced {warm} of the cold search's {cold} candidates");
-    Some((warm, cold))
+    Some(Cell { warm, cold, searched: bound })
 }
 
 #[test]
 fn explanation_from_the_run_matches_two_cold_searches() {
-    let mut infeasible = Vec::new();
+    let _serial = serial();
+    let (mut infeasible, mut searched) = (Vec::new(), Vec::new());
     for file in workloads() {
         let tree = load(&file);
         for procs in [4, 16, 64] {
             let label = format!("{file} @ {procs}");
-            if check_cell(&label, &tree, &cost_model(procs, None), &config(false)).is_none() {
-                infeasible.push(label);
+            match check_cell(&label, &tree, &cost_model(procs, None), &config(false)) {
+                None => infeasible.push(label),
+                Some(cell) if cell.searched => searched.push(label),
+                Some(_) => {}
             }
         }
     }
     // Paper-scale ccsd does not fit 4 processors' memory (§4).
     assert_eq!(infeasible, ["ccsd.tce @ 4"]);
+    // The limit binds only where it forces fusion or a costlier layout.
+    assert_eq!(searched, ["ccsd.tce @ 16", "ladder.tce @ 4"]);
 }
 
 #[test]
 fn enlarged_cell_explanation_matches_and_prices_under_a_fifth() {
+    let _serial = serial();
     let tree = load("ccsd_tiny.tce");
     let cm = cost_model(64, Some(ENLARGED_MEM_GB));
-    let (warm, cold) =
+    let Cell { warm, cold, searched } =
         check_cell("enlarged ccsd_tiny", &tree, &cm, &config(true)).expect("the limit is feasible");
+    assert!(searched, "the enlarged cell's limit binds, so the explanation searches again");
     assert!(
         warm * 5 < cold,
         "bounded search priced {warm} of the cold search's {cold} candidates (want < 20%)"
@@ -222,6 +265,7 @@ fn plan_section(tree: &ExprTree, plan: &ExecutionPlan) -> String {
 
 #[test]
 fn optimize_text_stdout_is_report_explanation_and_plan() {
+    let _serial = serial();
     for (file, procs, enlarged) in [("ccsd.tce", 16, false), ("ccsd_tiny.tce", 64, true)] {
         let path = workload_path(file);
         let procs_arg = procs.to_string();

@@ -135,6 +135,53 @@ fn search_statistics_are_pinned() {
     );
 }
 
+/// The text stdout of `tce optimize <w> --threads 1 --no-plan-cache` —
+/// report, explanation and plan — on every shipped workload at 4, 16 and
+/// 64 processors, on the enlarged `ccsd_tiny` cell and on `ccsd` at 64
+/// processors under a 0.5 GB limit. A cell that fails (paper-scale `ccsd`
+/// does not fit 4 processors) pins its exit code and stderr instead. The
+/// search may skip work only where it cannot change a printed byte.
+#[test]
+fn optimize_text_stdout_is_pinned() {
+    let mut cells: Vec<(&str, Vec<&str>)> = Vec::new();
+    for file in
+        ["ccsd.tce", "ccsd_tiny.tce", "fig1.tce", "ladder.tce", "repeated.tce", "transform.tce"]
+    {
+        for procs in ["4", "16", "64"] {
+            cells.push((file, vec!["--procs", procs]));
+        }
+    }
+    cells.push((
+        "ccsd_tiny.tce",
+        vec!["--procs", "64", "--replication", "--unrelated-rotation", "--mem-gb", "0.0001"],
+    ));
+    cells.push(("ccsd.tce", vec!["--procs", "64", "--mem-gb", "0.5"]));
+    let mut rendered = String::new();
+    for (file, flags) in cells {
+        let path = format!("{}/workloads/{file}", env!("CARGO_MANIFEST_DIR"));
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_tce"))
+            .arg("optimize")
+            .arg(&path)
+            .args(&flags)
+            .args(["--threads", "1", "--no-plan-cache"])
+            .output()
+            .expect("run tce");
+        rendered.push_str(&format!("== {file} {}\n", flags.join(" ")));
+        rendered.push_str(&String::from_utf8(out.stdout).expect("utf-8 stdout"));
+        if !out.status.success() {
+            let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+            let code = out.status.code().unwrap_or(-1);
+            rendered.push_str(&format!("exit {code}: {}\n", stderr.trim_end()));
+        }
+    }
+    let golden =
+        std::fs::read_to_string("golden/optimize_text.txt").expect("golden/optimize_text.txt");
+    assert!(
+        rendered == golden,
+        "optimize text output diverged from golden/optimize_text.txt.\n--- regenerated ---\n{rendered}\n--- golden ---\n{golden}"
+    );
+}
+
 /// The stdout of `tce simulate <w> --procs P --threads 1 --stats` on
 /// `ccsd_tiny` at 4 and 16 processors and on `repeated` at 4. The printed
 /// max |error| depends on the per-element summation order of the block

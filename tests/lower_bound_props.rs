@@ -12,13 +12,21 @@
 //! costs strictly more than the certified subtree floor of its node (or
 //! both are 0), so a corner raised to that floor is never dominated by a
 //! live entry of the node.
+//!
+//! Last, the allocation-free bitmask sweep of `node_comm_floor_detailed`
+//! returns the same floor bits and exactness flag as the `IndexSet` sweep
+//! it replaced (`node_comm_floor_reference`), on every node.
 
 use tensor_contraction_opt::bench::randtree::{random_tree, TreeParams};
 use tensor_contraction_opt::core::{extract_plan, optimize, OptimizerConfig};
 use tensor_contraction_opt::cost::lower_bound::{
-    comm_lower_bound, mem_floor_words, prove_memory_infeasible, subtree_comm_floors,
+    comm_lower_bound, mem_floor_words, node_comm_floor_detailed, node_comm_floor_reference,
+    prove_memory_infeasible, subtree_comm_floors,
 };
-use tensor_contraction_opt::cost::{bound, CostModel, MachineModel};
+use tensor_contraction_opt::cost::{
+    bound, Characterization, CostModel, GridTable, MachineModel, RCostPoint,
+};
+use tensor_contraction_opt::dist::ProcGrid;
 use tensor_contraction_opt::expr::{parse, ExprTree};
 use tensor_contraction_opt::opmin::lower_program;
 
@@ -126,15 +134,81 @@ fn live_entries_cost_more_than_their_certified_floor() {
         }
     }
     let cm16 = CostModel::for_square(MachineModel::itanium_cluster(), 16).expect("square");
-    for w in ["ccsd", "ccsd_tiny", "fig1", "ladder", "repeated", "transform"] {
-        let path = format!("{}/workloads/{w}.tce", env!("CARGO_MANIFEST_DIR"));
-        let src = std::fs::read_to_string(&path).expect("readable workload");
-        let tree = lower_program(&parse(&src).expect("parses"))
-            .expect("lowers")
-            .to_tree()
-            .expect("one tree");
+    for (w, tree) in shipped_workloads() {
         for enlarged in [false, true] {
-            assert_live_entries_clear_their_floor(&tree, &cm16, enlarged, w);
+            assert_live_entries_clear_their_floor(&tree, &cm16, enlarged, &w);
         }
+    }
+}
+
+fn shipped_workloads() -> Vec<(String, ExprTree)> {
+    ["ccsd", "ccsd_tiny", "fig1", "ladder", "repeated", "transform"]
+        .into_iter()
+        .map(|w| {
+            let path = format!("{}/workloads/{w}.tce", env!("CARGO_MANIFEST_DIR"));
+            let src = std::fs::read_to_string(&path).expect("readable workload");
+            let tree = lower_program(&parse(&src).expect("parses"))
+                .expect("lowers")
+                .to_tree()
+                .expect("one tree");
+            (w.to_string(), tree)
+        })
+        .collect()
+}
+
+/// A machine whose rotation time grows with the square of the block
+/// size, so slicing blocks by fused loops pays off. Under the measured
+/// characterization every floor is reached at the empty surrounding; this
+/// one moves the minimum onto the fused surroundings, so the sweep
+/// comparison sees them too.
+fn convex_model(procs: u32) -> CostModel {
+    let grid = ProcGrid::square(procs).expect("square");
+    let points: Vec<RCostPoint> = (0..=44)
+        .map(|e| {
+            let bytes = 2f64.powi(e);
+            RCostPoint { bytes, seconds: 1e-15 * bytes * bytes }
+        })
+        .collect();
+    let table = |steps| GridTable { steps, dim1: points.clone(), dim2: points.clone() };
+    let mut grids = vec![table(grid.dim1)];
+    if grid.dim2 != grid.dim1 {
+        grids.push(table(grid.dim2));
+    }
+    let chr = Characterization { machine: "convex".to_string(), grids };
+    CostModel::with_characterization(MachineModel::itanium_cluster(), chr, grid)
+}
+
+/// The floor (by bits) and exactness of every node of `tree` agree
+/// between the bitmask sweep and the `IndexSet` reference sweep, under
+/// the measured and the convex characterization.
+fn assert_floor_sweeps_agree(tree: &ExprTree, ctx: &str) {
+    for procs in [4u32, 16, 64] {
+        let measured = CostModel::for_square(MachineModel::itanium_cluster(), procs);
+        for cm in [measured.expect("square"), convex_model(procs)] {
+            for replication in [false, true] {
+                for node in tree.postorder() {
+                    let got = node_comm_floor_detailed(tree, &cm, node, replication);
+                    let want = node_comm_floor_reference(tree, &cm, node, replication);
+                    assert!(
+                        got.floor.to_bits() == want.floor.to_bits() && got.exact == want.exact,
+                        "{ctx} procs {procs} {} replication {replication} node `{}`: \
+                         sweep {got:?}, reference {want:?}",
+                        cm.chr.machine,
+                        tree.node(node).tensor.name
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn floor_sweep_is_bit_identical_to_the_reference() {
+    let params = TreeParams::default();
+    for seed in 0..200 {
+        assert_floor_sweeps_agree(&random_tree(seed, &params), &format!("seed {seed}"));
+    }
+    for (w, tree) in shipped_workloads() {
+        assert_floor_sweeps_agree(&tree, &w);
     }
 }

@@ -1,7 +1,8 @@
 //! End-to-end CLI coverage for the level-2 plan cache: a cold
 //! `tce optimize` stores an entry, the warm rerun hits it with
 //! byte-identical `--json` output, and the `tce cache` subcommands
-//! (`stats`, `verify`, `clear`) manage the directory. The runs pin
+//! (`stats`, `verify`, `clear`) manage the directory; concurrent processes
+//! keep exact totals and evict a corrupt entry once. The runs pin
 //! `--threads 1`: the `--json` observability section carries the
 //! interleaving-dependent `dp.steal` / `dp.bnb_*` counters, which only a
 //! serial search reproduces run to run.
@@ -143,6 +144,60 @@ fn concurrent_warm_processes_keep_exact_totals() {
     for line in ["  cache.hit: 16", "  cache.miss: 1", "  cache.store: 1"] {
         assert!(stats_out.lines().any(|l| l == line), "missing `{line}`: {stats_out}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Eight processes start at once on a directory whose entry for their key
+/// is corrupt. Each one that reads the corrupt bytes evicts them, but only
+/// those bytes: an entry another process has stored by then survives. So
+/// exactly one eviction is counted, every process prints the same plan,
+/// and the directory ends with one entry that verifies clean.
+#[test]
+fn concurrent_processes_evict_a_corrupt_entry_once() {
+    let dir = std::env::temp_dir().join(format!("tce-cache-evict-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = dir.to_str().expect("utf-8 path");
+    let src = workload();
+    let args =
+        ["optimize", &src, "--procs", "16", "--threads", "1", "--json", "--plan-cache", cache];
+    let cold = tce(&args);
+    assert!(cold.status.success(), "{}", String::from_utf8_lossy(&cold.stderr));
+    let entry = std::fs::read_dir(&dir)
+        .expect("cache dir")
+        .map(|e| e.expect("dir entry").path())
+        .find(|p| p.extension().is_some_and(|x| x == "json"))
+        .expect("the cold run stored an entry");
+    std::fs::write(&entry, "{ not an entry").expect("corrupt the entry");
+    std::fs::remove_file(dir.join("stats.log")).expect("reset the journal");
+
+    let runs: Vec<_> = (0..8)
+        .map(|_| {
+            Command::new(env!("CARGO_BIN_EXE_tce"))
+                .args(args)
+                .stdout(std::process::Stdio::piped())
+                .stderr(std::process::Stdio::piped())
+                .spawn()
+                .expect("spawn tce")
+        })
+        .collect();
+    for child in runs {
+        let out = child.wait_with_output().expect("wait for tce");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&cold.stdout),
+            "a concurrent run printed another plan"
+        );
+    }
+    let stats = tce(&["cache", "stats", "--plan-cache", cache]);
+    let stats_out = String::from_utf8_lossy(&stats.stdout);
+    for line in ["  entries: 1", "  cache.evict_corrupt: 1"] {
+        assert!(stats_out.lines().any(|l| l == line), "missing `{line}`: {stats_out}");
+    }
+    let verify = tce(&["cache", "verify", "--plan-cache", cache]);
+    let verify_out = String::from_utf8_lossy(&verify.stdout);
+    assert!(verify.status.success(), "{}", String::from_utf8_lossy(&verify.stderr));
+    assert!(verify_out.contains("ok") && !verify_out.contains("BAD"), "verify: {verify_out}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -98,6 +98,34 @@ fn warm_start_halves_the_enlarged_search() {
     );
 }
 
+/// `dp.blocks` counts the admissible `(layout, fusion triple)` blocks the
+/// search schedules: a Cannon layout never becomes a block with a triple
+/// that fuses its rotation index, nor (paper-faithful) with one whose
+/// fused loops a rotated array does not carry. At one thread the counts
+/// of `tce optimize` are deterministic, so they are pinned exactly:
+/// `ccsd` @ 16 schedules 360 blocks and the enlarged cell 94,849, where
+/// building every pair made 28,032 and 152,073.
+#[test]
+fn block_counts_are_the_admissible_blocks() {
+    let ccsd = workload_trees()
+        .into_iter()
+        .find(|(n, _)| n == "ccsd.tce")
+        .expect("ccsd workload present")
+        .1;
+    let paper = plan(&ccsd, &cm16(), &serial()).expect("ccsd @ 16").opt.counters;
+    let mut machine = MachineModel::itanium_cluster();
+    machine.mem_per_node_bytes = (0.0001 * 1024.0 * PAPER_MB) as u64;
+    let cm = CostModel::for_square(machine, 64).expect("64 is square");
+    let cfg =
+        OptimizerConfig { allow_replication: true, allow_unrelated_rotation: true, ..serial() };
+    let enlarged = plan(&ccsd_tiny(), &cm, &cfg).expect("enlarged cell").opt.counters;
+    assert_eq!(
+        (paper.get(names::BLOCKS), enlarged.get(names::BLOCKS)),
+        (360, 94_849),
+        "scheduled blocks (ccsd @ 16, enlarged cell)"
+    );
+}
+
 /// A pinned input plus a memory limit nothing fits in fails with the same
 /// `NoFeasibleSolution` verdict warm and cold: the greedy configuration is
 /// infeasible too, so the exact search runs cold and decides feasibility
