@@ -15,6 +15,7 @@
 
 use std::collections::HashMap;
 
+use tce_cost::rotate::trip_count;
 use tce_cost::{CostMemo, CostModel};
 use tce_dist::{dist_size, enumerate_patterns, CannonPattern, Distribution, GridDim, Operand};
 use tce_expr::{ExprTree, IndexId, IndexSet, NodeId, NodeKind};
@@ -366,56 +367,32 @@ fn run_dp(
     // can interleave into the delta, which is one more reason the counter
     // is flagged nondeterministic in `tce_obs::names::ALL`.
     let rcost_fallbacks_before = tce_cost::rcost_fallback_count();
-    struct Floors {
-        warm_cuts: HashMap<NodeId, f64>,
-        root: f64,
-        root_exact: bool,
-        node_exact: HashMap<NodeId, bool>,
-        fallback_nodes: u64,
-    }
-    let floors = if !certify {
-        Floors {
-            warm_cuts: HashMap::new(),
-            root: 0.0,
-            root_exact: false,
-            node_exact: HashMap::new(),
-            fallback_nodes: 0,
-        }
-    } else {
-        let detail = tce_cost::lower_bound::subtree_comm_floors_detailed(tree, cm, lb_replication);
-        let raw_root = detail.floors[&tree.root()];
-        let root_floor = tce_cost::bound::certify(raw_root);
-        let root_exact = detail.root_exact(tree);
-        let cuts_active = !cfg.disable_lower_bounds
-            && !cfg.disable_pruning
-            && cfg.fixed_patterns.is_none()
-            && cfg.fixed_fusion.is_none();
-        // Warm-start cut per node: a candidate whose certified subtree
-        // floor exceeds `incumbent − rest_floor(node)` can only complete
-        // to plans strictly costlier than the incumbent — and the
-        // incumbent is the cost of a real plan of this configuration, so
-        // the optimum (and every tie with it) survives. `certify` shrinks
-        // the rest floor so float re-association cannot make the cut
-        // inadmissible. The skip never changes which plan wins, only the
-        // work done.
-        let warm_cuts = match cfg.warm_upper_bound {
-            Some(ub) if cuts_active => detail
+    let floors =
+        certify.then(|| tce_cost::lower_bound::subtree_comm_floors(tree, cm, lb_replication));
+    let cuts_active = !cfg.disable_lower_bounds
+        && !cfg.disable_pruning
+        && cfg.fixed_patterns.is_none()
+        && cfg.fixed_fusion.is_none();
+    // Warm-start cut per node: a candidate whose certified subtree floor
+    // exceeds `incumbent − rest_floor(node)` can only complete to plans
+    // strictly costlier than the incumbent — and the incumbent is the cost
+    // of a real plan of this configuration, so the optimum (and every tie
+    // with it) survives. `certify` shrinks the rest floor so float
+    // re-association cannot make the cut inadmissible. The skip never
+    // changes which plan wins, only the work done.
+    let warm_cuts: HashMap<NodeId, f64> = match (&floors, cfg.warm_upper_bound) {
+        (Some(detail), Some(ub)) if cuts_active => {
+            let raw_root = detail.floors[&tree.root()];
+            detail
                 .floors
                 .iter()
                 .map(|(&n, &f)| {
                     let rest = tce_cost::bound::certify((raw_root - f).max(0.0));
                     (n, ub - rest)
                 })
-                .collect(),
-            _ => HashMap::new(),
-        };
-        Floors {
-            warm_cuts,
-            root: root_floor,
-            root_exact,
-            node_exact: detail.node_exact,
-            fallback_nodes: detail.fallback_nodes,
+                .collect()
         }
+        _ => HashMap::new(),
     };
     let threads = match cfg.threads {
         0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
@@ -509,7 +486,7 @@ fn run_dp(
             None => enumerate_prefixes(&edge_candidates(tree, node), cfg.max_prefix_len),
         };
         let mut set = SolutionSet::with_mode(!cfg.disable_pruning, !cfg.disable_lower_bounds);
-        let warm_cut = floors.warm_cuts.get(&node).copied().unwrap_or(f64::INFINITY);
+        let warm_cut = warm_cuts.get(&node).copied().unwrap_or(f64::INFINITY);
         // Reuse key for this node, or `None` when reuse is off or any
         // index fails to map (defensive: every pin/edge index is a dim of
         // some subtree tensor, so mapping cannot actually fail — but a
@@ -540,9 +517,8 @@ fn run_dp(
                             Some(d) => pin_sig.push(Some((map_ix(d.d1)?, map_ix(d.d2)?))),
                         }
                     } else {
-                        warm_bits.push(
-                            floors.warm_cuts.get(&m).copied().unwrap_or(f64::INFINITY).to_bits(),
-                        );
+                        warm_bits
+                            .push(warm_cuts.get(&m).copied().unwrap_or(f64::INFINITY).to_bits());
                     }
                 }
                 Some(ReuseKey { hash: form.hash, edge_sig, pin_sig, warm_bits })
@@ -678,7 +654,7 @@ fn run_dp(
             keys: set.key_count(),
             widest_front: set.max_key_live(),
             arena_hw_bytes: arena_hw,
-            floor_exact: floors.node_exact.get(&node).copied().unwrap_or(false),
+            floor_exact: floors.as_ref().is_some_and(|f| f.node_exact.get(&node) == Some(&true)),
         });
         // The node is finished: nothing can reference its dead (evicted)
         // entries anymore — parents bind only live indices and run strictly
@@ -730,7 +706,8 @@ fn run_dp(
     // Fallback accounting: the floor-fallback count is a deterministic
     // function of the tree (computed once coordinator-side), so it joins
     // the report counters; the rcost delta is interleaving-dependent.
-    counters.add(tce_obs::names::LB_FLOOR_FALLBACK, floors.fallback_nodes);
+    counters
+        .add(tce_obs::names::LB_FLOOR_FALLBACK, floors.as_ref().map_or(0, |f| f.fallback_nodes));
     counters.add(
         tce_obs::names::RCOST_FALLBACK,
         tce_cost::rcost_fallback_count().saturating_sub(rcost_fallbacks_before),
@@ -746,8 +723,10 @@ fn run_dp(
         counters,
         worker_busy_us,
         sets,
-        comm_lower_bound: floors.root,
-        comm_floor_exact: floors.root_exact,
+        comm_lower_bound: floors
+            .as_ref()
+            .map_or(0.0, |f| tce_cost::bound::certify(f.floors[&tree.root()])),
+        comm_floor_exact: floors.as_ref().is_some_and(|f| f.root_exact()),
     };
     // Self-check: statically verify the winning plan before handing it
     // out. Always on in debug builds; `cfg.verify` extends it to release.
@@ -1182,18 +1161,7 @@ fn combine_binary(
             let mut rotate = [0.0f64; 3];
             let mut msg = [0u128; 3];
             if let Some(pat) = pat {
-                // Per-processor trip count of a surrounding loop: reduced
-                // when the pattern distributes that index.
-                let trip = |j: IndexId| -> u64 {
-                    let dim = odist
-                        .position_of(j)
-                        .or_else(|| ldist.position_of(j))
-                        .or_else(|| rdist.position_of(j));
-                    match dim {
-                        Some(d) => tce_dist::block_len(space.extent(j), cm.grid.extent(d)),
-                        None => space.extent(j),
-                    }
-                };
+                let trip = |j| trip_count(j, space, cm.grid, &[odist, ldist, rdist]);
                 for (slot, op, id, tensor, dist) in [
                     (0usize, Operand::Left, left, left_tensor, ldist),
                     (1, Operand::Right, right, right_tensor, rdist),
@@ -1419,12 +1387,7 @@ fn combine_reduce(
                     odist,
                     rd,
                     &surrounding.as_set(),
-                    |j: IndexId| -> u64 {
-                        odist
-                            .position_of(j)
-                            .map(|dd| tce_dist::block_len(space.extent(j), cm.grid.extent(dd)))
-                            .unwrap_or_else(|| space.extent(j))
-                    },
+                    |j| trip_count(j, space, cm.grid, &[odist]),
                 ),
             };
             let cslate = ccache.entry((ci, cdist)).or_insert_with(|| {
@@ -1498,7 +1461,6 @@ fn combine_reduce(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solution::Solution;
     use tce_cost::{CostModel, MachineModel};
     use tce_expr::parse;
 
@@ -1531,7 +1493,7 @@ mod tests {
     #[test]
     fn bnb_skip_decides_warm_then_corner() {
         let (d, f) = (Distribution { d1: None, d2: None }, FusionPrefix::empty());
-        let mut set = SolutionSet::new();
+        let mut set = SolutionSet::with_mode(true, true);
         let mut kh = set.key_handle(d, &f);
         assert!(set.try_insert(&mut kh, d, &f, 10.0, 100, 10, false, u128::MAX, || None));
         let counts = |s: &SolutionSet| (s.bnb_block, s.bnb_warm);
@@ -1582,18 +1544,14 @@ S[t] = sum[j] T3[j,t];
         let mut sp = tce_expr::IndexSpace::new();
         let a = sp.declare("a", 4);
         let b = sp.declare("b", 4);
-        let d = Distribution::pair(a, b);
-        let mk = |mem: u128| Solution {
-            dist: d,
-            fusion: FusionPrefix::empty(),
-            comm_cost: 10.0,
-            mem_words: mem,
-            max_msg_words: 0,
-            choice: None,
+        let (d, f) = (Distribution::pair(a, b), FusionPrefix::empty());
+        let mut set = SolutionSet::with_mode(true, true);
+        let mut kh = set.key_handle(d, &f);
+        let mut offer = |mem: u128| {
+            set.try_insert(&mut kh, d, &f, 10.0, mem, 0, false, u128::MAX, || None);
         };
-        let mut set = SolutionSet::new();
-        set.insert(mk(100), u128::MAX);
-        set.insert(mk(50), u128::MAX); // same cost, less memory: evicts #0
+        offer(100);
+        offer(50); // same cost, less memory: evicts #0
         assert_eq!(set.len(), 2, "the evicted entry must stay in storage");
         assert_eq!(set.live_indices().collect::<Vec<_>>(), vec![1]);
         let best = select_root_index(&set, u128::MAX, |_| 0.0);

@@ -3,7 +3,7 @@
 //! lead to counter-intuitive trends in communication costs") generated for
 //! any workload.
 
-use tce_cost::units::{fmt_paper_bytes, words_to_bytes};
+use tce_cost::units::{fmt_paper_bytes, fmt_paper_bytes_apart, words_to_bytes};
 use tce_cost::CostModel;
 use tce_expr::ExprTree;
 use tce_obs::names;
@@ -80,24 +80,26 @@ impl Explanation {
                 free_comm,
             ));
         } else {
+            let (need, have) =
+                fmt_paper_bytes_apart(words_to_bytes(free_fp), words_to_bytes(limit));
             text.push_str(&format!(
-                "The communication-optimal plan would need {} per processor but \
-                 only {} is available, so the optimizer trades memory for \
+                "The communication-optimal plan would need {need} per processor but \
+                 only {have} is available, so the optimizer trades memory for \
                  messages",
-                fmt_paper_bytes(words_to_bytes(free_fp)),
-                fmt_paper_bytes(words_to_bytes(limit)),
             ));
             if fusions.is_empty() {
                 text.push_str(" by re-distributing arrays");
             } else {
                 text.push_str(&format!(" by fusing {}", fusions.join(", ")));
             }
-            let ratio = constrained.comm_cost / free_comm.max(1e-12);
             text.push_str(&format!(
-                ": communication rises from {:.1} s to {:.1} s ({:.1}×). \
-                 The entire difference is the price of the memory constraint.",
-                free_comm, constrained.comm_cost, ratio
+                ": communication rises from {:.1} s to {:.1} s",
+                free_comm, constrained.comm_cost
             ));
+            if free_comm > 0.0 {
+                text.push_str(&format!(" ({:.1}×)", constrained.comm_cost / free_comm));
+            }
+            text.push_str(". The entire difference is the price of the memory constraint.");
         }
         Ok(Explanation {
             constrained_comm: constrained.comm_cost,

@@ -65,5 +65,5 @@ pub use provenance::{
     NodeProvenance, Provenance, RunnerUp, KIND_NAMES,
 };
 pub use report::{build_report, render_plan_dot, render_report, ArrayRow, Report};
-pub use solution::{ChildBinding, Choice, KeySummary, Solution, SolutionSet};
+pub use solution::{ChildBinding, Choice, KeySummary, SolutionSet};
 pub use stats::{metrics_snapshot, render_search_stats};

@@ -79,28 +79,6 @@ pub struct Choice {
     pub surrounding: FusionPrefix,
 }
 
-/// One entry of a node's solution set, as a by-value record (the storage
-/// itself is struct-of-arrays; this is the shape used to offer candidates
-/// and to replay worker-local sets during [`SolutionSet::absorb`]).
-#[derive(Clone, Debug)]
-pub struct Solution {
-    /// Distribution in which this node's array is produced.
-    pub dist: Distribution,
-    /// Fusion prefix between this node and its parent (storage of this
-    /// array is reduced by these dimensions).
-    pub fusion: FusionPrefix,
-    /// Total communication cost (seconds) of the subtree, including this
-    /// node's contraction.
-    pub comm_cost: f64,
-    /// Per-processor words stored for all arrays of the subtree.
-    pub mem_words: u128,
-    /// Largest per-step message (words) anywhere in the subtree — the
-    /// send/receive staging buffer.
-    pub max_msg_words: u128,
-    /// Decision record (`None` for leaves).
-    pub choice: Option<Box<Choice>>,
-}
-
 /// Struct-of-arrays storage for all solutions of one node (live and dead).
 /// Scalar columns are flat vectors; decision records are boxed and only
 /// touched on accept / plan reconstruction.
@@ -258,7 +236,7 @@ pub struct SolutionSet {
     /// All live storage indices, ascending — maintained incrementally so
     /// [`Self::live_indices`] is allocation-free.
     live_all: Vec<u32>,
-    /// Candidates offered to `insert` (before pruning), for §3.3's
+    /// Candidates offered to `try_insert` (before pruning), for §3.3's
     /// pruning-effectiveness statistics.
     pub candidates_seen: u64,
     /// Candidates rejected as dominated.
@@ -290,18 +268,7 @@ pub struct SolutionSet {
     bounds_enabled: bool,
 }
 
-impl Default for SolutionSet {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl SolutionSet {
-    /// Empty set with dominance pruning and corner queries on.
-    pub fn new() -> Self {
-        Self::with_mode(true, true)
-    }
-
     /// Empty set with both mode knobs explicit: dominance pruning and
     /// branch-and-bound corner queries (forced off without pruning, which
     /// keeps no staircase for the corner query to read).
@@ -376,29 +343,6 @@ impl SolutionSet {
         self.arena.choices[i].as_deref()
     }
 
-    /// Offer a candidate; it is kept only if it fits `mem_limit` and is not
-    /// dominated by an existing solution with the same key. Existing
-    /// solutions dominated by the newcomer are *marked dead* (their storage
-    /// index survives so back-pointers stay valid, but they are excluded
-    /// from key lookups).
-    pub fn insert(&mut self, sol: Solution, mem_limit: u128) -> bool {
-        let Solution { dist, fusion, comm_cost, mem_words, max_msg_words, choice } = sol;
-        let has_redist =
-            choice.as_ref().is_some_and(|c| c.children.iter().any(|b| b.redist_cost > 0.0));
-        let mut handle = self.key_handle(dist, &fusion);
-        self.try_insert(
-            &mut handle,
-            dist,
-            &fusion,
-            comm_cost,
-            mem_words,
-            max_msg_words,
-            has_redist,
-            mem_limit,
-            move || choice,
-        )
-    }
-
     /// Resolve a `(dist, fusion)` key once, for a block of keyed operations
     /// ([`Self::try_insert`], [`Self::dominates_corner`]). The handle stays
     /// valid across insertions into this set (slots are append-only;
@@ -407,15 +351,18 @@ impl SolutionSet {
         KeyHandle { slot: self.keys.get(fusion).and_then(|m| m.get(&dist)).copied() }
     }
 
-    /// The hot-path form of [`Self::insert`], against a pre-resolved key
-    /// (see [`Self::key_handle`]): the candidate arrives as bare scalars and
-    /// the decision record is built *only on accept* — for the
-    /// overwhelmingly common rejected candidate this does no allocation at
-    /// all. Counter semantics are identical to `insert` (seen, redist
-    /// fallback, memory check, dominance check, in that order).
-    /// `dist`/`fusion` must be the pair the handle was resolved for — they
-    /// are only read to create the key on a first accept and to fill the
-    /// arena columns.
+    /// Offer a candidate against a pre-resolved key (see
+    /// [`Self::key_handle`]); it is kept only if it fits `mem_limit` and is
+    /// not dominated by an existing solution with the same key. Existing
+    /// solutions dominated by the newcomer are *marked dead* (their storage
+    /// index survives so back-pointers stay valid, but they are excluded
+    /// from key lookups). The candidate arrives as bare scalars and the
+    /// decision record is built *only on accept* — for the overwhelmingly
+    /// common rejected candidate this does no allocation at all. Counters
+    /// are updated in order: seen, redist fallback, memory check, dominance
+    /// check. `dist`/`fusion` must be the pair the handle was resolved for
+    /// — they are only read to create the key on a first accept and to
+    /// fill the arena columns.
     #[allow(clippy::too_many_arguments)]
     pub fn try_insert(
         &mut self,
@@ -735,14 +682,8 @@ impl SolutionSet {
         self.fronts.iter().map(|kf| kf.live.len()).max().unwrap_or(0)
     }
 
-    /// Candidates offered to this set (before any pruning) — the
-    /// denominator of the §3.3 pruning-effectiveness numbers.
-    pub fn total_candidates(&self) -> u64 {
-        self.candidates_seen
-    }
-
     /// Solutions alive on the frontier, as a `u64` to pair with
-    /// [`Self::total_candidates`] in reports.
+    /// `candidates_seen` in reports.
     pub fn total_live(&self) -> u64 {
         self.live_len() as u64
     }
@@ -818,6 +759,57 @@ impl<V: Default> EntryRefOrClone<V> for HashMap<FusionPrefix, V> {
 mod tests {
     use super::*;
     use tce_expr::IndexSpace;
+
+    /// One entry of a node's solution set, as a by-value record: the shape
+    /// the tests offer candidates in (the storage itself is struct-of-arrays).
+    #[derive(Clone, Debug)]
+    struct Solution {
+        /// Distribution in which this node's array is produced.
+        dist: Distribution,
+        /// Fusion prefix between this node and its parent (storage of this
+        /// array is reduced by these dimensions).
+        fusion: FusionPrefix,
+        /// Total communication cost (seconds) of the subtree, including this
+        /// node's contraction.
+        comm_cost: f64,
+        /// Per-processor words stored for all arrays of the subtree.
+        mem_words: u128,
+        /// Largest per-step message (words) anywhere in the subtree — the
+        /// send/receive staging buffer.
+        max_msg_words: u128,
+        /// Decision record (`None` for leaves).
+        choice: Option<Box<Choice>>,
+    }
+
+    impl SolutionSet {
+        /// Empty set with dominance pruning and corner queries on.
+        fn new() -> Self {
+            Self::with_mode(true, true)
+        }
+
+        /// Offer a candidate; it is kept only if it fits `mem_limit` and is not
+        /// dominated by an existing solution with the same key. Existing
+        /// solutions dominated by the newcomer are *marked dead* (their storage
+        /// index survives so back-pointers stay valid, but they are excluded
+        /// from key lookups).
+        fn insert(&mut self, sol: Solution, mem_limit: u128) -> bool {
+            let Solution { dist, fusion, comm_cost, mem_words, max_msg_words, choice } = sol;
+            let has_redist =
+                choice.as_ref().is_some_and(|c| c.children.iter().any(|b| b.redist_cost > 0.0));
+            let mut handle = self.key_handle(dist, &fusion);
+            self.try_insert(
+                &mut handle,
+                dist,
+                &fusion,
+                comm_cost,
+                mem_words,
+                max_msg_words,
+                has_redist,
+                mem_limit,
+                move || choice,
+            )
+        }
+    }
 
     fn sol(dist: Distribution, cost: f64, mem: u128, msg: u128) -> Solution {
         Solution {
@@ -973,7 +965,7 @@ mod tests {
         set.insert(sol(d1, 11.0, 120, 6), u128::MAX); // dominated
         set.insert(sol(d2, 9.0, 100, 5), u128::MAX);
         set.insert(sol(d2, 1.0, 200, 5), 100); // over the limit
-        assert_eq!(set.total_candidates(), 4);
+        assert_eq!(set.candidates_seen, 4);
         assert_eq!(set.total_live(), 2);
         assert_eq!(set.total_live(), set.live_len() as u64);
     }

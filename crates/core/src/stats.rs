@@ -121,7 +121,7 @@ mod tests {
         assert!(text.contains("mem hw"), "{text}");
         // The per-key occupancy columns agree with the set accessors.
         for s in &opt.stats {
-            let set = opt.sets.values().find(|v| v.total_candidates() == s.candidates);
+            let set = opt.sets.values().find(|v| v.candidates_seen == s.candidates);
             if let Some(set) = set {
                 assert!(s.keys <= s.live || s.live == 0);
                 assert!(s.widest_front <= s.live);
@@ -139,7 +139,7 @@ mod tests {
 
         // The totals line agrees with both the counters bag and the
         // per-set accessors.
-        let total_candidates: u64 = opt.sets.values().map(|s| s.total_candidates()).sum();
+        let total_candidates: u64 = opt.sets.values().map(|s| s.candidates_seen).sum();
         let total_live: u64 = opt.sets.values().map(|s| s.total_live()).sum();
         assert_eq!(total_candidates, opt.counters.get(tce_obs::names::CANDIDATES));
         assert_eq!(total_live, opt.counters.get(tce_obs::names::FRONTIER));

@@ -13,11 +13,12 @@
 //!   contraction, the minimum over every Cannon pattern the optimizer
 //!   may enumerate under the given `allow_replication` setting and every
 //!   fused-surrounding subset of the node's loop indices of the summed
-//!   rotation cost, computed by the very [`crate::rotate`] kernel the DP
-//!   prices candidates with (identical `f64` for the realized
-//!   combination). Redistribution, element-wise, and reduction costs are
-//!   floored at their true minimum of zero, which keeps the bound
-//!   admissible under every optimizer configuration.
+//!   rotation cost, computed by the very [`crate::rotate`] kernel and
+//!   [`crate::rotate::trip_count`] rule the DP prices candidates with
+//!   (identical `f64` for the realized combination). Redistribution,
+//!   element-wise, and reduction costs are floored at their true minimum
+//!   of zero, which keeps the bound admissible under every optimizer
+//!   configuration.
 //! * **Subtree floors** ([`subtree_comm_floors`]): postorder sums of the
 //!   per-node floors — a lower bound on the communication cost of *any*
 //!   solution the DP can store at that node, used for the warm-start
@@ -28,12 +29,6 @@
 //!   per-node minima sum to a footprint every feasible plan must pay.
 //!   [`prove_memory_infeasible`] turns this into a pre-search rejection
 //!   of impossible `(expression, memory limit)` pairs.
-//! * **Memory-dependent bound** ([`comm_lower_bound_with_limit`]):
-//!   restricts each node's pattern/surrounding enumeration to
-//!   combinations whose own storage, on top of every *other* node's
-//!   memory floor, still fits the limit — never below the
-//!   memory-independent bound, and `None` when some node has no feasible
-//!   combination at all (a stronger infeasibility proof).
 //!
 //! Admissibility argument: minimizing the exact kernel over a superset of
 //! reachable configurations can only under-estimate; floating-point
@@ -47,13 +42,14 @@ use tce_dist::{dist_size, enumerate_patterns, Distribution, Operand};
 use tce_expr::{ExprTree, IndexId, IndexSet, NodeId, NodeKind, Tensor};
 
 use crate::model::CostModel;
+use crate::rotate::trip_count;
 use crate::units::WORD_BYTES;
 
 /// Budget on `patterns × surrounding-subsets` enumerated per node. Nodes
 /// whose combination space exceeds it fall back to the (always
 /// admissible) floor of zero instead of stalling the pre-pass; realistic
 /// contraction nodes are orders of magnitude below this.
-const MAX_COMBOS_PER_NODE: usize = 1 << 20;
+pub const MAX_COMBOS_PER_NODE: usize = 1 << 20;
 
 /// One node's communication floor plus whether it was computed exactly.
 ///
@@ -75,24 +71,10 @@ pub struct NodeFloor {
 /// The communication floor of one node: zero except for proper
 /// contractions, where it is the minimum summed rotation cost over every
 /// Cannon pattern (under the given `allow_replication`) and every fused
-/// surrounding
-/// `S ⊆ loop_indices` not containing the pattern's rotation index —
-/// priced by the same [`crate::rotate::rotate_cost_surrounded`] kernel
-/// (and trip-count rule) the DP charges, so the floor never exceeds any
-/// candidate's rotation total at this node.
-pub fn node_comm_floor(
-    tree: &ExprTree,
-    cm: &CostModel,
-    node: NodeId,
-    allow_replication: bool,
-) -> f64 {
-    node_comm_floor_detailed(tree, cm, node, allow_replication).floor
-}
-
-/// [`node_comm_floor`] with the exactness flag: reports whether the
-/// returned floor is the true kernel minimum or the combo-budget
-/// zero fallback (`lower_bound.rs` previously collapsed both to `0.0`
-/// silently, making degenerate certificates look real).
+/// surrounding `S ⊆ loop_indices` not containing the pattern's rotation
+/// index — priced by the same rotation kernel and trip-count rule the DP
+/// charges, so the floor never exceeds any candidate's rotation total at
+/// this node.
 ///
 /// Each surrounding `S ⊆ loops` is a bitmask over `loops` (bit `b` is
 /// `loops[b]`, which ascends like an [`IndexSet`]), so the `2^|loops|`
@@ -102,7 +84,7 @@ pub fn node_comm_floor(
 /// `mask & op_mask`, building an [`IndexSet`] only on a cache miss. The
 /// summation order and the kernel are those of the DP, so every floor is
 /// bit-identical to pricing the combination there.
-pub fn node_comm_floor_detailed(
+pub fn node_comm_floor(
     tree: &ExprTree,
     cm: &CostModel,
     node: NodeId,
@@ -145,17 +127,8 @@ pub fn node_comm_floor_detailed(
         let [ldist, rdist, odist] = dists;
         let travels = operands.map(|(_, op)| pat.travel_dim(op));
         let rot_bit = pat.rotation_index().map_or(0, bit);
-        // Per-processor trip count of a surrounding loop — the DP's rule,
-        // verbatim, so per-combination values match it bit for bit.
         for (t, &j) in trips.iter_mut().zip(&loops) {
-            let dim = odist
-                .position_of(j)
-                .or_else(|| ldist.position_of(j))
-                .or_else(|| rdist.position_of(j));
-            *t = match dim {
-                Some(d) => tce_dist::block_len(space.extent(j), cm.grid.extent(d)),
-                None => space.extent(j),
-            };
+            *t = trip_count(j, space, cm.grid, &[odist, ldist, rdist]);
         }
         for cache in &mut bases {
             cache.fill(None);
@@ -207,9 +180,6 @@ pub struct SubtreeFloors {
     /// subtree communication cost of every solution the DP can store at
     /// `v`.
     pub floors: HashMap<NodeId, f64>,
-    /// Whether the floor at `v` is exact: the AND of [`NodeFloor::exact`]
-    /// over the whole subtree rooted at `v`.
-    pub exact: HashMap<NodeId, bool>,
     /// Whether `v`'s *own* per-node floor was computed exactly (no
     /// combo-budget fallback at `v` itself, children not considered).
     pub node_exact: HashMap<NodeId, bool>,
@@ -219,48 +189,34 @@ pub struct SubtreeFloors {
 }
 
 impl SubtreeFloors {
-    /// Whether the whole-tree certificate (the root floor) is exact.
-    pub fn root_exact(&self, tree: &ExprTree) -> bool {
-        self.exact.get(&tree.root()).copied().unwrap_or(false)
+    /// Whether the whole-tree certificate (the root floor) is exact: no
+    /// node anywhere in the tree fell back.
+    pub fn root_exact(&self) -> bool {
+        self.fallback_nodes == 0
     }
 }
 
-/// Postorder communication floors: `floor[v] = node_comm_floor(v) +
-/// Σ floor[children]` — a lower bound (in exact arithmetic; certify
-/// before comparing) on the subtree communication cost of every solution
-/// the DP can store at `v`.
+/// Postorder communication floors with per-node exactness flags and the
+/// count of combo-budget fallbacks, so callers can tell a tight
+/// certificate from a degenerate one.
 pub fn subtree_comm_floors(
-    tree: &ExprTree,
-    cm: &CostModel,
-    allow_replication: bool,
-) -> HashMap<NodeId, f64> {
-    subtree_comm_floors_detailed(tree, cm, allow_replication).floors
-}
-
-/// [`subtree_comm_floors`] with per-subtree exactness flags and the count
-/// of combo-budget fallbacks, so callers can tell a tight certificate
-/// from a degenerate one.
-pub fn subtree_comm_floors_detailed(
     tree: &ExprTree,
     cm: &CostModel,
     allow_replication: bool,
 ) -> SubtreeFloors {
     let mut floors: HashMap<NodeId, f64> = HashMap::new();
-    let mut exact: HashMap<NodeId, bool> = HashMap::new();
     let mut node_exact: HashMap<NodeId, bool> = HashMap::new();
     let mut fallback_nodes = 0u64;
     for node in tree.postorder() {
         let children: f64 = tree.children(node).iter().map(|c| floors[c]).sum();
-        let children_exact = tree.children(node).iter().all(|c| exact[c]);
-        let nf = node_comm_floor_detailed(tree, cm, node, allow_replication);
+        let nf = node_comm_floor(tree, cm, node, allow_replication);
         if !nf.exact {
             fallback_nodes += 1;
         }
         floors.insert(node, nf.floor + children);
-        exact.insert(node, nf.exact && children_exact);
         node_exact.insert(node, nf.exact);
     }
-    SubtreeFloors { floors, exact, node_exact, fallback_nodes }
+    SubtreeFloors { floors, node_exact, fallback_nodes }
 }
 
 /// The memory-independent communication lower bound of the whole tree:
@@ -269,7 +225,7 @@ pub fn subtree_comm_floors_detailed(
 /// many model seconds of communication, up to float re-association
 /// (certify with [`crate::bound::certify`] before comparing).
 pub fn comm_lower_bound(tree: &ExprTree, cm: &CostModel, allow_replication: bool) -> f64 {
-    subtree_comm_floors(tree, cm, allow_replication)[&tree.root()]
+    subtree_comm_floors(tree, cm, allow_replication).floors[&tree.root()]
 }
 
 /// The smallest per-processor storage (words) any reachable
@@ -354,234 +310,6 @@ pub fn prove_memory_infeasible(
     })
 }
 
-/// The memory-dependent communication lower bound: like
-/// [`comm_lower_bound`], but each contraction node's pattern/surrounding
-/// minimum is restricted to combinations whose own result storage — on
-/// top of every other node's memory floor — still fits `limit_words`
-/// (every surviving candidate's footprint dominates that sum, so the
-/// restriction is admissible). Returns `None` when some node has no
-/// feasible combination at all or the footprint floor alone exceeds the
-/// limit: a proof that no plan fits. Always ≥ the memory-independent
-/// bound when `Some`.
-pub fn comm_lower_bound_with_limit(
-    tree: &ExprTree,
-    cm: &CostModel,
-    limit_words: u128,
-    prefix_cap: usize,
-    allow_replication: bool,
-) -> Option<f64> {
-    let mem_floors: HashMap<NodeId, u128> = tree
-        .postorder()
-        .into_iter()
-        .map(|node| (node, node_mem_floor(tree, cm, node, prefix_cap)))
-        .collect();
-    let total_mem_floor: u128 = mem_floors.values().sum();
-    if total_mem_floor > limit_words {
-        return None;
-    }
-    let mut total = 0.0f64;
-    for node in tree.postorder() {
-        let others = total_mem_floor - mem_floors[&node];
-        let budget = limit_words - others; // ≥ mem_floors[&node] ≥ 0
-        match node_comm_floor_under(tree, cm, node, budget, allow_replication) {
-            Some(floor) => total += floor,
-            None => return None,
-        }
-    }
-    Some(total)
-}
-
-/// [`node_comm_floor`] restricted to combinations whose minimal result
-/// storage fits `budget_words`; `None` when a proper contraction has no
-/// feasible combination (the infeasibility case — non-contraction nodes
-/// always return `Some(0.0)`).
-fn node_comm_floor_under(
-    tree: &ExprTree,
-    cm: &CostModel,
-    node: NodeId,
-    budget_words: u128,
-    allow_replication: bool,
-) -> Option<f64> {
-    let n = tree.node(node);
-    let NodeKind::Contract { left, right, .. } = n.kind else {
-        return Some(0.0);
-    };
-    let Ok(groups) = tree.contraction_groups(node) else {
-        return Some(0.0);
-    };
-    let patterns = enumerate_patterns(&groups, allow_replication);
-    let loops: Vec<IndexId> = n.loop_indices().iter().collect();
-    if patterns.is_empty()
-        || loops.len() >= usize::BITS as usize
-        || patterns.len().saturating_mul(1usize << loops.len()) > MAX_COMBOS_PER_NODE
-    {
-        return Some(0.0); // floor falls back to zero, never to infeasible
-    }
-    let space = &tree.space;
-    let operands: [(&Tensor, Operand); 3] = [
-        (&tree.node(left).tensor, Operand::Left),
-        (&tree.node(right).tensor, Operand::Right),
-        (&n.tensor, Operand::Result),
-    ];
-    let mut best: Option<f64> = None;
-    for pat in &patterns {
-        let ldist = pat.operand_dist(Operand::Left);
-        let rdist = pat.operand_dist(Operand::Right);
-        let odist = pat.operand_dist(Operand::Result);
-        let rot_index = pat.rotation_index();
-        let trip = |j: IndexId| -> u64 {
-            let dim = odist
-                .position_of(j)
-                .or_else(|| ldist.position_of(j))
-                .or_else(|| rdist.position_of(j));
-            match dim {
-                Some(d) => tce_dist::block_len(space.extent(j), cm.grid.extent(d)),
-                None => space.extent(j),
-            }
-        };
-        let mut bases: [HashMap<IndexSet, f64>; 3] = Default::default();
-        for mask in 0u64..(1u64 << loops.len()) {
-            let surround: IndexSet = loops
-                .iter()
-                .enumerate()
-                .filter(|&(b, _)| mask >> b & 1 == 1)
-                .map(|(_, &j)| j)
-                .collect();
-            if let Some(k) = rot_index {
-                if surround.contains(k) {
-                    continue;
-                }
-            }
-            // A candidate built from (pat, S) fuses fu ⊆ S at this node, so
-            // its storage is at least dist_size with the whole of S fused.
-            if dist_size(&n.tensor, space, cm.grid, odist, &surround) > budget_words {
-                continue;
-            }
-            let factor: u128 = surround.iter().map(|j| trip(j) as u128).product();
-            let mut total = 0.0f64;
-            for (slot, &(tensor, op)) in operands.iter().enumerate() {
-                let Some(travel) = pat.travel_dim(op) else { continue };
-                let dist = match op {
-                    Operand::Left => ldist,
-                    Operand::Right => rdist,
-                    Operand::Result => odist,
-                };
-                let sliced: IndexSet = surround.intersection(&tensor.dim_set());
-                let base = *bases[slot].entry(sliced.clone()).or_insert_with(|| {
-                    let words = dist_size(tensor, space, cm.grid, dist, &sliced);
-                    cm.chr.rcost(cm.grid.extent(travel), travel, (words * WORD_BYTES) as f64)
-                });
-                total += factor as f64 * base;
-            }
-            best = Some(match best {
-                Some(b) if b <= total => b,
-                _ => total,
-            });
-        }
-    }
-    best
-}
-
-/// The [`IndexSet`] form of [`node_comm_floor_detailed`]'s sweep: one
-/// surrounding set built per mask, `RCost` bases cached in a hash map.
-/// It is the oracle the bitmask sweep is tested against bit for bit
-/// (`tests/lower_bound_props.rs` runs it on random trees and every shipped
-/// workload, which this crate cannot build itself); nothing else calls it.
-#[doc(hidden)]
-pub fn node_comm_floor_reference(
-    tree: &ExprTree,
-    cm: &CostModel,
-    node: NodeId,
-    allow_replication: bool,
-) -> NodeFloor {
-    let n = tree.node(node);
-    let NodeKind::Contract { left, right, .. } = n.kind else {
-        return NodeFloor { floor: 0.0, exact: true };
-    };
-    let Ok(groups) = tree.contraction_groups(node) else {
-        // element-wise multiply: aligned, no rotation
-        return NodeFloor { floor: 0.0, exact: true };
-    };
-    let patterns = enumerate_patterns(&groups, allow_replication);
-    let loops: Vec<IndexId> = n.loop_indices().iter().collect();
-    if patterns.is_empty()
-        || loops.len() >= usize::BITS as usize
-        || patterns.len().saturating_mul(1usize << loops.len()) > MAX_COMBOS_PER_NODE
-    {
-        return NodeFloor { floor: 0.0, exact: false };
-    }
-    let space = &tree.space;
-    let operands: [(&Tensor, Operand); 3] = [
-        (&tree.node(left).tensor, Operand::Left),
-        (&tree.node(right).tensor, Operand::Right),
-        (&n.tensor, Operand::Result),
-    ];
-
-    let mut best = f64::INFINITY;
-    for pat in &patterns {
-        let ldist = pat.operand_dist(Operand::Left);
-        let rdist = pat.operand_dist(Operand::Right);
-        let odist = pat.operand_dist(Operand::Result);
-        let rot_index = pat.rotation_index();
-        // Per-processor trip count of a surrounding loop — the DP's rule,
-        // verbatim, so per-combination values match it bit for bit.
-        let trip = |j: IndexId| -> u64 {
-            let dim = odist
-                .position_of(j)
-                .or_else(|| ldist.position_of(j))
-                .or_else(|| rdist.position_of(j));
-            match dim {
-                Some(d) => tce_dist::block_len(space.extent(j), cm.grid.extent(d)),
-                None => space.extent(j),
-            }
-        };
-        // The rotation kernel factors as (Π_{j∈S} trip(j)) × RCost(sliced
-        // block): cache the RCost base per (operand, S ∩ dims) so the 2^|S|
-        // sweep multiplies cached bases instead of re-interpolating.
-        let mut bases: [HashMap<IndexSet, f64>; 3] = Default::default();
-        for mask in 0u64..(1u64 << loops.len()) {
-            let surround: IndexSet = loops
-                .iter()
-                .enumerate()
-                .filter(|&(b, _)| mask >> b & 1 == 1)
-                .map(|(_, &j)| j)
-                .collect();
-            if let Some(k) = rot_index {
-                if surround.contains(k) {
-                    continue; // the step loop cannot be fused around it
-                }
-            }
-            let factor: u128 = surround.iter().map(|j| trip(j) as u128).product();
-            // Left, right, result — the DP's summation order.
-            let mut total = 0.0f64;
-            for (slot, &(tensor, op)) in operands.iter().enumerate() {
-                let Some(travel) = pat.travel_dim(op) else { continue };
-                let dist = match op {
-                    Operand::Left => ldist,
-                    Operand::Right => rdist,
-                    Operand::Result => odist,
-                };
-                let sliced: IndexSet = surround.intersection(&tensor.dim_set());
-                let base = *bases[slot].entry(sliced.clone()).or_insert_with(|| {
-                    let words = dist_size(tensor, space, cm.grid, dist, &sliced);
-                    cm.chr.rcost(cm.grid.extent(travel), travel, (words * WORD_BYTES) as f64)
-                });
-                total += factor as f64 * base;
-            }
-            if total < best {
-                best = total;
-            }
-        }
-    }
-    if best.is_finite() {
-        NodeFloor { floor: best, exact: true }
-    } else {
-        // Defensive: every pattern's mask-0 combination contributes a
-        // finite total when patterns are non-empty, so this is a fallback.
-        NodeFloor { floor: 0.0, exact: false }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -610,21 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn floors_are_monotone_in_the_memory_limit() {
-        let tree = matmul(64);
-        let cm = cm4();
-        let free = comm_lower_bound(&tree, &cm, false);
-        let loose = comm_lower_bound_with_limit(&tree, &cm, u128::MAX, 2, false).unwrap();
-        assert!((loose - free).abs() <= 1e-12 * free.abs().max(1.0));
-        // Tightening the limit can only raise (or keep) the bound.
-        let floor = mem_floor_words(&tree, &cm, 2);
-        let tight = comm_lower_bound_with_limit(&tree, &cm, floor, 2, false);
-        if let Some(t) = tight {
-            assert!(t >= loose - 1e-12 * loose.abs().max(1.0), "{t} < {loose}");
-        }
-    }
-
-    #[test]
     fn mem_floor_never_exceeds_a_real_plan_footprint() {
         // Leaves stored in full minimal blocks + root: for 64×64 arrays on
         // a 2×2 grid the floor is 3 · 64·64/4 = 3072 words.
@@ -644,20 +357,17 @@ mod tests {
         assert_eq!(proof.limit_words, floor - 1);
         assert!(!proof.largest_node.is_empty());
         assert!(proof.largest_words > 0);
-        assert!(comm_lower_bound_with_limit(&tree, &cm, floor - 1, 2, false).is_none());
     }
 
     #[test]
     fn small_trees_have_exact_floors() {
         let tree = matmul(64);
         let cm = cm4();
-        let detail = subtree_comm_floors_detailed(&tree, &cm, false);
+        let detail = subtree_comm_floors(&tree, &cm, false);
         assert_eq!(detail.fallback_nodes, 0);
-        assert!(detail.root_exact(&tree));
-        assert!(detail.exact.values().all(|&e| e));
-        // The detailed floors agree with the legacy API.
-        let legacy = subtree_comm_floors(&tree, &cm, false);
-        assert_eq!(detail.floors, legacy);
+        assert!(detail.root_exact());
+        assert!(detail.node_exact.values().all(|&e| e));
+        assert_eq!(detail.floors[&tree.root()], comm_lower_bound(&tree, &cm, false));
     }
 
     #[test]
@@ -687,12 +397,12 @@ mod tests {
         ));
         let tree = parse(&src).unwrap().to_sequence().unwrap().to_tree().unwrap();
         let cm = cm4();
-        let nf = node_comm_floor_detailed(&tree, &cm, tree.root(), false);
+        let nf = node_comm_floor(&tree, &cm, tree.root(), false);
         assert_eq!(nf.floor, 0.0);
         assert!(!nf.exact, "combo-budget fallback must be flagged");
-        let detail = subtree_comm_floors_detailed(&tree, &cm, false);
+        let detail = subtree_comm_floors(&tree, &cm, false);
         assert_eq!(detail.fallback_nodes, 1);
-        assert!(!detail.root_exact(&tree));
+        assert!(!detail.root_exact());
     }
 
     #[test]

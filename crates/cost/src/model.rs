@@ -77,18 +77,6 @@ impl CostModel {
         h.finish()
     }
 
-    /// The paper's `RotateCost` for an array fused `fused` with its parent.
-    pub fn rotate_cost(
-        &self,
-        tensor: &Tensor,
-        space: &IndexSpace,
-        alpha: Distribution,
-        travel: GridDim,
-        fused: &IndexSet,
-    ) -> f64 {
-        rotate::rotate_cost(tensor, space, self.grid, alpha, travel, fused, &self.chr)
-    }
-
     /// Generalized rotation cost under a surrounding fused-loop set (see
     /// [`rotate::rotate_cost_surrounded`]).
     #[allow(clippy::too_many_arguments)]
@@ -166,10 +154,6 @@ mod wrapper_tests {
         let t = Tensor::new("X", vec![b, f]);
         let alpha = Distribution::pair(b, f);
         let fused = IndexSet::new();
-        let a = cm.rotate_cost(&t, &sp, alpha, GridDim::Dim1, &fused);
-        let b2 =
-            crate::rotate::rotate_cost(&t, &sp, cm.grid, alpha, GridDim::Dim1, &fused, &cm.chr);
-        assert_eq!(a, b2);
         // Redistribution is symmetric in moved fraction for full pairs.
         let to = Distribution::pair(f, b);
         let fwd = cm.redistribution_cost(&t, &sp, alpha, to, &fused);

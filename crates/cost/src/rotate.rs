@@ -8,6 +8,23 @@ use tce_expr::{IndexId, IndexSet, IndexSpace, Tensor};
 use crate::rcost::Characterization;
 use crate::units::WORD_BYTES;
 
+/// Per-processor trip count of a loop over `j` fused around a contraction:
+/// the block length along the grid dimension of the first of `layouts`
+/// that distributes `j`, else the full extent. The search, the floor
+/// sweep and [`loop_range`] all price fused loops through this one rule
+/// (contractions pass the result, left and right layouts in that order;
+/// reductions the result layout alone), which keeps the certified floors
+/// bit-identical to the DP's rotation totals. `#[inline]` because the
+/// release profile has no LTO, so the DP's calls from `tce-core` would
+/// otherwise not inline.
+#[inline]
+pub fn trip_count(j: IndexId, space: &IndexSpace, grid: ProcGrid, layouts: &[Distribution]) -> u64 {
+    match layouts.iter().find_map(|d| d.position_of(j)) {
+        Some(d) => tce_dist::block_len(space.extent(j), grid.extent(d)),
+        None => space.extent(j),
+    }
+}
+
 /// The paper's `LoopRange(j, v, α, f)`: the factor the fused loop `j`
 /// contributes to the message count — `1` if not fused, `N_j/√P` if fused
 /// and distributed, `N_j` if fused and undistributed.
@@ -18,12 +35,10 @@ pub fn loop_range(
     alpha: Distribution,
     fused: &IndexSet,
 ) -> u64 {
-    if !fused.contains(j) {
-        1
-    } else if let Some(d) = alpha.position_of(j) {
-        tce_dist::block_len(space.extent(j), grid.extent(d))
+    if fused.contains(j) {
+        trip_count(j, space, grid, &[alpha])
     } else {
-        space.extent(j)
+        1
     }
 }
 

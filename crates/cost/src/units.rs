@@ -33,6 +33,23 @@ pub fn fmt_paper_bytes(bytes: u128) -> String {
     }
 }
 
+/// Two different byte counts in the paper's units ([`fmt_paper_bytes`]),
+/// with decimals added until they render differently (`0.1MB` and `0.1MB`
+/// become `0.09MB` and `0.05MB`); counts that already render apart keep
+/// the usual form.
+pub fn fmt_paper_bytes_apart(a: u128, b: u128) -> (String, String) {
+    let plain = (fmt_paper_bytes(a), fmt_paper_bytes(b));
+    if plain.0 != plain.1 || a == b {
+        return plain;
+    }
+    let (unit, scale) =
+        if a.max(b) as f64 >= PAPER_GB { ("GB", PAPER_GB) } else { ("MB", PAPER_MB) };
+    let at = |p: usize| {
+        (format!("{:.p$}{unit}", a as f64 / scale), format!("{:.p$}{unit}", b as f64 / scale))
+    };
+    (2..=17).map(at).find(|(x, y)| x != y).unwrap_or(plain)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,5 +83,17 @@ mod tests {
     fn t1_total_is_55_3_gb() {
         let words: u128 = 480 * 480 * 480 * 64;
         assert_eq!(fmt_paper_bytes(words_to_bytes(words)), "55.296GB");
+    }
+
+    #[test]
+    fn different_footprints_never_render_the_same() {
+        let pair = |a: &str, b: &str| (a.to_string(), b.to_string());
+        // Both are "0.1MB" at the paper's one decimal.
+        assert_eq!(fmt_paper_bytes_apart(92_160, 51_200), pair("0.09MB", "0.05MB"));
+        assert_eq!(fmt_paper_bytes_apart(4_411_392_000, 2_097_152_000), pair("4.308GB", "2.048GB"));
+        for base in [102_400u128, 2_097_152_000, 7 * 2_097_152_000] {
+            let (a, b) = fmt_paper_bytes_apart(base + 8, base);
+            assert_ne!(a, b, "{base}");
+        }
     }
 }

@@ -71,7 +71,8 @@ impl std::fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// The largest max |simulated − reference| a run may show and still pass
-/// verification (absolute).
+/// verification (absolute). [`SimReport::verified`] scales it by the
+/// result's magnitude when that exceeds 1.
 pub const VERIFY_ABS_TOL: f64 = 1e-9;
 
 /// Simulation outcome.
@@ -81,8 +82,22 @@ pub struct SimReport {
     pub metrics: Metrics,
     /// Largest |simulated − reference| over the final result.
     pub max_abs_err: f64,
+    /// Largest |reference| over the final result: the scale of
+    /// `max_abs_err`.
+    pub max_abs_ref: f64,
     /// Words of the final result.
     pub result_words: u128,
+}
+
+impl SimReport {
+    /// The `tce simulate` verdict: `max_abs_err ≤ VERIFY_ABS_TOL ·
+    /// max(1, max_abs_ref)`. Absolute for results of magnitude up to 1 and
+    /// relative above it, so the rounding of a large result (a relative
+    /// ~1e-15 that reads ~1e-8 in absolute terms) passes while a wrong
+    /// element, block or shift still fails.
+    pub fn verified(&self) -> bool {
+        self.max_abs_err <= VERIFY_ABS_TOL * self.max_abs_ref.max(1.0)
+    }
 }
 
 /// A pinned (fused) loop: the index, the current iteration position, and
@@ -180,9 +195,22 @@ pub fn simulate_traced(
             .ok_or_else(|| SimError::Inconsistent("missing root block".into()))?;
         assembled.combine(&[block], |_, v| v);
     }
-    let max_abs_err = assembled.max_abs_diff(&reference[&root]);
+    let (max_abs_err, max_abs_ref) = compare(&assembled, &reference[&root]);
     let events = sim.trace.take().unwrap_or_default();
-    Ok((SimReport { metrics: sim.metrics, max_abs_err, result_words: assembled.words() }, events))
+    let report = SimReport {
+        metrics: sim.metrics,
+        max_abs_err,
+        max_abs_ref,
+        result_words: assembled.words(),
+    };
+    Ok((report, events))
+}
+
+/// `(max |result − reference|, max |reference|)`: the error and its scale,
+/// from one scan of the reference the run already holds.
+fn compare(result: &Block, reference: &Block) -> (f64, f64) {
+    let scale = reference.data.iter().fold(0.0, |m: f64, v| m.max(v.abs()));
+    (result.max_abs_diff(reference), scale)
 }
 
 /// Fail with [`SimError::ReferenceTooLarge`], instead of aborting in the
@@ -857,4 +885,49 @@ fn parallel_local_multiply(left: &[Block], right: &[Block], results: &mut [Block
         }
     });
     flops.into_inner().expect("flops mutex poisoned")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn report(result: &Block, reference: &Block) -> SimReport {
+        let (max_abs_err, max_abs_ref) = compare(result, reference);
+        SimReport { metrics: Metrics::default(), max_abs_err, max_abs_ref, result_words: 0 }
+    }
+
+    #[test]
+    fn verdict_scales_with_the_result_magnitude() {
+        let mut space = tce_expr::IndexSpace::new();
+        let i = space.declare("i", 64);
+        let j = space.declare("j", 64);
+        let mut reference = Block::random(&Tensor::new("R", vec![i, j]), &space, 7);
+        for v in &mut reference.data {
+            *v *= 4e7;
+        }
+        // Rounding-level error on a large result: relative 1e-15, yet
+        // above the absolute tolerance.
+        let mut rounded = reference.clone();
+        for v in &mut rounded.data {
+            *v *= 1.0 + 1e-15;
+        }
+        let ok = report(&rounded, &reference);
+        assert!(ok.max_abs_err > VERIFY_ABS_TOL, "{}", ok.max_abs_err);
+        assert!(ok.verified(), "{ok:?}");
+        // One element off by 1e-6 relative fails (the largest, so the
+        // relative perturbation is also 1e-6 of the result's scale).
+        let mut wrong = reference.clone();
+        let top = (0..wrong.data.len())
+            .max_by(|&a, &b| wrong.data[a].abs().total_cmp(&wrong.data[b].abs()))
+            .unwrap();
+        wrong.data[top] *= 1.0 + 1e-6;
+        assert!(!report(&wrong, &reference).verified());
+        // Below magnitude 1 the tolerance stays absolute.
+        let mut small = Block::full(&Tensor::new("s", vec![i]), &space);
+        small.data.fill(0.5);
+        let mut off = small.clone();
+        off.data[2] += 2e-9;
+        assert!(!report(&off, &small).verified());
+        assert!(report(&small, &small).verified());
+    }
 }

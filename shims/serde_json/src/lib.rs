@@ -240,13 +240,18 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, Error> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 character (the input is a &str, so the
-                // bytes are valid UTF-8 by construction).
-                let rest = std::str::from_utf8(&b[*pos..])
-                    .map_err(|_| Error::parse("invalid UTF-8", *pos))?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or escape. Both are
+                // ASCII, so the run ends on a character boundary of the
+                // (valid UTF-8) input, and only the run itself is checked:
+                // checking the whole rest of the input per character made
+                // parsing quadratic in the document size.
+                let start = *pos;
+                while b.get(*pos).is_some_and(|&c| c != b'"' && c != b'\\') {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&b[start..*pos])
+                    .map_err(|_| Error::parse("invalid UTF-8", start))?;
+                out.push_str(run);
             }
         }
     }
@@ -306,6 +311,15 @@ mod tests {
         let text = to_string(&big).unwrap();
         let back: u128 = from_str(&text).unwrap();
         assert_eq!(back, big);
+    }
+
+    #[test]
+    fn strings_mix_multibyte_runs_and_escapes() {
+        let src = "\"a→b\\\"c\\n\\u00e9 ∑ij\\\\\"";
+        assert_eq!(parse_value(src).unwrap(), Value::String("a→b\"c\né ∑ij\\".into()));
+        let v = Value::String("∑→\"\\\n".repeat(1000));
+        assert_eq!(parse_value(&to_string(&v).unwrap()).unwrap(), v);
+        assert!(parse_value("\"never closed →").is_err());
     }
 
     #[test]

@@ -45,7 +45,7 @@ use tensor_contraction_opt::expr::printer::{render_sequence, render_unfused_loop
 use tensor_contraction_opt::expr::{parse, ExprTree, FormulaSequence};
 use tensor_contraction_opt::fusion::{code::render_fused, minimize_memory};
 use tensor_contraction_opt::opmin::lower_program;
-use tensor_contraction_opt::sim::{simulate_traced, VERIFY_ABS_TOL};
+use tensor_contraction_opt::sim::simulate_traced;
 
 struct Args {
     command: String,
@@ -862,7 +862,7 @@ fn cmd_simulate(args: &Args, out: Out) -> Result<(), Failure> {
             )?;
         }
     }
-    if report.max_abs_err > VERIFY_ABS_TOL {
+    if !report.verified() {
         return Err(Failure::Msg("verification failed".into()));
     }
     Ok(())

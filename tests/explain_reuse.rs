@@ -7,7 +7,7 @@
 //!   enlarged `ccsd_tiny` cell, every `Explanation` field (floats by bits)
 //!   and the text equal a reference that runs the two cold searches the
 //!   explanation used to run (limit lifted, limit kept) and narrates them
-//!   exactly as before;
+//!   by the same rules;
 //! - the explanation searches again only when the memory limit rejected
 //!   some candidate of the run (`dp.pruned_memory > 0`): a collecting
 //!   `tce_obs` sink sees no `dp`/`optimize` span from
@@ -26,7 +26,9 @@ use tensor_contraction_opt::core::{
     build_report, explain, extract_plan, optimize, render_report, ExecutionPlan, Explanation,
     OptimizeError, Optimized, OptimizerConfig,
 };
-use tensor_contraction_opt::cost::units::{fmt_paper_bytes, words_to_bytes, PAPER_MB};
+use tensor_contraction_opt::cost::units::{
+    fmt_paper_bytes, fmt_paper_bytes_apart, words_to_bytes, PAPER_MB,
+};
 use tensor_contraction_opt::cost::{CostModel, MachineModel};
 use tensor_contraction_opt::expr::{parse, ExprTree};
 use tensor_contraction_opt::obs::{self, names, RecordingSink, TraceEvent};
@@ -109,24 +111,25 @@ fn reference(
             free.comm_cost,
         ));
     } else {
+        let (need, have) = fmt_paper_bytes_apart(words_to_bytes(free_fp), words_to_bytes(limit));
         text.push_str(&format!(
-            "The communication-optimal plan would need {} per processor but \
-             only {} is available, so the optimizer trades memory for \
+            "The communication-optimal plan would need {need} per processor but \
+             only {have} is available, so the optimizer trades memory for \
              messages",
-            fmt_paper_bytes(words_to_bytes(free_fp)),
-            fmt_paper_bytes(words_to_bytes(limit)),
         ));
         if fusions.is_empty() {
             text.push_str(" by re-distributing arrays");
         } else {
             text.push_str(&format!(" by fusing {}", fusions.join(", ")));
         }
-        let ratio = constrained.comm_cost / free.comm_cost.max(1e-12);
         text.push_str(&format!(
-            ": communication rises from {:.1} s to {:.1} s ({:.1}×). \
-             The entire difference is the price of the memory constraint.",
-            free.comm_cost, constrained.comm_cost, ratio
+            ": communication rises from {:.1} s to {:.1} s",
+            free.comm_cost, constrained.comm_cost
         ));
+        if free.comm_cost > 0.0 {
+            text.push_str(&format!(" ({:.1}×)", constrained.comm_cost / free.comm_cost));
+        }
+        text.push_str(". The entire difference is the price of the memory constraint.");
     }
     Explanation {
         constrained_comm: constrained.comm_cost,

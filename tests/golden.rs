@@ -186,12 +186,12 @@ fn optimize_text_stdout_is_pinned() {
 /// `ccsd_tiny` at 4 and 16 processors and on `repeated` at 4. The printed
 /// max |error| depends on the per-element summation order of the block
 /// kernels; `repeated` has the largest error (6.985e-9) and so pins that
-/// order where it is most fragile. It also fails the absolute verification
-/// bound, so it exits 1 while still printing its statistics.
+/// order where it is most fragile. Its result is large (the error is
+/// ~1e-15 relative), so it passes the magnitude-scaled verdict and exits 0.
 #[test]
 fn simulator_output_is_pinned() {
     let cells: [(&str, u32, i32); 3] =
-        [("ccsd_tiny.tce", 4, 0), ("ccsd_tiny.tce", 16, 0), ("repeated.tce", 4, 1)];
+        [("ccsd_tiny.tce", 4, 0), ("ccsd_tiny.tce", 16, 0), ("repeated.tce", 4, 0)];
     let mut rendered = String::new();
     for (file, procs, code) in cells {
         let path = format!("{}/workloads/{file}", env!("CARGO_MANIFEST_DIR"));

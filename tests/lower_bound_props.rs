@@ -13,21 +13,25 @@
 //! both are 0), so a corner raised to that floor is never dominated by a
 //! live entry of the node.
 //!
-//! Last, the allocation-free bitmask sweep of `node_comm_floor_detailed`
-//! returns the same floor bits and exactness flag as the `IndexSet` sweep
-//! it replaced (`node_comm_floor_reference`), on every node.
+//! Last, the allocation-free bitmask sweep of `node_comm_floor` returns
+//! the same floor bits and exactness flag as the `IndexSet` sweep it
+//! replaced (`node_comm_floor_reference`, kept here as the oracle), on
+//! every node.
+
+use std::collections::HashMap;
 
 use tensor_contraction_opt::bench::randtree::{random_tree, TreeParams};
 use tensor_contraction_opt::core::{extract_plan, optimize, OptimizerConfig};
 use tensor_contraction_opt::cost::lower_bound::{
-    comm_lower_bound, mem_floor_words, node_comm_floor_detailed, node_comm_floor_reference,
-    prove_memory_infeasible, subtree_comm_floors,
+    comm_lower_bound, mem_floor_words, node_comm_floor, prove_memory_infeasible,
+    subtree_comm_floors, NodeFloor, MAX_COMBOS_PER_NODE,
 };
+use tensor_contraction_opt::cost::units::WORD_BYTES;
 use tensor_contraction_opt::cost::{
     bound, Characterization, CostModel, GridTable, MachineModel, RCostPoint,
 };
-use tensor_contraction_opt::dist::ProcGrid;
-use tensor_contraction_opt::expr::{parse, ExprTree};
+use tensor_contraction_opt::dist::{block_len, dist_size, enumerate_patterns, Operand, ProcGrid};
+use tensor_contraction_opt::expr::{parse, ExprTree, IndexId, IndexSet, NodeId, NodeKind, Tensor};
 use tensor_contraction_opt::opmin::lower_program;
 
 const SEEDS: u64 = 60;
@@ -106,7 +110,7 @@ fn assert_live_entries_clear_their_floor(
         ..Default::default()
     };
     let Ok(opt) = optimize(tree, cm, &cfg) else { return };
-    let floors = subtree_comm_floors(tree, cm, enlarged);
+    let floors = subtree_comm_floors(tree, cm, enlarged).floors;
     for (node, set) in &opt.sets {
         let floor = bound::certify(floors[node]);
         for i in set.live_indices() {
@@ -178,6 +182,104 @@ fn convex_model(procs: u32) -> CostModel {
     CostModel::with_characterization(MachineModel::itanium_cluster(), chr, grid)
 }
 
+/// The `IndexSet` form of `node_comm_floor`'s bitmask sweep: one
+/// surrounding set built per mask, `RCost` bases cached in a hash map, and
+/// its own copy of the trip-count rule. It is the oracle the library's
+/// sweep is compared with bit for bit.
+fn node_comm_floor_reference(
+    tree: &ExprTree,
+    cm: &CostModel,
+    node: NodeId,
+    allow_replication: bool,
+) -> NodeFloor {
+    let n = tree.node(node);
+    let NodeKind::Contract { left, right, .. } = n.kind else {
+        return NodeFloor { floor: 0.0, exact: true };
+    };
+    let Ok(groups) = tree.contraction_groups(node) else {
+        // element-wise multiply: aligned, no rotation
+        return NodeFloor { floor: 0.0, exact: true };
+    };
+    let patterns = enumerate_patterns(&groups, allow_replication);
+    let loops: Vec<IndexId> = n.loop_indices().iter().collect();
+    if patterns.is_empty()
+        || loops.len() >= usize::BITS as usize
+        || patterns.len().saturating_mul(1usize << loops.len()) > MAX_COMBOS_PER_NODE
+    {
+        return NodeFloor { floor: 0.0, exact: false };
+    }
+    let space = &tree.space;
+    let operands: [(&Tensor, Operand); 3] = [
+        (&tree.node(left).tensor, Operand::Left),
+        (&tree.node(right).tensor, Operand::Right),
+        (&n.tensor, Operand::Result),
+    ];
+
+    let mut best = f64::INFINITY;
+    for pat in &patterns {
+        let ldist = pat.operand_dist(Operand::Left);
+        let rdist = pat.operand_dist(Operand::Right);
+        let odist = pat.operand_dist(Operand::Result);
+        let rot_index = pat.rotation_index();
+        // Per-processor trip count of a surrounding loop — the DP's rule,
+        // verbatim, so per-combination values match it bit for bit.
+        let trip = |j: IndexId| -> u64 {
+            let dim = odist
+                .position_of(j)
+                .or_else(|| ldist.position_of(j))
+                .or_else(|| rdist.position_of(j));
+            match dim {
+                Some(d) => block_len(space.extent(j), cm.grid.extent(d)),
+                None => space.extent(j),
+            }
+        };
+        // The rotation kernel factors as (Π_{j∈S} trip(j)) × RCost(sliced
+        // block): cache the RCost base per (operand, S ∩ dims) so the 2^|S|
+        // sweep multiplies cached bases instead of re-interpolating.
+        let mut bases: [HashMap<IndexSet, f64>; 3] = Default::default();
+        for mask in 0u64..(1u64 << loops.len()) {
+            let surround: IndexSet = loops
+                .iter()
+                .enumerate()
+                .filter(|&(b, _)| mask >> b & 1 == 1)
+                .map(|(_, &j)| j)
+                .collect();
+            if let Some(k) = rot_index {
+                if surround.contains(k) {
+                    continue; // the step loop cannot be fused around it
+                }
+            }
+            let factor: u128 = surround.iter().map(|j| trip(j) as u128).product();
+            // Left, right, result — the DP's summation order.
+            let mut total = 0.0f64;
+            for (slot, &(tensor, op)) in operands.iter().enumerate() {
+                let Some(travel) = pat.travel_dim(op) else { continue };
+                let dist = match op {
+                    Operand::Left => ldist,
+                    Operand::Right => rdist,
+                    Operand::Result => odist,
+                };
+                let sliced: IndexSet = surround.intersection(&tensor.dim_set());
+                let base = *bases[slot].entry(sliced.clone()).or_insert_with(|| {
+                    let words = dist_size(tensor, space, cm.grid, dist, &sliced);
+                    cm.chr.rcost(cm.grid.extent(travel), travel, (words * WORD_BYTES) as f64)
+                });
+                total += factor as f64 * base;
+            }
+            if total < best {
+                best = total;
+            }
+        }
+    }
+    if best.is_finite() {
+        NodeFloor { floor: best, exact: true }
+    } else {
+        // Defensive: every pattern's mask-0 combination contributes a
+        // finite total when patterns are non-empty, so this is a fallback.
+        NodeFloor { floor: 0.0, exact: false }
+    }
+}
+
 /// The floor (by bits) and exactness of every node of `tree` agree
 /// between the bitmask sweep and the `IndexSet` reference sweep, under
 /// the measured and the convex characterization.
@@ -187,7 +289,7 @@ fn assert_floor_sweeps_agree(tree: &ExprTree, ctx: &str) {
         for cm in [measured.expect("square"), convex_model(procs)] {
             for replication in [false, true] {
                 for node in tree.postorder() {
-                    let got = node_comm_floor_detailed(tree, &cm, node, replication);
+                    let got = node_comm_floor(tree, &cm, node, replication);
                     let want = node_comm_floor_reference(tree, &cm, node, replication);
                     assert!(
                         got.floor.to_bits() == want.floor.to_bits() && got.exact == want.exact,
