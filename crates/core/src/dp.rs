@@ -849,7 +849,8 @@ fn account_block(
 }
 
 /// Enumerate the ways child `c` can supply its array in `required` layout
-/// with fusion `f` on the edge.
+/// with fusion `f` on the edge. An unfused edge's list comes back without
+/// the options [`drop_dominated`] proves redundant.
 #[allow(clippy::too_many_arguments)]
 fn child_options(
     tree: &ExprTree,
@@ -906,7 +907,8 @@ fn child_options(
     if f.is_empty() {
         // Unfused: the array is fully materialized; any production layout
         // works, paying redistribution when it differs.
-        set.with_fusion(f)
+        let opts = set
+            .with_fusion(f)
             .into_iter()
             .map(|i| {
                 let redist = memo.redistribution_cost(
@@ -927,7 +929,8 @@ fn child_options(
                     redist_cost: redist,
                 }
             })
-            .collect()
+            .collect();
+        drop_dominated(opts, !cfg.disable_pruning)
     } else {
         // Fused: produced slice-by-slice inside shared loops — no chance to
         // redistribute, so the production layout must match exactly. This
@@ -945,6 +948,38 @@ fn child_options(
             })
             .collect()
     }
+}
+
+/// Drop every option of an unfused child's list that another option of
+/// the same list makes redundant (DESIGN.md §9): `a` drops `b` when `a`'s
+/// `comm_cost`, `redist_cost`, `mem_words` and `max_msg_words` are each
+/// at most `b`'s, and `a` comes first or uses strictly less memory. Every
+/// candidate built from `b` is then weakly dominated by the matching one
+/// built from `a`, which reaches the solution set first or evicts it, so
+/// no live set changes. Survivors keep their order; with `pruning` off
+/// the list is returned whole.
+fn drop_dominated(opts: Vec<ChildOpt>, pruning: bool) -> Vec<ChildOpt> {
+    if !pruning || opts.len() < 2 {
+        return opts;
+    }
+    // In `(mem_words, position)` order every possible dominator of an
+    // option precedes it, and the relation is transitive, so comparing
+    // against the survivors so far suffices.
+    let mut order: Vec<usize> = (0..opts.len()).collect();
+    order.sort_by_key(|&i| (opts[i].mem_words, i));
+    let mut keep = vec![false; opts.len()];
+    let mut kept: Vec<(f64, f64, u128)> = Vec::new();
+    for i in order {
+        let b = &opts[i];
+        let dominated = kept.iter().any(|&(comm, redist, msg)| {
+            comm <= b.comm_cost && redist <= b.redist_cost && msg <= b.max_msg_words
+        });
+        if !dominated {
+            keep[i] = true;
+            kept.push((b.comm_cost, b.redist_cost, b.max_msg_words));
+        }
+    }
+    opts.into_iter().zip(keep).filter_map(|(o, k)| k.then_some(o)).collect()
 }
 
 /// Fusion prefixes available on the edge above child `c`.
@@ -1615,5 +1650,79 @@ S[t] = sum[j] T3[j,t];
         let opt = optimize(&tree, &cm4(), &cfg).unwrap();
         let plan = crate::plan::extract_plan(&tree, &opt);
         assert_eq!(plan.steps[0].pattern.unwrap(), pat);
+    }
+
+    /// A tie-dense option list: a few cost levels (with `-0.0` against
+    /// `0.0`, and `0.1 + 0.2` against `0.3`), small memory and message
+    /// sizes, and every fifth code an exact copy of an earlier option.
+    fn options(codes: &[u32]) -> Vec<ChildOpt> {
+        let comm = [0.0, -0.0, 0.5, 0.1 + 0.2, 0.3, 1.0];
+        let mut v: Vec<ChildOpt> = Vec::new();
+        for (i, &c) in codes.iter().enumerate() {
+            let (comm_cost, redist_cost, mem_words, max_msg_words) = match c % 5 {
+                0 if i > 0 => {
+                    let o = &v[c as usize / 5 % i];
+                    (o.comm_cost, o.redist_cost, o.mem_words, o.max_msg_words)
+                }
+                _ => (
+                    comm[c as usize % 6],
+                    [0.0, 0.25, 0.5][c as usize / 6 % 3],
+                    u128::from(c / 18 % 4),
+                    u128::from(c / 72 % 3),
+                ),
+            };
+            let produced = Distribution { d1: None, d2: None };
+            v.push(ChildOpt {
+                sol_index: i,
+                produced,
+                comm_cost,
+                mem_words,
+                max_msg_words,
+                redist_cost,
+            });
+        }
+        v
+    }
+
+    /// The filter's rule: `a` drops `b` when every term is ≤ and `a` comes
+    /// first or uses strictly less memory.
+    fn drops(a: &ChildOpt, b: &ChildOpt) -> bool {
+        a.comm_cost <= b.comm_cost
+            && a.redist_cost <= b.redist_cost
+            && a.mem_words <= b.mem_words
+            && a.max_msg_words <= b.max_msg_words
+            && (a.sol_index < b.sol_index || a.mem_words < b.mem_words)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// `drop_dominated` keeps an order-preserving subsequence, drops
+        /// exactly the options some option of the list drops under the
+        /// rule (each with a kept dominator), and is the identity with
+        /// pruning off.
+        #[test]
+        fn drop_dominated_keeps_exactly_the_undominated_options(
+            codes in proptest::collection::vec(0u32..216, 0..40),
+        ) {
+            let all = options(&codes);
+            let kept: Vec<usize> =
+                drop_dominated(options(&codes), true).iter().map(|o| o.sol_index).collect();
+            proptest::prop_assert!(kept.windows(2).all(|w| w[0] < w[1]), "order: {:?}", kept);
+            for b in &all {
+                let is_kept = kept.contains(&b.sol_index);
+                let dominated = all.iter().any(|a| drops(a, b));
+                proptest::prop_assert_eq!(is_kept, !dominated, "option {}", b.sol_index);
+                if !is_kept {
+                    proptest::prop_assert!(
+                        kept.iter().any(|&k| drops(&all[k], b)),
+                        "option {} dropped without a kept dominator", b.sol_index
+                    );
+                }
+            }
+            let unfiltered: Vec<usize> =
+                drop_dominated(options(&codes), false).iter().map(|o| o.sol_index).collect();
+            proptest::prop_assert_eq!(unfiltered, (0..all.len()).collect::<Vec<_>>());
+        }
     }
 }

@@ -536,6 +536,14 @@ impl SolutionSet {
         self.bnb_skip += other.bnb_skip;
         self.bnb_block += other.bnb_block;
         self.bnb_warm += other.bnb_warm;
+        if self.is_empty() {
+            // Replaying into an empty set meets each entry with exactly the
+            // prefix `other` met it with, so it rebuilds `other` entry for
+            // entry: take its storage whole (the first chunk of a merge).
+            (self.arena, self.keys, self.fronts, self.live_all) =
+                (other.arena, other.keys, other.fronts, other.live_all);
+            return;
+        }
         let Arena { costs, mems, msgs, dists, fusions, choices } = other.arena;
         let it = costs.into_iter().zip(mems).zip(msgs).zip(dists).zip(fusions).zip(choices);
         for (((((cost, mem), msg), dist), fusion), choice) in it {

@@ -16,6 +16,9 @@ pub enum ExprError {
     Redefined(String),
     /// An array's full volume (product of its extents) overflows `u128`.
     TooLarge(String),
+    /// The arrays' volumes sum past `u128`, so a plan's memory footprint
+    /// could not be summed exactly ([`crate::FormulaSequence::validate`]).
+    FootprintTooLarge,
     /// Syntax error while parsing, with a source position.
     Parse {
         /// 1-based source line of the error.
@@ -40,6 +43,11 @@ impl fmt::Display for ExprError {
             ExprError::TooLarge(n) => {
                 write!(f, "array `{n}` is too large: its volume overflows a 128-bit word count")
             }
+            ExprError::FootprintTooLarge => write!(
+                f,
+                "the arrays are too large together: the sum of their volumes overflows a \
+                 128-bit word count, so no memory footprint can be represented"
+            ),
             ExprError::Parse { line, col, msg } => {
                 write!(f, "parse error on line {line}, column {col}: {msg}")
             }
@@ -61,6 +69,7 @@ mod tests {
         assert!(ExprError::Undefined("Q".into()).to_string().contains("`Q`"));
         assert!(ExprError::Redefined("T1".into()).to_string().contains("T1"));
         assert!(ExprError::TooLarge("A(i,j)".into()).to_string().contains("overflows"));
+        assert!(ExprError::FootprintTooLarge.to_string().contains("sum of their volumes"));
         assert!(ExprError::Malformed("x".into()).to_string().contains("malformed"));
         assert!(ExprError::NotAContraction("y".into())
             .to_string()

@@ -7,7 +7,7 @@
 //! operates on. [`FormulaSequence::to_tree`] converts a validated sequence
 //! into the binary-tree representation.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::error::ExprError;
 use crate::index::{IndexId, IndexSet, IndexSpace};
@@ -89,10 +89,16 @@ impl FormulaSequence {
 
     /// Validate the whole sequence: unique names, operands defined before
     /// use, per-formula well-formedness (`IX ∪ IY ⊆ ITr ∪ sum`, summation
-    /// index removed, …), and every array's full volume fits a `u128` —
-    /// so no per-array size derived from it (distributed block, fused
-    /// slice) can overflow either. Returns the name of the final result on
-    /// success.
+    /// index removed, …), every array's full volume fits a `u128` — so no
+    /// per-array size derived from it (distributed block, fused slice) can
+    /// overflow either — and so does the tree's footprint bound. Returns
+    /// the name of the final result on success.
+    ///
+    /// A plan's memory footprint sums per-processor blocks of the tree's
+    /// arrays (an input once per use, as [`Self::to_tree`] builds it) plus
+    /// one message buffer, so it is at most Σ(array volumes) + max(array
+    /// volume). A sequence whose bound overflows is rejected, which keeps
+    /// every footprint sum of the search exact.
     pub fn validate(&self) -> Result<&str, ExprError> {
         let mut defined: HashMap<&str, &Tensor> = HashMap::new();
         for t in &self.inputs {
@@ -101,14 +107,25 @@ impl FormulaSequence {
                 return Err(ExprError::Redefined(t.name.clone()));
             }
         }
+        let inputs: HashSet<&str> = self.inputs.iter().map(|t| t.name.as_str()).collect();
+        let (mut total, mut largest) = (Some(0u128), 0u128);
+        let mut count = |t: &Tensor| {
+            let v = self.space.volume(&t.dims);
+            largest = largest.max(v);
+            total = total.and_then(|s| s.checked_add(v));
+        };
         for f in &self.formulas {
             for op in f.operands() {
-                if !defined.contains_key(op) {
-                    return Err(ExprError::Undefined(op.to_owned()));
+                match defined.get(op) {
+                    None => return Err(ExprError::Undefined(op.to_owned())),
+                    // An input becomes a fresh leaf at each use.
+                    Some(t) if inputs.contains(op) => count(t),
+                    Some(_) => {}
                 }
             }
             let res = f.result();
             self.check_volume(res)?;
+            count(res);
             match f {
                 Formula::Mul { lhs, rhs, .. } => {
                     let ix = defined[lhs.as_str()].dim_set();
@@ -154,6 +171,9 @@ impl FormulaSequence {
             if defined.insert(&res.name, res).is_some() {
                 return Err(ExprError::Redefined(res.name.clone()));
             }
+        }
+        if total.and_then(|s| s.checked_add(largest)).is_none() {
+            return Err(ExprError::FootprintTooLarge);
         }
         self.formulas
             .last()
@@ -339,5 +359,31 @@ mod tests {
         // A appears twice as a leaf: 3 distinct leaves + 2 contractions.
         assert_eq!(tree.len(), 5);
         assert!(tree.is_contraction_tree());
+    }
+
+    /// Each array fits a `u128` word count, but the footprint bound
+    /// (every array, an input once per use, plus the largest) does not.
+    #[test]
+    fn footprint_bound_overflow_is_rejected() {
+        let mut sp = IndexSpace::new();
+        let dims: Vec<IndexId> = ["i", "j", "k"].iter().map(|n| sp.declare(n, 1 << 32)).collect();
+        let t = sp.declare("t", 1 << 30);
+        let big = [dims.clone(), vec![t]].concat(); // 2^126 elements
+        let seq = |lhs: &str, rhs: &str| {
+            let mut s = FormulaSequence::new(sp.clone());
+            s.inputs.push(Tensor::new("A", big.clone()));
+            s.inputs.push(Tensor::new("B", vec![t]));
+            s.formulas.push(Formula::Mul {
+                result: Tensor::new("C", big.clone()),
+                lhs: lhs.into(),
+                rhs: rhs.into(),
+            });
+            s
+        };
+        // A, B, C and the largest: 3·2^126 + 2^30 fits.
+        assert_eq!(seq("A", "B").validate(), Ok("C"));
+        // A read twice is two leaves: 4·2^126 = 2^128 overflows.
+        assert_eq!(seq("A", "A").validate(), Err(ExprError::FootprintTooLarge));
+        assert_eq!(seq("A", "A").to_tree().unwrap_err(), ExprError::FootprintTooLarge);
     }
 }

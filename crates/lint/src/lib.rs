@@ -17,7 +17,7 @@
 //! | TCE105 | index extent not divisible by the processor grid (predicts `SimError::Indivisible`) |
 //! | TCE106 | processor grid not covered by the `RCost` characterization (silent nearest-grid fallback) |
 //! | TCE107 | memory limit provably infeasible (`tce_cost::lower_bound` footprint floor) |
-//! | TCE108 | an array's full volume overflows `u128` (lowering rejects the program) |
+//! | TCE108 | an array's full volume, or the sum of all of them, overflows `u128` (lowering rejects the program) |
 //!
 //! TCE101–TCE104 and TCE108 are pure source analyses; TCE105–TCE107 additionally
 //! need a cost model and are skipped (with a recorded reason) when none
@@ -36,10 +36,12 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![cfg_attr(not(test), deny(clippy::panic))]
 
+use std::cell::OnceCell;
+
 use tce_check::diag::{CheckReport, Diagnostics};
 use tce_cost::CostModel;
-use tce_expr::parse;
 use tce_expr::parser::Program;
+use tce_expr::{parse, ExprError, FormulaSequence};
 
 pub mod codes;
 mod passes;
@@ -60,6 +62,17 @@ pub struct LintContext<'a> {
     /// TCE107 footprint floor); `usize::MAX` mirrors the optimizer
     /// default.
     pub max_prefix_len: usize,
+    /// The program lowered through opmin, on first use.
+    lowered: OnceCell<Result<FormulaSequence, ExprError>>,
+}
+
+impl LintContext<'_> {
+    /// The program lowered to a validated formula sequence
+    /// ([`tce_opmin::lower_program`]), computed once for every pass
+    /// that asks.
+    pub(crate) fn lowered(&self) -> &Result<FormulaSequence, ExprError> {
+        self.lowered.get_or_init(|| tce_opmin::lower_program(self.program))
+    }
 }
 
 /// Options for [`lint_program`] / [`lint_source`].
@@ -85,6 +98,7 @@ pub fn lint_program(program: &Program, opts: &LintOptions<'_>) -> CheckReport {
         cm: opts.cm,
         mem_limit_words: opts.mem_limit_words,
         max_prefix_len: opts.max_prefix_len.unwrap_or(usize::MAX),
+        lowered: OnceCell::new(),
     };
     let mut report = CheckReport::default();
     for pass in passes::registry() {

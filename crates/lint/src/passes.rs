@@ -10,7 +10,7 @@ use std::collections::{HashMap, HashSet};
 use tce_check::diag::{Diagnostic, Diagnostics};
 use tce_dist::GridDim;
 use tce_expr::parser::{Program, Statement};
-use tce_expr::{Formula, IndexSet, Tensor};
+use tce_expr::{ExprError, Formula, IndexSet, Tensor};
 
 use crate::{codes, LintContext};
 
@@ -304,9 +304,10 @@ fn unused(ctx: &LintContext<'_>, out: &mut Diagnostics) {
     }
 }
 
-/// TCE108: arrays whose full volume overflows `u128`. Lowering rejects
-/// such a program, so the TCE107 prover (which lowers first) stays silent
-/// and this is the finding the user sees.
+/// TCE108: arrays whose full volume overflows `u128`, or whose volumes
+/// together do (the footprint bound of [`tce_expr::FormulaSequence::validate`]).
+/// Lowering rejects such a program, so the TCE107 prover (which lowers
+/// first) stays silent and this is the finding the user sees.
 fn volume_overflow(ctx: &LintContext<'_>, out: &mut Diagnostics) {
     let prog = ctx.program;
     let space = &prog.space;
@@ -326,6 +327,18 @@ fn volume_overflow(ctx: &LintContext<'_>, out: &mut Diagnostics) {
             }
             out.push(d);
         }
+    }
+    if flagged.is_empty() && matches!(ctx.lowered(), Err(ExprError::FootprintTooLarge)) {
+        out.push(
+            Diagnostic::error(
+                codes::VOLUME_OVERFLOW,
+                "the arrays are too large together: the sum of their volumes reaches 2^128",
+            )
+            .note(
+                "a plan's memory footprint counts every array (an input once per use) plus \
+                 one message buffer, and could not be represented; shrink the extents",
+            ),
+        );
     }
 }
 
@@ -411,7 +424,7 @@ fn memory_feasibility(ctx: &LintContext<'_>, out: &mut Diagnostics) {
     let Some(cm) = ctx.cm else { return };
     // Lowering can fail on programs the reference lints already flagged;
     // nothing to prove then.
-    let Ok(seq) = tce_opmin::lower_program(ctx.program) else { return };
+    let Ok(seq) = ctx.lowered() else { return };
     let Ok(tree) = seq.to_tree() else { return };
     let limit = ctx.mem_limit_words.unwrap_or_else(|| cm.mem_limit_words());
     if let Some(proof) =

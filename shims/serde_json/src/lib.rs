@@ -43,6 +43,11 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     Ok(T::from_value(&value)?)
 }
 
+/// Convert to a [`Value`] tree without a trip through JSON text.
+pub fn to_value<T: Serialize + ?Sized>(v: &T) -> Result<Value, Error> {
+    Ok(v.to_value())
+}
+
 /// Serialize compactly (no whitespace).
 pub fn to_string<T: Serialize + ?Sized>(v: &T) -> Result<String, Error> {
     let mut out = String::new();
@@ -337,6 +342,24 @@ mod tests {
         ]);
         let text = to_string_pretty(&v).unwrap();
         assert_eq!(text, "{\n  \"a\": 1,\n  \"b\": [\n    true\n  ]\n}");
+    }
+
+    /// Rendering a `to_value` tree gives the bytes a render → parse →
+    /// render round trip gives, for every number shape and escapes.
+    #[test]
+    fn to_value_renders_like_the_text_round_trip() {
+        let via_text = |v: &Value| {
+            to_string_pretty(&parse_value(&to_string_pretty(v).unwrap()).unwrap()).unwrap()
+        };
+        let values = [
+            to_value(&vec![0.1f64, 1.0, -0.0, 1e300, 5e-324, f64::INFINITY]).unwrap(),
+            to_value(&vec![-7i64, 0, 7]).unwrap(),
+            to_value(&vec![0u128, u128::MAX]).unwrap(),
+            to_value("a→\"b\n").unwrap(),
+        ];
+        for v in &values {
+            assert_eq!(to_string_pretty(v).unwrap(), via_text(v));
+        }
     }
 
     #[test]

@@ -708,8 +708,7 @@ fn cmd_optimize(args: &Args, out: Out) -> Result<(), Failure> {
         return Ok(());
     }
     if args.json {
-        let mut v: serde_json::Value = serde_json::from_str(&plan.to_json())
-            .map_err(|e| format!("internal plan JSON error: {e}"))?;
+        let mut v = serde_json::to_value(&plan).map_err(|e| e.to_string())?;
         v.insert("observability", observability_json(&opt));
         writeln!(out, "{}", serde_json::to_string_pretty(&v).map_err(|e| e.to_string())?)?;
         return Ok(());

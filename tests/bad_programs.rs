@@ -31,6 +31,7 @@ const EXPECTED: &[(&str, &str, bool, &str)] = &[
     ("indivisible_extent.tce", codes::INDIVISIBLE_EXTENT, false, "not divisible by the 4-wide"),
     ("infeasible_memory.tce", codes::MEMORY_INFEASIBLE, true, "provably infeasible"),
     ("volume_overflow.tce", codes::VOLUME_OVERFLOW, true, "`A(i,j,k,t)` has 2^128 or more"),
+    ("footprint_overflow.tce", codes::VOLUME_OVERFLOW, true, "the sum of their volumes reaches"),
 ];
 
 fn lint_file(dir: &str, file: &str) -> tensor_contraction_opt::check::diag::CheckReport {
@@ -109,16 +110,15 @@ fn shipped_workloads_are_lint_clean() {
     }
 }
 
-/// An array whose volume overflows `u128` is a diagnostic, never a panic
-/// (exit 101) or a silently wrapped size: every command that lowers the
-/// program exits 1. Integration tests run the debug binary, where an
-/// unchecked product would trip the overflow check.
-#[test]
-fn volume_overflow_exits_1_from_every_command() {
-    let file = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/bad_programs/volume_overflow.tce");
+/// Run every command that lowers the program on one corpus file: each
+/// must exit 1 with `snippet` in its output. Integration tests run the
+/// debug binary, where an unchecked product or sum would trip the
+/// overflow check (exit 101) instead of wrapping silently.
+fn exits_1_from_every_command(file: &str, snippet: &str) {
+    let path = format!("{}/golden/bad_programs/{file}", env!("CARGO_MANIFEST_DIR"));
     for cmd in ["lint", "optimize", "compile", "simulate", "frontier", "check", "report"] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_tce"))
-            .args([cmd, file, "--procs", "16"])
+            .args([cmd, &path, "--procs", "16"])
             .output()
             .expect("run tce");
         let text = format!(
@@ -126,7 +126,21 @@ fn volume_overflow_exits_1_from_every_command() {
             String::from_utf8_lossy(&out.stdout),
             String::from_utf8_lossy(&out.stderr)
         );
-        assert_eq!(out.status.code(), Some(1), "tce {cmd}: {text}");
-        assert!(text.contains("A(i,j,k,t)"), "tce {cmd} does not name the array: {text}");
+        assert_eq!(out.status.code(), Some(1), "tce {cmd} {file}: {text}");
+        assert!(text.contains(snippet), "tce {cmd} {file} lacks {snippet:?}: {text}");
     }
+}
+
+/// An array whose volume overflows `u128` is a diagnostic naming it,
+/// never a panic or a silently wrapped size.
+#[test]
+fn volume_overflow_exits_1_from_every_command() {
+    exits_1_from_every_command("volume_overflow.tce", "A(i,j,k,t)");
+}
+
+/// Arrays that each fit a `u128` word count but not together: lowering
+/// rejects the program, so no footprint sum of the search can wrap.
+#[test]
+fn footprint_overflow_exits_1_from_every_command() {
+    exits_1_from_every_command("footprint_overflow.tce", "the sum of their volumes");
 }

@@ -75,8 +75,8 @@ fn every_workload_warm_plan_matches_the_cold_run() {
 
 /// The benchmark's `search-enlarged` request (`tce optimize
 /// workloads/ccsd_tiny.tce --procs 64 --replication --unrelated-rotation
-/// --mem-gb 0.0001 --threads 1`): the warm start prices 5,626,120 of the
-/// cold search's 10,945,342 candidates. Both counts are deterministic at
+/// --mem-gb 0.0001 --threads 1`): the warm start prices 1,232,105 of the
+/// cold search's 2,468,418 candidates. Both counts are deterministic at
 /// one thread, so they are pinned exactly.
 #[test]
 fn warm_start_halves_the_enlarged_search() {
@@ -91,10 +91,41 @@ fn warm_start_halves_the_enlarged_search() {
     assert_eq!(cold.get(names::BNB_WARM), 0, "no warm cut in the cold search");
     assert!(warm.get(names::BNB_WARM) > 0, "the warm cut never fired");
     let (warm, cold) = (warm.get(names::CANDIDATES), cold.get(names::CANDIDATES));
-    assert_eq!((warm, cold), (5_626_120, 10_945_342), "priced candidates (warm, cold)");
+    assert_eq!((warm, cold), (1_232_105, 2_468_418), "priced candidates (warm, cold)");
     assert!(
         warm as f64 <= 0.55 * cold as f64,
         "warm start priced {warm} of the cold search's {cold} candidates (want ≤ 55%)"
+    );
+}
+
+/// Pricing only undominated child options (DESIGN.md §9) changes how
+/// many candidates the enlarged cell's request prices, never what it
+/// keeps: every node keeps as many entries as when every option was
+/// priced.
+#[test]
+fn enlarged_cell_keeps_the_same_entries_at_every_node() {
+    let mut machine = MachineModel::itanium_cluster();
+    machine.mem_per_node_bytes = (0.0001 * 1024.0 * PAPER_MB) as u64;
+    let cm = CostModel::for_square(machine, 64).expect("64 is square");
+    let cfg =
+        OptimizerConfig { allow_replication: true, allow_unrelated_rotation: true, ..serial() };
+    let opt = plan(&ccsd_tiny(), &cm, &cfg).expect("enlarged cell").opt;
+    let kept: Vec<(&str, usize)> = opt.stats.iter().map(|s| (s.name.as_str(), s.live)).collect();
+    assert_eq!(
+        kept,
+        [
+            ("S_t1", 1157),
+            ("S_t2", 8636),
+            ("S", 22877),
+            ("U", 9983),
+            ("T", 2830),
+            ("Z", 708),
+            ("N", 651),
+            ("G", 69),
+            ("H", 306),
+            ("F", 712),
+        ],
+        "entries kept per node"
     );
 }
 
