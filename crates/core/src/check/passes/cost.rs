@@ -1,11 +1,11 @@
 //! Pass 7 — cost cross-check against `tce-cost`'s un-memoized kernels.
 //!
-//! The optimizer prices everything through [`tce_cost::CostMemo`], which is
-//! documented to be bit-identical to the direct [`CostModel`] entry points.
-//! This pass therefore re-derives every redistribution and rotation cost
-//! straight from the model and insists on **exact** equality — any
-//! divergence means either a corrupted plan or a memoization bug, both
-//! worth an error. Only the headline ledger uses a tolerance: its sum runs
+//! The optimizer prices redistributions through [`tce_cost::CostMemo`] and
+//! rotations from per-node tables, both documented to be bit-identical to
+//! the direct [`CostModel`] entry points. This pass therefore re-derives
+//! every redistribution and rotation cost straight from the model and
+//! insists on **exact** equality — any divergence means either a corrupted
+//! plan or a memoization bug, both worth an error. Only the headline ledger uses a tolerance: its sum runs
 //! in a different order than the search accumulated it.
 
 use tce_dist::{block_len, Operand};

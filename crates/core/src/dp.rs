@@ -16,11 +16,13 @@
 use std::collections::HashMap;
 
 use tce_cost::rotate::trip_count;
+use tce_cost::units::WORD_BYTES;
 use tce_cost::{CostMemo, CostModel};
 use tce_dist::{dist_size, enumerate_patterns, CannonPattern, Distribution, GridDim, Operand};
-use tce_expr::{ExprTree, IndexId, IndexSet, NodeId, NodeKind};
+use tce_expr::{ExprTree, IndexId, IndexSet, IndexSpace, NodeId, NodeKind, Tensor};
 use tce_fusion::{edge_candidates, enumerate_prefixes, FusionPrefix};
 
+use crate::fx::FxHashMap;
 use crate::solution::{ChildBinding, Choice, KeyHandle, SolutionSet};
 
 /// Search-space knobs.
@@ -440,6 +442,15 @@ fn run_dp(
     let reuse_on =
         !cfg.disable_subtree_reuse && cfg.fixed_fusion.is_none() && cfg.fixed_patterns.is_none();
     let forms = if reuse_on { tce_expr::subtree_forms(tree) } else { HashMap::new() };
+    // Canonical hashes of more than one internal subtree: only their
+    // frontiers can ever be replayed, so only they are stored (a stored
+    // frontier is a deep copy of the node's set).
+    let mut hash_counts: HashMap<u128, usize> = HashMap::new();
+    for (&id, form) in &forms {
+        if !tree.node(id).is_leaf() {
+            *hash_counts.entry(form.hash).or_default() += 1;
+        }
+    }
     #[derive(PartialEq, Eq, Hash)]
     struct ReuseKey {
         /// Strict canonical subtree hash (`tce_expr::subtree_form`).
@@ -663,7 +674,8 @@ fn run_dp(
         // Memoize the completed (compacted) frontier for later isomorphic
         // subtrees. First entry per key wins; a replayed set is already
         // stored under this key, so `or_insert_with` never clones it.
-        if let (Some(k), Some(form)) = (reuse_key, forms.get(&node)) {
+        let form = forms.get(&node).filter(|f| hash_counts.get(&f.hash) > Some(&1));
+        if let (Some(k), Some(form)) = (reuse_key, form) {
             reuse.entry(k).or_insert_with(|| ReuseEntry {
                 form: form.clone(),
                 set: set.clone(),
@@ -1075,15 +1087,343 @@ fn bnb_skip(
     true
 }
 
+/// A per-worker table filled lazily on first use: `rows × cols` cells, a
+/// cell still holding its type's default value being unfilled. A cell
+/// whose true value is the default is recomputed on every use, which is
+/// still exact, only slower. Cells are allocated zeroed per node and
+/// worker, never computed up front: most (layout, column) cells of a node
+/// are never asked for (DESIGN.md §9).
+struct LazyTable<T> {
+    cols: usize,
+    cells: Vec<T>,
+}
+
+impl<T: Copy + Default + PartialEq> LazyTable<T> {
+    fn new(rows: usize, cols: usize) -> Self {
+        Self { cols, cells: vec![T::default(); rows * cols] }
+    }
+
+    #[inline]
+    fn get(&mut self, row: usize, col: usize, fill: impl FnOnce() -> T) -> T {
+        let cell = &mut self.cells[row * self.cols + col];
+        if *cell == T::default() {
+            *cell = fill();
+        }
+        *cell
+    }
+}
+
+/// Number `values` densely in first-seen order: the id of each value, in
+/// order, and the distinct values by id.
+fn intern<K: std::hash::Hash + Eq + Clone>(values: impl Iterator<Item = K>) -> (Vec<u32>, Vec<K>) {
+    let mut ids: FxHashMap<K, u32> = FxHashMap::default();
+    let mut distinct = Vec::new();
+    let per = values
+        .map(|v| {
+            *ids.entry(v).or_insert_with_key(|k| {
+                distinct.push(k.clone());
+                (distinct.len() - 1) as u32
+            })
+        })
+        .collect();
+    (per, distinct)
+}
+
+/// A per-worker cache of child option slates by (child fusion, required
+/// distribution), both numbered per node, built on first use: a dense
+/// index table in front of the slates, so a lookup is one array read.
+struct SlateCache {
+    /// Slate index + 1 per cell (0 = not built yet).
+    index: LazyTable<u32>,
+    slates: Vec<OptSlate>,
+}
+
+impl SlateCache {
+    fn new(fusions: usize, dists: usize) -> Self {
+        Self { index: LazyTable::new(fusions, dists), slates: Vec::new() }
+    }
+
+    #[inline]
+    fn get(&mut self, fusion: usize, dist: u32, build: impl FnOnce() -> OptSlate) -> &OptSlate {
+        let slates = &mut self.slates;
+        let ix = self.index.get(fusion, dist as usize, || {
+            slates.push(build());
+            slates.len() as u32
+        });
+        &self.slates[ix as usize - 1]
+    }
+}
+
+/// `(message words, rotation base)` of one rotated array: the per-step
+/// message `DistSize(v, α, sliced)` and `RCost` of that message along
+/// `travel` — the factor-independent part of
+/// [`tce_cost::rotate::rotate_cost_surrounded`], by the same formula.
+fn rotation_cell(
+    cm: &CostModel,
+    space: &IndexSpace,
+    tensor: &Tensor,
+    alpha: Distribution,
+    travel: GridDim,
+    sliced: &IndexSet,
+) -> (u128, f64) {
+    let words = dist_size(tensor, space, cm.grid, alpha, sliced);
+    (words, cm.chr.rcost(cm.grid.extent(travel), travel, (words * WORD_BYTES) as f64))
+}
+
+/// The per-block trip-count factor of
+/// [`tce_cost::rotate::rotate_cost_surrounded`], as the `f64` it is
+/// multiplied in as: the product of every surrounding loop's
+/// per-processor trip count. A block's rotation cost is `factor * base`,
+/// exactly as that function forms it.
+fn trip_factor(
+    surrounding: &IndexSet,
+    space: &IndexSpace,
+    cm: &CostModel,
+    layouts: &[Distribution],
+) -> f64 {
+    let factor: u128 =
+        surrounding.iter().map(|j| trip_count(j, space, cm.grid, layouts) as u128).product();
+    factor as f64
+}
+
+/// A chain-compatible `(f_left, f_right, f_up)` fusion triple of a binary
+/// node, with the fused loops surrounding the node (the longest of the
+/// three prefixes), the id of their set among
+/// [`BinaryBlocks::surround_sets`] and, per operand slot (left, right,
+/// result), the id of `surrounding ∩ dims(operand)` among
+/// [`BinaryBlocks::sliced`].
+struct Triple<'a> {
+    li: usize,
+    ri: usize,
+    ui: usize,
+    surrounding: &'a FusionPrefix,
+    surround: u32,
+    sliced: [u32; 3],
+}
+
+/// The operands of a binary node in pricing-slot order.
+const SLOTS: [Operand; 3] = [Operand::Left, Operand::Right, Operand::Result];
+
+/// Everything a binary node's combine blocks are priced from, built once
+/// per node: the layouts, the fusion triples with their interned sliced
+/// sets, and the admissible `(layout, triple)` blocks in serial order.
+struct BinaryBlocks<'a> {
+    /// Left, right and result array.
+    tensors: [&'a Tensor; 3],
+    layouts: &'a [Layout],
+    /// Per layout, the ids of its left and right distributions among the
+    /// node's distinct ones, and how many there are (the slate caches'
+    /// columns).
+    child_dists: [(Vec<u32>, usize); 2],
+    /// Per operand slot and layout, the id of the operand's (distribution,
+    /// travel dimension) among the node's distinct ones, and how many
+    /// there are (the rotation tables' rows).
+    rot_rows: [(Vec<u32>, usize); 3],
+    /// Per up-prefix, the id of its set among `up_sets`.
+    up_ids: Vec<u32>,
+    /// The distinct up-prefix sets (the footprint table's columns).
+    up_sets: Vec<IndexSet>,
+    triples: Vec<Triple<'a>>,
+    /// The distinct surrounding sets (the trip-count table's columns) —
+    /// a dozen or two, where a node has hundreds of triples.
+    surround_sets: Vec<IndexSet>,
+    /// Per operand slot, the distinct `surrounding ∩ dims(operand)` sets
+    /// (the rotation tables' columns).
+    sliced: [Vec<IndexSet>; 3],
+    /// One item per admissible (layout, triple), layout-major and
+    /// triple-ascending — the serial nesting order, so every claimed run
+    /// is a contiguous slice of the serial candidate stream (the
+    /// precondition of [`SolutionSet::absorb`]).
+    items: Vec<(usize, usize)>,
+}
+
+impl<'a> BinaryBlocks<'a> {
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        tree: &'a ExprTree,
+        cfg: &OptimizerConfig,
+        [left, right, node]: [NodeId; 3],
+        layouts: &'a [Layout],
+        lf_all: &'a [FusionPrefix],
+        rf_all: &'a [FusionPrefix],
+        my_prefixes: &'a [FusionPrefix],
+    ) -> Self {
+        let tensors = [left, right, node].map(|id| &tree.node(id).tensor);
+        let mut triples: Vec<Triple> = Vec::new();
+        for (li, fl) in lf_all.iter().enumerate() {
+            for (ri, fr) in rf_all.iter().enumerate() {
+                if !fl.chain_compatible(fr) {
+                    continue;
+                }
+                for (ui, fu) in my_prefixes.iter().enumerate() {
+                    if fu.chain_compatible(fl) && fu.chain_compatible(fr) {
+                        let surrounding = fl.join(fr).join(fu);
+                        let (surround, sliced) = (0, [0; 3]);
+                        triples.push(Triple { li, ri, ui, surrounding, surround, sliced });
+                    }
+                }
+            }
+        }
+        let (ids, surroundings) = intern(triples.iter().map(|t| t.surrounding));
+        let (set_ids, surround_sets) = intern(surroundings.iter().map(|f| f.as_set()));
+        for (t, id) in triples.iter_mut().zip(ids) {
+            t.surround = set_ids[id as usize];
+        }
+        let dims = tensors.map(Tensor::dim_set);
+        let sliced = std::array::from_fn(|slot| {
+            let (of_surround, distinct) =
+                intern(surround_sets.iter().map(|s| s.intersection(&dims[slot])));
+            for t in triples.iter_mut() {
+                t.sliced[slot] = of_surround[t.surround as usize];
+            }
+            distinct
+        });
+        let child_dists =
+            [intern(layouts.iter().map(|l| l.1)), intern(layouts.iter().map(|l| l.2))]
+                .map(|(ids, distinct)| (ids, distinct.len()));
+        let rot_rows = std::array::from_fn(|slot| {
+            let (ids, distinct) = intern(layouts.iter().map(|&(pat, l, r, o)| {
+                ([l, r, o][slot], pat.and_then(|p| p.travel_dim(SLOTS[slot])))
+            }));
+            (ids, distinct.len())
+        });
+        let (up_ids, up_sets) = intern(my_prefixes.iter().map(FusionPrefix::as_set));
+
+        // A Cannon layout admits a triple only when the rotation step loop
+        // is not fused around the contraction and — paper-faithful, unless
+        // `allow_unrelated_rotation` lifts it — every rotated array carries
+        // all surrounding fused loops (the `MsgFactor` formula's domain).
+        // An element-wise layout rotates nothing and admits every triple.
+        let sets = &surround_sets;
+        let admits = |pat: Option<CannonPattern>| {
+            let rot = pat.and_then(|p| p.rotation_index());
+            let rotated: Vec<&IndexSet> = match pat {
+                Some(p) if !cfg.allow_unrelated_rotation => p
+                    .rotated_operands()
+                    .into_iter()
+                    .map(|op| match op {
+                        Operand::Left => &dims[0],
+                        Operand::Right => &dims[1],
+                        Operand::Result => &dims[2],
+                    })
+                    .collect(),
+                _ => Vec::new(),
+            };
+            move |t: &Triple| {
+                !rot.is_some_and(|k| t.surrounding.contains(k))
+                    && rotated.iter().all(|d| sets[t.surround as usize].is_subset(d))
+            }
+        };
+        let items = layouts
+            .iter()
+            .enumerate()
+            .flat_map(|(p, layout)| {
+                let admits = admits(layout.0);
+                triples.iter().enumerate().filter(move |(_, t)| admits(t)).map(move |(t, _)| (p, t))
+            })
+            .collect();
+        Self {
+            tensors,
+            layouts,
+            child_dists,
+            rot_rows,
+            up_ids,
+            up_sets,
+            surround_sets,
+            triples,
+            sliced,
+            items,
+        }
+    }
+}
+
+/// A binary block's node-local prices: per operand slot (left, right,
+/// result) the rotation cost and the per-step message words, and the words
+/// the result stores.
+struct BlockPrice {
+    rotate: [f64; 3],
+    msg: [u128; 3],
+    my_mem: u128,
+}
+
+/// Per-worker pricing tables of one binary node (DESIGN.md §9): the
+/// trip-count factor by (layout, surrounding set), per operand slot
+/// `(message words, rotation base)` by (the operand's distribution and
+/// travel dimension, sliced set), and the result footprint by (layout,
+/// up-prefix set). They replace the per-block set intersections,
+/// trip-count divisions, hashed memo lookups and size formulas.
+struct BinaryTables {
+    trip: LazyTable<f64>,
+    rot: [LazyTable<(u128, f64)>; 3],
+    foot: LazyTable<u128>,
+}
+
+impl BinaryTables {
+    fn new(b: &BinaryBlocks) -> Self {
+        let rows = b.layouts.len();
+        Self {
+            trip: LazyTable::new(rows, b.surround_sets.len()),
+            rot: std::array::from_fn(|slot| {
+                LazyTable::new(b.rot_rows[slot].1, b.sliced[slot].len())
+            }),
+            foot: LazyTable::new(rows, b.up_sets.len()),
+        }
+    }
+
+    /// The prices of block `(p, t)`, bit-identical to
+    /// [`CostModel::rotate_cost_surrounded`], [`tce_cost::rotate::message_words`]
+    /// and [`dist_size`] on the block's arguments. Rotation is priced only
+    /// for a Cannon layout; an element-wise layout prices zero rotation and
+    /// zero messages, which is bit-identical to leaving those terms out
+    /// (`x + 0.0 == x` for every non-negative cost).
+    #[inline]
+    fn price(
+        &mut self,
+        b: &BinaryBlocks,
+        cm: &CostModel,
+        space: &IndexSpace,
+        (p, t): (usize, usize),
+    ) -> BlockPrice {
+        let (pat, ldist, rdist, odist) = b.layouts[p];
+        let tr = &b.triples[t];
+        let mut rotate = [0.0f64; 3];
+        let mut msg = [0u128; 3];
+        if let Some(pat) = pat {
+            let set = tr.surround as usize;
+            let factor = self.trip.get(p, set, || {
+                trip_factor(&b.surround_sets[set], space, cm, &[odist, ldist, rdist])
+            });
+            for (slot, dist) in [ldist, rdist, odist].into_iter().enumerate() {
+                if let Some(travel) = pat.travel_dim(SLOTS[slot]) {
+                    let (row, sid) = (b.rot_rows[slot].0[p] as usize, tr.sliced[slot] as usize);
+                    let (words, base) = self.rot[slot].get(row, sid, || {
+                        rotation_cell(
+                            cm,
+                            space,
+                            b.tensors[slot],
+                            dist,
+                            travel,
+                            &b.sliced[slot][sid],
+                        )
+                    });
+                    msg[slot] = words;
+                    rotate[slot] = factor * base;
+                }
+            }
+        }
+        let up = b.up_ids[tr.ui] as usize;
+        let my_mem =
+            self.foot.get(p, up, || dist_size(b.tensors[2], space, cm.grid, odist, &b.up_sets[up]));
+        BlockPrice { rotate, msg, my_mem }
+    }
+}
+
 /// The §3.3 combine of a binary node (contraction or element-wise
 /// multiply): every admissible `(layout, fusion triple)` block prices each
 /// pair of left and right child options a row at a time, after the
 /// branch-and-bound tests of [`bnb_skip`] on the block's tail and row.
 /// Inadmissible pairs are never built as blocks, so `dp.blocks` counts
 /// admissible blocks only.
-/// Rotation is priced only for a Cannon layout; an element-wise layout
-/// prices zero rotation and zero messages, which is bit-identical to
-/// leaving those terms out (`x + 0.0 == x` for every non-negative cost).
 #[allow(clippy::too_many_arguments)]
 fn combine_binary(
     tree: &ExprTree,
@@ -1104,137 +1444,42 @@ fn combine_binary(
     let space = &tree.space;
     let lf_all = child_fusions(tree, cfg, left, sets);
     let rf_all = child_fusions(tree, cfg, right, sets);
+    let blocks =
+        BinaryBlocks::new(tree, cfg, [left, right, node], layouts, &lf_all, &rf_all, my_prefixes);
 
-    let result_tensor = &tree.node(node).tensor;
-    let left_tensor = &tree.node(left).tensor;
-    let right_tensor = &tree.node(right).tensor;
-    let up_sets: Vec<IndexSet> = my_prefixes.iter().map(FusionPrefix::as_set).collect();
-
-    // Chain-compatible (f_left, f_right, f_up) triples, each with the fused
-    // loops surrounding this node (the longest of the three prefixes).
-    struct Triple<'a> {
-        li: usize,
-        ri: usize,
-        ui: usize,
-        surrounding: &'a FusionPrefix,
-        surround_set: IndexSet,
-    }
-    let mut triples: Vec<Triple> = Vec::new();
-    for (li, fl) in lf_all.iter().enumerate() {
-        for (ri, fr) in rf_all.iter().enumerate() {
-            if !fl.chain_compatible(fr) {
-                continue;
-            }
-            for (ui, fu) in my_prefixes.iter().enumerate() {
-                if fu.chain_compatible(fl) && fu.chain_compatible(fr) {
-                    let surrounding = fl.join(fr).join(fu);
-                    let surround_set = surrounding.as_set();
-                    triples.push(Triple { li, ri, ui, surrounding, surround_set });
-                }
-            }
-        }
-    }
-
-    // A Cannon layout admits a triple only when the rotation step loop is
-    // not fused around the contraction and — paper-faithful, unless
-    // `allow_unrelated_rotation` lifts it — every rotated array carries all
-    // surrounding fused loops (the `MsgFactor` formula's domain). An
-    // element-wise layout rotates nothing and admits every triple.
-    let (left_dims, right_dims, result_dims) =
-        (left_tensor.dim_set(), right_tensor.dim_set(), result_tensor.dim_set());
-    let admits = |pat: Option<CannonPattern>| {
-        let rot = pat.and_then(|p| p.rotation_index());
-        let rotated: Vec<&IndexSet> = match pat {
-            Some(p) if !cfg.allow_unrelated_rotation => p
-                .rotated_operands()
-                .into_iter()
-                .map(|op| match op {
-                    Operand::Left => &left_dims,
-                    Operand::Right => &right_dims,
-                    Operand::Result => &result_dims,
-                })
-                .collect(),
-            _ => Vec::new(),
-        };
-        move |t: &Triple| {
-            !rot.is_some_and(|k| t.surrounding.contains(k))
-                && rotated.iter().all(|dims| t.surround_set.is_subset(dims))
-        }
-    };
-
-    // One item per admissible (layout, triple), layout-major and
-    // triple-ascending — the serial nesting order, so every claimed run is
-    // a contiguous slice of the serial candidate stream (the precondition
-    // of [`SolutionSet::absorb`]).
-    let items: Vec<(usize, usize)> = layouts
-        .iter()
-        .enumerate()
-        .flat_map(|(p, layout)| {
-            let admits = admits(layout.0);
-            triples.iter().enumerate().filter(move |(_, t)| admits(t)).map(move |(t, _)| (p, t))
-        })
-        .collect();
-
-    type Caches = (
-        HashMap<(usize, Distribution), OptSlate>,
-        HashMap<(usize, Distribution), OptSlate>,
-        KernelScratch,
-    );
+    type Caches = (SlateCache, SlateCache, KernelScratch, BinaryTables);
     // Child options depend only on (edge fusion, required layout), not on
     // which layout/triple asked — cached in the per-worker state, which
-    // persists across every run the worker claims (pure memoization, so
-    // cache hits cannot perturb results).
-    let mk_state = || -> Caches { (HashMap::new(), HashMap::new(), KernelScratch::default()) };
-    sched.run(&items, out, mk_state, |chunk, local, state| {
-        let (lcache, rcache, scratch) = state;
+    // persists across every run the worker claims, beside the block
+    // pricing tables (pure memoization, so cache hits cannot perturb
+    // results).
+    let mk_state = || -> Caches {
+        let [(_, ldists), (_, rdists)] = &blocks.child_dists;
+        (
+            SlateCache::new(lf_all.len(), *ldists),
+            SlateCache::new(rf_all.len(), *rdists),
+            KernelScratch::default(),
+            BinaryTables::new(&blocks),
+        )
+    };
+    sched.run(&blocks.items, out, mk_state, |chunk, local, state| {
+        let (lcache, rcache, scratch, tables) = state;
         for &(p, t) in chunk {
             let (pat, ldist, rdist, odist) = layouts[p];
-            let Triple { li, ri, ui, surrounding, ref surround_set } = triples[t];
+            let Triple { li, ri, ui, surrounding, .. } = blocks.triples[t];
             let (fl, fr, fu) = (&lf_all[li], &rf_all[ri], &my_prefixes[ui]);
 
-            // Rotation costs and message sizes (left, right, result).
-            let mut rotate = [0.0f64; 3];
-            let mut msg = [0u128; 3];
-            if let Some(pat) = pat {
-                let trip = |j| trip_count(j, space, cm.grid, &[odist, ldist, rdist]);
-                for (slot, op, id, tensor, dist) in [
-                    (0usize, Operand::Left, left, left_tensor, ldist),
-                    (1, Operand::Right, right, right_tensor, rdist),
-                    (2, Operand::Result, node, result_tensor, odist),
-                ] {
-                    if let Some(travel) = pat.travel_dim(op) {
-                        rotate[slot] = memo.rotate_cost_surrounded(
-                            cm,
-                            id.0,
-                            tensor,
-                            space,
-                            dist,
-                            travel,
-                            surround_set,
-                            trip,
-                        );
-                        msg[slot] = tce_cost::rotate::message_words(
-                            tensor,
-                            space,
-                            cm.grid,
-                            dist,
-                            surround_set,
-                        );
-                    }
-                }
-            }
-
-            let my_mem = dist_size(result_tensor, space, cm.grid, odist, &up_sets[ui]);
-
-            let lslate = lcache.entry((li, ldist)).or_insert_with(|| {
+            let [(lids, _), (rids, _)] = &blocks.child_dists;
+            let lslate = lcache.get(li, lids[p], || {
                 OptSlate::new(child_options(tree, cm, cfg, memo, left, fl, ldist, sets))
             });
-            let rslate = rcache.entry((ri, rdist)).or_insert_with(|| {
+            let rslate = rcache.get(ri, rids[p], || {
                 OptSlate::new(child_options(tree, cm, cfg, memo, right, fr, rdist, sets))
             });
             if rslate.opts.is_empty() {
                 continue;
             }
+            let BlockPrice { rotate, msg, my_mem } = tables.price(&blocks, cm, space, (p, t));
             // This block's exact node-local communication floor (children
             // contribute through the slate floors) and message size.
             let rot_total = rotate[0] + rotate[1] + rotate[2];
@@ -1342,6 +1587,153 @@ fn combine_binary(
     })
 }
 
+/// A compatible `(f_child, f_up)` pair of a reduce node, with the fused
+/// loops surrounding the node, the id of their set among
+/// [`ReduceBlocks::surround_sets`] and the id of
+/// `surrounding ∩ dims(result)` among [`ReduceBlocks::sliced`].
+struct Pair<'a> {
+    ci: usize,
+    ui: usize,
+    surrounding: &'a FusionPrefix,
+    surround: u32,
+    sliced: u32,
+}
+
+/// Everything a reduce node's combine blocks are priced from, built once
+/// per node (the reduce counterpart of [`BinaryBlocks`]).
+struct ReduceBlocks<'a> {
+    result: &'a Tensor,
+    /// Per candidate child distribution: the distribution, the result
+    /// layout it leaves and the grid dimension its reduction runs along.
+    /// The summed dimension disappears; if it was distributed along `d`, a
+    /// reduction across grid dimension `d` combines the partial sums and
+    /// the result is no longer distributed along `d`.
+    cdists: Vec<(Distribution, Distribution, Option<GridDim>)>,
+    pairs: Vec<Pair<'a>>,
+    /// Per up-prefix, the id of its set among `up_sets`.
+    up_ids: Vec<u32>,
+    /// The distinct up-prefix sets (the footprint table's columns).
+    up_sets: Vec<IndexSet>,
+    /// The distinct surrounding sets (the trip-count table's columns).
+    surround_sets: Vec<IndexSet>,
+    /// The distinct `surrounding ∩ dims(result)` sets.
+    sliced: Vec<IndexSet>,
+    /// One item per (child distribution, pair), distribution-major: the
+    /// serial loop nest.
+    items: Vec<(usize, usize)>,
+}
+
+impl<'a> ReduceBlocks<'a> {
+    fn new(
+        tree: &'a ExprTree,
+        cfg: &OptimizerConfig,
+        [child, node]: [NodeId; 2],
+        sum: IndexId,
+        cf_all: &'a [FusionPrefix],
+        my_prefixes: &'a [FusionPrefix],
+    ) -> Self {
+        let result = &tree.node(node).tensor;
+        let child_tensor = &tree.node(child).tensor;
+        // Candidate child distributions: everything valid for the child.
+        let cdists: Vec<_> = Distribution::enumerate(
+            &child_tensor.dim_set(),
+            cfg.allow_replication || child_tensor.arity() < 2,
+        )
+        .into_iter()
+        .map(|cdist| match cdist.position_of(sum) {
+            Some(GridDim::Dim1) => {
+                (cdist, Distribution { d1: None, d2: cdist.d2 }, Some(GridDim::Dim1))
+            }
+            Some(GridDim::Dim2) => {
+                (cdist, Distribution { d1: cdist.d1, d2: None }, Some(GridDim::Dim2))
+            }
+            None => (cdist, cdist, None),
+        })
+        .collect();
+        // Compatible pairs, in the serial nesting order (the filters do not
+        // depend on the child distribution).
+        let mut pairs = Vec::new();
+        for (ci, fc) in cf_all.iter().enumerate() {
+            if fc.contains(sum) {
+                continue; // the summed loop belongs to this node, not the edge
+            }
+            for (ui, fu) in my_prefixes.iter().enumerate() {
+                if fu.chain_compatible(fc) {
+                    let surrounding = fc.join(fu);
+                    pairs.push(Pair { ci, ui, surrounding, surround: 0, sliced: 0 });
+                }
+            }
+        }
+        let (ids, surroundings) = intern(pairs.iter().map(|p| p.surrounding));
+        let (set_ids, surround_sets) = intern(surroundings.iter().map(|f| f.as_set()));
+        let dims = result.dim_set();
+        let (of_surround, sliced) = intern(surround_sets.iter().map(|s| s.intersection(&dims)));
+        for (pair, id) in pairs.iter_mut().zip(ids) {
+            pair.surround = set_ids[id as usize];
+            pair.sliced = of_surround[pair.surround as usize];
+        }
+        let (up_ids, up_sets) = intern(my_prefixes.iter().map(FusionPrefix::as_set));
+        let items = (0..cdists.len()).flat_map(|d| (0..pairs.len()).map(move |p| (d, p))).collect();
+        Self { result, cdists, pairs, up_ids, up_sets, surround_sets, sliced, items }
+    }
+}
+
+/// Per-worker pricing tables of one reduce node: the trip-count factor by
+/// (child distribution, surrounding set), `(words, rotation base)` of the
+/// reduction by (child distribution, sliced set) and the result footprint
+/// by (child distribution, up-prefix set).
+struct ReduceTables {
+    trip: LazyTable<f64>,
+    rot: LazyTable<(u128, f64)>,
+    foot: LazyTable<u128>,
+}
+
+impl ReduceTables {
+    fn new(b: &ReduceBlocks) -> Self {
+        let rows = b.cdists.len();
+        Self {
+            trip: LazyTable::new(rows, b.surround_sets.len()),
+            rot: LazyTable::new(rows, b.sliced.len()),
+            foot: LazyTable::new(rows, b.up_sets.len()),
+        }
+    }
+
+    /// The reduction cost and result footprint of block `(d, p)`.
+    /// Reduction cost: a ring combine of the (sliced) result block across
+    /// the reduce dimension, repeated per fused surrounding iteration —
+    /// bit-identical to [`CostModel::rotate_cost_surrounded`] with the
+    /// result array travelling the freed grid dimension.
+    #[inline]
+    fn price(
+        &mut self,
+        b: &ReduceBlocks,
+        cm: &CostModel,
+        space: &IndexSpace,
+        (d, p): (usize, usize),
+    ) -> (f64, u128) {
+        let (_, odist, reduce_dim) = b.cdists[d];
+        let pair = &b.pairs[p];
+        let reduce_cost = match reduce_dim {
+            None => 0.0,
+            Some(rd) => {
+                let sid = pair.sliced as usize;
+                let (_, base) = self
+                    .rot
+                    .get(d, sid, || rotation_cell(cm, space, b.result, odist, rd, &b.sliced[sid]));
+                let set = pair.surround as usize;
+                let factor = self
+                    .trip
+                    .get(d, set, || trip_factor(&b.surround_sets[set], space, cm, &[odist]));
+                factor * base
+            }
+        };
+        let up = b.up_ids[pair.ui] as usize;
+        let my_mem =
+            self.foot.get(d, up, || dist_size(b.result, space, cm.grid, odist, &b.up_sets[up]));
+        (reduce_cost, my_mem)
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn combine_reduce(
     tree: &ExprTree,
@@ -1359,78 +1751,27 @@ fn combine_reduce(
     out: &mut SolutionSet,
 ) -> crate::sched::EnumStats {
     let space = &tree.space;
-    let result_tensor = &tree.node(node).tensor;
-    let child_tensor = &tree.node(child).tensor;
     let cf_all = child_fusions(tree, cfg, child, sets);
-    // Candidate child distributions: everything valid for the child array.
-    let cdists = Distribution::enumerate(
-        &child_tensor.dim_set(),
-        cfg.allow_replication || child_tensor.arity() < 2,
-    );
+    let blocks = ReduceBlocks::new(tree, cfg, [child, node], sum, &cf_all, my_prefixes);
 
-    // Compatible (f_child, f_up) pairs, in the serial nesting order (the
-    // filters do not depend on the child distribution).
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    for (ci, fc) in cf_all.iter().enumerate() {
-        if fc.contains(sum) {
-            continue; // the summed loop belongs to this node, not the edge
-        }
-        for (ui, fu) in my_prefixes.iter().enumerate() {
-            if fu.chain_compatible(fc) {
-                pairs.push((ci, ui));
-            }
-        }
-    }
-
-    // Distribution-major order mirrors the serial loop nest.
-    let items: Vec<(usize, usize)> =
-        (0..cdists.len()).flat_map(|d| (0..pairs.len()).map(move |p| (d, p))).collect();
-
-    type Caches = (HashMap<(usize, Distribution), OptSlate>, KernelScratch);
-    let mk_state = || -> Caches { (HashMap::new(), KernelScratch::default()) };
-    sched.run(&items, out, mk_state, |chunk, local, state| {
-        let (ccache, scratch) = state;
+    type Caches = (SlateCache, KernelScratch, ReduceTables);
+    let mk_state = || -> Caches {
+        let slates = SlateCache::new(cf_all.len(), blocks.cdists.len());
+        (slates, KernelScratch::default(), ReduceTables::new(&blocks))
+    };
+    sched.run(&blocks.items, out, mk_state, |chunk, local, state| {
+        let (ccache, scratch, tables) = state;
         for &(d, p) in chunk {
-            let cdist = cdists[d];
-            // The summed dimension disappears; if it was distributed along
-            // d, a reduction across grid dimension d combines the partial
-            // sums and the result is no longer distributed along d.
-            let (odist, reduce_dim) = match cdist.position_of(sum) {
-                Some(GridDim::Dim1) => {
-                    (Distribution { d1: None, d2: cdist.d2 }, Some(GridDim::Dim1))
-                }
-                Some(GridDim::Dim2) => {
-                    (Distribution { d1: cdist.d1, d2: None }, Some(GridDim::Dim2))
-                }
-                None => (cdist, None),
-            };
-            let (ci, ui) = pairs[p];
+            let (cdist, odist, _) = blocks.cdists[d];
+            let Pair { ci, ui, surrounding, .. } = blocks.pairs[p];
             let (fc, fu) = (&cf_all[ci], &my_prefixes[ui]);
-            let surrounding = fc.join(fu).clone();
-            let my_mem = dist_size(result_tensor, space, cm.grid, odist, &fu.as_set());
-            // Reduction cost: a ring combine of the (sliced) result block
-            // across the reduce dimension, repeated per fused surrounding
-            // iteration — exactly the memoized rotate kernel's formula with
-            // the result array travelling the freed grid dimension.
-            let reduce_cost = match reduce_dim {
-                None => 0.0,
-                Some(rd) => memo.rotate_cost_surrounded(
-                    cm,
-                    node.0,
-                    result_tensor,
-                    space,
-                    odist,
-                    rd,
-                    &surrounding.as_set(),
-                    |j| trip_count(j, space, cm.grid, &[odist]),
-                ),
-            };
-            let cslate = ccache.entry((ci, cdist)).or_insert_with(|| {
+            let cslate = ccache.get(ci, d as u32, || {
                 OptSlate::new(child_options(tree, cm, cfg, memo, child, fc, cdist, sets))
             });
             if cslate.opts.is_empty() {
                 continue;
             }
+            let (reduce_cost, my_mem) = tables.price(&blocks, cm, space, (d, p));
             let mut kh = local.key_handle(odist, fu);
             if local.bounds_active() {
                 let (cc0, cm0, cg0) = cslate.floors[0];
@@ -1650,6 +1991,130 @@ S[t] = sum[j] T3[j,t];
         let opt = optimize(&tree, &cm4(), &cfg).unwrap();
         let plan = crate::plan::extract_plan(&tree, &opt);
         assert_eq!(plan.steps[0].pattern.unwrap(), pat);
+    }
+
+    /// Every admissible block of every node of the six workloads at 4, 16
+    /// and 64 procs and of the enlarged `ccsd_tiny` cell, priced through a
+    /// node's pricing tables, equals the independent formulas bit for bit:
+    /// [`CostModel::rotate_cost_surrounded`] and
+    /// [`tce_cost::rotate::message_words`] per rotated operand (zero for
+    /// the others), [`dist_size`] for the result footprint, and the
+    /// reduction cost of a reduce node. The tables share one cell per
+    /// distinct (layout, operand, sliced set) — a table keyed by triple
+    /// fills more cells and fails the count.
+    #[test]
+    fn block_tables_price_every_block_like_the_formulas() {
+        use tce_cost::rotate::message_words;
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../workloads/");
+        let mut cells: Vec<(&str, u32, bool)> = Vec::new();
+        for w in ["ccsd", "ccsd_tiny", "fig1", "ladder", "repeated", "transform"] {
+            cells.extend([4, 16, 64].map(|procs| (w, procs, false)));
+        }
+        cells.push(("ccsd_tiny", 64, true));
+        for (w, procs, enlarged) in cells {
+            let src = std::fs::read_to_string(format!("{dir}{w}.tce")).unwrap();
+            let tree = tce_opmin::lower_program(&parse(&src).unwrap()).unwrap().to_tree().unwrap();
+            let mut machine = MachineModel::itanium_cluster();
+            if enlarged {
+                machine.mem_per_node_bytes = (0.0001 * 1024.0 * tce_cost::units::PAPER_MB) as u64;
+            }
+            let cm = CostModel::for_square(machine, procs).unwrap();
+            let cfg = OptimizerConfig {
+                allow_replication: enlarged,
+                allow_unrelated_rotation: enlarged,
+                threads: 1,
+                ..Default::default()
+            };
+            let cell = format!("{w} @ {procs}{}", if enlarged { " enlarged" } else { "" });
+            let sets = match crate::portfolio::plan(&tree, &cm, &cfg) {
+                Ok(planned) => planned.opt.sets,
+                // No plan fits: the search stops before the blocks exist.
+                Err(OptimizeError::NoFeasibleSolution { .. }) => continue,
+                Err(e) => panic!("{cell}: {e}"),
+            };
+            let space = &tree.space;
+            let filled = |t: &[(u128, f64)]| t.iter().filter(|&&c| c != (0, 0.0)).count();
+            for node in tree.postorder() {
+                let prefixes = enumerate_prefixes(&edge_candidates(&tree, node), usize::MAX);
+                match tree.node(node).kind {
+                    NodeKind::Contract { left, right, .. } => {
+                        let layouts = binary_layouts(&tree, &cfg, node, left, right);
+                        let lf = child_fusions(&tree, &cfg, left, &sets);
+                        let rf = child_fusions(&tree, &cfg, right, &sets);
+                        let ids = [left, right, node];
+                        let b = BinaryBlocks::new(&tree, &cfg, ids, &layouts, &lf, &rf, &prefixes);
+                        let mut tables = BinaryTables::new(&b);
+                        let mut want_rot = [(); 3].map(|_| std::collections::HashSet::new());
+                        let mut want_foot = std::collections::HashSet::new();
+                        for &(p, t) in &b.items {
+                            let got = tables.price(&b, &cm, space, (p, t));
+                            let (pat, ldist, rdist, odist) = layouts[p];
+                            let tr = &b.triples[t];
+                            let trip = |j| trip_count(j, space, cm.grid, &[odist, ldist, rdist]);
+                            let s = &lf[tr.li].join(&rf[tr.ri]).join(&prefixes[tr.ui]).as_set();
+                            for (slot, dist) in [ldist, rdist, odist].into_iter().enumerate() {
+                                let tensor = b.tensors[slot];
+                                let (rot, msg) = match pat.and_then(|p| p.travel_dim(SLOTS[slot])) {
+                                    Some(travel) => {
+                                        let sliced = s.intersection(&tensor.dim_set());
+                                        want_rot[slot].insert((dist, travel, sliced));
+                                        (
+                                            cm.rotate_cost_surrounded(
+                                                tensor, space, dist, travel, s, trip,
+                                            ),
+                                            message_words(tensor, space, cm.grid, dist, s),
+                                        )
+                                    }
+                                    None => (0.0, 0),
+                                };
+                                assert_eq!(
+                                    got.rotate[slot].to_bits(),
+                                    rot.to_bits(),
+                                    "{cell} rotate"
+                                );
+                                assert_eq!(got.msg[slot], msg, "{cell} msg");
+                            }
+                            let up = prefixes[tr.ui].as_set();
+                            assert_eq!(
+                                got.my_mem,
+                                dist_size(b.tensors[2], space, cm.grid, odist, &up)
+                            );
+                            want_foot.insert((p, up));
+                        }
+                        for (table, want) in tables.rot.iter().zip(&want_rot) {
+                            assert_eq!(filled(&table.cells), want.len(), "{cell}");
+                        }
+                        let foot = tables.foot.cells.iter().filter(|&&c| c != 0).count();
+                        assert_eq!(foot, want_foot.len(), "{cell}");
+                    }
+                    NodeKind::Reduce { sum, child } => {
+                        let cf = child_fusions(&tree, &cfg, child, &sets);
+                        let b = ReduceBlocks::new(&tree, &cfg, [child, node], sum, &cf, &prefixes);
+                        let mut tables = ReduceTables::new(&b);
+                        let mut want_rot = std::collections::HashSet::new();
+                        for &(d, p) in &b.items {
+                            let (reduce_cost, my_mem) = tables.price(&b, &cm, space, (d, p));
+                            let (_, odist, reduce_dim) = b.cdists[d];
+                            let pair = &b.pairs[p];
+                            let s = cf[pair.ci].join(&prefixes[pair.ui]).as_set();
+                            let trip = |j| trip_count(j, space, cm.grid, &[odist]);
+                            let want = match reduce_dim {
+                                None => 0.0,
+                                Some(rd) => {
+                                    want_rot.insert((d, s.intersection(&b.result.dim_set())));
+                                    cm.rotate_cost_surrounded(b.result, space, odist, rd, &s, trip)
+                                }
+                            };
+                            assert_eq!(reduce_cost.to_bits(), want.to_bits(), "{cell} reduce");
+                            let up = prefixes[pair.ui].as_set();
+                            assert_eq!(my_mem, dist_size(b.result, space, cm.grid, odist, &up));
+                        }
+                        assert_eq!(filled(&tables.rot.cells), want_rot.len(), "{cell}");
+                    }
+                    NodeKind::Leaf => {}
+                }
+            }
+        }
     }
 
     /// A tie-dense option list: a few cost levels (with `-0.0` against

@@ -44,6 +44,7 @@ mod dp;
 pub mod exhaustive;
 mod explain;
 mod frontier;
+mod fx;
 mod plan;
 pub mod portfolio;
 mod provenance;

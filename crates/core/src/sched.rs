@@ -4,7 +4,7 @@
 //! a `(pattern, fusion-triple)` or `(distribution, pair)` item standing
 //! for one contiguous run of the node's serial candidate stream. Blocks
 //! are wildly uneven: late blocks hit wider child slates, more
-//! redistribution fallbacks, and colder memo entries, so the old
+//! redistribution fallbacks, and colder table cells, so the old
 //! equal-count contiguous chunks routinely left every worker idle behind
 //! one stuck on the heavy tail. Here each worker owns a contiguous
 //! *region* of the block list fronted by an atomic cursor; workers claim
@@ -31,17 +31,12 @@ use std::time::Instant;
 use crate::solution::SolutionSet;
 
 /// Default per-extra-worker amortization floor: spawn another worker only
-/// per this much *predicted* serial enumeration time (ns). Spawn plus the
-/// ordered merge replay cost a low single-digit fraction of this, so nodes
-/// below the floor run inline and the multi-thread wall clock can never
-/// fall measurably behind serial — the regression EXPERIMENTS.md X9 records.
+/// per this much *predicted* serial enumeration time (ns). Spawning and
+/// joining cost a low single-digit fraction of this, so nodes below the
+/// floor run inline — the regression EXPERIMENTS.md X9 records. The
+/// ordered merge grows with the node and is weighed separately (see
+/// [`SpawnModel`]).
 pub(crate) const DEFAULT_SPAWN_AMORT_NS: u64 = 10_000_000;
-
-/// Blocks-per-worker fallback used before the model has a measurement
-/// (first node of a run). Deliberately conservative — twice the old static
-/// `MIN_ITEMS_PER_WORKER` — because mispredicting "spawn" costs real merge
-/// time while mispredicting "inline" costs only the first node's speedup.
-const UNCALIBRATED_BLOCKS_PER_WORKER: usize = 64;
 
 /// Guided run sizing: claim a quarter of the remaining region per grab,
 /// clamped to keep late grabs fine-grained and early grabs amortized.
@@ -62,17 +57,59 @@ pub(crate) struct EnumStats {
     pub busy_us: Vec<u64>,
 }
 
-/// Adaptive spawn threshold: an EWMA of measured enumeration cost per
-/// block, fed back after every node, replacing the old static
-/// `MIN_ITEMS_PER_WORKER`. The worker count it picks affects wall clock
-/// only — any count yields bit-identical results — so learning from
-/// wall-clock measurements cannot perturb the search.
+/// Merge share assumed until a split was measured: the ordered merge's
+/// time over the serial enumeration time of the same blocks. On the
+/// enlarged `ccsd_tiny` cell's nodes split over two workers it reads
+/// 0.05–0.70, median about a quarter (EXPERIMENTS.md X18): the merge
+/// replays every entry a worker-local frontier accepted, and those
+/// frontiers prune worse than the serial one.
+const PRIOR_MERGE_SHARE: f64 = 0.25;
+
+/// A split must be predicted to take less than this share of the serial
+/// time — to save more than 10% — so a prediction that is merely even
+/// never pays for spawn, join and run-to-run noise.
+const SPAWN_GAIN: f64 = 0.9;
+
+/// Adaptive spawn threshold, fed back after every node. The worker count
+/// it picks affects wall clock only — any count yields bit-identical
+/// results — so learning from wall-clock measurements cannot perturb the
+/// search.
+///
+/// The model predicts a node's serial enumeration time from the measured
+/// cost per block of the nodes run inline, and predicts nothing before one
+/// was measured: the first node runs inline. The parallel wall it expects
+/// is the serial time split over the workers at the parallel efficiency,
+/// plus the ordered merge, which does not parallelize; it spawns only when
+/// that is less than [`SPAWN_GAIN`] of the serial time. Efficiency and
+/// merge share are taken as 1 and [`PRIOR_MERGE_SHARE`] until a split was
+/// measured and then follow the split nodes' own wall time and
+/// `merge_us`, so where more workers did not pay — a contended core, a
+/// merge replay that eats the gain — the model stops spawning. A split
+/// node's serial time is estimated afterwards from the
+/// candidates it priced at the inline nodes' cost per candidate, which
+/// varies far less between nodes than the cost per block; never from the
+/// workers' busy time, which is wall clock and includes the time a worker
+/// waited for a shared core.
 struct SpawnModel {
-    ns_per_block: f64,
-    calibrated: bool,
+    /// Serial enumeration cost per block and per candidate (ns), EWMAs
+    /// over the inline nodes; `None` until one was measured.
+    inline: Option<(f64, f64)>,
+    /// Parallel efficiency (serial time over enumeration wall time ×
+    /// workers; 1 = perfect scaling) and merge share, EWMAs over the split
+    /// nodes; `None` until one was measured.
+    parallel: Option<(f64, f64)>,
+}
+
+/// Exponentially weighted mean with weight ½ on the new sample.
+fn ewma(old: f64, sample: f64) -> f64 {
+    0.5 * old + 0.5 * sample
 }
 
 impl SpawnModel {
+    fn new() -> Self {
+        Self { inline: None, parallel: None }
+    }
+
     fn workers_for(&self, blocks: usize, threads: usize, amort_ns: u64) -> usize {
         if threads <= 1 || blocks == 0 {
             return 1;
@@ -82,20 +119,40 @@ impl SpawnModel {
             // merge machinery even on nodes the model would run inline).
             return threads.min(blocks).max(1);
         }
-        if !self.calibrated {
-            return threads.min(blocks / UNCALIBRATED_BLOCKS_PER_WORKER).max(1);
+        let Some((ns_per_block, _)) = self.inline else { return 1 };
+        let serial_ns = ns_per_block * blocks as f64;
+        let workers = ((serial_ns / amort_ns as f64) as usize).min(blocks).clamp(1, threads);
+        let (efficiency, merge_share) = self.parallel.unwrap_or((1.0, PRIOR_MERGE_SHARE));
+        if workers > 1 && 1.0 / (efficiency * workers as f64) + merge_share < SPAWN_GAIN {
+            workers
+        } else {
+            1
         }
-        let predicted_ns = self.ns_per_block * blocks as f64;
-        (((predicted_ns / amort_ns as f64) as usize).min(blocks)).clamp(1, threads)
     }
 
-    fn record(&mut self, blocks: usize, busy_ns: f64) {
-        if blocks == 0 || busy_ns <= 0.0 {
+    /// A node of `blocks` blocks and `candidates` candidates ran inline in
+    /// `wall_ns`.
+    fn record_inline(&mut self, blocks: usize, candidates: u64, wall_ns: f64) {
+        if blocks == 0 || candidates == 0 || wall_ns <= 0.0 {
             return;
         }
-        let per = busy_ns / blocks as f64;
-        self.ns_per_block = if self.calibrated { 0.5 * self.ns_per_block + 0.5 * per } else { per };
-        self.calibrated = true;
+        let (b, c) = (wall_ns / blocks as f64, wall_ns / candidates as f64);
+        self.inline = Some(self.inline.map_or((b, c), |(ob, oc)| (ewma(ob, b), ewma(oc, c))));
+    }
+
+    /// A node of `candidates` candidates ran on `workers` workers in
+    /// `wall_ns`, `merge_ns` of it in the ordered merge. Forced spawning
+    /// can split a node before any inline one was measured; with no serial
+    /// cost to compare against, that run teaches nothing.
+    fn record_parallel(&mut self, candidates: u64, workers: usize, wall_ns: f64, merge_ns: f64) {
+        let Some((_, ns_per_candidate)) = self.inline else { return };
+        if candidates == 0 || workers == 0 {
+            return;
+        }
+        let serial_ns = ns_per_candidate * candidates as f64;
+        let enum_ns = (wall_ns - merge_ns).max(1.0);
+        let (e, m) = (serial_ns / (enum_ns * workers as f64), merge_ns.max(0.0) / serial_ns);
+        self.parallel = Some(self.parallel.map_or((e, m), |(oe, om)| (ewma(oe, e), ewma(om, m))));
     }
 }
 
@@ -122,15 +179,15 @@ impl Scheduler {
             threads,
             hw: std::thread::available_parallelism().map_or(usize::MAX, |n| n.get()),
             amort_ns: spawn_amort_ns.unwrap_or(DEFAULT_SPAWN_AMORT_NS),
-            model: SpawnModel { ns_per_block: 0.0, calibrated: false },
+            model: SpawnModel::new(),
         }
     }
 
     /// Run `chunk_fn` over every item of `items` (each item one combine
     /// block), filtered into `out` exactly as the serial loop would.
     /// `mk_state` builds one per-worker scratch state (slate caches, kernel
-    /// buffers) that persists across that worker's claimed runs — pure
-    /// memoization, shared by the serial and the parallel path.
+    /// buffers, pricing tables) that persists across that worker's claimed
+    /// runs — pure memoization, shared by the serial and the parallel path.
     pub fn run<T: Sync, S: Send>(
         &mut self,
         items: &[T],
@@ -142,18 +199,18 @@ impl Scheduler {
         // Forced spawning ignores the hardware cap (see `hw`).
         let budget = if self.amort_ns == 0 { self.threads } else { self.threads.min(self.hw) };
         let workers = self.model.workers_for(items.len(), budget, self.amort_ns);
+        let (t0, seen) = (Instant::now(), out.candidates_seen);
         if workers == 1 {
-            let t0 = Instant::now();
             chunk_fn(items, out, &mut mk_state());
-            self.model.record(items.len(), t0.elapsed().as_nanos() as f64);
+            let wall_ns = t0.elapsed().as_nanos() as f64;
+            self.model.record_inline(items.len(), out.candidates_seen - seen, wall_ns);
             return EnumStats { workers: 1, merge_us: 0, blocks, steals: 0, busy_us: Vec::new() };
         }
         let stats = run_stealing(items, workers, out, &mk_state, &chunk_fn);
-        // Summed busy time is the serial-equivalent enumeration cost (the
-        // same work, minus racing memo refills), which is what the spawn
-        // decision needs to predict.
-        let busy_ns: u64 = stats.busy_us.iter().sum::<u64>().saturating_mul(1_000);
-        self.model.record(items.len(), busy_ns as f64);
+        // The node's wall time includes spawning, joining and the merge.
+        let wall_ns = t0.elapsed().as_nanos() as f64;
+        let merge_ns = stats.merge_us as f64 * 1e3;
+        self.model.record_parallel(out.candidates_seen - seen, workers, wall_ns, merge_ns);
         stats
     }
 }
@@ -282,18 +339,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn uncalibrated_model_uses_block_count_fallback() {
-        let m = SpawnModel { ns_per_block: 0.0, calibrated: false };
+    fn uncalibrated_model_runs_inline() {
+        let m = SpawnModel::new();
         assert_eq!(m.workers_for(10, 4, DEFAULT_SPAWN_AMORT_NS), 1);
-        assert_eq!(m.workers_for(64 * 3, 4, DEFAULT_SPAWN_AMORT_NS), 3);
-        assert_eq!(m.workers_for(64 * 8, 4, DEFAULT_SPAWN_AMORT_NS), 4);
+        assert_eq!(m.workers_for(1_000_000, 4, DEFAULT_SPAWN_AMORT_NS), 1);
     }
 
     #[test]
     fn calibrated_model_scales_with_predicted_cost() {
-        let mut m = SpawnModel { ns_per_block: 0.0, calibrated: false };
+        let mut m = SpawnModel::new();
         // 1e6 ns per block measured.
-        m.record(100, 1e8);
+        m.record_inline(100, 1000, 1e8);
         // 10 blocks → 1e7 ns predicted → exactly the amortization floor.
         assert_eq!(m.workers_for(10, 8, DEFAULT_SPAWN_AMORT_NS), 1);
         // 50 blocks → 5e7 ns predicted → 5 workers.
@@ -306,17 +362,55 @@ mod tests {
 
     #[test]
     fn forced_spawning_ignores_the_model() {
-        let m = SpawnModel { ns_per_block: 0.0, calibrated: false };
+        let m = SpawnModel::new();
         assert_eq!(m.workers_for(3, 8, 0), 3);
         assert_eq!(m.workers_for(100, 8, 0), 8);
     }
 
     #[test]
     fn ewma_tracks_drifting_block_cost() {
-        let mut m = SpawnModel { ns_per_block: 0.0, calibrated: false };
-        m.record(10, 1e7); // 1e6 ns/block
-        m.record(10, 3e7); // 3e6 ns/block → EWMA 2e6
-        assert!((m.ns_per_block - 2e6).abs() < 1.0, "{}", m.ns_per_block);
+        let mut m = SpawnModel::new();
+        m.record_inline(10, 100, 1e7); // 1e6 ns/block, 1e5 ns/candidate
+        m.record_inline(10, 100, 3e7); // 3e6 ns/block → EWMA 2e6
+        let (per_block, per_candidate) = m.inline.unwrap();
+        assert!((per_block - 2e6).abs() < 1.0, "{per_block}");
+        assert!((per_candidate - 2e5).abs() < 1.0, "{per_candidate}");
+    }
+
+    /// Four workers that took as long as one would have: the next node
+    /// the amortization floor alone would split runs inline.
+    #[test]
+    fn workers_that_did_not_pay_stop_spawning() {
+        let mut m = SpawnModel::new();
+        m.record_inline(100, 1000, 1e8); // 1e6 ns/block, 1e5 ns/candidate
+        assert_eq!(m.workers_for(100, 4, DEFAULT_SPAWN_AMORT_NS), 4);
+        // 1000 candidates (1e8 ns inline) ran on four workers in 1e8 ns.
+        m.record_parallel(1000, 4, 1e8, 0.0);
+        assert_eq!(m.workers_for(100, 4, DEFAULT_SPAWN_AMORT_NS), 1);
+    }
+
+    /// Perfect scaling with a free merge makes two workers pay; merges as
+    /// long as the serial run stop even four.
+    #[test]
+    fn the_merge_counts_against_spawning() {
+        let mut m = SpawnModel::new();
+        m.record_inline(100, 1000, 1e8);
+        for _ in 0..4 {
+            m.record_parallel(1000, 4, 2.5e7, 0.0);
+        }
+        assert_eq!(m.workers_for(100, 2, DEFAULT_SPAWN_AMORT_NS), 2);
+        for _ in 0..2 {
+            m.record_parallel(1000, 4, 2.5e7 + 1e8, 1e8);
+        }
+        assert_eq!(m.workers_for(100, 4, DEFAULT_SPAWN_AMORT_NS), 1);
+    }
+
+    /// Forced spawning before any inline node measured teaches nothing.
+    #[test]
+    fn a_parallel_run_without_a_serial_cost_is_not_recorded() {
+        let mut m = SpawnModel::new();
+        m.record_parallel(1000, 2, 1e9, 0.0);
+        assert!(m.parallel.is_none());
     }
 
     #[test]

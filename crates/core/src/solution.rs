@@ -42,6 +42,8 @@ use tce_dist::{CannonPattern, Distribution};
 use tce_expr::{IndexId, NodeId};
 use tce_fusion::FusionPrefix;
 
+use crate::fx::FxHashMap;
+
 /// How a child array arrives at its consuming contraction.
 #[derive(Clone, Debug)]
 pub struct ChildBinding {
@@ -227,8 +229,10 @@ pub struct SolutionSet {
     arena: Arena,
     /// Fusion-major so the hot path can look a key up from a borrowed
     /// `&FusionPrefix` without cloning. Maps to a slot in `fronts` so a
-    /// resolved key ([`KeyHandle`]) survives later insertions.
-    keys: HashMap<FusionPrefix, HashMap<Distribution, u32>>,
+    /// resolved key ([`KeyHandle`]) survives later insertions. Fx-hashed
+    /// (`crate::fx`): every combine block resolves one key, and every read
+    /// that iterates the map sorts or only rebuilds it.
+    keys: FxHashMap<FusionPrefix, FxHashMap<Distribution, u32>>,
     /// Per-key bookkeeping, indexed by the slots in `keys`. Slots are
     /// append-only while a node is enumerated (evictions mutate a front in
     /// place), which is what makes [`KeyHandle`]s stable.
@@ -275,7 +279,7 @@ impl SolutionSet {
     pub fn with_mode(pruning: bool, bounds: bool) -> Self {
         Self {
             arena: Arena::default(),
-            keys: HashMap::new(),
+            keys: FxHashMap::default(),
             fronts: Vec::new(),
             live_all: Vec::new(),
             candidates_seen: 0,
@@ -754,7 +758,7 @@ trait EntryRefOrClone<V> {
     fn entry_ref_or_clone(&mut self, key: &FusionPrefix) -> &mut V;
 }
 
-impl<V: Default> EntryRefOrClone<V> for HashMap<FusionPrefix, V> {
+impl<V: Default> EntryRefOrClone<V> for FxHashMap<FusionPrefix, V> {
     fn entry_ref_or_clone(&mut self, key: &FusionPrefix) -> &mut V {
         if !self.contains_key(key) {
             self.insert(key.clone(), V::default());

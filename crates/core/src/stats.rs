@@ -53,14 +53,15 @@ pub fn render_search_stats(opt: &Optimized) -> String {
         c.get(tce_obs::names::NODES),
         candidates as f64 / (frontier.max(1)) as f64,
     );
+    // The memo prices redistributions only (rotations come from the
+    // per-node block tables), so a run that redistributes nothing has no
+    // lookups and no hit rate.
     let (hits, misses) = (c.get(tce_obs::names::MEMO_HIT), c.get(tce_obs::names::MEMO_MISS));
-    if hits + misses > 0 {
-        let _ = writeln!(
-            out,
-            "cost memo: {hits} hits, {misses} misses ({:.1}% hit rate)",
-            100.0 * hits as f64 / (hits + misses) as f64,
-        );
-    }
+    let rate = match hits + misses {
+        0 => String::new(),
+        n => format!("{:.1}% hit rate; ", 100.0 * hits as f64 / n as f64),
+    };
+    let _ = writeln!(out, "cost memo: {hits} hits, {misses} misses ({rate}redistributions only)");
     let (skips, blocks) = (c.get(tce_obs::names::BNB_SKIP), c.get(tce_obs::names::BNB_BLOCK));
     if skips > 0 {
         let _ = writeln!(

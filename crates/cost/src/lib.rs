@@ -15,7 +15,7 @@
 //!   regenerated tables match digit for digit;
 //! * [`CostModel`] — the bundle handed to the optimizer;
 //! * [`CostMemo`] — a per-run, thread-shared memo table in front of the
-//!   redistribution and rotation kernels.
+//!   redistribution kernel.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

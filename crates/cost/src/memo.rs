@@ -1,45 +1,43 @@
-//! Per-run memoization of the search's hot cost kernels.
+//! Per-run memoization of the search's redistribution costs.
 //!
-//! The §3.3 dynamic program re-prices the same redistribution and rotation
-//! over and over: every `(pattern, fusion-triple)` combination at a node
-//! asks for the same `(tensor, from, to)` redistributions and the same
-//! `(tensor, α, travel)` rotation bases thousands of times. A [`CostMemo`]
-//! sits in front of [`CostModel::redistribution_cost`] and
-//! [`CostModel::rotate_cost_surrounded`] and caches the answers for the
-//! lifetime of one optimizer run.
+//! The §3.3 dynamic program re-prices the same redistribution over and
+//! over: every `(pattern, fusion-triple)` combination at a node asks for
+//! the same `(tensor, from, to)` redistributions of its unfused children
+//! thousands of times. A [`CostMemo`] sits in front of
+//! [`CostModel::redistribution_cost`] and caches the answers for the
+//! lifetime of one optimizer run. (Rotation costs are not memoized here:
+//! the search prices them from per-node tables of its own, keyed by the
+//! block's layout and sliced set, without hashing.)
 //!
 //! The table is sharded behind small mutexes so parallel search workers
 //! share it without serializing on one lock; hit/miss totals are kept in
 //! two relaxed atomics and surface as the `dp.memo_hit` / `dp.memo_miss`
 //! counters of the run.
 //!
-//! Memoized values are computed by exactly the formulas the un-memoized
-//! entry points use, so a memoized search returns bit-identical costs.
+//! Memoized values are computed by exactly the formula the un-memoized
+//! entry point uses, so a memoized search returns bit-identical costs.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use tce_dist::{dist_size, Distribution, GridDim};
-use tce_expr::{IndexId, IndexSet, IndexSpace, Tensor};
+use tce_dist::Distribution;
+use tce_expr::{IndexSet, IndexSpace, Tensor};
 
 use crate::model::CostModel;
-use crate::units::WORD_BYTES;
 
-/// One priced kernel invocation. `tensor` is a caller-chosen stable id of
-/// the array (the optimizer uses the expression-tree node id), which is
-/// cheaper and collision-free compared to hashing the dimension list; the
-/// grid and machine are fixed for the memo's lifetime and need no key part.
+/// One priced `redistribution_cost(tensor, from, to, fused)` call.
+/// `tensor` is a caller-chosen stable id of the array (the optimizer uses
+/// the expression-tree node id), which is cheaper and collision-free
+/// compared to hashing the dimension list; the grid and machine are fixed
+/// for the memo's lifetime and need no key part.
 #[derive(Clone, PartialEq, Eq, Hash)]
-enum Key {
-    /// `redistribution_cost(tensor, from, to, fused)`.
-    Redist { tensor: u32, from: Distribution, to: Distribution, fused: IndexSet },
-    /// The factor-independent base of `rotate_cost_surrounded`:
-    /// `RCost(DistSize(tensor, alpha, sliced), travel)`. The surrounding
-    /// trip-count product varies per pattern and multiplies the cached base
-    /// at lookup time.
-    Rotate { tensor: u32, alpha: Distribution, travel: GridDim, sliced: IndexSet },
+struct Key {
+    tensor: u32,
+    from: Distribution,
+    to: Distribution,
+    fused: IndexSet,
 }
 
 fn shard_of(key: &Key, shards: usize) -> usize {
@@ -48,7 +46,7 @@ fn shard_of(key: &Key, shards: usize) -> usize {
     (h.finish() as usize) % shards
 }
 
-/// Sharded `(kernel arguments) → cost` table for one optimizer run.
+/// Sharded `(redistribution arguments) → cost` table for one optimizer run.
 pub struct CostMemo {
     shards: Vec<Mutex<HashMap<Key, f64>>>,
     hits: AtomicU64,
@@ -110,41 +108,16 @@ impl CostMemo {
         if from == to {
             return 0.0; // the kernel's own fast path — not worth a table hit
         }
-        let key = Key::Redist { tensor: tensor_id, from, to, fused: fused.clone() };
+        let key = Key { tensor: tensor_id, from, to, fused: fused.clone() };
         self.lookup_or(key, || cm.redistribution_cost(tensor, space, from, to, fused))
     }
 
-    /// Memoized [`CostModel::rotate_cost_surrounded`]: the distribution- and
-    /// travel-dependent base is cached; the per-pattern trip-count factor is
-    /// recomputed (it is a handful of multiplies) and applied per call.
-    #[allow(clippy::too_many_arguments)]
-    pub fn rotate_cost_surrounded(
-        &self,
-        cm: &CostModel,
-        tensor_id: u32,
-        tensor: &Tensor,
-        space: &IndexSpace,
-        alpha: Distribution,
-        travel: GridDim,
-        surrounding: &IndexSet,
-        trip: impl Fn(IndexId) -> u64,
-    ) -> f64 {
-        let sliced: IndexSet = surrounding.intersection(&tensor.dim_set());
-        let key = Key::Rotate { tensor: tensor_id, alpha, travel, sliced: sliced.clone() };
-        let base = self.lookup_or(key, || {
-            let words = dist_size(tensor, space, cm.grid, alpha, &sliced);
-            cm.chr.rcost(cm.grid.extent(travel), travel, (words * WORD_BYTES) as f64)
-        });
-        let factor: u128 = surrounding.iter().map(|j| trip(j) as u128).product();
-        factor as f64 * base
-    }
-
-    /// Kernel calls answered from the table.
+    /// Redistribution prices answered from the table.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Kernel calls computed and stored.
+    /// Redistribution prices computed and stored.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -185,43 +158,6 @@ mod tests {
         // A different tensor id is a different entry even with equal dists.
         memo.redistribution_cost(&cm, 8, &t, &sp, from, to, &none);
         assert_eq!((memo.hits(), memo.misses()), (1, 2));
-    }
-
-    #[test]
-    fn rotate_matches_unmemoized_across_factors() {
-        let (cm, sp, t) = setup();
-        let ix = |s: &str| sp.lookup(s).unwrap();
-        let memo = CostMemo::new();
-        let alpha = Distribution::pair(ix("b"), ix("e"));
-        let surrounding = IndexSet::from_iter([ix("f")]);
-        let direct = cm.rotate_cost_surrounded(&t, &sp, alpha, GridDim::Dim1, &surrounding, |_| 64);
-        let memoized = memo.rotate_cost_surrounded(
-            &cm,
-            3,
-            &t,
-            &sp,
-            alpha,
-            GridDim::Dim1,
-            &surrounding,
-            |_| 64,
-        );
-        assert_eq!(direct.to_bits(), memoized.to_bits());
-        // Same base, different trip counts: the cached base is reused and
-        // the factor applied fresh — still bit-identical to the kernel.
-        let direct2 =
-            cm.rotate_cost_surrounded(&t, &sp, alpha, GridDim::Dim1, &surrounding, |_| 16);
-        let memoized2 = memo.rotate_cost_surrounded(
-            &cm,
-            3,
-            &t,
-            &sp,
-            alpha,
-            GridDim::Dim1,
-            &surrounding,
-            |_| 16,
-        );
-        assert_eq!(direct2.to_bits(), memoized2.to_bits());
-        assert_eq!((memo.hits(), memo.misses()), (1, 1));
     }
 
     #[test]

@@ -67,13 +67,15 @@ pub mod names {
     pub const FRONTIER: &str = "dp.frontier";
     /// Tree nodes processed.
     pub const NODES: &str = "dp.nodes";
-    /// Cost-kernel evaluations answered from the per-run memo table.
+    /// Redistribution prices answered from the per-run memo table (the
+    /// memo prices redistributions only; rotation costs come from per-node
+    /// block tables that count nothing here).
     ///
     /// Unlike the counters above, the memo numbers depend on worker-thread
     /// interleaving (two workers can race to fill the same entry), so they
     /// are excluded from serial-vs-parallel equivalence checks.
     pub const MEMO_HIT: &str = "dp.memo_hit";
-    /// Cost-kernel evaluations computed and stored in the memo table.
+    /// Redistribution prices computed and stored in the memo table.
     pub const MEMO_MISS: &str = "dp.memo_miss";
     /// Candidates skipped by an admissible lower-bound (branch-and-bound)
     /// corner query instead of being individually costed.
@@ -132,7 +134,8 @@ pub mod names {
     pub const LB_FLOOR_FALLBACK: &str = "lb.floor_fallback";
     /// Nearest-grid scaled extrapolations served by
     /// `tce_cost::Characterization::rcost` during the run. Query counts
-    /// depend on memo-fill races, so this is interleaving-dependent.
+    /// follow the search's per-worker table fills (each worker fills its
+    /// own cells), so this is interleaving-dependent.
     pub const RCOST_FALLBACK: &str = "cost.rcost_fallback";
     /// Internal nodes whose Pareto frontier was replayed from an
     /// isomorphic, already-solved subtree of the same run (level-1 plan
@@ -177,8 +180,8 @@ pub mod names {
     /// on one memo key both count a miss), the branch-and-bound family
     /// (each worker prunes against its own partial frontier, so smaller
     /// chunks skip less), the steal count (which worker drains a region
-    /// first is a race), the rcost fallbacks (query counts follow memo
-    /// races), and the `dp.subtree_*` and `cache.*` counters, which are
+    /// first is a race), the rcost fallbacks (query counts follow which
+    /// worker fills which table cell), and the `dp.subtree_*` and `cache.*` counters, which are
     /// fixed for one configuration but vary with cache state and subtree
     /// reuse while the results stay bit-identical. The three histogram
     /// names never enter a [`crate::Counters`] bag; their flag is moot.

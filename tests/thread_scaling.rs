@@ -7,11 +7,15 @@
 //! threads=2 ran *slower* than serial on every measured scenario
 //! (default ccsd_tiny: 26.8 ms against 19.6 ms serial; EXPERIMENTS.md X9).
 //! The adaptive spawn model now sizes the worker count from the measured
-//! per-block cost, keeping cheap nodes inline, so threads=2 must track the
+//! per-block cost, keeping cheap nodes inline, and splits a node only when
+//! the measured (or, before any split, the assumed) parallel efficiency
+//! and ordered-merge share predict a saving, so threads=2 must track the
 //! serial wall time. Two inputs: the default ccsd_tiny space at 16
-//! processors, whose nodes mostly stay inline under the spawn floor, and
-//! the enlarged space (64 processors, replication + unrelated rotation),
-//! where workers really spawn and the parallel path itself is timed.
+//! processors, whose nodes stay inline under the spawn floor, and the
+//! enlarged space (64 processors, replication + unrelated rotation), whose
+//! larger nodes can split but whose merges cost about a quarter of the
+//! serial time (EXPERIMENTS.md X18), so a split that does not pay must
+//! stop the model from splitting again.
 //!
 //! Budget: best-of-3 wall at threads=2 must be within 1.10× the serial
 //! best-of-3, plus a 10 ms absolute slack so sub-millisecond jitter on
