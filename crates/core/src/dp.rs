@@ -23,7 +23,7 @@ use tce_expr::{ExprTree, IndexId, IndexSet, IndexSpace, NodeId, NodeKind, Tensor
 use tce_fusion::{edge_candidates, enumerate_prefixes, FusionPrefix};
 
 use crate::fx::FxHashMap;
-use crate::solution::{ChildBinding, Choice, KeyHandle, SolutionSet};
+use crate::solution::{ChildBinding, Choice, Keep, KeyHandle, SolutionSet};
 
 /// Search-space knobs.
 #[derive(Clone, Debug)]
@@ -316,27 +316,47 @@ pub fn optimize(
     cm: &CostModel,
     cfg: &OptimizerConfig,
 ) -> Result<Optimized, OptimizeError> {
-    run_dp(tree, cm, cfg, true)
+    run_dp(tree, cm, cfg, Pass::Exact)
 }
 
-/// [`optimize`] without the floors: no optimality certificate
-/// (`comm_lower_bound` is zero and not exact) and no floor-based skip.
-/// For passes that read only the cost, such as the greedy incumbent of
-/// [`crate::portfolio::plan`].
-pub(crate) fn optimize_uncertified(
+/// The key pass (DESIGN.md §13): the same DP, keeping at every node one
+/// entry per `(dist, fusion)` key, its lexicographically least `(cost,
+/// mem, msg)` candidate ([`Keep::LeastPerKey`]). Every entry it keeps is
+/// a real candidate of `cfg`'s search space priced by the same kernels,
+/// so the plan it returns is a real plan and its cost is never below the
+/// optimum. It computes no floors (`comm_lower_bound` is zero and not
+/// exact) and skips the self-check: [`crate::portfolio::plan`] reads only
+/// its cost, as the exact search's warm bound. Exported through
+/// [`crate::portfolio`] so oracles can check the plan it finds.
+pub fn key_pass(
     tree: &ExprTree,
     cm: &CostModel,
     cfg: &OptimizerConfig,
 ) -> Result<Optimized, OptimizeError> {
-    run_dp(tree, cm, cfg, false)
+    run_dp(tree, cm, cfg, Pass::Key)
+}
+
+/// Which search [`run_dp`] runs.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Pass {
+    /// The exact §3.3 search, certified by the floors.
+    Exact,
+    /// The one-entry-per-key restriction of [`key_pass`].
+    Key,
 }
 
 fn run_dp(
     tree: &ExprTree,
     cm: &CostModel,
     cfg: &OptimizerConfig,
-    certify: bool,
+    pass: Pass,
 ) -> Result<Optimized, OptimizeError> {
+    let certify = pass == Pass::Exact;
+    let keep = match pass {
+        Pass::Key => Keep::LeastPerKey,
+        Pass::Exact if cfg.disable_pruning => Keep::All,
+        Pass::Exact => Keep::Pareto,
+    };
     if tree.node(tree.root()).is_leaf() {
         return Err(OptimizeError::Unsupported(
             "the expression tree computes nothing (its root is an input array)".into(),
@@ -347,8 +367,10 @@ fn run_dp(
     // Memory-feasibility prover (DESIGN.md §12): every plan must store, at
     // every node, at least the smallest block any layout/fusion allows; if
     // those per-node floors already exceed the limit, the exponential
-    // search can only end in `NoFeasibleSolution` — fail now instead.
+    // search can only end in `NoFeasibleSolution` — fail now instead. A
+    // warm bound is the cost of a plan that fits, so it cannot fire then.
     if !cfg.disable_lower_bounds
+        && cfg.warm_upper_bound.is_none()
         && tce_cost::lower_bound::prove_memory_infeasible(tree, cm, limit, cfg.max_prefix_len)
             .is_some()
     {
@@ -397,7 +419,7 @@ fn run_dp(
         _ => HashMap::new(),
     };
     let threads = match cfg.threads {
-        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        0 => crate::sched::available_parallelism().unwrap_or(1),
         n => n,
     };
     let memo = CostMemo::with_shards((threads * 4).max(16));
@@ -406,7 +428,7 @@ fn run_dp(
     let mut stats = Vec::new();
     let mut counters = tce_obs::Counters::new();
     let mut worker_busy_us = tce_obs::metrics::Histogram::default();
-    let mut run_span = tce_obs::span("dp", "optimize");
+    let mut run_span = tce_obs::span("dp", if certify { "optimize" } else { "key_pass" });
     run_span.arg("threads", threads);
 
     // Trace events for stream sinks (the progress stream's `start`, `node`
@@ -496,7 +518,7 @@ fn run_dp(
             Some(fc) => vec![fc.prefix(node)],
             None => enumerate_prefixes(&edge_candidates(tree, node), cfg.max_prefix_len),
         };
-        let mut set = SolutionSet::with_mode(!cfg.disable_pruning, !cfg.disable_lower_bounds);
+        let mut set = SolutionSet::with_mode(keep, !cfg.disable_lower_bounds);
         let warm_cut = warm_cuts.get(&node).copied().unwrap_or(f64::INFINITY);
         // Reuse key for this node, or `None` when reuse is off or any
         // index fails to map (defensive: every pin/edge index is a dim of
@@ -742,7 +764,7 @@ fn run_dp(
     };
     // Self-check: statically verify the winning plan before handing it
     // out. Always on in debug builds; `cfg.verify` extends it to release.
-    if cfg.verify || cfg!(debug_assertions) {
+    if certify && (cfg.verify || cfg!(debug_assertions)) {
         let plan = crate::plan::extract_plan(tree, &result);
         crate::check::check_plan(tree, &plan, Some(cm), Some(limit))
             .to_result()
@@ -1129,6 +1151,98 @@ fn intern<K: std::hash::Hash + Eq + Clone>(values: impl Iterator<Item = K>) -> (
     (per, distinct)
 }
 
+/// A node's fusion menus — its children's edge prefixes and its own up
+/// prefixes — as one list of rows, with O(1) chain compatibility and each
+/// row's loop set numbered among the distinct ones (DESIGN.md §9). When
+/// the menus use at most 127 distinct indices and no prefix is longer
+/// than 18 loops (every shipped program), each row is packed into two
+/// `u128`s — its loop order, 7 bits a loop, and its loop set, a bit an
+/// index — so neither test touches the heap; otherwise rows are compared
+/// as slices and their sets built one by one.
+struct Menu<'a> {
+    rows: Vec<&'a FusionPrefix>,
+    /// Per row, the packed loop order and its width in bits (`None` on
+    /// the fallback).
+    packed: Option<Vec<(u128, u32)>>,
+    /// Per row, the id of its loop set among `sets`.
+    set_ids: Vec<u32>,
+    /// The distinct loop sets, numbered in row order.
+    sets: Vec<IndexSet>,
+}
+
+impl<'a> Menu<'a> {
+    fn new(rows: Vec<&'a FusionPrefix>) -> Self {
+        let Some((packed, masks, universe)) = Self::pack(&rows) else {
+            let (set_ids, sets) = intern(rows.iter().map(|f| f.as_set()));
+            return Self { rows, packed: None, set_ids, sets };
+        };
+        let (set_ids, distinct) = intern(masks.into_iter());
+        let sets = distinct
+            .into_iter()
+            .map(|m: u128| {
+                let bits = universe.iter().enumerate().filter(move |&(b, _)| m >> b & 1 == 1);
+                IndexSet::from_iter(bits.map(|(_, &ix)| ix))
+            })
+            .collect();
+        Self { rows, packed: Some(packed), set_ids, sets }
+    }
+
+    /// Per row, the packed order with its width and the loop-set mask,
+    /// plus the indices by local number; `None` when they do not fit.
+    #[allow(clippy::type_complexity)]
+    fn pack(rows: &[&FusionPrefix]) -> Option<(Vec<(u128, u32)>, Vec<u128>, Vec<IndexId>)> {
+        let mut universe: Vec<IndexId> = Vec::new();
+        let (mut packed, mut masks) = (Vec::with_capacity(rows.len()), Vec::new());
+        for f in rows {
+            if f.len() > 18 {
+                return None;
+            }
+            let (mut order, mut mask) = (0u128, 0u128);
+            for (i, ix) in f.iter().enumerate() {
+                let local = match universe.iter().position(|&u| u == ix) {
+                    Some(local) => local,
+                    None if universe.len() < 127 => {
+                        universe.push(ix);
+                        universe.len() - 1
+                    }
+                    None => return None,
+                };
+                order |= (local as u128 + 1) << (7 * i);
+                mask |= 1 << local;
+            }
+            packed.push((order, 7 * f.len() as u32));
+            masks.push(mask);
+        }
+        Some((packed, masks, universe))
+    }
+
+    /// Whether rows `a` and `b` are chain compatible (one is a prefix of
+    /// the other).
+    #[inline]
+    fn compatible(&self, a: usize, b: usize) -> bool {
+        match &self.packed {
+            // Local numbers are nonzero, so equal low bits up to the
+            // shorter width mean equal loops up to the shorter length.
+            Some(p) => {
+                let ((oa, wa), (ob, wb)) = (p[a], p[b]);
+                (oa ^ ob) & ((1u128 << wa.min(wb)) - 1) == 0
+            }
+            None => self.rows[a].chain_compatible(self.rows[b]),
+        }
+    }
+
+    /// The longer of rows `a` and `b` (`a` on a tie), as
+    /// [`FusionPrefix::join`] picks it.
+    #[inline]
+    fn join(&self, a: usize, b: usize) -> usize {
+        if self.rows[a].len() >= self.rows[b].len() {
+            a
+        } else {
+            b
+        }
+    }
+}
+
 /// A per-worker cache of child option slates by (child fusion, required
 /// distribution), both numbered per node, built on first use: a dense
 /// index table in front of the slates, so a lookup is one array read.
@@ -1188,10 +1302,9 @@ fn trip_factor(
 
 /// A chain-compatible `(f_left, f_right, f_up)` fusion triple of a binary
 /// node, with the fused loops surrounding the node (the longest of the
-/// three prefixes), the id of their set among
-/// [`BinaryBlocks::surround_sets`] and, per operand slot (left, right,
-/// result), the id of `surrounding ∩ dims(operand)` among
-/// [`BinaryBlocks::sliced`].
+/// three prefixes), the id of their set among [`BinaryBlocks::sets`] and,
+/// per operand slot (left, right, result), the id of
+/// `surrounding ∩ dims(operand)` among [`BinaryBlocks::sliced`].
 struct Triple<'a> {
     li: usize,
     ri: usize,
@@ -1219,14 +1332,13 @@ struct BinaryBlocks<'a> {
     /// travel dimension) among the node's distinct ones, and how many
     /// there are (the rotation tables' rows).
     rot_rows: [(Vec<u32>, usize); 3],
-    /// Per up-prefix, the id of its set among `up_sets`.
+    /// Per up-prefix, the id of its set among `sets`.
     up_ids: Vec<u32>,
-    /// The distinct up-prefix sets (the footprint table's columns).
-    up_sets: Vec<IndexSet>,
+    /// The distinct loop sets of the left, right and up prefixes (the
+    /// trip-count and footprint tables' columns) — a few dozen, where a
+    /// node has hundreds of triples.
+    sets: Vec<IndexSet>,
     triples: Vec<Triple<'a>>,
-    /// The distinct surrounding sets (the trip-count table's columns) —
-    /// a dozen or two, where a node has hundreds of triples.
-    surround_sets: Vec<IndexSet>,
     /// Per operand slot, the distinct `surrounding ∩ dims(operand)` sets
     /// (the rotation tables' columns).
     sliced: [Vec<IndexSet>; 3],
@@ -1249,32 +1361,44 @@ impl<'a> BinaryBlocks<'a> {
         my_prefixes: &'a [FusionPrefix],
     ) -> Self {
         let tensors = [left, right, node].map(|id| &tree.node(id).tensor);
+        let dims = tensors.map(Tensor::dim_set);
+        // Every prefix of the three menus, its loop set numbered once: a
+        // triple's surrounding loops are its longest prefix, so the
+        // triple's set is a lookup, never a set operation.
+        let menu = Menu::new(lf_all.iter().chain(rf_all).chain(my_prefixes).collect());
+        let (nl, up0) = (lf_all.len(), lf_all.len() + rf_all.len());
+        // Per left or right row, the up rows chain compatible with it,
+        // ascending (`ups[starts[row]..starts[row + 1]]`).
+        let (mut starts, mut ups) = (Vec::with_capacity(up0 + 1), Vec::new());
+        for row in 0..up0 {
+            starts.push(ups.len());
+            ups.extend((up0..menu.rows.len()).filter(|&u| menu.compatible(row, u)));
+        }
+        starts.push(ups.len());
         let mut triples: Vec<Triple> = Vec::new();
-        for (li, fl) in lf_all.iter().enumerate() {
-            for (ri, fr) in rf_all.iter().enumerate() {
-                if !fl.chain_compatible(fr) {
+        for li in 0..nl {
+            for ri in 0..rf_all.len() {
+                if !menu.compatible(li, nl + ri) {
                     continue;
                 }
-                for (ui, fu) in my_prefixes.iter().enumerate() {
-                    if fu.chain_compatible(fl) && fu.chain_compatible(fr) {
-                        let surrounding = fl.join(fr).join(fu);
-                        let (surround, sliced) = (0, [0; 3]);
-                        triples.push(Triple { li, ri, ui, surrounding, surround, sliced });
-                    }
+                // `fu` is chain compatible with both `fl` and `fr` exactly
+                // when it is with the longer of them, which the shorter is
+                // a prefix of; the surrounding loops are
+                // `fl.join(fr).join(fu)`.
+                let longer = menu.join(li, nl + ri);
+                for &u in &ups[starts[longer]..starts[longer + 1]] {
+                    let top = menu.join(longer, u);
+                    let (surrounding, surround) = (menu.rows[top], menu.set_ids[top]);
+                    let ui = u - up0;
+                    triples.push(Triple { li, ri, ui, surrounding, surround, sliced: [0; 3] });
                 }
             }
         }
-        let (ids, surroundings) = intern(triples.iter().map(|t| t.surrounding));
-        let (set_ids, surround_sets) = intern(surroundings.iter().map(|f| f.as_set()));
-        for (t, id) in triples.iter_mut().zip(ids) {
-            t.surround = set_ids[id as usize];
-        }
-        let dims = tensors.map(Tensor::dim_set);
+        let Menu { set_ids, sets, .. } = menu;
         let sliced = std::array::from_fn(|slot| {
-            let (of_surround, distinct) =
-                intern(surround_sets.iter().map(|s| s.intersection(&dims[slot])));
+            let (of_set, distinct) = intern(sets.iter().map(|s| s.intersection(&dims[slot])));
             for t in triples.iter_mut() {
-                t.sliced[slot] = of_surround[t.surround as usize];
+                t.sliced[slot] = of_set[t.surround as usize];
             }
             distinct
         });
@@ -1287,49 +1411,46 @@ impl<'a> BinaryBlocks<'a> {
             }));
             (ids, distinct.len())
         });
-        let (up_ids, up_sets) = intern(my_prefixes.iter().map(FusionPrefix::as_set));
 
         // A Cannon layout admits a triple only when the rotation step loop
         // is not fused around the contraction and — paper-faithful, unless
         // `allow_unrelated_rotation` lifts it — every rotated array carries
         // all surrounding fused loops (the `MsgFactor` formula's domain).
         // An element-wise layout rotates nothing and admits every triple.
-        let sets = &surround_sets;
-        let admits = |pat: Option<CannonPattern>| {
-            let rot = pat.and_then(|p| p.rotation_index());
-            let rotated: Vec<&IndexSet> = match pat {
-                Some(p) if !cfg.allow_unrelated_rotation => p
-                    .rotated_operands()
-                    .into_iter()
-                    .map(|op| match op {
-                        Operand::Left => &dims[0],
-                        Operand::Right => &dims[1],
-                        Operand::Result => &dims[2],
-                    })
-                    .collect(),
-                _ => Vec::new(),
+        // Both tests read only the rotation index, the rotated slots and
+        // the triple's loop set, so they run once per (class, set).
+        let (classes, class_list) = intern(layouts.iter().map(|&(pat, ..)| {
+            let rotated = match pat {
+                Some(p) if !cfg.allow_unrelated_rotation => SLOTS.map(|op| p.rotates(op)),
+                _ => [false; 3],
             };
-            move |t: &Triple| {
-                !rot.is_some_and(|k| t.surrounding.contains(k))
-                    && rotated.iter().all(|d| sets[t.surround as usize].is_subset(d))
-            }
-        };
-        let items = layouts
+            (pat.and_then(|p| p.rotation_index()), rotated)
+        }));
+        let admitted: Vec<Vec<usize>> = class_list
+            .iter()
+            .map(|&(rot, rotated)| {
+                let admits: Vec<bool> = sets
+                    .iter()
+                    .map(|s| {
+                        !rot.is_some_and(|k| s.contains(k))
+                            && (0..3).all(|slot| !rotated[slot] || s.is_subset(&dims[slot]))
+                    })
+                    .collect();
+                (0..triples.len()).filter(|&t| admits[triples[t].surround as usize]).collect()
+            })
+            .collect();
+        let items = classes
             .iter()
             .enumerate()
-            .flat_map(|(p, layout)| {
-                let admits = admits(layout.0);
-                triples.iter().enumerate().filter(move |(_, t)| admits(t)).map(move |(t, _)| (p, t))
-            })
+            .flat_map(|(p, &class)| admitted[class as usize].iter().map(move |&t| (p, t)))
             .collect();
         Self {
             tensors,
             layouts,
             child_dists,
             rot_rows,
-            up_ids,
-            up_sets,
-            surround_sets,
+            up_ids: set_ids[up0..].to_vec(),
+            sets,
             triples,
             sliced,
             items,
@@ -1362,11 +1483,11 @@ impl BinaryTables {
     fn new(b: &BinaryBlocks) -> Self {
         let rows = b.layouts.len();
         Self {
-            trip: LazyTable::new(rows, b.surround_sets.len()),
+            trip: LazyTable::new(rows, b.sets.len()),
             rot: std::array::from_fn(|slot| {
                 LazyTable::new(b.rot_rows[slot].1, b.sliced[slot].len())
             }),
-            foot: LazyTable::new(rows, b.up_sets.len()),
+            foot: LazyTable::new(rows, b.sets.len()),
         }
     }
 
@@ -1390,9 +1511,9 @@ impl BinaryTables {
         let mut msg = [0u128; 3];
         if let Some(pat) = pat {
             let set = tr.surround as usize;
-            let factor = self.trip.get(p, set, || {
-                trip_factor(&b.surround_sets[set], space, cm, &[odist, ldist, rdist])
-            });
+            let factor = self
+                .trip
+                .get(p, set, || trip_factor(&b.sets[set], space, cm, &[odist, ldist, rdist]));
             for (slot, dist) in [ldist, rdist, odist].into_iter().enumerate() {
                 if let Some(travel) = pat.travel_dim(SLOTS[slot]) {
                     let (row, sid) = (b.rot_rows[slot].0[p] as usize, tr.sliced[slot] as usize);
@@ -1413,7 +1534,7 @@ impl BinaryTables {
         }
         let up = b.up_ids[tr.ui] as usize;
         let my_mem =
-            self.foot.get(p, up, || dist_size(b.tensors[2], space, cm.grid, odist, &b.up_sets[up]));
+            self.foot.get(p, up, || dist_size(b.tensors[2], space, cm.grid, odist, &b.sets[up]));
         BlockPrice { rotate, msg, my_mem }
     }
 }
@@ -1589,8 +1710,8 @@ fn combine_binary(
 
 /// A compatible `(f_child, f_up)` pair of a reduce node, with the fused
 /// loops surrounding the node, the id of their set among
-/// [`ReduceBlocks::surround_sets`] and the id of
-/// `surrounding ∩ dims(result)` among [`ReduceBlocks::sliced`].
+/// [`ReduceBlocks::sets`] and the id of `surrounding ∩ dims(result)` among
+/// [`ReduceBlocks::sliced`].
 struct Pair<'a> {
     ci: usize,
     ui: usize,
@@ -1610,12 +1731,11 @@ struct ReduceBlocks<'a> {
     /// the result is no longer distributed along `d`.
     cdists: Vec<(Distribution, Distribution, Option<GridDim>)>,
     pairs: Vec<Pair<'a>>,
-    /// Per up-prefix, the id of its set among `up_sets`.
+    /// Per up-prefix, the id of its set among `sets`.
     up_ids: Vec<u32>,
-    /// The distinct up-prefix sets (the footprint table's columns).
-    up_sets: Vec<IndexSet>,
-    /// The distinct surrounding sets (the trip-count table's columns).
-    surround_sets: Vec<IndexSet>,
+    /// The distinct loop sets of the child and up prefixes (the trip-count
+    /// and footprint tables' columns).
+    sets: Vec<IndexSet>,
     /// The distinct `surrounding ∩ dims(result)` sets.
     sliced: Vec<IndexSet>,
     /// One item per (child distribution, pair), distribution-major: the
@@ -1650,6 +1770,12 @@ impl<'a> ReduceBlocks<'a> {
             None => (cdist, cdist, None),
         })
         .collect();
+        // Every prefix of both menus numbered by its loop set once, as in
+        // [`BinaryBlocks::new`].
+        let menu = Menu::new(cf_all.iter().chain(my_prefixes).collect());
+        let nc = cf_all.len();
+        let dims = result.dim_set();
+        let (of_set, sliced) = intern(menu.sets.iter().map(|s| s.intersection(&dims)));
         // Compatible pairs, in the serial nesting order (the filters do not
         // depend on the child distribution).
         let mut pairs = Vec::new();
@@ -1657,24 +1783,18 @@ impl<'a> ReduceBlocks<'a> {
             if fc.contains(sum) {
                 continue; // the summed loop belongs to this node, not the edge
             }
-            for (ui, fu) in my_prefixes.iter().enumerate() {
-                if fu.chain_compatible(fc) {
-                    let surrounding = fc.join(fu);
-                    pairs.push(Pair { ci, ui, surrounding, surround: 0, sliced: 0 });
+            for ui in 0..my_prefixes.len() {
+                if menu.compatible(ci, nc + ui) {
+                    let top = menu.join(ci, nc + ui);
+                    let (surrounding, surround) = (menu.rows[top], menu.set_ids[top]);
+                    let sliced = of_set[surround as usize];
+                    pairs.push(Pair { ci, ui, surrounding, surround, sliced });
                 }
             }
         }
-        let (ids, surroundings) = intern(pairs.iter().map(|p| p.surrounding));
-        let (set_ids, surround_sets) = intern(surroundings.iter().map(|f| f.as_set()));
-        let dims = result.dim_set();
-        let (of_surround, sliced) = intern(surround_sets.iter().map(|s| s.intersection(&dims)));
-        for (pair, id) in pairs.iter_mut().zip(ids) {
-            pair.surround = set_ids[id as usize];
-            pair.sliced = of_surround[pair.surround as usize];
-        }
-        let (up_ids, up_sets) = intern(my_prefixes.iter().map(FusionPrefix::as_set));
         let items = (0..cdists.len()).flat_map(|d| (0..pairs.len()).map(move |p| (d, p))).collect();
-        Self { result, cdists, pairs, up_ids, up_sets, surround_sets, sliced, items }
+        let Menu { set_ids, sets, .. } = menu;
+        Self { result, cdists, pairs, up_ids: set_ids[nc..].to_vec(), sets, sliced, items }
     }
 }
 
@@ -1692,9 +1812,9 @@ impl ReduceTables {
     fn new(b: &ReduceBlocks) -> Self {
         let rows = b.cdists.len();
         Self {
-            trip: LazyTable::new(rows, b.surround_sets.len()),
+            trip: LazyTable::new(rows, b.sets.len()),
             rot: LazyTable::new(rows, b.sliced.len()),
-            foot: LazyTable::new(rows, b.up_sets.len()),
+            foot: LazyTable::new(rows, b.sets.len()),
         }
     }
 
@@ -1721,15 +1841,14 @@ impl ReduceTables {
                     .rot
                     .get(d, sid, || rotation_cell(cm, space, b.result, odist, rd, &b.sliced[sid]));
                 let set = pair.surround as usize;
-                let factor = self
-                    .trip
-                    .get(d, set, || trip_factor(&b.surround_sets[set], space, cm, &[odist]));
+                let factor =
+                    self.trip.get(d, set, || trip_factor(&b.sets[set], space, cm, &[odist]));
                 factor * base
             }
         };
         let up = b.up_ids[pair.ui] as usize;
         let my_mem =
-            self.foot.get(d, up, || dist_size(b.result, space, cm.grid, odist, &b.up_sets[up]));
+            self.foot.get(d, up, || dist_size(b.result, space, cm.grid, odist, &b.sets[up]));
         (reduce_cost, my_mem)
     }
 }
@@ -1869,7 +1988,7 @@ mod tests {
     #[test]
     fn bnb_skip_decides_warm_then_corner() {
         let (d, f) = (Distribution { d1: None, d2: None }, FusionPrefix::empty());
-        let mut set = SolutionSet::with_mode(true, true);
+        let mut set = SolutionSet::with_mode(Keep::Pareto, true);
         let mut kh = set.key_handle(d, &f);
         assert!(set.try_insert(&mut kh, d, &f, 10.0, 100, 10, false, u128::MAX, || None));
         let counts = |s: &SolutionSet| (s.bnb_block, s.bnb_warm);
@@ -1921,7 +2040,7 @@ S[t] = sum[j] T3[j,t];
         let a = sp.declare("a", 4);
         let b = sp.declare("b", 4);
         let (d, f) = (Distribution::pair(a, b), FusionPrefix::empty());
-        let mut set = SolutionSet::with_mode(true, true);
+        let mut set = SolutionSet::with_mode(Keep::Pareto, true);
         let mut kh = set.key_handle(d, &f);
         let mut offer = |mem: u128| {
             set.try_insert(&mut kh, d, &f, 10.0, mem, 0, false, u128::MAX, || None);
@@ -2159,6 +2278,51 @@ S[t] = sum[j] T3[j,t];
             && (a.sol_index < b.sol_index || a.mem_words < b.mem_words)
     }
 
+    /// The slice-comparing reading of a menu: what [`Menu`] answers
+    /// without packing.
+    fn plain_menu(rows: Vec<&FusionPrefix>) -> Menu<'_> {
+        let (set_ids, sets) = intern(rows.iter().map(|f| f.as_set()));
+        Menu { rows, packed: None, set_ids, sets }
+    }
+
+    /// The packed menu answers every compatibility query and numbers every
+    /// loop set exactly as the slice comparisons do.
+    fn assert_menu_matches_plain(prefixes: &[FusionPrefix]) {
+        let menu = Menu::new(prefixes.iter().collect());
+        let plain = plain_menu(prefixes.iter().collect());
+        assert_eq!(menu.set_ids, plain.set_ids);
+        assert_eq!(menu.sets, plain.sets);
+        for a in 0..prefixes.len() {
+            for b in 0..prefixes.len() {
+                let compatible = prefixes[a].chain_compatible(&prefixes[b]);
+                assert_eq!(menu.compatible(a, b), compatible);
+                if compatible {
+                    assert_eq!(menu.rows[menu.join(a, b)], prefixes[a].join(&prefixes[b]));
+                }
+            }
+        }
+    }
+
+    /// Menus too wide or too long to pack fall back to slice comparisons:
+    /// 128 distinct indices, and a prefix of 19 loops.
+    #[test]
+    fn menus_that_do_not_fit_the_packing_fall_back() {
+        let mut sp = tce_expr::IndexSpace::new();
+        let ids: Vec<IndexId> = (0..130).map(|i| sp.declare(&format!("x{i}"), 4)).collect();
+        let wide: Vec<FusionPrefix> =
+            ids[..128].iter().map(|&i| FusionPrefix::new(vec![i])).collect();
+        let long =
+            vec![FusionPrefix::new(ids[..19].to_vec()), FusionPrefix::new(ids[..3].to_vec())];
+        let fits =
+            vec![FusionPrefix::new(ids[..18].to_vec()), FusionPrefix::new(ids[..3].to_vec())];
+        assert!(Menu::new(wide.iter().collect()).packed.is_none());
+        assert!(Menu::new(long.iter().collect()).packed.is_none());
+        assert!(Menu::new(fits.iter().collect()).packed.is_some());
+        for menu in [&wide, &long, &fits] {
+            assert_menu_matches_plain(menu);
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(512))]
 
@@ -2188,6 +2352,30 @@ S[t] = sum[j] T3[j,t];
             let unfiltered: Vec<usize> =
                 drop_dominated(options(&codes), false).iter().map(|o| o.sol_index).collect();
             proptest::prop_assert_eq!(unfiltered, (0..all.len()).collect::<Vec<_>>());
+        }
+
+        /// Random tie-dense menus (repeated prefixes, shared loops, the
+        /// empty prefix) pack without changing any answer.
+        #[test]
+        fn packed_menus_answer_like_slice_comparisons(
+            rows in proptest::collection::vec(proptest::collection::vec(0u32..6, 0..5), 0..24),
+        ) {
+            let mut sp = tce_expr::IndexSpace::new();
+            let ids: Vec<IndexId> = (0..6).map(|i| sp.declare(&format!("x{i}"), 4)).collect();
+            let prefixes: Vec<FusionPrefix> = rows
+                .iter()
+                .map(|r| {
+                    let mut seq: Vec<IndexId> = Vec::new();
+                    for &i in r {
+                        if !seq.contains(&ids[i as usize]) {
+                            seq.push(ids[i as usize]);
+                        }
+                    }
+                    FusionPrefix::new(seq)
+                })
+                .collect();
+            proptest::prop_assert!(Menu::new(prefixes.iter().collect()).packed.is_some());
+            assert_menu_matches_plain(&prefixes);
         }
     }
 }

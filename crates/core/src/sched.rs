@@ -173,11 +173,19 @@ pub(crate) struct Scheduler {
     model: SpawnModel,
 }
 
+/// [`std::thread::available_parallelism`], read once per process: on
+/// Linux each call reads the cgroup quota files (about 16 µs in a 2-vCPU
+/// VM), and a request runs two or three searches.
+pub(crate) fn available_parallelism() -> Option<usize> {
+    static HW: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
+    *HW.get_or_init(|| std::thread::available_parallelism().ok().map(|n| n.get()))
+}
+
 impl Scheduler {
     pub fn new(threads: usize, spawn_amort_ns: Option<u64>) -> Self {
         Self {
             threads,
-            hw: std::thread::available_parallelism().map_or(usize::MAX, |n| n.get()),
+            hw: available_parallelism().unwrap_or(usize::MAX),
             amort_ns: spawn_amort_ns.unwrap_or(DEFAULT_SPAWN_AMORT_NS),
             model: SpawnModel::new(),
         }

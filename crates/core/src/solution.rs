@@ -35,6 +35,15 @@
 //! search. That scan survives only as the reference of this module's tests;
 //! the `frontier` fuzz oracle checks the staircase search end to end
 //! against a run with the corner queries switched off.
+//!
+//! # One entry per key
+//!
+//! The key pass (DESIGN.md §13) keeps, per key, only the lexicographically
+//! least `(cost, mem, msg)` candidate that fits the limit, the first one
+//! offered winning an exact tie ([`Keep::LeastPerKey`]). Its staircase is
+//! that one entry, so the corner query is unchanged — and still sound: an
+//! entry at least as good as a corner on all three axes is also
+//! lexicographically at most every candidate the corner bounds.
 
 use std::collections::HashMap;
 
@@ -167,6 +176,24 @@ struct KeyFront {
     stair: Vec<Stair>,
 }
 
+/// What a [`SolutionSet`] keeps of the candidates offered under one key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Keep {
+    /// Every candidate that fits the memory limit (the §3.3 pruning
+    /// ablation).
+    All,
+    /// The Pareto staircase over `(cost, mem, msg)`: the exact search.
+    Pareto,
+    /// The lexicographically least `(cost, mem, msg)`, first on an exact
+    /// tie: the key pass.
+    LeastPerKey,
+}
+
+/// `a` is lexicographically at most `b` on `(cost, mem, msg)`.
+fn lex_le(a: (f64, u128, u128), b: (f64, u128, u128)) -> bool {
+    a.0 < b.0 || (a.0 == b.0 && (a.1, a.2) <= (b.1, b.2))
+}
+
 /// Is some staircase entry at least as good as `(cost, mem, msg)` on all
 /// three axes? Binary search on the cost axis, backward walk with envelope
 /// early-exit.
@@ -264,19 +291,18 @@ pub struct SolutionSet {
     /// interleaving-dependent because a dominance tail-break can preempt
     /// later rows' warm checks.
     pub bnb_warm: u64,
-    /// When `false`, dominated candidates are kept (the §3.3 pruning
-    /// ablation); memory-limit pruning stays active.
-    pruning_enabled: bool,
-    /// Whether branch-and-bound corner queries are allowed (requires the
-    /// staircase, i.e. pruning on).
+    /// What each key keeps; memory-limit pruning is active in every mode.
+    keep: Keep,
+    /// Whether branch-and-bound corner queries are allowed (requires a
+    /// staircase, i.e. not [`Keep::All`]).
     bounds_enabled: bool,
 }
 
 impl SolutionSet {
-    /// Empty set with both mode knobs explicit: dominance pruning and
-    /// branch-and-bound corner queries (forced off without pruning, which
-    /// keeps no staircase for the corner query to read).
-    pub fn with_mode(pruning: bool, bounds: bool) -> Self {
+    /// Empty set with both mode knobs explicit: what each key keeps and
+    /// branch-and-bound corner queries (forced off under [`Keep::All`],
+    /// which keeps no staircase for the corner query to read).
+    pub(crate) fn with_mode(keep: Keep, bounds: bool) -> Self {
         Self {
             arena: Arena::default(),
             keys: FxHashMap::default(),
@@ -289,15 +315,15 @@ impl SolutionSet {
             bnb_skip: 0,
             bnb_block: 0,
             bnb_warm: 0,
-            pruning_enabled: pruning,
-            bounds_enabled: bounds && pruning,
+            keep,
+            bounds_enabled: bounds && keep != Keep::All,
         }
     }
 
     /// An empty set in the same mode — what worker threads start from so
     /// [`Self::absorb`] merges like with like.
     pub fn empty_like(&self) -> Self {
-        Self::with_mode(self.pruning_enabled, self.bounds_enabled)
+        Self::with_mode(self.keep, self.bounds_enabled)
     }
 
     /// Entries in storage (live + dead). Valid indices for the accessors
@@ -404,14 +430,19 @@ impl SolutionSet {
         msg: u128,
         choice: impl FnOnce() -> Option<Box<Choice>>,
     ) -> bool {
-        if self.pruning_enabled {
-            let dominated = handle
-                .slot
-                .is_some_and(|s| stair_dominated(&self.fronts[s as usize].stair, cost, mem, msg));
-            if dominated {
-                self.pruned_inferior += 1;
-                return false;
+        let rejected = handle.slot.is_some_and(|s| {
+            let stair = &self.fronts[s as usize].stair;
+            match self.keep {
+                Keep::All => false,
+                Keep::Pareto => stair_dominated(stair, cost, mem, msg),
+                Keep::LeastPerKey => {
+                    stair.first().is_some_and(|e| lex_le((e.cost, e.mem, e.msg), (cost, mem, msg)))
+                }
             }
+        });
+        if rejected {
+            self.pruned_inferior += 1;
+            return false;
         }
         let idx = self.arena.len() as u32;
         let slot = match handle.slot {
@@ -425,27 +456,39 @@ impl SolutionSet {
             }
         };
         let kf = &mut self.fronts[slot];
-        if self.pruning_enabled {
-            // Every entry the newcomer dominates has cost >= `cost`, so
-            // eviction only scans the staircase tail.
-            let p0 = kf.stair.partition_point(|e| e.cost < cost);
-            let mut w = p0;
-            for r in p0..kf.stair.len() {
-                let e = kf.stair[r];
-                if mem <= e.mem && msg <= e.msg {
-                    remove_sorted(&mut kf.live, e.idx);
-                    remove_sorted(&mut self.live_all, e.idx);
-                } else {
-                    kf.stair[w] = e;
-                    w += 1;
+        let newcomer = Stair { cost, mem, msg, env_mem: mem, env_msg: msg, idx };
+        match self.keep {
+            Keep::All => {}
+            Keep::Pareto => {
+                // Every entry the newcomer dominates has cost >= `cost`, so
+                // eviction only scans the staircase tail.
+                let p0 = kf.stair.partition_point(|e| e.cost < cost);
+                let mut w = p0;
+                for r in p0..kf.stair.len() {
+                    let e = kf.stair[r];
+                    if mem <= e.mem && msg <= e.msg {
+                        remove_sorted(&mut kf.live, e.idx);
+                        remove_sorted(&mut self.live_all, e.idx);
+                    } else {
+                        kf.stair[w] = e;
+                        w += 1;
+                    }
                 }
+                kf.stair.truncate(w);
+                // Insert the newcomer after its cost ties (its storage index
+                // is the maximum, keeping `(cost, idx)` order).
+                let p = kf.stair.partition_point(|e| e.cost <= cost);
+                kf.stair.insert(p, newcomer);
+                rebuild_envelopes(&mut kf.stair, p0.min(p));
             }
-            kf.stair.truncate(w);
-            // Insert the newcomer after its cost ties (its storage index is
-            // the maximum, keeping `(cost, idx)` order).
-            let p = kf.stair.partition_point(|e| e.cost <= cost);
-            kf.stair.insert(p, Stair { cost, mem, msg, env_mem: 0, env_msg: 0, idx });
-            rebuild_envelopes(&mut kf.stair, p0.min(p));
+            Keep::LeastPerKey => {
+                // The newcomer is strictly less than the key's one entry.
+                if let Some(e) = kf.stair.pop() {
+                    kf.live.clear();
+                    remove_sorted(&mut self.live_all, e.idx);
+                }
+                kf.stair.push(newcomer);
+            }
         }
         kf.live.push(idx);
         self.live_all.push(idx);
@@ -510,7 +553,8 @@ impl SolutionSet {
 
     /// Fold a worker-local set into this one, replaying the worker's
     /// accepted candidates *in their original insertion order* through the
-    /// dominance filter.
+    /// dominance filter (or, under [`Keep::LeastPerKey`], the per-key
+    /// minimum).
     ///
     /// Because dominance (`≤` on cost, memory, and buffer) is transitive,
     /// merging per-worker sets in the order their chunks partition the
@@ -528,11 +572,17 @@ impl SolutionSet {
     /// dominated too. Only the `bnb_skip`/`bnb_block` totals (how the work
     /// was avoided, not its outcome) depend on the thread count.
     ///
+    /// Under [`Keep::LeastPerKey`] a chunk accepts exactly its running
+    /// per-key minima, and the serial stream accepts a later chunk's
+    /// candidate only if it undercuts everything before it — which is one
+    /// of that chunk's running minima, replayed here against the same
+    /// prefix minimum. So the replay is exact in this mode too.
+    ///
     /// The caller must construct `other` with the same mode (see
     /// [`Self::empty_like`]); its entries already passed the shared memory
     /// limit, so no limit is re-checked here.
     pub fn absorb(&mut self, other: SolutionSet) {
-        debug_assert_eq!(self.pruning_enabled, other.pruning_enabled);
+        debug_assert_eq!(self.keep, other.keep);
         self.candidates_seen += other.candidates_seen;
         self.pruned_inferior += other.pruned_inferior;
         self.pruned_memory += other.pruned_memory;
@@ -796,7 +846,7 @@ mod tests {
     impl SolutionSet {
         /// Empty set with dominance pruning and corner queries on.
         fn new() -> Self {
-            Self::with_mode(true, true)
+            Self::with_mode(Keep::Pareto, true)
         }
 
         /// Offer a candidate; it is kept only if it fits `mem_limit` and is not
@@ -1112,7 +1162,9 @@ mod tests {
         let mut r = ScanRef::default();
         r.insert(&sol(d1, 5.0, 50, 5), u128::MAX);
         assert!(r.dominates_corner(d1, 100.0, 1000, 1000));
-        for mut set in [SolutionSet::with_mode(false, true), SolutionSet::with_mode(true, false)] {
+        for mut set in
+            [SolutionSet::with_mode(Keep::All, true), SolutionSet::with_mode(Keep::Pareto, false)]
+        {
             set.insert(sol(d1, 5.0, 50, 5), u128::MAX);
             assert!(!set.bounds_active());
             assert!(!set.dominates_corner(&set.key_handle(d1, &f), 100.0, 1000, 1000));
@@ -1159,7 +1211,7 @@ mod tests {
     #[test]
     fn absorb_with_pruning_disabled_concatenates() {
         let (d1, _) = dists();
-        let mut out = SolutionSet::with_mode(false, false);
+        let mut out = SolutionSet::with_mode(Keep::All, false);
         let mut local = out.empty_like();
         local.insert(sol(d1, 10.0, 100, 5), u128::MAX);
         local.insert(sol(d1, 11.0, 120, 6), u128::MAX); // dominated but kept
@@ -1229,6 +1281,104 @@ mod tests {
             }
             merged.absorb(local);
             assert_matches_ref(&merged, &r, "chunked absorb");
+        }
+
+        /// One entry per key: after every candidate, each key's live entry
+        /// is the lexicographic minimum of the feasible candidates offered
+        /// so far under it, the first one on an exact tie; the live lists
+        /// hold exactly those entries; the corner query is "the live entry
+        /// is <= the corner on all three axes"; and absorbing the stream
+        /// cut at random chunk boundaries reproduces the serial set.
+        #[test]
+        fn one_entry_per_key_keeps_the_first_lexicographic_minimum(
+            stream in proptest::collection::vec(0u32..300, 1..48),
+            corners in proptest::collection::vec(0u32..600, 6),
+            cuts in proptest::collection::vec(proptest::bool::ANY, 48),
+            limit in 3u32..8,
+        ) {
+            let keys = three_keys();
+            let limit = u128::from(limit);
+            let f = FusionPrefix::empty();
+            let lex = |s: &Solution| (s.comm_cost, s.mem_words, s.max_msg_words);
+            // Each candidate carries its stream position as its decision
+            // record, so the test can tell which of equal candidates is live.
+            let tagged = |n: usize| {
+                let mut s = candidate(&keys, stream[n]);
+                s.choice = Some(Box::new(Choice {
+                    pattern: None,
+                    children: Vec::new(),
+                    result_rotate_cost: n as f64,
+                    surrounding: FusionPrefix::empty(),
+                }));
+                s
+            };
+            let mut set = SolutionSet::with_mode(Keep::LeastPerKey, true);
+            for n in 0..stream.len() {
+                set.insert(tagged(n), limit);
+                let mut want_live = Vec::new();
+                for &d in &keys {
+                    let fits = |&m: &usize| {
+                        let s = candidate(&keys, stream[m]);
+                        s.dist == d && s.mem_words + s.max_msg_words <= limit
+                    };
+                    // `min_by` keeps the first of equal elements.
+                    let best = (0..=n).filter(fits).min_by(|&a, &b| {
+                        let (a, b) = (candidate(&keys, stream[a]), candidate(&keys, stream[b]));
+                        lex(&a).partial_cmp(&lex(&b)).expect("no NaN costs")
+                    });
+                    let got = set.lookup(d, &f);
+                    match best {
+                        None => proptest::prop_assert!(got.is_empty()),
+                        Some(m) => {
+                            proptest::prop_assert_eq!(got.len(), 1, "key {:?}", d);
+                            let i = got[0];
+                            let tag = set.choice(i).map(|c| c.result_rotate_cost);
+                            proptest::prop_assert_eq!(tag, Some(m as f64));
+                            want_live.push(i);
+                        }
+                    }
+                    for &c in &corners {
+                        let (cost, mem) = (f64::from(c / 3 % 10) * 0.25, u128::from(c / 30 % 5));
+                        let msg = u128::from(c / 150 % 4);
+                        let want = got.first().is_some_and(|&i| {
+                            set.cost(i) <= cost && set.mem(i) <= mem && set.msg(i) <= msg
+                        });
+                        proptest::prop_assert_eq!(
+                            set.dominates_corner(&set.key_handle(d, &f), cost, mem, msg),
+                            want
+                        );
+                    }
+                }
+                want_live.sort_unstable();
+                proptest::prop_assert_eq!(live(&set), want_live);
+                proptest::prop_assert_eq!(set.key_count(), set.live_len());
+                proptest::prop_assert!(set.max_key_live() <= 1);
+            }
+            let mut merged = SolutionSet::with_mode(Keep::LeastPerKey, true);
+            let mut local = merged.empty_like();
+            for (n, &cut) in cuts.iter().enumerate().take(stream.len()) {
+                local.insert(tagged(n), limit);
+                if cut {
+                    merged.absorb(std::mem::replace(&mut local, merged.empty_like()));
+                }
+            }
+            merged.absorb(local);
+            proptest::prop_assert_eq!(merged.len(), set.len());
+            let tag = |s: &SolutionSet, i: usize| s.choice(i).map(|c| c.result_rotate_cost);
+            for i in 0..set.len() {
+                proptest::prop_assert_eq!(tag(&merged, i), tag(&set, i));
+            }
+            proptest::prop_assert_eq!(live(&merged), live(&set));
+            proptest::prop_assert_eq!(
+                (merged.candidates_seen, merged.pruned_inferior, merged.pruned_memory),
+                (set.candidates_seen, set.pruned_inferior, set.pruned_memory)
+            );
+            // Compaction keeps exactly the live entries, one per key.
+            let tags = |s: &SolutionSet| s.live_indices().map(|i| tag(s, i)).collect::<Vec<_>>();
+            let before = tags(&set);
+            set.compact();
+            proptest::prop_assert_eq!(tags(&set), before);
+            proptest::prop_assert_eq!(set.len(), set.key_count());
         }
     }
 }

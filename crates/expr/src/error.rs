@@ -19,6 +19,10 @@ pub enum ExprError {
     /// The arrays' volumes sum past `u128`, so a plan's memory footprint
     /// could not be summed exactly ([`crate::FormulaSequence::validate`]).
     FootprintTooLarge,
+    /// A formula's loop nest (every index of its operands) has 2^128 or
+    /// more points, so its operation count overflows `u128`. Carries the
+    /// result's name and the rendered loop indices.
+    LoopNestTooLarge(String, String),
     /// Syntax error while parsing, with a source position.
     Parse {
         /// 1-based source line of the error.
@@ -48,6 +52,11 @@ impl fmt::Display for ExprError {
                 "the arrays are too large together: the sum of their volumes overflows a \
                  128-bit word count, so no memory footprint can be represented"
             ),
+            ExprError::LoopNestTooLarge(name, loops) => write!(
+                f,
+                "the loop nest of `{name}` over {loops} has 2^128 or more points, so its \
+                 operation count overflows a 128-bit count"
+            ),
             ExprError::Parse { line, col, msg } => {
                 write!(f, "parse error on line {line}, column {col}: {msg}")
             }
@@ -70,6 +79,8 @@ mod tests {
         assert!(ExprError::Redefined("T1".into()).to_string().contains("T1"));
         assert!(ExprError::TooLarge("A(i,j)".into()).to_string().contains("overflows"));
         assert!(ExprError::FootprintTooLarge.to_string().contains("sum of their volumes"));
+        let nest = ExprError::LoopNestTooLarge("T".into(), "(a,b)".into());
+        assert!(nest.to_string().contains("loop nest of `T` over (a,b)"));
         assert!(ExprError::Malformed("x".into()).to_string().contains("malformed"));
         assert!(ExprError::NotAContraction("y".into())
             .to_string()

@@ -98,7 +98,9 @@ impl FormulaSequence {
     /// arrays (an input once per use, as [`Self::to_tree`] builds it) plus
     /// one message buffer, so it is at most Σ(array volumes) + max(array
     /// volume). A sequence whose bound overflows is rejected, which keeps
-    /// every footprint sum of the search exact.
+    /// every footprint sum of the search exact. So is one with a loop nest
+    /// (every index of a formula's operands) of 2^128 or more points,
+    /// whose operation count no `u128` can hold.
     pub fn validate(&self) -> Result<&str, ExprError> {
         let mut defined: HashMap<&str, &Tensor> = HashMap::new();
         for t in &self.inputs {
@@ -124,6 +126,12 @@ impl FormulaSequence {
                 }
             }
             let res = f.result();
+            let loops =
+                f.operands().iter().fold(IndexSet::new(), |s, op| s.union(&defined[op].dim_set()));
+            if self.space.checked_volume(loops.as_slice()).is_none() {
+                let rendered = format!("({})", self.space.render(loops.as_slice()));
+                return Err(ExprError::LoopNestTooLarge(res.name.clone(), rendered));
+            }
             self.check_volume(res)?;
             count(res);
             match f {

@@ -45,13 +45,14 @@ impl SumOfProducts {
     /// Flops of the direct (single fused loop nest) implementation: one
     /// point per element of the full iteration space per multiply, i.e.
     /// `n_factors · ∏ N` over all distinct indices — the paper's `4N^10`
-    /// for the four-factor ten-index example.
+    /// for the four-factor ten-index example. Saturates at `u128::MAX`.
     pub fn direct_op_count(&self, space: &IndexSpace) -> u128 {
         let mut all = self.result.dim_set();
         for f in &self.factors {
             all = all.union(&f.dim_set());
         }
-        self.factors.len() as u128 * space.volume(all.as_slice())
+        let volume = space.checked_volume(all.as_slice()).unwrap_or(u128::MAX);
+        volume.saturating_mul(self.factors.len() as u128)
     }
 }
 

@@ -37,12 +37,15 @@
 //!    (`tce_cost::lower_bound`, DESIGN.md §12) never exceeds the DP
 //!    optimum, and the memory-footprint floor never exceeds the winning
 //!    plan's actual per-processor footprint.
-//! 9. **Warm start** — warm-starting the exact branch-and-bound with the
-//!    greedy incumbent (`tce_core::portfolio::plan`) leaves the plan, cost
-//!    bits, footprint and certified floor of the cold `optimize` run
+//! 9. **Warm start** — warm-starting the exact branch-and-bound from the
+//!    key pass (`tce_core::portfolio::plan`) leaves the plan, cost bits,
+//!    footprint and certified floor of the cold `optimize` run
 //!    bit-identical, at the machine limit and at the tightened
 //!    `(mem+msg)·3/4` limit, where both must also agree on feasibility
-//!    (only effort output — counters, frontier shape — may move).
+//!    (only effort output — counters, frontier shape — may move). The key
+//!    pass's own plan must pass every static check and cost at least the
+//!    cold optimum; runs where it finds no plan but the exact search does
+//!    are counted (they only leave the exact search cold).
 //! 10. **Canonicalization & plan cache** — re-rendering the tree with
 //!     reversed declarations (renumbering every index and node id) and
 //!     hash-seeded commutative operand swaps must hash to the same
@@ -145,6 +148,11 @@ pub struct TreeStats {
     pub simulations: usize,
     /// Whether the exhaustive oracle applied.
     pub exhaustive: bool,
+    /// Feasible runs the warm-start oracle checked.
+    pub key_pass_runs: usize,
+    /// Of those, runs where the key pass found no plan that fits (they
+    /// only leave the exact search cold).
+    pub key_pass_misses: usize,
 }
 
 fn base_config(cfg: &FuzzConfig) -> OptimizerConfig {
@@ -295,16 +303,20 @@ fn same_search(
     Ok(())
 }
 
-/// Oracle 9: the greedy warm start of [`tce_core::portfolio::plan`]
+/// Oracle 9: the key-pass warm start of [`tce_core::portfolio::plan`]
 /// against the cold [`optimize`] run `cold` of the same configuration. The
 /// warm cut only removes candidates that cannot beat a real plan's cost,
 /// so both must reach the same verdict and, on success, the same plan
-/// JSON, cost bits, footprint and certified floor.
+/// JSON, cost bits, footprint and certified floor. The key pass's plan is
+/// that real plan: it must pass every static check at the run's limit and
+/// cost at least the optimum. A key pass that finds nothing on a feasible
+/// run is counted in `stats`.
 fn warm_matches_cold(
     tree: &ExprTree,
     cm: &CostModel,
     cfg: &OptimizerConfig,
     cold: Result<&tce_core::Optimized, &OptimizeError>,
+    stats: &mut TreeStats,
 ) -> Result<(), String> {
     let warm = tce_core::portfolio::plan(tree, cm, cfg).map(|p| p.opt);
     let (cold, warm) = match (cold, &warm) {
@@ -333,6 +345,24 @@ fn warm_matches_cold(
     }
     if extract_plan(tree, warm).to_json() != extract_plan(tree, cold).to_json() {
         return Err("warm-started plan differs from cold".into());
+    }
+    stats.key_pass_runs += 1;
+    stats.optimizations += 1;
+    match tce_core::portfolio::key_pass(tree, cm, cfg) {
+        Ok(key) => {
+            if key.comm_cost < cold.comm_cost {
+                return Err(format!(
+                    "key pass {} undercuts the optimum {}",
+                    key.comm_cost, cold.comm_cost
+                ));
+            }
+            let limit = cfg.mem_limit_words.unwrap_or_else(|| cm.mem_limit_words());
+            tce_check::check_plan(tree, &extract_plan(tree, &key), Some(cm), Some(limit))
+                .to_result()
+                .map_err(|e| format!("key-pass plan fails checks: {e}"))?;
+        }
+        Err(OptimizeError::NoFeasibleSolution { .. }) => stats.key_pass_misses += 1,
+        Err(e) => return Err(format!("key pass failed on a feasible run: {e}")),
     }
     Ok(())
 }
@@ -462,9 +492,9 @@ pub fn check_tree(tree: &ExprTree, cfg: &FuzzConfig) -> Result<TreeStats, Failur
                 .map_err(|d| fail("scheduler", format!("p={procs} t={t}: stealing: {d}")))?;
         }
 
-        // Oracle 9: the greedy warm start of `portfolio::plan` against the
-        // cold reference run (again at the tight limit below).
-        warm_matches_cold(tree, &cm, &base_cfg, Ok(&base))
+        // Oracle 9: the key-pass warm start of `portfolio::plan` against
+        // the cold reference run (again at the tight limit below).
+        warm_matches_cold(tree, &cm, &base_cfg, Ok(&base), &mut stats)
             .map_err(|d| fail("warm_start", format!("p={procs}: {d}")))?;
         stats.optimizations += 2;
 
@@ -669,7 +699,7 @@ pub fn check_tree(tree: &ExprTree, cfg: &FuzzConfig) -> Result<TreeStats, Failur
             let tight_cfg = OptimizerConfig { mem_limit_words: Some(tight), ..base_config(cfg) };
             let r = optimize(tree, &cm, &tight_cfg);
             stats.optimizations += 1;
-            warm_matches_cold(tree, &cm, &tight_cfg, r.as_ref())
+            warm_matches_cold(tree, &cm, &tight_cfg, r.as_ref(), &mut stats)
                 .map_err(|d| fail("warm_start", format!("p={procs} tight={tight}: {d}")))?;
             stats.optimizations += 2;
             match r {
@@ -852,6 +882,11 @@ pub struct FuzzSummary {
     pub simulations: usize,
     /// Trees covered by the exhaustive oracle.
     pub exhaustive_trees: usize,
+    /// Feasible runs the warm-start oracle checked.
+    pub key_pass_runs: usize,
+    /// Of those, runs where the key pass found no plan that fits (they
+    /// only leave the exact search cold).
+    pub key_pass_misses: usize,
     /// Failures, with the seed, the minimized tree's `.tce` source, and
     /// the corpus path when one was written.
     pub failures: Vec<SeedFailure>,
@@ -889,6 +924,8 @@ pub fn run_seeds(
                 summary.optimizations += stats.optimizations;
                 summary.simulations += stats.simulations;
                 summary.exhaustive_trees += usize::from(stats.exhaustive);
+                summary.key_pass_runs += stats.key_pass_runs;
+                summary.key_pass_misses += stats.key_pass_misses;
                 if seed.wrapping_sub(start) % 25 == 24 {
                     log(&format!(
                         "  … seed {seed}: {} seeds clean so far",

@@ -304,8 +304,11 @@ fn unused(ctx: &LintContext<'_>, out: &mut Diagnostics) {
     }
 }
 
-/// TCE108: arrays whose full volume overflows `u128`, or whose volumes
-/// together do (the footprint bound of [`tce_expr::FormulaSequence::validate`]).
+/// TCE108: arrays whose full volume overflows `u128`, arrays whose
+/// volumes together do (the footprint bound of
+/// [`tce_expr::FormulaSequence::validate`]), and loop nests of the
+/// lowered program that do (an intermediate's loop nest holds its
+/// dimensions, so no intermediate overflows before its loop nest does).
 /// Lowering rejects such a program, so the TCE107 prover (which lowers
 /// first) stays silent and this is the finding the user sees.
 fn volume_overflow(ctx: &LintContext<'_>, out: &mut Diagnostics) {
@@ -328,18 +331,26 @@ fn volume_overflow(ctx: &LintContext<'_>, out: &mut Diagnostics) {
             out.push(d);
         }
     }
-    if flagged.is_empty() && matches!(ctx.lowered(), Err(ExprError::FootprintTooLarge)) {
-        out.push(
-            Diagnostic::error(
-                codes::VOLUME_OVERFLOW,
-                "the arrays are too large together: the sum of their volumes reaches 2^128",
-            )
-            .note(
-                "a plan's memory footprint counts every array (an input once per use) plus \
-                 one message buffer, and could not be represented; shrink the extents",
-            ),
-        );
+    if !flagged.is_empty() {
+        return; // lowering fails on the flagged array first
     }
+    let diag = match ctx.lowered() {
+        Err(ExprError::FootprintTooLarge) => Diagnostic::error(
+            codes::VOLUME_OVERFLOW,
+            "the arrays are too large together: the sum of their volumes reaches 2^128",
+        )
+        .note(
+            "a plan's memory footprint counts every array (an input once per use) plus \
+             one message buffer, and could not be represented; shrink the extents",
+        ),
+        Err(ExprError::LoopNestTooLarge(name, loops)) => Diagnostic::error(
+            codes::VOLUME_OVERFLOW,
+            format!("the loop nest of `{name}` over {loops} has 2^128 or more points"),
+        )
+        .note("its operation count could not be represented; shrink the extents"),
+        _ => return,
+    };
+    out.push(diag);
 }
 
 /// TCE105: extents the processor grid cannot divide. The simulator

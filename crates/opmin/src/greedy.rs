@@ -12,7 +12,8 @@ use tce_expr::{ExprError, Formula, FormulaSequence, IndexSet, IndexSpace, SumOfP
 /// Result of the greedy heuristic.
 #[derive(Clone, Debug)]
 pub struct GreedyResult {
-    /// Total flops of the greedy order (including unary pre-summations).
+    /// Total flops of the greedy order (including unary pre-summations),
+    /// saturating at `u128::MAX`.
     pub flops: u128,
     /// Number of pairwise contractions performed.
     pub contractions: usize,
@@ -29,6 +30,13 @@ fn reduce_dims(
     IndexSet::from_iter(dims.iter().filter(|&d| {
         !sum.contains(d) || result.contains(d) || others.iter().any(|o| o.contains(d))
     }))
+}
+
+/// The volume of `dims`, saturating at `u128::MAX`: an order through a
+/// loop nest that large prices last, and validation rejects a term that
+/// cannot avoid one.
+fn saturating_volume(space: &IndexSpace, dims: &IndexSet) -> u128 {
+    space.checked_volume(dims.as_slice()).unwrap_or(u128::MAX)
 }
 
 /// Run the greedy heuristic.
@@ -48,7 +56,7 @@ pub fn minimize_operations_greedy(space: &IndexSpace, term: &SumOfProducts) -> G
             let mut elim: Vec<_> = working[i].difference(&reduced).iter().collect();
             elim.sort_by_key(|&d| std::cmp::Reverse(space.extent(d)));
             for d in elim {
-                flops += space.volume(dims.as_slice());
+                flops = flops.saturating_add(saturating_volume(space, &dims));
                 dims.remove(d);
             }
             working[i] = reduced;
@@ -62,14 +70,14 @@ pub fn minimize_operations_greedy(space: &IndexSpace, term: &SumOfProducts) -> G
         for i in 0..working.len() {
             for j in i + 1..working.len() {
                 let union = working[i].union(&working[j]);
-                let cost = 2 * space.volume(union.as_slice());
+                let cost = 2u128.saturating_mul(saturating_volume(space, &union));
                 if best.is_none_or(|(c, _, _)| cost < c) {
                     best = Some((cost, i, j));
                 }
             }
         }
         let (cost, i, j) = best.expect("at least one pair remains");
-        flops += cost;
+        flops = flops.saturating_add(cost);
         contractions += 1;
         let merged_raw = working[i].union(&working[j]);
         let b = working.remove(j);
@@ -184,7 +192,7 @@ pub fn greedy_sequence(
         for i in 0..working.len() {
             for j in i + 1..working.len() {
                 let union = working[i].1.union(&working[j].1);
-                let cost = 2 * space.volume(union.as_slice());
+                let cost = 2u128.saturating_mul(saturating_volume(space, &union));
                 if best.is_none_or(|(c, _, _)| cost < c) {
                     best = Some((cost, i, j));
                 }

@@ -21,13 +21,21 @@ pub fn lower_program(prog: &Program) -> Result<FormulaSequence, ExprError> {
         match st {
             Statement::Formula(f) => seq.formulas.push(f.clone()),
             Statement::BigTerm(term) => {
+                let prefix = format!("{}_", term.result.name);
                 let sub = if term.factors.len() <= EXACT_FACTOR_LIMIT {
                     let res = minimize_operations(&prog.space, term);
-                    to_sequence(&prog.space, term, &res)?
+                    to_sequence(&prog.space, term, &res)
                 } else {
-                    greedy_sequence(&prog.space, term)?
+                    greedy_sequence(&prog.space, term)
                 };
-                let prefix = format!("{}_", term.result.name);
+                // Name an oversized loop nest's result as the program will.
+                let sub = sub.map_err(|e| match e {
+                    ExprError::LoopNestTooLarge(mut n, loops) => {
+                        fix_name(&mut n, &prefix);
+                        ExprError::LoopNestTooLarge(n, loops)
+                    }
+                    e => e,
+                })?;
                 for f in sub.formulas {
                     seq.formulas.push(rename(f, &prefix));
                 }
@@ -38,12 +46,15 @@ pub fn lower_program(prog: &Program) -> Result<FormulaSequence, ExprError> {
     Ok(seq)
 }
 
+/// Prefix an intermediate's `_tN` name with its statement's `<result>_`.
+fn fix_name(s: &mut String, prefix: &str) {
+    if s.starts_with("_t") {
+        *s = format!("{prefix}{}", &s[1..]);
+    }
+}
+
 fn rename(mut f: Formula, prefix: &str) -> Formula {
-    let fix = |s: &mut String| {
-        if s.starts_with("_t") {
-            *s = format!("{prefix}{}", &s[1..]);
-        }
-    };
+    let fix = |s: &mut String| fix_name(s, prefix);
     match &mut f {
         Formula::Mul { result, lhs, rhs } => {
             fix(&mut result.name);
@@ -116,5 +127,30 @@ Y[j,l] = sum[i,k] A[i,j]*B[j,k]*C[k,l];
         assert!(names.contains(&"X") && names.contains(&"Y"));
         let uniq: std::collections::HashSet<_> = names.iter().collect();
         assert_eq!(uniq.len(), names.len(), "no name collisions: {names:?}");
+    }
+
+    /// Operation minimization prices loop nests without wrapping: when
+    /// some order keeps every loop nest below 2^128 points it wins (here by
+    /// summing `c` and `e` away first), and when none does the program is
+    /// rejected by the loop nest of the order it would run.
+    #[test]
+    fn oversized_loop_nests_never_wrap() {
+        let fits = "\
+range a, b, c, d, e, f = 4294967296;
+input A[a,b]; input B[b,c,d]; input C[d,e,f];
+S[a,f] = sum[b,c,d,e] A[a,b]*B[b,c,d]*C[d,e,f];
+";
+        lower_program(&parse(fits).unwrap()).unwrap();
+        let overflows = "\
+range a, b, c, d = 8796093022208;
+input A[a,b]; input B[b,c]; input C[c,d];
+S[a,d] = sum[b,c] A[a,b]*B[b,c]*C[c,d];
+";
+        match lower_program(&parse(overflows).unwrap()) {
+            Err(ExprError::LoopNestTooLarge(name, loops)) => {
+                assert_eq!((name.as_str(), loops.as_str()), ("S_t1", "(a,b,c,d)"));
+            }
+            other => panic!("expected LoopNestTooLarge, got {other:?}"),
+        }
     }
 }

@@ -31,7 +31,8 @@ pub struct Pairing {
 /// The optimized decomposition of one term.
 #[derive(Clone, Debug)]
 pub struct OpMinResult {
-    /// Flops of the optimal binary contraction order.
+    /// Flops of the optimal binary contraction order (saturating at
+    /// `u128::MAX`).
     pub flops: u128,
     /// Flops of the direct (single loop nest) evaluation, for the paper's
     /// `4N^10` vs `6N^6` comparison.
@@ -61,12 +62,13 @@ fn reduction_order(space: &IndexSpace, elim: &IndexSet) -> Vec<IndexId> {
     order
 }
 
-/// Flops of the unary summation chain removing `elim` from `factor`.
+/// Flops of the unary summation chain removing `elim` from `factor`,
+/// saturating at `u128::MAX` (an array that large fails validation).
 fn reduction_chain_cost(space: &IndexSpace, factor: &Tensor, elim: &IndexSet) -> u128 {
-    let mut vol = space.volume(&factor.dims);
+    let Some(mut vol) = space.checked_volume(&factor.dims) else { return u128::MAX };
     let mut cost = 0u128;
     for id in reduction_order(space, elim) {
-        cost += vol;
+        cost = cost.saturating_add(vol);
         vol /= space.extent(id) as u128;
     }
     cost
@@ -124,12 +126,17 @@ pub fn minimize_operations(space: &IndexSpace, term: &SumOfProducts) -> OpMinRes
                 if let (Some(&(lc, _)), Some(&(rc, _))) = (best.get(&left), best.get(&right)) {
                     // Multiply-add over the union of the operand index
                     // sets (2 flops per point when something is summed).
+                    // Costs saturate: a loop nest of 2^128 or more points
+                    // prices as `u128::MAX`, so any order that avoids one
+                    // wins, and validation rejects a term that cannot.
                     let ldims = subset_dims(left, &term.factors, &term.sum, &result_dims);
                     let rdims = subset_dims(right, &term.factors, &term.sum, &result_dims);
                     let loop_set = ldims.union(&rdims);
                     let per_point: u128 =
                         if elim.is_empty() && dims_here == loop_set { 1 } else { 2 };
-                    let cost = lc + rc + per_point * space.volume(loop_set.as_slice());
+                    let volume = space.checked_volume(loop_set.as_slice()).unwrap_or(u128::MAX);
+                    let cost =
+                        lc.saturating_add(rc).saturating_add(per_point.saturating_mul(volume));
                     if entry.is_none_or(|(c, _)| cost < c) {
                         entry = Some((cost, (left, right)));
                     }

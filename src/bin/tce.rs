@@ -1017,12 +1017,15 @@ fn cmd_fuzz(args: &Args, out: Out) -> Result<(), Failure> {
     writeln!(
         out,
         "fuzzed seeds {}..{}: {} optimizer configs, {} simulations, \
-         {} trees covered by the exhaustive oracle",
+         {} trees covered by the exhaustive oracle, \
+         key pass found no plan on {} of {} feasible warm-start runs",
         args.fuzz_start,
         args.fuzz_start + summary.seeds_run,
         summary.optimizations,
         summary.simulations,
         summary.exhaustive_trees,
+        summary.key_pass_misses,
+        summary.key_pass_runs,
     )?;
     if summary.failures.is_empty() {
         writeln!(out, "no discrepancies found")?;

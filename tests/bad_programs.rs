@@ -32,6 +32,7 @@ const EXPECTED: &[(&str, &str, bool, &str)] = &[
     ("infeasible_memory.tce", codes::MEMORY_INFEASIBLE, true, "provably infeasible"),
     ("volume_overflow.tce", codes::VOLUME_OVERFLOW, true, "`A(i,j,k,t)` has 2^128 or more"),
     ("footprint_overflow.tce", codes::VOLUME_OVERFLOW, true, "the sum of their volumes reaches"),
+    ("loop_nest_overflow.tce", codes::VOLUME_OVERFLOW, true, "loop nest of `S_t1` over (a,b,c,d)"),
 ];
 
 fn lint_file(dir: &str, file: &str) -> tensor_contraction_opt::check::diag::CheckReport {
@@ -143,4 +144,12 @@ fn volume_overflow_exits_1_from_every_command() {
 #[test]
 fn footprint_overflow_exits_1_from_every_command() {
     exits_1_from_every_command("footprint_overflow.tce", "the sum of their volumes");
+}
+
+/// A term whose every contraction order runs a loop nest of 2^128 or more
+/// points: operation minimization prices it without wrapping, and
+/// lowering rejects the program by the loop nest it names.
+#[test]
+fn loop_nest_overflow_exits_1_from_every_command() {
+    exits_1_from_every_command("loop_nest_overflow.tce", "loop nest of `S_t1` over (a,b,c,d)");
 }

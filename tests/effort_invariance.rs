@@ -6,7 +6,7 @@
 //! byte-identical whatever effort the search spends:
 //!
 //! - 1, 2 or 4 worker threads;
-//! - the greedy warm start of `portfolio::plan` or the cold `optimize`;
+//! - the key-pass warm start of `portfolio::plan` or the cold `optimize`;
 //! - in-run subtree reuse on or off;
 //! - the search's use of the lower bounds on or off;
 //! - a fresh search or a plan-cache warm hit (a cached run has no solution

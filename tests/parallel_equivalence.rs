@@ -238,3 +238,53 @@ fn skewed_trees_identical_across_thread_counts() {
         }
     }
 }
+
+/// The request path: `portfolio::plan` (the key pass, then the exact
+/// search under its bound) with spawning forced at 2 and 4 threads, on
+/// every workload at 16 procs and on the benchmark's enlarged cell. Both
+/// searches merge worker-local sets through `SolutionSet::absorb`, the
+/// key pass in its one-entry-per-key mode, so the key pass's and the
+/// request's plan, cost bits, `dp.candidates` and per-node live counts
+/// must equal the serial run's.
+#[test]
+fn request_path_identical_across_thread_counts() {
+    use tensor_contraction_opt::core::portfolio::{key_pass, plan};
+    use tensor_contraction_opt::cost::units::PAPER_MB;
+    let trees = workload_trees();
+    let mut cells: Vec<(String, &ExprTree, CostModel, bool)> = trees
+        .iter()
+        .map(|(name, tree)| {
+            let cm = CostModel::for_square(MachineModel::itanium_cluster(), 16).unwrap();
+            (format!("{name} @16"), tree, cm, false)
+        })
+        .collect();
+    let tiny = &trees.iter().find(|(n, _)| n == "ccsd_tiny.tce").expect("ccsd_tiny.tce shipped").1;
+    let mut machine = MachineModel::itanium_cluster();
+    machine.mem_per_node_bytes = (0.0001 * 1024.0 * PAPER_MB) as u64;
+    cells.push((
+        "ccsd_tiny.tce enlarged".into(),
+        tiny,
+        CostModel::for_square(machine, 64).unwrap(),
+        true,
+    ));
+    for (label, tree, cm, enlarged) in &cells {
+        let cfg = |threads: usize| OptimizerConfig {
+            threads,
+            allow_replication: *enlarged,
+            allow_unrelated_rotation: *enlarged,
+            spawn_amort_ns: Some(0),
+            ..Default::default()
+        };
+        let serial_key = key_pass(tree, cm, &cfg(1)).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let serial = plan(tree, cm, &cfg(1)).unwrap_or_else(|e| panic!("{label}: {e}")).opt;
+        for threads in [2, 4] {
+            let key = key_pass(tree, cm, &cfg(threads))
+                .unwrap_or_else(|e| panic!("{label} @{threads}: {e}"));
+            assert_identical(&format!("{label} key pass @{threads}"), tree, &serial_key, &key);
+            let parallel = plan(tree, cm, &cfg(threads))
+                .unwrap_or_else(|e| panic!("{label} @{threads}: {e}"))
+                .opt;
+            assert_identical(&format!("{label} request @{threads}"), tree, &serial, &parallel);
+        }
+    }
+}
