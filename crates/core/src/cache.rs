@@ -663,6 +663,7 @@ fn instantiate(
         worker_busy_us: Default::default(),
         comm_lower_bound: entry.comm_lower_bound,
         comm_floor_exact: entry.comm_floor_exact,
+        lifted: None,
     };
     Some(CachedRun { plan, opt })
 }

@@ -250,6 +250,22 @@ pub struct Optimized {
     /// [`NodeStats::floor_exact`] and the fallback count is the
     /// `lb.floor_fallback` counter.
     pub comm_floor_exact: bool,
+    /// The optimum with the memory limit lifted: `Some` for every run of
+    /// the explained search ([`crate::portfolio::plan_explained`]), which
+    /// checks the limit at root selection alone, so its root set holds
+    /// both answers (DESIGN.md §13); `None` for any other run.
+    pub lifted: Option<Lifted>,
+}
+
+/// The optimum of a search with the memory limit lifted, as the explained
+/// search reads it off its root set.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Lifted {
+    /// Total communication cost (seconds), final redistribution included.
+    pub comm_cost: f64,
+    /// Per-processor footprint (memory plus message buffer, words) of the
+    /// first root entry with that cost.
+    pub footprint_words: u128,
 }
 
 /// Reject `input_dists` entries that could never take effect: a name that
@@ -336,11 +352,28 @@ pub fn key_pass(
     run_dp(tree, cm, cfg, Pass::Key)
 }
 
+/// The explained search (DESIGN.md §13): [`optimize`] with the memory
+/// limit checked only where the root is selected. Footprints only grow up
+/// the tree and a dominator of a fitting entry fits too, so the winner
+/// under the limit, its back-pointers and the plan are [`optimize`]'s,
+/// while the same root scan without the limit gives [`Optimized::lifted`].
+/// The memory-feasibility prover still runs with the real limit when the
+/// search is cold.
+pub(crate) fn optimize_explained(
+    tree: &ExprTree,
+    cm: &CostModel,
+    cfg: &OptimizerConfig,
+) -> Result<Optimized, OptimizeError> {
+    run_dp(tree, cm, cfg, Pass::Explained)
+}
+
 /// Which search [`run_dp`] runs.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Pass {
     /// The exact §3.3 search, certified by the floors.
     Exact,
+    /// The exact search with the limit checked at the root alone.
+    Explained,
     /// The one-entry-per-key restriction of [`key_pass`].
     Key,
 }
@@ -351,11 +384,11 @@ fn run_dp(
     cfg: &OptimizerConfig,
     pass: Pass,
 ) -> Result<Optimized, OptimizeError> {
-    let certify = pass == Pass::Exact;
+    let certify = pass != Pass::Key;
     let keep = match pass {
         Pass::Key => Keep::LeastPerKey,
-        Pass::Exact if cfg.disable_pruning => Keep::All,
-        Pass::Exact => Keep::Pareto,
+        _ if cfg.disable_pruning => Keep::All,
+        _ => Keep::Pareto,
     };
     if tree.node(tree.root()).is_leaf() {
         return Err(OptimizeError::Unsupported(
@@ -364,6 +397,9 @@ fn run_dp(
     }
     validate_input_dists(tree, cfg)?;
     let limit = cfg.mem_limit_words.unwrap_or_else(|| cm.mem_limit_words());
+    // The limit the nodes prune by: none in the explained search, whose
+    // root scan applies the real one.
+    let node_limit = if pass == Pass::Explained { u128::MAX } else { limit };
     // Memory-feasibility prover (DESIGN.md §12): every plan must store, at
     // every node, at least the smallest block any layout/fusion allows; if
     // those per-node floors already exceed the limit, the exponential
@@ -604,7 +640,7 @@ fn run_dp(
                         &binary_layouts(tree, cfg, node, *left, *right),
                         &my_prefixes,
                         &sets,
-                        limit,
+                        node_limit,
                         warm_cut,
                         &mut set,
                     ),
@@ -619,7 +655,7 @@ fn run_dp(
                         *sum,
                         &my_prefixes,
                         &sets,
-                        limit,
+                        node_limit,
                         warm_cut,
                         &mut set,
                     ),
@@ -731,6 +767,13 @@ fn run_dp(
     };
     let best_index = select_root_index(root_set, limit, final_redist)
         .ok_or(OptimizeError::NoFeasibleSolution { limit_words: limit })?;
+    let lifted = (pass == Pass::Explained).then(|| {
+        let i = select_root_index(root_set, u128::MAX, final_redist).unwrap_or(best_index);
+        Lifted {
+            comm_cost: root_set.cost(i) + final_redist(root_set.dist(i)),
+            footprint_words: root_set.footprint(i),
+        }
+    });
     let output_redist_cost = final_redist(root_set.dist(best_index));
     let best_cost = root_set.cost(best_index);
     run_span.arg("nodes", counters.get(tce_obs::names::NODES));
@@ -761,6 +804,7 @@ fn run_dp(
             .as_ref()
             .map_or(0.0, |f| tce_cost::bound::certify(f.floors[&tree.root()])),
         comm_floor_exact: floors.as_ref().is_some_and(|f| f.root_exact()),
+        lifted,
     };
     // Self-check: statically verify the winning plan before handing it
     // out. Always on in debug builds; `cfg.verify` extends it to release.

@@ -6,10 +6,10 @@
 use tce_cost::units::{fmt_paper_bytes, fmt_paper_bytes_apart, words_to_bytes};
 use tce_cost::CostModel;
 use tce_expr::ExprTree;
-use tce_obs::names;
 
-use crate::dp::{optimize, OptimizeError, Optimized, OptimizerConfig};
+use crate::dp::{OptimizeError, Optimized, OptimizerConfig};
 use crate::plan::{extract_plan, ExecutionPlan};
+use crate::portfolio::plan_explained;
 
 /// The comparison behind an explanation.
 #[derive(Clone, Debug)]
@@ -28,25 +28,26 @@ pub struct Explanation {
     pub text: String,
 }
 
-/// Optimize once under the memory limit and narrate what the limit cost
-/// (see [`Explanation::from_run`]).
+/// Serve the request the explained way ([`plan_explained`]: one search
+/// gives the plan under the limit and the optimum with it lifted) and
+/// narrate what the limit cost (see [`Explanation::from_run`]).
 pub fn explain(
     tree: &ExprTree,
     cm: &CostModel,
     cfg: &OptimizerConfig,
 ) -> Result<Explanation, OptimizeError> {
-    let constrained = optimize(tree, cm, cfg)?;
-    Explanation::from_run(tree, cm, cfg, &constrained, &extract_plan(tree, &constrained))
+    let run = plan_explained(tree, cm, cfg)?.opt;
+    Explanation::from_run(tree, cm, cfg, &run, &extract_plan(tree, &run))
 }
 
 impl Explanation {
     /// Explain a finished constrained run (`constrained`, searched under
     /// `cfg`, and its extracted `plan`) by comparing it with the optimum
-    /// with the limit lifted. When the limit rejected no candidate of the
-    /// run (`dp.pruned_memory == 0`), the lifted-limit search is the same
-    /// search, so its optimum and footprint are the run's own (DESIGN.md
-    /// §13); otherwise one more search runs, bounded by the constrained
-    /// optimum (see [`Self::unconstrained_config`]).
+    /// with the limit lifted. A run of the explained search carries that
+    /// optimum ([`Optimized::lifted`]), so nothing is searched. Any other
+    /// run (a plan-only search or a plan-cache hit) does not, and then the
+    /// request is served once more the explained way for it; its plan
+    /// class is the same as the given run's (DESIGN.md §13).
     pub fn from_run(
         tree: &ExprTree,
         cm: &CostModel,
@@ -54,12 +55,11 @@ impl Explanation {
         constrained: &Optimized,
         plan: &ExecutionPlan,
     ) -> Result<Explanation, OptimizeError> {
-        let (free_comm, free_fp) = if constrained.counters.get(names::PRUNED_MEMORY) == 0 {
-            (constrained.comm_cost, constrained.mem_words + constrained.max_msg_words)
-        } else {
-            let free = optimize(tree, cm, &Self::unconstrained_config(cfg, constrained.comm_cost))?;
-            (free.comm_cost, free.mem_words + free.max_msg_words)
+        let Some(lifted) = constrained.lifted else {
+            // Every explained run carries `lifted`, so this recurses once.
+            return Self::from_run(tree, cm, cfg, &plan_explained(tree, cm, cfg)?.opt, plan);
         };
+        let (free_comm, free_fp) = (lifted.comm_cost, lifted.footprint_words);
         let limit = cfg.mem_limit_words.unwrap_or_else(|| cm.mem_limit_words());
         let fusions: Vec<String> = plan
             .steps
@@ -109,22 +109,6 @@ impl Explanation {
             fusions,
             text,
         })
-    }
-
-    /// The configuration of the unconstrained comparison search: `cfg`
-    /// with the memory limit lifted, warm-started from the constrained
-    /// optimum `constrained_comm`, and without the release self-check (its
-    /// plan is never emitted; debug builds still check it). The bound is
-    /// admissible (DESIGN.md §13): the constrained optimum is a real plan
-    /// of the unconstrained configuration, so the unconstrained winner and
-    /// every tie with it survive the strict warm cut.
-    pub fn unconstrained_config(cfg: &OptimizerConfig, constrained_comm: f64) -> OptimizerConfig {
-        OptimizerConfig {
-            mem_limit_words: Some(u128::MAX),
-            warm_upper_bound: Some(constrained_comm),
-            verify: false,
-            ..cfg.clone()
-        }
     }
 }
 

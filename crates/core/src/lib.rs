@@ -55,7 +55,7 @@ mod stats;
 
 pub use cache::{cache_key, CacheKey, CachedRun, LookupOutcome, PlanCache, PLAN_CACHE_SCHEMA};
 pub use codegen::render_spmd;
-pub use dp::{optimize, NodeStats, OptimizeError, Optimized, OptimizerConfig};
+pub use dp::{optimize, Lifted, NodeStats, OptimizeError, Optimized, OptimizerConfig};
 pub use explain::{explain, Explanation};
 pub use frontier::{root_frontier, FrontierPoint};
 pub use plan::{

@@ -6,7 +6,7 @@
 //! consuming ("final") contractions.
 
 use tce_cost::compute::RuntimeSummary;
-use tce_cost::units::{fmt_paper_bytes, words_to_bytes};
+use tce_cost::units::{fmt_paper_bytes_legible, words_to_bytes};
 use tce_cost::CostModel;
 use tce_dist::dist_size;
 use tce_expr::{ExprTree, IndexSet, NodeId};
@@ -133,7 +133,7 @@ pub fn render_report(report: &Report) -> String {
             r.reduced.clone(),
             r.init_dist.clone(),
             r.final_dist.clone(),
-            fmt_paper_bytes(r.mem_per_node_bytes),
+            fmt_paper_bytes_legible(r.mem_per_node_bytes),
             fmt_cost(r.comm_init),
             fmt_cost(r.comm_final),
         ]);
@@ -164,8 +164,8 @@ pub fn render_report(report: &Report) -> String {
     ));
     out.push_str(&format!(
         "Memory: {} of {} per processor (incl. send/recv buffer)\n",
-        fmt_paper_bytes(words_to_bytes(report.footprint_words)),
-        fmt_paper_bytes(words_to_bytes(report.limit_words)),
+        fmt_paper_bytes_legible(words_to_bytes(report.footprint_words)),
+        fmt_paper_bytes_legible(words_to_bytes(report.limit_words)),
     ));
     out
 }

@@ -33,6 +33,28 @@ pub fn fmt_paper_bytes(bytes: u128) -> String {
     }
 }
 
+/// A byte count in the paper's units ([`fmt_paper_bytes`]), with two
+/// significant digits below 0.1MB (`0.043MB`, not `0.0MB`), for the report
+/// table and its memory line, where every small array would otherwise read
+/// `0.0MB`. Zero and counts from 0.1MB up render as [`fmt_paper_bytes`]
+/// renders them.
+pub fn fmt_paper_bytes_legible(bytes: u128) -> String {
+    let mb = bytes as f64 / PAPER_MB;
+    if bytes == 0 || mb >= 0.1 {
+        return fmt_paper_bytes(bytes);
+    }
+    // Two significant digits: one decimal per factor of ten that brings
+    // the count up to 1MB, plus one. `bytes·10^k` is exact in `f64`, and
+    // a `log10` here would link the system libm into every binary (about
+    // 450 KiB more resident memory per process).
+    let (mut decimals, mut scaled) = (1, bytes as f64);
+    while scaled < PAPER_MB {
+        scaled *= 10.0;
+        decimals += 1;
+    }
+    format!("{mb:.decimals$}MB")
+}
+
 /// Two different byte counts in the paper's units ([`fmt_paper_bytes`]),
 /// with decimals added until they render differently (`0.1MB` and `0.1MB`
 /// become `0.09MB` and `0.05MB`); counts that already render apart keep
@@ -83,6 +105,19 @@ mod tests {
     fn t1_total_is_55_3_gb() {
         let words: u128 = 480 * 480 * 480 * 64;
         assert_eq!(fmt_paper_bytes(words_to_bytes(words)), "55.296GB");
+    }
+
+    #[test]
+    fn small_counts_keep_two_significant_digits() {
+        assert_eq!(fmt_paper_bytes_legible(51_200), "0.050MB");
+        assert_eq!(fmt_paper_bytes_legible(44_032), "0.043MB");
+        assert_eq!(fmt_paper_bytes_legible(1_024), "0.0010MB");
+        assert_eq!(fmt_paper_bytes_legible(16), "0.000016MB");
+        assert_eq!(fmt_paper_bytes_legible(0), "0.0MB");
+        // From 0.1MB up, and in GB, nothing changes.
+        for bytes in [102_400u128, 118_000_000, 2_097_152_000] {
+            assert_eq!(fmt_paper_bytes_legible(bytes), fmt_paper_bytes(bytes), "{bytes}");
+        }
     }
 
     #[test]

@@ -329,31 +329,30 @@ impl ExprTree {
 
     /// Floating point operations to evaluate node `id` (2 flops per
     /// multiply-add of a contraction with a non-empty summation set; 1 flop
-    /// per point otherwise).
+    /// per point otherwise). Saturates at `u128::MAX` instead of wrapping.
     pub fn node_op_count(&self, id: NodeId) -> u128 {
         let node = self.node(id);
+        let volume = |ids: &[IndexId]| self.space.checked_volume(ids).unwrap_or(u128::MAX);
         match &node.kind {
             NodeKind::Leaf => 0,
             NodeKind::Contract { sum, left, right } => {
                 let ix = self.node(*left).tensor.dim_set();
                 let iy = self.node(*right).tensor.dim_set();
-                let all = ix.union(&iy);
-                let vol = self.space.volume(all.as_slice());
+                let vol = volume(ix.union(&iy).as_slice());
                 if sum.is_empty() {
                     vol
                 } else {
-                    2 * vol
+                    vol.saturating_mul(2)
                 }
             }
-            NodeKind::Reduce { child, .. } => {
-                self.space.volume(self.node(*child).tensor.dims.as_slice())
-            }
+            NodeKind::Reduce { child, .. } => volume(self.node(*child).tensor.dims.as_slice()),
         }
     }
 
-    /// Total flops for the subtree under the root.
+    /// Total flops for the subtree under the root. Saturates at
+    /// `u128::MAX` instead of wrapping.
     pub fn total_op_count(&self) -> u128 {
-        self.postorder().iter().map(|&id| self.node_op_count(id)).sum()
+        self.postorder().iter().fold(0, |total, &id| total.saturating_add(self.node_op_count(id)))
     }
 
     /// Sum of intermediate + result array sizes (words), ignoring inputs —
@@ -506,6 +505,48 @@ mod tests {
         let a = t.add_leaf(Tensor::new("A", vec![j]));
         // i is not a dimension of A.
         assert!(t.add_reduce(Tensor::new("T", vec![j]), i, a).is_err());
+    }
+
+    #[test]
+    fn op_counts_saturate_near_2_pow_128() {
+        // T1(i,j) = Σ_k A(i,k) B(k,j) and T2(i,l) = Σ_j T1(i,j) C(j,l),
+        // each over a 2^126-point loop nest: 2^127 flops apiece, 2^128 in
+        // all.
+        let mut sp = IndexSpace::new();
+        let i = sp.declare("i", 1 << 63);
+        let j = sp.declare("j", 1 << 62);
+        let k = sp.declare("k", 2);
+        let l = sp.declare("l", 2);
+        let mut t = ExprTree::new(sp);
+        let a = t.add_leaf(Tensor::new("A", vec![i, k]));
+        let b = t.add_leaf(Tensor::new("B", vec![k, j]));
+        let c = t.add_leaf(Tensor::new("C", vec![j, l]));
+        let t1 =
+            t.add_contract(Tensor::new("T1", vec![i, j]), IndexSet::from_iter([k]), a, b).unwrap();
+        let t2 =
+            t.add_contract(Tensor::new("T2", vec![i, l]), IndexSet::from_iter([j]), t1, c).unwrap();
+        t.set_root(t2);
+        assert_eq!(t.node_op_count(t1), 1 << 127);
+        assert_eq!(t.node_op_count(t2), 1 << 127);
+        assert_eq!(t.total_op_count(), u128::MAX, "the sum saturates");
+
+        // One more doubling of the nest: 2·2^127 saturates at the node,
+        // and a 2^128-point nest saturates in the volume itself.
+        for (j_extent, k_extent, what) in [(1 << 62, 4, "2·volume"), (1 << 63, 8, "the volume")] {
+            let mut sp = IndexSpace::new();
+            let i = sp.declare("i", 1 << 63);
+            let j = sp.declare("j", j_extent);
+            let k = sp.declare("k", k_extent);
+            let mut t = ExprTree::new(sp);
+            let a = t.add_leaf(Tensor::new("A", vec![i, k]));
+            let b = t.add_leaf(Tensor::new("B", vec![k, j]));
+            let t1 = t
+                .add_contract(Tensor::new("T1", vec![i, j]), IndexSet::from_iter([k]), a, b)
+                .unwrap();
+            t.set_root(t1);
+            assert_eq!(t.node_op_count(t1), u128::MAX, "{what}");
+            assert_eq!(t.total_op_count(), u128::MAX, "{what}");
+        }
     }
 
     #[test]

@@ -54,6 +54,13 @@
 //!     the identical plan, cost scalars, deterministic counters
 //!     ([`tce_obs::names::is_deterministic`]), and per-node statistics —
 //!     including when looked up through the renamed isomorph.
+//! 11. **Explained search** — the search behind text `tce optimize`
+//!     (`tce_core::portfolio::plan_explained`), which checks the memory
+//!     limit only at root selection, must return the cold `optimize`
+//!     run's plan JSON and cost bits and, as its lifted optimum, the cost
+//!     bits and footprint of a cold run with the limit lifted, at the
+//!     machine limit and at `(mem+msg)·3/4`, where both must also agree on
+//!     feasibility.
 //!
 //! On failure, [`shrink::shrink_tree`] minimizes the tree (drop subtrees,
 //! re-root, shrink extents) while the failure reproduces, and the
@@ -122,8 +129,9 @@ impl Default for FuzzConfig {
 #[derive(Clone, Debug)]
 pub struct Failure {
     /// Which oracle tripped (`threads`, `pruning`, `frontier`,
-    /// `scheduler`, `lower_bound`, `warm_start`, `check`, `numeric`,
-    /// `ledger`, `exhaustive`, `optimize`, `simulate`, `cache`).
+    /// `scheduler`, `lower_bound`, `warm_start`, `explained`, `check`,
+    /// `numeric`, `ledger`, `exhaustive`, `optimize`, `simulate`,
+    /// `cache`).
     pub oracle: &'static str,
     /// Human-readable description of the disagreement.
     pub detail: String,
@@ -367,6 +375,60 @@ fn warm_matches_cold(
     Ok(())
 }
 
+/// Oracle 11: the explained search of
+/// [`tce_core::portfolio::plan_explained`] against the cold [`optimize`]
+/// run `cold` of the same configuration and the cold run `lifted` with
+/// the memory limit lifted. Its nodes also keep the candidates over the
+/// limit, but a dominator of a fitting entry fits too, so the verdict, the
+/// plan JSON, the cost bits and the footprint must be `cold`'s, and the
+/// lifted optimum's cost bits and footprint `lifted`'s.
+fn explained_matches_cold(
+    tree: &ExprTree,
+    cm: &CostModel,
+    cfg: &OptimizerConfig,
+    cold: Result<&tce_core::Optimized, &OptimizeError>,
+    lifted: &tce_core::Optimized,
+) -> Result<(), String> {
+    let run = tce_core::portfolio::plan_explained(tree, cm, cfg).map(|p| p.opt);
+    let (cold, run) = match (cold, &run) {
+        (Ok(c), Ok(r)) => (c, r),
+        (Err(c), Err(r)) if c == r => return Ok(()),
+        (c, r) => {
+            return Err(format!(
+                "verdicts differ: cold {:?}, explained {:?}",
+                c.err(),
+                r.as_ref().err()
+            ))
+        }
+    };
+    if run.comm_cost.to_bits() != cold.comm_cost.to_bits()
+        || run.mem_words != cold.mem_words
+        || run.max_msg_words != cold.max_msg_words
+    {
+        return Err(format!(
+            "constrained answer moved: cost {} vs {}, mem {} vs {}, msg {} vs {}",
+            run.comm_cost,
+            cold.comm_cost,
+            run.mem_words,
+            cold.mem_words,
+            run.max_msg_words,
+            cold.max_msg_words
+        ));
+    }
+    if extract_plan(tree, run).to_json() != extract_plan(tree, cold).to_json() {
+        return Err("explained plan differs from cold".into());
+    }
+    let want = (lifted.comm_cost, lifted.mem_words + lifted.max_msg_words);
+    match run.lifted {
+        Some(got)
+            if (got.comm_cost.to_bits(), got.footprint_words) == (want.0.to_bits(), want.1) =>
+        {
+            Ok(())
+        }
+        got => Err(format!("lifted optimum {got:?}, cold lifted-limit run {want:?}")),
+    }
+}
+
 /// Run the full differential loop on one tree. `Ok` carries coverage
 /// statistics; `Err` is the first oracle violation found.
 pub fn check_tree(tree: &ExprTree, cfg: &FuzzConfig) -> Result<TreeStats, Failure> {
@@ -497,6 +559,18 @@ pub fn check_tree(tree: &ExprTree, cfg: &FuzzConfig) -> Result<TreeStats, Failur
         warm_matches_cold(tree, &cm, &base_cfg, Ok(&base), &mut stats)
             .map_err(|d| fail("warm_start", format!("p={procs}: {d}")))?;
         stats.optimizations += 2;
+
+        // Oracle 11: the explained search against the cold reference run
+        // and the cold lifted-limit run (again at the tight limit below).
+        let lifted = optimize(
+            tree,
+            &cm,
+            &OptimizerConfig { mem_limit_words: Some(u128::MAX), ..base_config(cfg) },
+        )
+        .map_err(|e| fail("explained", format!("p={procs} lifted: {e:?}")))?;
+        explained_matches_cold(tree, &cm, &base_cfg, Ok(&base), &lifted)
+            .map_err(|d| fail("explained", format!("p={procs}: {d}")))?;
+        stats.optimizations += 3;
 
         // Oracle 10: canonicalization and the two-level plan cache.
         //
@@ -701,7 +775,9 @@ pub fn check_tree(tree: &ExprTree, cfg: &FuzzConfig) -> Result<TreeStats, Failur
             stats.optimizations += 1;
             warm_matches_cold(tree, &cm, &tight_cfg, r.as_ref(), &mut stats)
                 .map_err(|d| fail("warm_start", format!("p={procs} tight={tight}: {d}")))?;
-            stats.optimizations += 2;
+            explained_matches_cold(tree, &cm, &tight_cfg, r.as_ref(), &lifted)
+                .map_err(|d| fail("explained", format!("p={procs} tight={tight}: {d}")))?;
+            stats.optimizations += 4;
             match r {
                 Ok(opt) => {
                     validate_plan_deeply(

@@ -33,7 +33,7 @@ use tensor_contraction_opt::obs;
 use tensor_contraction_opt::obs::ChromeTraceSink;
 
 use tensor_contraction_opt::check::check_plan;
-use tensor_contraction_opt::core::portfolio::plan as plan_with;
+use tensor_contraction_opt::core::portfolio::{plan as plan_with, plan_explained};
 use tensor_contraction_opt::core::{
     build_provenance, build_report, extract_plan, metrics_snapshot, optimize, render_plan_dot,
     render_provenance, render_report, report_json, root_frontier, validate_plan, OptimizeError,
@@ -677,7 +677,11 @@ fn cmd_optimize(args: &Args, out: Out) -> Result<(), Failure> {
             (run.opt, run.plan)
         }
         None => {
-            let opt = search(args, true, || plan_with(&tree, &cm, &cfg).map(|p| p.opt))?;
+            // Text output explains the plan, so it runs the explained
+            // search: the memory limit is checked at the root alone, and
+            // the same run gives the optimum with the limit lifted.
+            let serve = if args.json || args.dot || args.spmd { plan_with } else { plan_explained };
+            let opt = search(args, true, || serve(&tree, &cm, &cfg).map(|p| p.opt))?;
             let plan = extract_plan(&tree, &opt);
             validate_plan(&tree, &plan)?;
             if let (Some(c), Some(k)) = (&cache, &key) {
@@ -731,9 +735,8 @@ fn cmd_optimize(args: &Args, out: Out) -> Result<(), Failure> {
             )?;
         }
     } else {
-        // Explain from the run just finished: the unconstrained comparison
-        // search runs only if the memory limit rejected a candidate, and
-        // then bounded by this run's optimum.
+        // Explain from the run just finished: it carries the optimum with
+        // the limit lifted, so nothing is searched again.
         match tensor_contraction_opt::core::Explanation::from_run(&tree, &cm, &cfg, &opt, &plan) {
             Ok(e) => writeln!(out, "\n{}", e.text)?,
             Err(e) => eprintln!("explain: {e}"),

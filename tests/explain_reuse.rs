@@ -1,19 +1,24 @@
-//! The memory-constraint explanation of `tce optimize` is derived from the
-//! constrained run the command already has, and its unconstrained
-//! comparison search is warm-started from that run's optimum
-//! (`Explanation::from_run`). This must change nothing a user sees:
+//! The memory-constraint explanation of `tce optimize` comes from the one
+//! search the request runs: the explained search
+//! (`portfolio::plan_explained`) checks the memory limit only at root
+//! selection, so its root set gives both the plan under the limit and the
+//! optimum with the limit lifted, and `Explanation::from_run` narrates
+//! from that run (DESIGN.md §13). This must change nothing a user sees:
 //!
 //! - on every shipped workload at 4, 16 and 64 processors, and on the
-//!   enlarged `ccsd_tiny` cell, every `Explanation` field (floats by bits)
-//!   and the text equal a reference that runs the two cold searches the
-//!   explanation used to run (limit lifted, limit kept) and narrates them
-//!   by the same rules;
-//! - the explanation searches again only when the memory limit rejected
-//!   some candidate of the run (`dp.pruned_memory > 0`): a collecting
-//!   `tce_obs` sink sees no `dp`/`optimize` span from
-//!   `Explanation::from_run` on any other cell;
-//! - the bounded search never prices more candidates than the cold one,
-//!   and on the enlarged cell it prices under a fifth of them;
+//!   enlarged `ccsd_tiny` cell, the explained run's plan, cost bits and
+//!   footprint equal the cold constrained search's, and every
+//!   `Explanation` field (floats by bits) and the text equal a reference
+//!   that runs the two cold searches the explanation used to run (limit
+//!   lifted, limit kept) and narrates them by the same rules;
+//! - `Explanation::from_run` searches nothing on an explained run: a
+//!   collecting `tce_obs` sink sees no `dp` run span from it on any cell,
+//!   and serving the enlarged text request shows exactly two (`key_pass`
+//!   and `optimize`);
+//! - on the enlarged cell the one explained search prices fewer
+//!   candidates than the plan-only search and the bounded lifted-limit
+//!   search it replaces together, and `tce optimize --stats` shows that
+//!   text output runs it while `--json` runs the plan-only search;
 //! - `tce optimize` text stdout is the report, the explanation and the
 //!   plan section, byte for byte, as computed in-process.
 //! - a reader that closes stdout early (`tce optimize ... | head -1`)
@@ -22,9 +27,10 @@
 use std::process::Command;
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use tensor_contraction_opt::core::portfolio;
 use tensor_contraction_opt::core::{
     build_report, explain, extract_plan, optimize, render_report, ExecutionPlan, Explanation,
-    OptimizeError, Optimized, OptimizerConfig,
+    Optimized, OptimizerConfig,
 };
 use tensor_contraction_opt::cost::units::{
     fmt_paper_bytes, fmt_paper_bytes_apart, words_to_bytes, PAPER_MB,
@@ -149,50 +155,63 @@ fn serial() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// `Explanation::from_run` under a collecting sink, with the number of
-/// searches (`dp`/`optimize` spans) it ran.
-fn from_run_counting_searches(
-    tree: &ExprTree,
-    cm: &CostModel,
-    cfg: &OptimizerConfig,
-    constrained: &Optimized,
-) -> (Result<Explanation, OptimizeError>, usize) {
-    let plan = extract_plan(tree, constrained);
+/// Run `f` under a collecting sink and return its result with the names
+/// of the `dp` run spans (`key_pass`, `optimize`) it emitted.
+fn dp_runs<T>(f: impl FnOnce() -> T) -> (T, Vec<String>) {
     let sink = Arc::new(RecordingSink::new());
     obs::install(sink.clone());
-    let got = Explanation::from_run(tree, cm, cfg, constrained, &plan);
+    let out = f();
     obs::uninstall();
-    let is_search = |e: &TraceEvent| matches!(e, TraceEvent::Slice { lane, name, .. } if lane == "dp" && name == "optimize");
-    let searches = sink.events().iter().filter(|e| is_search(e)).count();
-    (got, searches)
+    let runs = sink
+        .events()
+        .into_iter()
+        .filter_map(|e| match e {
+            TraceEvent::Slice { lane, name, .. }
+                if lane == "dp" && (name == "key_pass" || name == "optimize") =>
+            {
+                Some(name)
+            }
+            _ => None,
+        })
+        .collect();
+    (out, runs)
 }
 
 /// What [`check_cell`] measured on a feasible cell.
 struct Cell {
-    /// Candidates priced by the bounded and the cold unconstrained search.
-    warm: u64,
-    cold: u64,
-    /// Whether `Explanation::from_run` searched again.
-    searched: bool,
+    /// The run `tce optimize` explains from.
+    explained: Optimized,
+    /// The `dp` run spans serving it emitted.
+    runs: Vec<String>,
+    /// The explanation.
+    explanation: Explanation,
 }
 
 /// Check one cell, or return `None` when nothing fits the limit (then
 /// `tce optimize` fails before it explains, and `explain` fails alike).
 fn check_cell(label: &str, tree: &ExprTree, cm: &CostModel, cfg: &OptimizerConfig) -> Option<Cell> {
+    let (served, runs) = dp_runs(|| portfolio::plan_explained(tree, cm, cfg));
     let constrained = match optimize(tree, cm, cfg) {
         Ok(c) => c,
         Err(e) => {
+            assert_eq!(served.expect_err(label), e, "{label}");
             assert_eq!(explain(tree, cm, cfg).expect_err(label), e, "{label}");
             return None;
         }
     };
+    let explained = served.unwrap_or_else(|e| panic!("{label}: {e}")).opt;
+    assert_eq!(explained.comm_cost.to_bits(), constrained.comm_cost.to_bits(), "{label}");
+    assert_eq!(explained.mem_words, constrained.mem_words, "{label}");
+    assert_eq!(explained.max_msg_words, constrained.max_msg_words, "{label}");
+    let plan = extract_plan(tree, &explained);
+    assert_eq!(plan.to_json(), extract_plan(tree, &constrained).to_json(), "{label}");
+
     let free_cfg = OptimizerConfig { mem_limit_words: Some(u128::MAX), ..cfg.clone() };
     let free = optimize(tree, cm, &free_cfg).unwrap_or_else(|e| panic!("{label}: {e}"));
     let want = reference(tree, cm, cfg, &constrained, &free);
-    let (got, searches) = from_run_counting_searches(tree, cm, cfg, &constrained);
+    let (got, searches) = dp_runs(|| Explanation::from_run(tree, cm, cfg, &explained, &plan));
+    assert_eq!(searches, Vec::<String>::new(), "{label}: the explanation searched again");
     let got = got.unwrap_or_else(|e| panic!("{label}: {e}"));
-    let bound = constrained.counters.get(names::PRUNED_MEMORY) > 0;
-    assert_eq!(searches, usize::from(bound), "{label}: searches run by the explanation");
 
     assert_eq!(got.constrained_comm.to_bits(), want.constrained_comm.to_bits(), "{label}");
     assert_eq!(got.unconstrained_comm.to_bits(), want.unconstrained_comm.to_bits(), "{label}");
@@ -200,50 +219,82 @@ fn check_cell(label: &str, tree: &ExprTree, cm: &CostModel, cfg: &OptimizerConfi
     assert_eq!(got.limit_words, want.limit_words, "{label}");
     assert_eq!(got.fusions, want.fusions, "{label}");
     assert_eq!(got.text, want.text, "{label}");
-
-    let bounded_cfg = Explanation::unconstrained_config(cfg, constrained.comm_cost);
-    assert!(!bounded_cfg.verify, "{label}: the comparison search skips the release self-check");
-    let bounded = optimize(tree, cm, &bounded_cfg).unwrap_or_else(|e| panic!("{label}: {e}"));
-    let (warm, cold) =
-        (bounded.counters.get(names::CANDIDATES), free.counters.get(names::CANDIDATES));
-    assert!(warm <= cold, "{label}: bounded search priced {warm} candidates, cold {cold}");
-    println!("{label}: bounded search priced {warm} of the cold search's {cold} candidates");
-    Some(Cell { warm, cold, searched: bound })
+    Some(Cell { explained, runs, explanation: got })
 }
 
 #[test]
 fn explanation_from_the_run_matches_two_cold_searches() {
     let _serial = serial();
-    let (mut infeasible, mut searched) = (Vec::new(), Vec::new());
+    let (mut infeasible, mut binding) = (Vec::new(), Vec::new());
     for file in workloads() {
         let tree = load(&file);
         for procs in [4, 16, 64] {
             let label = format!("{file} @ {procs}");
             match check_cell(&label, &tree, &cost_model(procs, None), &config(false)) {
                 None => infeasible.push(label),
-                Some(cell) if cell.searched => searched.push(label),
-                Some(_) => {}
+                Some(cell) => {
+                    let e = &cell.explanation;
+                    if e.unconstrained_footprint > e.limit_words {
+                        binding.push(label);
+                    }
+                }
             }
         }
     }
     // Paper-scale ccsd does not fit 4 processors' memory (§4).
     assert_eq!(infeasible, ["ccsd.tce @ 4"]);
     // The limit binds only where it forces fusion or a costlier layout.
-    assert_eq!(searched, ["ccsd.tce @ 16", "ladder.tce @ 4"]);
+    assert_eq!(binding, ["ccsd.tce @ 16", "ladder.tce @ 4"]);
 }
 
 #[test]
-fn enlarged_cell_explanation_matches_and_prices_under_a_fifth() {
+fn enlarged_cell_explanation_comes_from_one_search() {
     let _serial = serial();
     let tree = load("ccsd_tiny.tce");
     let cm = cost_model(64, Some(ENLARGED_MEM_GB));
-    let Cell { warm, cold, searched } =
-        check_cell("enlarged ccsd_tiny", &tree, &cm, &config(true)).expect("the limit is feasible");
-    assert!(searched, "the enlarged cell's limit binds, so the explanation searches again");
-    assert!(
-        warm * 5 < cold,
-        "bounded search priced {warm} of the cold search's {cold} candidates (want < 20%)"
-    );
+    let cfg = config(true);
+    let Cell { explained, runs, explanation } =
+        check_cell("enlarged ccsd_tiny", &tree, &cm, &cfg).expect("the limit is feasible");
+    assert!(explanation.unconstrained_footprint > explanation.limit_words, "the limit binds");
+    assert_eq!(runs, ["key_pass", "optimize"], "serving the text request");
+
+    // The two searches it replaces: the plan-only request, and the
+    // lifted-limit search bounded by its optimum.
+    let plan_only = portfolio::plan(&tree, &cm, &cfg).expect("feasible").opt;
+    let bounded = OptimizerConfig {
+        mem_limit_words: Some(u128::MAX),
+        warm_upper_bound: Some(plan_only.comm_cost),
+        ..cfg.clone()
+    };
+    let lifted = optimize(&tree, &cm, &bounded).expect("feasible");
+    let [one, two] = [&plan_only, &lifted].map(|o| o.counters.get(names::CANDIDATES));
+    let merged = explained.counters.get(names::CANDIDATES);
+    println!("explained search priced {merged} candidates; the two it replaces {one} + {two}");
+    assert!(merged < one + two, "{merged} candidates, the two searches {one} + {two}");
+    assert_eq!(explained.counters.get(names::PRUNED_MEMORY), 0, "no node prunes for memory");
+
+    // `tce optimize` runs this search for text output and the plan-only
+    // one for `--json`: the `--stats` totals tell them apart.
+    let total = |json: bool| {
+        let mem_arg = ENLARGED_MEM_GB.to_string();
+        let path = workload_path("ccsd_tiny.tce");
+        let mut args = vec!["optimize", &path, "--procs", "64", "--threads", "1"];
+        args.extend(["--replication", "--unrelated-rotation", "--mem-gb", &mem_arg]);
+        args.extend(["--no-plan-cache", "--stats"]);
+        if json {
+            args.push("--json");
+        }
+        let out = Command::new(env!("CARGO_BIN_EXE_tce")).args(&args).output().expect("run tce");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let line = stdout.lines().find(|l| l.starts_with("total: ")).expect("a total line");
+        line["total: ".len()..]
+            .split(' ')
+            .next()
+            .and_then(|n| n.parse::<u64>().ok())
+            .expect("count")
+    };
+    assert_eq!(total(false), merged, "text output runs the explained search");
+    assert_eq!(total(true), one, "--json runs the plan-only search");
 }
 
 /// The `plan:` section `tce optimize` prints after the explanation.
