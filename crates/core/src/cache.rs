@@ -1,4 +1,4 @@
-//! Level-2 persistent plan cache (`tce-plan-cache/v4`).
+//! Level-2 persistent plan cache (`tce-plan-cache/v5`).
 //!
 //! Memoizes full optimization outcomes — the [`ExecutionPlan`], its cost
 //! scalars, the certified communication floor, and the run's
@@ -14,8 +14,8 @@
 //!   characterization tables, so a plan memoized for one machine profile
 //!   can never be served for another;
 //! * a **configuration digest** over every `OptimizerConfig` knob that
-//!   can change the stored outcome (search-space switches, warm upper bound,
-//!   pins and output layout in canonical numbering);
+//!   can change the stored outcome (search-space switches, pins and
+//!   output layout in canonical numbering);
 //! * the **code version**.
 //!
 //! ## Trust model: validate on load, never on faith
@@ -59,7 +59,7 @@ use crate::plan::{ExecutionPlan, PlanOperand, PlanStep};
 
 /// Schema stamp written into every entry; bump on any incompatible
 /// change to the entry layout or the key digest.
-pub const PLAN_CACHE_SCHEMA: &str = "tce-plan-cache/v4";
+pub const PLAN_CACHE_SCHEMA: &str = "tce-plan-cache/v5";
 
 /// Code version stamp: entries written by another build are evicted
 /// (`cache.evict_version`) rather than trusted across releases.
@@ -127,13 +127,6 @@ pub fn cache_key(tree: &ExprTree, cm: &CostModel, cfg: &OptimizerConfig) -> Opti
         }
     }
     h.write_u64(flags);
-    match cfg.warm_upper_bound {
-        None => h.write(&[0]),
-        Some(ub) => {
-            h.write(&[1]);
-            h.write_u64(ub.to_bits());
-        }
-    }
     // Canonical output-layout signature.
     fn dist_sig(h: &mut Fnv128, d: Distribution, number: &HashMap<IndexId, u32>) -> Option<()> {
         for half in [d.d1, d.d2] {

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 
 use tce_cost::rotate::trip_count;
 use tce_cost::units::WORD_BYTES;
-use tce_cost::{CostMemo, CostModel};
+use tce_cost::CostModel;
 use tce_dist::{dist_size, enumerate_patterns, CannonPattern, Distribution, GridDim, Operand};
 use tce_expr::{ExprTree, IndexId, IndexSet, IndexSpace, NodeId, NodeKind, Tensor};
 use tce_fusion::{edge_candidates, enumerate_prefixes, FusionPrefix};
@@ -102,15 +102,6 @@ pub struct OptimizerConfig {
     /// `fixed_fusion`/`fixed_patterns` (their pins are keyed by raw node
     /// ids, not subtree structure).
     pub disable_subtree_reuse: bool,
-    /// Warm incumbent upper bound (model seconds) from a restricted plan
-    /// of the *same* configuration: candidates whose certified subtree
-    /// floor plus rest-of-tree floor exceeds it are skipped before the
-    /// dominance corner query. Admissible (the incumbent is the cost of a
-    /// real plan, so the optimum is ≤ it), hence the winning plan and
-    /// cost are bit-identical to a cold run — only search-effort counters
-    /// move. Active only with pruning and lower bounds on and no
-    /// pattern/fusion pins.
-    pub warm_upper_bound: Option<f64>,
 }
 
 impl Default for OptimizerConfig {
@@ -130,7 +121,6 @@ impl Default for OptimizerConfig {
             spawn_amort_ns: None,
             verify: false,
             disable_subtree_reuse: false,
-            warm_upper_bound: None,
         }
     }
 }
@@ -332,489 +322,539 @@ pub fn optimize(
     cm: &CostModel,
     cfg: &OptimizerConfig,
 ) -> Result<Optimized, OptimizeError> {
-    run_dp(tree, cm, cfg, Pass::Exact)
+    Search::new(tree, cm, cfg)?.run(Pass::Exact, None)
 }
 
-/// The key pass (DESIGN.md §13): the same DP, keeping at every node one
-/// entry per `(dist, fusion)` key, its lexicographically least `(cost,
-/// mem, msg)` candidate ([`Keep::LeastPerKey`]). Every entry it keeps is
-/// a real candidate of `cfg`'s search space priced by the same kernels,
-/// so the plan it returns is a real plan and its cost is never below the
-/// optimum. It computes no floors (`comm_lower_bound` is zero and not
-/// exact) and skips the self-check: [`crate::portfolio::plan`] reads only
-/// its cost, as the exact search's warm bound. Exported through
+/// The key pass alone ([`Pass::Key`], cold). Exported through
 /// [`crate::portfolio`] so oracles can check the plan it finds.
 pub fn key_pass(
     tree: &ExprTree,
     cm: &CostModel,
     cfg: &OptimizerConfig,
 ) -> Result<Optimized, OptimizeError> {
-    run_dp(tree, cm, cfg, Pass::Key)
+    Search::new(tree, cm, cfg)?.run(Pass::Key, None)
 }
 
-/// The explained search (DESIGN.md §13): [`optimize`] with the memory
-/// limit checked only where the root is selected. Footprints only grow up
-/// the tree and a dominator of a fitting entry fits too, so the winner
-/// under the limit, its back-pointers and the plan are [`optimize`]'s,
-/// while the same root scan without the limit gives [`Optimized::lifted`].
-/// The memory-feasibility prover still runs with the real limit when the
-/// search is cold.
-pub(crate) fn optimize_explained(
-    tree: &ExprTree,
-    cm: &CostModel,
-    cfg: &OptimizerConfig,
-) -> Result<Optimized, OptimizeError> {
-    run_dp(tree, cm, cfg, Pass::Explained)
-}
-
-/// Which search [`run_dp`] runs.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Pass {
+/// Which search [`Search::run`] runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Pass {
     /// The exact §3.3 search, certified by the floors.
     Exact,
-    /// The exact search with the limit checked at the root alone.
+    /// The explained search (DESIGN.md §13): [`Pass::Exact`] with the
+    /// memory limit checked only where the root is selected. Footprints
+    /// only grow up the tree and a dominator of a fitting entry fits too,
+    /// so the winner under the limit, its back-pointers and the plan are
+    /// the exact search's, while the same root scan without the limit
+    /// gives [`Optimized::lifted`].
     Explained,
-    /// The one-entry-per-key restriction of [`key_pass`].
+    /// The key pass (DESIGN.md §13): the same DP, keeping at every node
+    /// one entry per `(dist, fusion)` key, its lexicographically least
+    /// `(cost, mem, msg)` candidate ([`Keep::LeastPerKey`]). Every entry
+    /// it keeps is a real candidate of the configuration's search space
+    /// priced by the same kernels, so the plan it returns is a real plan
+    /// and its cost is never below the optimum. It reads no floors
+    /// (`comm_lower_bound` is zero and not exact) and skips the
+    /// self-check: [`crate::portfolio::plan`] reads only its cost, as the
+    /// exact search's warm bound.
     Key,
 }
 
-fn run_dp(
-    tree: &ExprTree,
-    cm: &CostModel,
-    cfg: &OptimizerConfig,
-    pass: Pass,
-) -> Result<Optimized, OptimizeError> {
-    let certify = pass != Pass::Key;
-    let keep = match pass {
-        Pass::Key => Keep::LeastPerKey,
-        _ if cfg.disable_pruning => Keep::All,
-        _ => Keep::Pareto,
-    };
-    if tree.node(tree.root()).is_leaf() {
-        return Err(OptimizeError::Unsupported(
-            "the expression tree computes nothing (its root is an input array)".into(),
-        ));
-    }
-    validate_input_dists(tree, cfg)?;
-    let limit = cfg.mem_limit_words.unwrap_or_else(|| cm.mem_limit_words());
-    // The limit the nodes prune by: none in the explained search, whose
-    // root scan applies the real one.
-    let node_limit = if pass == Pass::Explained { u128::MAX } else { limit };
-    // Memory-feasibility prover (DESIGN.md §12): every plan must store, at
-    // every node, at least the smallest block any layout/fusion allows; if
-    // those per-node floors already exceed the limit, the exponential
-    // search can only end in `NoFeasibleSolution` — fail now instead. A
-    // warm bound is the cost of a plan that fits, so it cannot fire then.
-    if !cfg.disable_lower_bounds
-        && cfg.warm_upper_bound.is_none()
-        && tce_cost::lower_bound::prove_memory_infeasible(tree, cm, limit, cfg.max_prefix_len)
-            .is_some()
-    {
-        return Err(OptimizeError::NoFeasibleSolution { limit_words: limit });
-    }
-    // Per-node subtree communication floors (DESIGN.md §12), certified
-    // once here, used two ways: the root floor becomes the plan's
-    // optimality certificate (`Optimized::comm_lower_bound`), and with a
-    // warm incumbent the per-node floors set each node's warm cut. Each
-    // node's floor minimizes the exact rotation kernel over every
-    // pattern/surrounding the DP may enumerate and floors every other
-    // cost term at its true minimum of zero. Pinned patterns may predate
-    // the current `allow_replication` setting, so the certificate widens
-    // its pattern universe to the replication superset then.
-    let lb_replication = cfg.allow_replication || cfg.fixed_patterns.is_some();
-    // Nearest-grid rcost extrapolations are surfaced per run as a counter
-    // delta (the process-wide total minus this snapshot). Concurrent runs
-    // can interleave into the delta, which is one more reason the counter
-    // is flagged nondeterministic in `tce_obs::names::ALL`.
-    let rcost_fallbacks_before = tce_cost::rcost_fallback_count();
-    let floors =
-        certify.then(|| tce_cost::lower_bound::subtree_comm_floors(tree, cm, lb_replication));
-    let cuts_active = !cfg.disable_lower_bounds
-        && !cfg.disable_pruning
-        && cfg.fixed_patterns.is_none()
-        && cfg.fixed_fusion.is_none();
-    // Warm-start cut per node: a candidate whose certified subtree floor
-    // exceeds `incumbent − rest_floor(node)` can only complete to plans
-    // strictly costlier than the incumbent — and the incumbent is the cost
-    // of a real plan of this configuration, so the optimum (and every tie
-    // with it) survives. `certify` shrinks the rest floor so float
-    // re-association cannot make the cut inadmissible. The skip never
-    // changes which plan wins, only the work done.
-    let warm_cuts: HashMap<NodeId, f64> = match (&floors, cfg.warm_upper_bound) {
-        (Some(detail), Some(ub)) if cuts_active => {
-            let raw_root = detail.floors[&tree.root()];
-            detail
-                .floors
-                .iter()
-                .map(|(&n, &f)| {
-                    let rest = tce_cost::bound::certify((raw_root - f).max(0.0));
-                    (n, ub - rest)
-                })
-                .collect()
-        }
-        _ => HashMap::new(),
-    };
-    let threads = match cfg.threads {
-        0 => crate::sched::available_parallelism().unwrap_or(1),
-        n => n,
-    };
-    let memo = CostMemo::with_shards((threads * 4).max(16));
-    let mut sched = crate::sched::Scheduler::new(threads, cfg.spawn_amort_ns);
-    let mut sets: HashMap<NodeId, SolutionSet> = HashMap::new();
-    let mut stats = Vec::new();
-    let mut counters = tce_obs::Counters::new();
-    let mut worker_busy_us = tce_obs::metrics::Histogram::default();
-    let mut run_span = tce_obs::span("dp", if certify { "optimize" } else { "key_pass" });
-    run_span.arg("threads", threads);
+/// One request's prepared search (DESIGN.md §13): the part of the §3.3
+/// DP that depends only on the tree and the configuration, done once by
+/// [`Search::new`], so that every pass of the request ([`Search::run`])
+/// differs from a fresh single-pass run only in the work it skips.
+pub struct Search<'a> {
+    tree: &'a ExprTree,
+    cm: &'a CostModel,
+    cfg: &'a OptimizerConfig,
+    /// The resolved per-processor memory limit (words).
+    limit: u128,
+    /// The resolved worker-thread count.
+    threads: usize,
+    /// Per-node subtree communication floors (DESIGN.md §12).
+    floors: tce_cost::lower_bound::SubtreeFloors,
+    /// Nearest-grid rcost extrapolations the floors made, charged to every
+    /// certified pass as if it had computed them.
+    floor_rcost_fallbacks: u64,
+    /// Strict canonical subtree forms (empty with subtree reuse off).
+    forms: HashMap<NodeId, tce_expr::canon::SubtreeForm>,
+    /// How many internal subtrees share each canonical hash.
+    hash_counts: HashMap<u128, usize>,
+}
 
-    // Trace events for stream sinks (the progress stream's `start`, `node`
-    // and `done` records), all coordinator-side: they are emitted only
-    // between nodes on this thread and nothing in the search reads a sink,
-    // so installing one cannot perturb results (DESIGN.md §10).
-    let nodes_total = tree.postorder().iter().filter(|&&id| !tree.node(id).is_leaf()).count();
-    let mut nodes_done = 0usize;
-    let mut start_marker = tce_obs::span("dp", "start");
-    start_marker.arg("nodes_total", nodes_total);
-    start_marker.arg("threads", threads);
-    drop(start_marker);
-    // Arena accounting: bytes already committed by compacted frontiers,
-    // and the run-wide high-water (committed + the enumerating node's
-    // pre-compaction working set). Both are deterministic functions of
-    // arena contents, hence thread-count-invariant.
-    let mut committed_bytes = 0u64;
-    let mut arena_hw = 0u64;
-
-    // Level-1 in-run subtree reuse (DESIGN.md §14): each completed node's
-    // frontier is memoized under its canonical subtree form plus every
-    // other input the enumeration depends on — edge candidates, leaf
-    // pins and the warm cut of every internal node of the subtree, all
-    // expressed in canonical index numbering so the key is
-    // rename-invariant. A later isomorphic subtree whose canonical index
-    // bijection is *monotone* in `IndexId` order replays the stored
-    // Pareto staircase through [`SolutionSet::remap`] instead of
-    // re-enumerating: bit-identical plans, costs, and per-node statistics
-    // (compaction preserves every live/key count the statistics read);
-    // only `dp.subtree_hit`/`dp.subtree_miss` and wall clock change.
-    // Pinned fusions/patterns key by raw node id, not subtree structure,
-    // so reuse is gated off under them.
-    let reuse_on =
-        !cfg.disable_subtree_reuse && cfg.fixed_fusion.is_none() && cfg.fixed_patterns.is_none();
-    let forms = if reuse_on { tce_expr::subtree_forms(tree) } else { HashMap::new() };
-    // Canonical hashes of more than one internal subtree: only their
-    // frontiers can ever be replayed, so only they are stored (a stored
-    // frontier is a deep copy of the node's set).
-    let mut hash_counts: HashMap<u128, usize> = HashMap::new();
-    for (&id, form) in &forms {
-        if !tree.node(id).is_leaf() {
-            *hash_counts.entry(form.hash).or_default() += 1;
+impl<'a> Search<'a> {
+    /// Validate the request and prepare its search: the resolved limit
+    /// and thread count, the memory-feasibility prover, the floors and
+    /// the subtree forms. Fails as every pass of the request would.
+    pub fn new(
+        tree: &'a ExprTree,
+        cm: &'a CostModel,
+        cfg: &'a OptimizerConfig,
+    ) -> Result<Self, OptimizeError> {
+        if tree.node(tree.root()).is_leaf() {
+            return Err(OptimizeError::Unsupported(
+                "the expression tree computes nothing (its root is an input array)".into(),
+            ));
         }
-    }
-    #[derive(PartialEq, Eq, Hash)]
-    struct ReuseKey {
-        /// Strict canonical subtree hash (`tce_expr::subtree_form`).
-        hash: u128,
-        /// Fusion-edge candidates (node dims ∩ parent loop indices — a
-        /// property of the *parent*, so not derivable from the subtree
-        /// hash), as sorted canonical numbers.
-        edge_sig: Vec<u32>,
-        /// Per-leaf `--pin` signature in canonical node order: `None` for
-        /// an unpinned leaf, otherwise the pinned distribution's indices
-        /// as canonical numbers.
-        pin_sig: Vec<Option<(Option<u32>, Option<u32>)>>,
-        /// Warm-start cut of every internal subtree node, in canonical
-        /// node order, bit-exact. Keying on *all* descendants (not just
-        /// the root of the subtree) guarantees that when this key matches,
-        /// every descendant's enumeration inputs matched too, so the
-        /// stored `sol_index` back-pointers into child sets land on
-        /// identically laid-out arenas.
-        warm_bits: Vec<u64>,
-    }
-    struct ReuseEntry {
-        form: tce_expr::canon::SubtreeForm,
-        /// Post-compaction clone of the completed frontier (counters and
-        /// every live/key statistic survive compaction unchanged).
-        set: SolutionSet,
-        /// The fresh run's pre-compaction arena size, replayed into the
-        /// `arena_hw` accounting so the reported high-water matches a
-        /// reuse-off run bit-for-bit.
-        pre_compact_arena_bytes: u64,
-        /// Combine blocks the fresh enumeration scheduled (deterministic,
-        /// so the replayed `sched.blocks` total stays bit-identical).
-        blocks: u64,
-    }
-    let mut reuse: HashMap<ReuseKey, ReuseEntry> = HashMap::new();
-
-    for node in tree.postorder() {
-        let n = tree.node(node);
-        if n.is_leaf() {
-            continue; // leaves are bound inline at their parent
+        validate_input_dists(tree, cfg)?;
+        let _span = tce_obs::span("dp", "prepare");
+        let limit = cfg.mem_limit_words.unwrap_or_else(|| cm.mem_limit_words());
+        // Memory-feasibility prover (DESIGN.md §12): every plan must store,
+        // at every node, at least the smallest block any layout/fusion
+        // allows; if those per-node floors already exceed the limit, the
+        // exponential search can only end in `NoFeasibleSolution` — fail
+        // now instead.
+        if !cfg.disable_lower_bounds
+            && tce_cost::lower_bound::prove_memory_infeasible(tree, cm, limit, cfg.max_prefix_len)
+                .is_some()
+        {
+            return Err(OptimizeError::NoFeasibleSolution { limit_words: limit });
         }
-        let mut node_span = tce_obs::span("dp", n.tensor.name.as_str());
-        let my_prefixes = match &cfg.fixed_fusion {
-            Some(fc) => vec![fc.prefix(node)],
-            None => enumerate_prefixes(&edge_candidates(tree, node), cfg.max_prefix_len),
+        // Per-node subtree communication floors (DESIGN.md §12), used two
+        // ways: the root floor becomes the plan's optimality certificate
+        // (`Optimized::comm_lower_bound`), and with a warm incumbent the
+        // per-node floors set each node's warm cut. Each node's floor
+        // minimizes the exact rotation kernel over every pattern/surrounding
+        // the DP may enumerate and floors every other cost term at its true
+        // minimum of zero. Pinned patterns may predate the current
+        // `allow_replication` setting, so the certificate widens its pattern
+        // universe to the replication superset then.
+        let lb_replication = cfg.allow_replication || cfg.fixed_patterns.is_some();
+        let rcost_fallbacks_before = tce_cost::rcost_fallback_count();
+        let floors = tce_cost::lower_bound::subtree_comm_floors(tree, cm, lb_replication);
+        let floor_rcost_fallbacks =
+            tce_cost::rcost_fallback_count().saturating_sub(rcost_fallbacks_before);
+        let threads = match cfg.threads {
+            0 => crate::sched::available_parallelism().unwrap_or(1),
+            n => n,
         };
-        let mut set = SolutionSet::with_mode(keep, !cfg.disable_lower_bounds);
-        let warm_cut = warm_cuts.get(&node).copied().unwrap_or(f64::INFINITY);
-        // Reuse key for this node, or `None` when reuse is off or any
-        // index fails to map (defensive: every pin/edge index is a dim of
-        // some subtree tensor, so mapping cannot actually fail — but a
-        // silent partial key would be unsound, a skipped node merely slow).
-        let reuse_key = if reuse_on {
-            (|| {
-                let form = forms.get(&node)?;
-                let number: HashMap<IndexId, u32> =
-                    form.index_order.iter().enumerate().map(|(i, &ix)| (ix, i as u32)).collect();
-                let map_ix = |o: Option<IndexId>| -> Option<Option<u32>> {
-                    match o {
-                        None => Some(None),
-                        Some(ix) => number.get(&ix).copied().map(Some),
-                    }
-                };
-                let mut edge_sig = Vec::new();
-                for ix in edge_candidates(tree, node).iter() {
-                    edge_sig.push(number.get(&ix).copied()?);
-                }
-                edge_sig.sort_unstable();
-                let mut pin_sig = Vec::new();
-                let mut warm_bits = Vec::new();
-                for &m in &form.nodes {
-                    let mn = tree.node(m);
-                    if mn.is_leaf() {
-                        match cfg.input_dists.get(&mn.tensor.name) {
-                            None => pin_sig.push(None),
-                            Some(d) => pin_sig.push(Some((map_ix(d.d1)?, map_ix(d.d2)?))),
-                        }
-                    } else {
-                        warm_bits
-                            .push(warm_cuts.get(&m).copied().unwrap_or(f64::INFINITY).to_bits());
-                    }
-                }
-                Some(ReuseKey { hash: form.hash, edge_sig, pin_sig, warm_bits })
-            })()
-        } else {
-            None
+        let forms =
+            if Self::reuse_on(cfg) { tce_expr::subtree_forms(tree) } else { HashMap::new() };
+        // Canonical hashes of more than one internal subtree: only their
+        // frontiers can ever be replayed, so only they are stored (a stored
+        // frontier is a deep copy of the node's set).
+        let mut hash_counts: HashMap<u128, usize> = HashMap::new();
+        for (&id, form) in &forms {
+            if !tree.node(id).is_leaf() {
+                *hash_counts.entry(form.hash).or_default() += 1;
+            }
+        }
+        Ok(Self {
+            tree,
+            cm,
+            cfg,
+            limit,
+            threads,
+            floors,
+            floor_rcost_fallbacks,
+            forms,
+            hash_counts,
+        })
+    }
+
+    /// Whether a warm bound can cut anything: pruning and lower bounds on
+    /// and no pattern or fusion pins. [`Search::run`] ignores the bound
+    /// otherwise.
+    pub(crate) fn cuts_active(&self) -> bool {
+        let cfg = self.cfg;
+        !cfg.disable_lower_bounds
+            && !cfg.disable_pruning
+            && cfg.fixed_patterns.is_none()
+            && cfg.fixed_fusion.is_none()
+    }
+
+    /// Level-1 in-run subtree reuse is on (DESIGN.md §14). Pinned
+    /// fusions/patterns key by raw node id, not subtree structure, so reuse
+    /// is gated off under them.
+    fn reuse_on(cfg: &OptimizerConfig) -> bool {
+        !cfg.disable_subtree_reuse && cfg.fixed_fusion.is_none() && cfg.fixed_patterns.is_none()
+    }
+
+    /// Run one pass. `bound` is a warm incumbent (model seconds): the cost
+    /// of a real plan of this configuration that fits the limit, so the
+    /// optimum is at most it. Candidates whose certified subtree floor plus
+    /// rest-of-tree floor exceeds it are skipped before the dominance
+    /// corner query; the winning plan and cost are bit-identical to a cold
+    /// run and only search-effort counters move. The key pass reads no
+    /// floors, so it ignores the bound.
+    pub fn run(&self, pass: Pass, bound: Option<f64>) -> Result<Optimized, OptimizeError> {
+        let (tree, cm, cfg, limit, threads) =
+            (self.tree, self.cm, self.cfg, self.limit, self.threads);
+        let certify = pass != Pass::Key;
+        let keep = match pass {
+            Pass::Key => Keep::LeastPerKey,
+            _ if cfg.disable_pruning => Keep::All,
+            _ => Keep::Pareto,
         };
-        let replay = reuse_key.as_ref().and_then(|k| reuse.get(k)).filter(|e| {
-            forms.get(&node).is_some_and(|f| {
-                e.form.nodes.len() == f.nodes.len() && e.form.monotone_bijection_to(f)
-            })
-        });
-        let (enum_stats, pre_compact_bytes) =
-            if let (Some(entry), Some(form)) = (replay, forms.get(&node)) {
-                let mut replayed = entry.set.clone();
-                let index_map: HashMap<IndexId, IndexId> = entry
-                    .form
-                    .index_order
+        // The limit the nodes prune by: none in the explained search, whose
+        // root scan applies the real one.
+        let node_limit = if pass == Pass::Explained { u128::MAX } else { limit };
+        // Nearest-grid rcost extrapolations are surfaced per run as a
+        // counter delta (the process-wide total minus this snapshot).
+        // Concurrent runs can interleave into the delta, which is one more
+        // reason the counter is flagged nondeterministic in
+        // `tce_obs::names::ALL`.
+        let rcost_fallbacks_before = tce_cost::rcost_fallback_count();
+        let floors = certify.then_some(&self.floors);
+        // Warm-start cut per node: a candidate whose certified subtree floor
+        // exceeds `incumbent − rest_floor(node)` can only complete to plans
+        // strictly costlier than the incumbent — and the incumbent is the
+        // cost of a real plan of this configuration, so the optimum (and
+        // every tie with it) survives. `certify` shrinks the rest floor so
+        // float re-association cannot make the cut inadmissible. The skip
+        // never changes which plan wins, only the work done.
+        let warm_cuts: HashMap<NodeId, f64> = match (floors, bound) {
+            (Some(detail), Some(ub)) if self.cuts_active() => {
+                let raw_root = detail.floors[&tree.root()];
+                detail
+                    .floors
                     .iter()
-                    .copied()
-                    .zip(form.index_order.iter().copied())
-                    .collect();
-                let node_map: HashMap<NodeId, NodeId> =
-                    entry.form.nodes.iter().copied().zip(form.nodes.iter().copied()).collect();
-                replayed.remap(&index_map, &node_map);
-                set = replayed;
-                counters.add(tce_obs::names::SUBTREE_HIT, 1);
-                let synth = crate::sched::EnumStats {
-                    workers: 1,
-                    merge_us: 0,
-                    blocks: entry.blocks,
-                    steals: 0,
-                    busy_us: Vec::new(),
-                };
-                (synth, entry.pre_compact_arena_bytes)
-            } else {
-                if reuse_on {
-                    counters.add(tce_obs::names::SUBTREE_MISS, 1);
-                }
-                let fresh = match &n.kind {
-                    NodeKind::Contract { left, right, .. } => combine_binary(
-                        tree,
-                        cm,
-                        cfg,
-                        &memo,
-                        &mut sched,
-                        node,
-                        *left,
-                        *right,
-                        &binary_layouts(tree, cfg, node, *left, *right),
-                        &my_prefixes,
-                        &sets,
-                        node_limit,
-                        warm_cut,
-                        &mut set,
-                    ),
-                    NodeKind::Reduce { sum, child } => combine_reduce(
-                        tree,
-                        cm,
-                        cfg,
-                        &memo,
-                        &mut sched,
-                        node,
-                        *child,
-                        *sum,
-                        &my_prefixes,
-                        &sets,
-                        node_limit,
-                        warm_cut,
-                        &mut set,
-                    ),
-                    NodeKind::Leaf => unreachable!(),
-                };
-                (fresh, set.arena_bytes())
-            };
-        counters.add(tce_obs::names::NODES, 1);
-        counters.add(tce_obs::names::CANDIDATES, set.candidates_seen);
-        counters.add(tce_obs::names::PRUNED_INFERIOR, set.pruned_inferior);
-        counters.add(tce_obs::names::PRUNED_MEMORY, set.pruned_memory);
-        counters.add(tce_obs::names::REDIST_FALLBACKS, set.redist_fallbacks);
-        counters.add(tce_obs::names::FRONTIER, set.total_live());
-        // Like the memo pair, the corner-skip totals depend on worker
-        // interleaving (worker-local frontiers differ), so equivalence
-        // checks skip them; every other counter is interleaving-invariant.
-        counters.add(tce_obs::names::BNB_SKIP, set.bnb_skip);
-        counters.add(tce_obs::names::BNB_BLOCK, set.bnb_block);
-        counters.add(tce_obs::names::BNB_WARM, set.bnb_warm);
-        // Scheduler counters: block count is the serial item count (a pure
-        // function of the search space, identical at every thread count);
-        // the steal total is a race outcome and is flagged nondeterministic
-        // with the memo/bnb families.
-        counters.add(tce_obs::names::BLOCKS, enum_stats.blocks);
-        counters.add(tce_obs::names::STEAL, enum_stats.steals);
-        // Memo totals are cumulative over the run; `set` overwrites the
-        // previous node's sample. Hit/miss counts depend on how worker
-        // threads interleave, so equivalence checks must skip them.
-        counters.set(tce_obs::names::MEMO_HIT, memo.hits());
-        counters.set(tce_obs::names::MEMO_MISS, memo.misses());
-        // Arena high-water: this node's full (pre-compaction) arena on top
-        // of everything already committed. A replayed node charges the
-        // fresh run's recorded pre-compaction size so the statistic is
-        // invariant to reuse.
-        arena_hw = arena_hw.max(committed_bytes + pre_compact_bytes);
-        counters.set(tce_obs::names::ARENA_HW_BYTES, arena_hw);
-        node_span.arg("candidates", set.candidates_seen);
-        node_span.arg("pruned_inferior", set.pruned_inferior);
-        node_span.arg("pruned_memory", set.pruned_memory);
-        node_span.arg("live", set.live_len());
-        node_span.arg("workers", enum_stats.workers);
-        node_span.arg("merge_us", enum_stats.merge_us);
-        node_span.arg("blocks", enum_stats.blocks);
-        node_span.arg("steals", enum_stats.steals);
-        nodes_done += 1;
-        node_span.arg("done", nodes_done);
-        node_span.arg("total", nodes_total);
-        // Sample the cumulative counters so the trace shows them growing
-        // node by node; before the span closes, so a stream sink has this
-        // node's totals when the span arrives.
-        counters.sample_all();
-        drop(node_span);
-        // Per-worker busy times, observed coordinator-side after the join
-        // (wall clock, so outside the deterministic counter bag).
-        for &busy in &enum_stats.busy_us {
-            worker_busy_us.observe(busy);
-        }
-        stats.push(NodeStats {
-            name: n.tensor.name.clone(),
-            candidates: set.candidates_seen,
-            pruned_inferior: set.pruned_inferior,
-            pruned_memory: set.pruned_memory,
-            redist_fallbacks: set.redist_fallbacks,
-            live: set.live_len(),
-            keys: set.key_count(),
-            widest_front: set.max_key_live(),
-            arena_hw_bytes: arena_hw,
-            floor_exact: floors.as_ref().is_some_and(|f| f.node_exact.get(&node) == Some(&true)),
-        });
-        // The node is finished: nothing can reference its dead (evicted)
-        // entries anymore — parents bind only live indices and run strictly
-        // later — so drop them and free their decision records.
-        set.compact();
-        // Memoize the completed (compacted) frontier for later isomorphic
-        // subtrees. First entry per key wins; a replayed set is already
-        // stored under this key, so `or_insert_with` never clones it.
-        let form = forms.get(&node).filter(|f| hash_counts.get(&f.hash) > Some(&1));
-        if let (Some(k), Some(form)) = (reuse_key, form) {
-            reuse.entry(k).or_insert_with(|| ReuseEntry {
-                form: form.clone(),
-                set: set.clone(),
-                pre_compact_arena_bytes: pre_compact_bytes,
-                blocks: enum_stats.blocks,
-            });
-        }
-        committed_bytes += set.arena_bytes();
-        sets.insert(node, set);
-    }
+                    .map(|(&n, &f)| {
+                        let rest = tce_cost::bound::certify((raw_root - f).max(0.0));
+                        (n, ub - rest)
+                    })
+                    .collect()
+            }
+            _ => HashMap::new(),
+        };
+        let mut sched = crate::sched::Scheduler::new(threads, cfg.spawn_amort_ns);
+        let mut sets: HashMap<NodeId, SolutionSet> = HashMap::new();
+        let mut stats = Vec::new();
+        let mut counters = tce_obs::Counters::new();
+        let mut worker_busy_us = tce_obs::metrics::Histogram::default();
+        let mut run_span = tce_obs::span("dp", if certify { "optimize" } else { "key_pass" });
+        run_span.arg("threads", threads);
 
-    let root = tree.root();
-    let root_set = &sets[&root];
-    let root_tensor = &tree.node(root).tensor;
-    // A required final layout charges each candidate the redistribution
-    // from its production layout (§3.3: "we do not require the final
-    // results to be distributed in any particular way" — unless asked).
-    let final_redist = |dist: Distribution| -> f64 {
-        match cfg.output_dist {
-            None => 0.0,
-            Some(target) => memo.redistribution_cost(
-                cm,
-                root.0,
-                root_tensor,
-                &tree.space,
-                dist,
-                target,
-                &IndexSet::new(),
-            ),
+        // Trace events for stream sinks (the progress stream's `start`,
+        // `node` and `done` records), all coordinator-side: they are
+        // emitted only between nodes on this thread and nothing in the
+        // search reads a sink, so installing one cannot perturb results
+        // (DESIGN.md §10).
+        let nodes_total = tree.postorder().iter().filter(|&&id| !tree.node(id).is_leaf()).count();
+        let mut nodes_done = 0usize;
+        let mut start_marker = tce_obs::span("dp", "start");
+        start_marker.arg("nodes_total", nodes_total);
+        start_marker.arg("threads", threads);
+        drop(start_marker);
+        // Arena accounting: bytes already committed by compacted frontiers,
+        // and the run-wide high-water (committed + the enumerating node's
+        // pre-compaction working set). Both are deterministic functions of
+        // arena contents, hence thread-count-invariant.
+        let mut committed_bytes = 0u64;
+        let mut arena_hw = 0u64;
+
+        // Level-1 in-run subtree reuse (DESIGN.md §14): each completed
+        // node's frontier is memoized under its canonical subtree form plus
+        // every other input the enumeration depends on — edge candidates,
+        // leaf pins and the warm cut of every internal node of the subtree,
+        // all expressed in canonical index numbering so the key is
+        // rename-invariant. A later isomorphic subtree whose canonical index
+        // bijection is *monotone* in `IndexId` order replays the stored
+        // Pareto staircase through [`SolutionSet::remap`] instead of
+        // re-enumerating: bit-identical plans, costs, and per-node
+        // statistics (compaction preserves every live/key count the
+        // statistics read); only `dp.subtree_hit`/`dp.subtree_miss` and
+        // wall clock change.
+        let reuse_on = Self::reuse_on(cfg);
+        let (forms, hash_counts) = (&self.forms, &self.hash_counts);
+        #[derive(PartialEq, Eq, Hash)]
+        struct ReuseKey {
+            /// Strict canonical subtree hash (`tce_expr::subtree_form`).
+            hash: u128,
+            /// Fusion-edge candidates (node dims ∩ parent loop indices — a
+            /// property of the *parent*, so not derivable from the subtree
+            /// hash), as sorted canonical numbers.
+            edge_sig: Vec<u32>,
+            /// Per-leaf `--pin` signature in canonical node order: `None` for
+            /// an unpinned leaf, otherwise the pinned distribution's indices
+            /// as canonical numbers.
+            pin_sig: Vec<Option<(Option<u32>, Option<u32>)>>,
+            /// Warm-start cut of every internal subtree node, in canonical
+            /// node order, bit-exact. Keying on *all* descendants (not just
+            /// the root of the subtree) guarantees that when this key matches,
+            /// every descendant's enumeration inputs matched too, so the
+            /// stored `sol_index` back-pointers into child sets land on
+            /// identically laid-out arenas.
+            warm_bits: Vec<u64>,
         }
-    };
-    let best_index = select_root_index(root_set, limit, final_redist)
-        .ok_or(OptimizeError::NoFeasibleSolution { limit_words: limit })?;
-    let lifted = (pass == Pass::Explained).then(|| {
-        let i = select_root_index(root_set, u128::MAX, final_redist).unwrap_or(best_index);
-        Lifted {
-            comm_cost: root_set.cost(i) + final_redist(root_set.dist(i)),
-            footprint_words: root_set.footprint(i),
+        struct ReuseEntry {
+            form: tce_expr::canon::SubtreeForm,
+            /// Post-compaction clone of the completed frontier (counters and
+            /// every live/key statistic survive compaction unchanged).
+            set: SolutionSet,
+            /// The fresh run's pre-compaction arena size, replayed into the
+            /// `arena_hw` accounting so the reported high-water matches a
+            /// reuse-off run bit-for-bit.
+            pre_compact_arena_bytes: u64,
+            /// Combine blocks the fresh enumeration scheduled (deterministic,
+            /// so the replayed `sched.blocks` total stays bit-identical).
+            blocks: u64,
         }
-    });
-    let output_redist_cost = final_redist(root_set.dist(best_index));
-    let best_cost = root_set.cost(best_index);
-    run_span.arg("nodes", counters.get(tce_obs::names::NODES));
-    run_span.arg("candidates", counters.get(tce_obs::names::CANDIDATES));
-    run_span.arg("comm_cost", best_cost + output_redist_cost);
-    drop(run_span);
-    // Fallback accounting: the floor-fallback count is a deterministic
-    // function of the tree (computed once coordinator-side), so it joins
-    // the report counters; the rcost delta is interleaving-dependent.
-    counters
-        .add(tce_obs::names::LB_FLOOR_FALLBACK, floors.as_ref().map_or(0, |f| f.fallback_nodes));
-    counters.add(
-        tce_obs::names::RCOST_FALLBACK,
-        tce_cost::rcost_fallback_count().saturating_sub(rcost_fallbacks_before),
-    );
-    let result = Optimized {
-        comm_cost: best_cost + output_redist_cost,
-        mem_words: root_set.mem(best_index),
-        max_msg_words: root_set.msg(best_index),
-        best_index,
-        output_redist_cost,
-        stats,
-        arena_hw_bytes: arena_hw,
-        counters,
-        worker_busy_us,
-        sets,
-        comm_lower_bound: floors
-            .as_ref()
-            .map_or(0.0, |f| tce_cost::bound::certify(f.floors[&tree.root()])),
-        comm_floor_exact: floors.as_ref().is_some_and(|f| f.root_exact()),
-        lifted,
-    };
-    // Self-check: statically verify the winning plan before handing it
-    // out. Always on in debug builds; `cfg.verify` extends it to release.
-    if certify && (cfg.verify || cfg!(debug_assertions)) {
-        let plan = crate::plan::extract_plan(tree, &result);
-        crate::check::check_plan(tree, &plan, Some(cm), Some(limit))
-            .to_result()
-            .map_err(OptimizeError::SelfCheck)?;
+        let mut reuse: HashMap<ReuseKey, ReuseEntry> = HashMap::new();
+
+        for node in tree.postorder() {
+            let n = tree.node(node);
+            if n.is_leaf() {
+                continue; // leaves are bound inline at their parent
+            }
+            let mut node_span = tce_obs::span("dp", n.tensor.name.as_str());
+            let my_prefixes = match &cfg.fixed_fusion {
+                Some(fc) => vec![fc.prefix(node)],
+                None => enumerate_prefixes(&edge_candidates(tree, node), cfg.max_prefix_len),
+            };
+            let mut set = SolutionSet::with_mode(keep, !cfg.disable_lower_bounds);
+            let warm_cut = warm_cuts.get(&node).copied().unwrap_or(f64::INFINITY);
+            // Reuse key for this node, or `None` when reuse is off or any
+            // index fails to map (defensive: every pin/edge index is a dim of
+            // some subtree tensor, so mapping cannot actually fail — but a
+            // silent partial key would be unsound, a skipped node merely slow).
+            let reuse_key = if reuse_on {
+                (|| {
+                    let form = forms.get(&node)?;
+                    let number: HashMap<IndexId, u32> = form
+                        .index_order
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &ix)| (ix, i as u32))
+                        .collect();
+                    let map_ix = |o: Option<IndexId>| -> Option<Option<u32>> {
+                        match o {
+                            None => Some(None),
+                            Some(ix) => number.get(&ix).copied().map(Some),
+                        }
+                    };
+                    let mut edge_sig = Vec::new();
+                    for ix in edge_candidates(tree, node).iter() {
+                        edge_sig.push(number.get(&ix).copied()?);
+                    }
+                    edge_sig.sort_unstable();
+                    let mut pin_sig = Vec::new();
+                    let mut warm_bits = Vec::new();
+                    for &m in &form.nodes {
+                        let mn = tree.node(m);
+                        if mn.is_leaf() {
+                            match cfg.input_dists.get(&mn.tensor.name) {
+                                None => pin_sig.push(None),
+                                Some(d) => pin_sig.push(Some((map_ix(d.d1)?, map_ix(d.d2)?))),
+                            }
+                        } else {
+                            warm_bits.push(
+                                warm_cuts.get(&m).copied().unwrap_or(f64::INFINITY).to_bits(),
+                            );
+                        }
+                    }
+                    Some(ReuseKey { hash: form.hash, edge_sig, pin_sig, warm_bits })
+                })()
+            } else {
+                None
+            };
+            let replay = reuse_key.as_ref().and_then(|k| reuse.get(k)).filter(|e| {
+                forms.get(&node).is_some_and(|f| {
+                    e.form.nodes.len() == f.nodes.len() && e.form.monotone_bijection_to(f)
+                })
+            });
+            let (enum_stats, pre_compact_bytes) =
+                if let (Some(entry), Some(form)) = (replay, forms.get(&node)) {
+                    let mut replayed = entry.set.clone();
+                    let index_map: HashMap<IndexId, IndexId> = entry
+                        .form
+                        .index_order
+                        .iter()
+                        .copied()
+                        .zip(form.index_order.iter().copied())
+                        .collect();
+                    let node_map: HashMap<NodeId, NodeId> =
+                        entry.form.nodes.iter().copied().zip(form.nodes.iter().copied()).collect();
+                    replayed.remap(&index_map, &node_map);
+                    set = replayed;
+                    counters.add(tce_obs::names::SUBTREE_HIT, 1);
+                    let synth = crate::sched::EnumStats {
+                        workers: 1,
+                        merge_us: 0,
+                        blocks: entry.blocks,
+                        steals: 0,
+                        busy_us: Vec::new(),
+                    };
+                    (synth, entry.pre_compact_arena_bytes)
+                } else {
+                    if reuse_on {
+                        counters.add(tce_obs::names::SUBTREE_MISS, 1);
+                    }
+                    let fresh = match &n.kind {
+                        NodeKind::Contract { left, right, .. } => combine_binary(
+                            tree,
+                            cm,
+                            cfg,
+                            &mut sched,
+                            node,
+                            *left,
+                            *right,
+                            &binary_layouts(tree, cfg, node, *left, *right),
+                            &my_prefixes,
+                            &sets,
+                            node_limit,
+                            warm_cut,
+                            &mut set,
+                        ),
+                        NodeKind::Reduce { sum, child } => combine_reduce(
+                            tree,
+                            cm,
+                            cfg,
+                            &mut sched,
+                            node,
+                            *child,
+                            *sum,
+                            &my_prefixes,
+                            &sets,
+                            node_limit,
+                            warm_cut,
+                            &mut set,
+                        ),
+                        NodeKind::Leaf => unreachable!(),
+                    };
+                    (fresh, set.arena_bytes())
+                };
+            counters.add(tce_obs::names::NODES, 1);
+            counters.add(tce_obs::names::CANDIDATES, set.candidates_seen);
+            counters.add(tce_obs::names::PRUNED_INFERIOR, set.pruned_inferior);
+            counters.add(tce_obs::names::PRUNED_MEMORY, set.pruned_memory);
+            counters.add(tce_obs::names::REDIST_FALLBACKS, set.redist_fallbacks);
+            counters.add(tce_obs::names::FRONTIER, set.total_live());
+            // The corner-skip totals depend on worker interleaving
+            // (worker-local frontiers differ), so equivalence checks skip
+            // them; every other counter is interleaving-invariant.
+            counters.add(tce_obs::names::BNB_SKIP, set.bnb_skip);
+            counters.add(tce_obs::names::BNB_BLOCK, set.bnb_block);
+            counters.add(tce_obs::names::BNB_WARM, set.bnb_warm);
+            // Scheduler counters: block count is the serial item count (a pure
+            // function of the search space, identical at every thread count);
+            // the steal total is a race outcome and is flagged nondeterministic
+            // with the bnb family.
+            counters.add(tce_obs::names::BLOCKS, enum_stats.blocks);
+            counters.add(tce_obs::names::STEAL, enum_stats.steals);
+            // Arena high-water: this node's full (pre-compaction) arena on top
+            // of everything already committed. A replayed node charges the
+            // fresh run's recorded pre-compaction size so the statistic is
+            // invariant to reuse.
+            arena_hw = arena_hw.max(committed_bytes + pre_compact_bytes);
+            counters.set(tce_obs::names::ARENA_HW_BYTES, arena_hw);
+            node_span.arg("candidates", set.candidates_seen);
+            node_span.arg("pruned_inferior", set.pruned_inferior);
+            node_span.arg("pruned_memory", set.pruned_memory);
+            node_span.arg("live", set.live_len());
+            node_span.arg("workers", enum_stats.workers);
+            node_span.arg("merge_us", enum_stats.merge_us);
+            node_span.arg("blocks", enum_stats.blocks);
+            node_span.arg("steals", enum_stats.steals);
+            nodes_done += 1;
+            node_span.arg("done", nodes_done);
+            node_span.arg("total", nodes_total);
+            // Sample the cumulative counters so the trace shows them growing
+            // node by node; before the span closes, so a stream sink has this
+            // node's totals when the span arrives.
+            counters.sample_all();
+            drop(node_span);
+            // Per-worker busy times, observed coordinator-side after the join
+            // (wall clock, so outside the deterministic counter bag).
+            for &busy in &enum_stats.busy_us {
+                worker_busy_us.observe(busy);
+            }
+            stats.push(NodeStats {
+                name: n.tensor.name.clone(),
+                candidates: set.candidates_seen,
+                pruned_inferior: set.pruned_inferior,
+                pruned_memory: set.pruned_memory,
+                redist_fallbacks: set.redist_fallbacks,
+                live: set.live_len(),
+                keys: set.key_count(),
+                widest_front: set.max_key_live(),
+                arena_hw_bytes: arena_hw,
+                floor_exact: floors.is_some_and(|f| f.node_exact.get(&node) == Some(&true)),
+            });
+            // The node is finished: nothing can reference its dead (evicted)
+            // entries anymore — parents bind only live indices and run strictly
+            // later — so drop them and free their decision records.
+            set.compact();
+            // Memoize the completed (compacted) frontier for later isomorphic
+            // subtrees. First entry per key wins; a replayed set is already
+            // stored under this key, so `or_insert_with` never clones it.
+            let form = forms.get(&node).filter(|f| hash_counts.get(&f.hash) > Some(&1));
+            if let (Some(k), Some(form)) = (reuse_key, form) {
+                reuse.entry(k).or_insert_with(|| ReuseEntry {
+                    form: form.clone(),
+                    set: set.clone(),
+                    pre_compact_arena_bytes: pre_compact_bytes,
+                    blocks: enum_stats.blocks,
+                });
+            }
+            committed_bytes += set.arena_bytes();
+            sets.insert(node, set);
+        }
+
+        let root = tree.root();
+        let root_set = &sets[&root];
+        let root_tensor = &tree.node(root).tensor;
+        // A required final layout charges each candidate the redistribution
+        // from its production layout (§3.3: "we do not require the final
+        // results to be distributed in any particular way" — unless asked).
+        let final_redist = |dist: Distribution| -> f64 {
+            match cfg.output_dist {
+                None => 0.0,
+                Some(target) => {
+                    cm.redistribution_cost(root_tensor, &tree.space, dist, target, &IndexSet::new())
+                }
+            }
+        };
+        let best_index = select_root_index(root_set, limit, final_redist)
+            .ok_or(OptimizeError::NoFeasibleSolution { limit_words: limit })?;
+        let lifted = (pass == Pass::Explained).then(|| {
+            let i = select_root_index(root_set, u128::MAX, final_redist).unwrap_or(best_index);
+            Lifted {
+                comm_cost: root_set.cost(i) + final_redist(root_set.dist(i)),
+                footprint_words: root_set.footprint(i),
+            }
+        });
+        let output_redist_cost = final_redist(root_set.dist(best_index));
+        let best_cost = root_set.cost(best_index);
+        run_span.arg("nodes", counters.get(tce_obs::names::NODES));
+        run_span.arg("candidates", counters.get(tce_obs::names::CANDIDATES));
+        run_span.arg("comm_cost", best_cost + output_redist_cost);
+        drop(run_span);
+        // Fallback accounting: the floor-fallback count is a deterministic
+        // function of the tree (computed once coordinator-side), so it joins
+        // the report counters; the rcost delta is interleaving-dependent.
+        counters.add(tce_obs::names::LB_FLOOR_FALLBACK, floors.map_or(0, |f| f.fallback_nodes));
+        counters.add(
+            tce_obs::names::RCOST_FALLBACK,
+            tce_cost::rcost_fallback_count().saturating_sub(rcost_fallbacks_before)
+                + if certify { self.floor_rcost_fallbacks } else { 0 },
+        );
+        let result = Optimized {
+            comm_cost: best_cost + output_redist_cost,
+            mem_words: root_set.mem(best_index),
+            max_msg_words: root_set.msg(best_index),
+            best_index,
+            output_redist_cost,
+            stats,
+            arena_hw_bytes: arena_hw,
+            counters,
+            worker_busy_us,
+            sets,
+            comm_lower_bound: floors
+                .map_or(0.0, |f| tce_cost::bound::certify(f.floors[&tree.root()])),
+            comm_floor_exact: floors.is_some_and(|f| f.root_exact()),
+            lifted,
+        };
+        // Self-check: statically verify the winning plan before handing it
+        // out. Always on in debug builds; `cfg.verify` extends it to release.
+        if certify && (cfg.verify || cfg!(debug_assertions)) {
+            let plan = crate::plan::extract_plan(tree, &result);
+            crate::check::check_plan(tree, &plan, Some(cm), Some(limit))
+                .to_result()
+                .map_err(OptimizeError::SelfCheck)?;
+        }
+        Ok(result)
     }
-    Ok(result)
 }
 
 /// A way to obtain one child array in a required layout.
@@ -934,7 +974,6 @@ fn child_options(
     tree: &ExprTree,
     cm: &CostModel,
     cfg: &OptimizerConfig,
-    memo: &CostMemo,
     c: NodeId,
     f: &FusionPrefix,
     required: Distribution,
@@ -959,9 +998,7 @@ fn child_options(
                 if !f.is_empty() && given != required {
                     return vec![];
                 }
-                let cost = memo.redistribution_cost(
-                    cm,
-                    c.0,
+                let cost = cm.redistribution_cost(
                     &n.tensor,
                     &tree.space,
                     given,
@@ -989,9 +1026,7 @@ fn child_options(
             .with_fusion(f)
             .into_iter()
             .map(|i| {
-                let redist = memo.redistribution_cost(
-                    cm,
-                    c.0,
+                let redist = cm.redistribution_cost(
                     &n.tensor,
                     &tree.space,
                     set.dist(i),
@@ -1516,7 +1551,7 @@ struct BlockPrice {
 /// `(message words, rotation base)` by (the operand's distribution and
 /// travel dimension, sliced set), and the result footprint by (layout,
 /// up-prefix set). They replace the per-block set intersections,
-/// trip-count divisions, hashed memo lookups and size formulas.
+/// trip-count divisions, hashed lookups and size formulas.
 struct BinaryTables {
     trip: LazyTable<f64>,
     rot: [LazyTable<(u128, f64)>; 3],
@@ -1594,7 +1629,6 @@ fn combine_binary(
     tree: &ExprTree,
     cm: &CostModel,
     cfg: &OptimizerConfig,
-    memo: &CostMemo,
     sched: &mut crate::sched::Scheduler,
     node: NodeId,
     left: NodeId,
@@ -1636,10 +1670,10 @@ fn combine_binary(
 
             let [(lids, _), (rids, _)] = &blocks.child_dists;
             let lslate = lcache.get(li, lids[p], || {
-                OptSlate::new(child_options(tree, cm, cfg, memo, left, fl, ldist, sets))
+                OptSlate::new(child_options(tree, cm, cfg, left, fl, ldist, sets))
             });
             let rslate = rcache.get(ri, rids[p], || {
-                OptSlate::new(child_options(tree, cm, cfg, memo, right, fr, rdist, sets))
+                OptSlate::new(child_options(tree, cm, cfg, right, fr, rdist, sets))
             });
             if rslate.opts.is_empty() {
                 continue;
@@ -1902,7 +1936,6 @@ fn combine_reduce(
     tree: &ExprTree,
     cm: &CostModel,
     cfg: &OptimizerConfig,
-    memo: &CostMemo,
     sched: &mut crate::sched::Scheduler,
     node: NodeId,
     child: NodeId,
@@ -1929,7 +1962,7 @@ fn combine_reduce(
             let Pair { ci, ui, surrounding, .. } = blocks.pairs[p];
             let (fc, fu) = (&cf_all[ci], &my_prefixes[ui]);
             let cslate = ccache.get(ci, d as u32, || {
-                OptSlate::new(child_options(tree, cm, cfg, memo, child, fc, cdist, sets))
+                OptSlate::new(child_options(tree, cm, cfg, child, fc, cdist, sets))
             });
             if cslate.opts.is_empty() {
                 continue;

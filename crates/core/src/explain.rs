@@ -3,7 +3,7 @@
 //! lead to counter-intuitive trends in communication costs") generated for
 //! any workload.
 
-use tce_cost::units::{fmt_paper_bytes, fmt_paper_bytes_apart, words_to_bytes};
+use tce_cost::units::{fmt_paper_bytes_apart, fmt_paper_bytes_legible, words_to_bytes};
 use tce_cost::CostModel;
 use tce_expr::ExprTree;
 
@@ -75,8 +75,8 @@ impl Explanation {
             text.push_str(&format!(
                 "The communication-optimal plan fits in memory ({} of {} per \
                  processor), so the limit costs nothing: {:.1} s of communication.",
-                fmt_paper_bytes(words_to_bytes(free_fp)),
-                fmt_paper_bytes(words_to_bytes(limit)),
+                fmt_paper_bytes_legible(words_to_bytes(free_fp)),
+                fmt_paper_bytes_legible(words_to_bytes(limit)),
                 free_comm,
             ));
         } else {

@@ -4,10 +4,10 @@
 //! (`repro S2`) and the metrics snapshot rendered from the same run. All
 //! read [`Optimized::stats`] and [`Optimized::counters`], which the search
 //! fills from the per-node [`SolutionSet`] counters. The per-node rows
-//! and the totals depend only on the search space; the `cost memo:` and
-//! `bound skips:` lines depend on how the work was split across worker
-//! threads, so S2 and the CLI print the same table only at the same
-//! `--threads` (S2 runs at 1).
+//! and the totals depend only on the search space; the `bound skips:`
+//! line depends on how the work was split across worker threads, so S2
+//! and the CLI print the same table only at the same `--threads` (S2 runs
+//! at 1).
 
 use std::fmt::Write as _;
 
@@ -53,15 +53,6 @@ pub fn render_search_stats(opt: &Optimized) -> String {
         c.get(tce_obs::names::NODES),
         candidates as f64 / (frontier.max(1)) as f64,
     );
-    // The memo prices redistributions only (rotations come from the
-    // per-node block tables), so a run that redistributes nothing has no
-    // lookups and no hit rate.
-    let (hits, misses) = (c.get(tce_obs::names::MEMO_HIT), c.get(tce_obs::names::MEMO_MISS));
-    let rate = match hits + misses {
-        0 => String::new(),
-        n => format!("{:.1}% hit rate; ", 100.0 * hits as f64 / n as f64),
-    };
-    let _ = writeln!(out, "cost memo: {hits} hits, {misses} misses ({rate}redistributions only)");
     let (skips, blocks) = (c.get(tce_obs::names::BNB_SKIP), c.get(tce_obs::names::BNB_BLOCK));
     if skips > 0 {
         let _ = writeln!(
@@ -117,7 +108,6 @@ mod tests {
         let text = render_search_stats(&opt);
         assert!(text.contains("candidates"), "{text}");
         assert!(text.contains('C'), "{text}");
-        assert!(text.contains("cost memo:"), "{text}");
         assert!(text.contains("keys"), "{text}");
         assert!(text.contains("mem hw"), "{text}");
         // The per-key occupancy columns agree with the set accessors.

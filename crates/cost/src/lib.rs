@@ -13,9 +13,7 @@
 //! * [`compute`] — flop-time model for headline totals;
 //! * [`units`] — the paper's quirky MB/GB conventions, so
 //!   regenerated tables match digit for digit;
-//! * [`CostModel`] — the bundle handed to the optimizer;
-//! * [`CostMemo`] — a per-run, thread-shared memo table in front of the
-//!   redistribution kernel.
+//! * [`CostModel`] — the bundle handed to the optimizer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,7 +26,6 @@ pub mod compute;
 pub mod kernel;
 pub mod lower_bound;
 mod machine;
-mod memo;
 mod model;
 pub mod rcost;
 pub mod redist;
@@ -37,7 +34,6 @@ pub mod units;
 
 pub use breakdown::CommBreakdown;
 pub use machine::MachineModel;
-pub use memo::CostMemo;
 pub use model::CostModel;
 pub use rcost::{
     characterize, rcost_fallback_count, Characterization, CostError, GridTable, RCostPoint,

@@ -55,21 +55,23 @@ pub fn fmt_paper_bytes_legible(bytes: u128) -> String {
     format!("{mb:.decimals$}MB")
 }
 
-/// Two different byte counts in the paper's units ([`fmt_paper_bytes`]),
-/// with decimals added until they render differently (`0.1MB` and `0.1MB`
-/// become `0.09MB` and `0.05MB`); counts that already render apart keep
-/// the usual form.
+/// Two different byte counts in the paper's units, legibly
+/// ([`fmt_paper_bytes_legible`]), with decimals added until they render
+/// differently (`0.1MB` and `0.1MB` become `0.11MB` and `0.10MB`); counts
+/// that already render apart keep the legible form.
 pub fn fmt_paper_bytes_apart(a: u128, b: u128) -> (String, String) {
-    let plain = (fmt_paper_bytes(a), fmt_paper_bytes(b));
-    if plain.0 != plain.1 || a == b {
-        return plain;
+    let legible = (fmt_paper_bytes_legible(a), fmt_paper_bytes_legible(b));
+    if legible.0 != legible.1 || a == b {
+        return legible;
     }
+    // Equal renderings share their unit and their number of decimals.
     let (unit, scale) =
         if a.max(b) as f64 >= PAPER_GB { ("GB", PAPER_GB) } else { ("MB", PAPER_MB) };
+    let decimals = legible.0.len() - legible.0.find('.').map_or(legible.0.len(), |d| d + 1) - 2;
     let at = |p: usize| {
         (format!("{:.p$}{unit}", a as f64 / scale), format!("{:.p$}{unit}", b as f64 / scale))
     };
-    (2..=17).map(at).find(|(x, y)| x != y).unwrap_or(plain)
+    (decimals + 1..=17).map(at).find(|(x, y)| x != y).unwrap_or(legible)
 }
 
 #[cfg(test)]
@@ -123,8 +125,12 @@ mod tests {
     #[test]
     fn different_footprints_never_render_the_same() {
         let pair = |a: &str, b: &str| (a.to_string(), b.to_string());
+        // Small counts already render apart in the legible form.
+        assert_eq!(fmt_paper_bytes_apart(92_160, 51_200), pair("0.090MB", "0.050MB"));
         // Both are "0.1MB" at the paper's one decimal.
-        assert_eq!(fmt_paper_bytes_apart(92_160, 51_200), pair("0.09MB", "0.05MB"));
+        assert_eq!(fmt_paper_bytes_apart(112_640, 102_400), pair("0.11MB", "0.10MB"));
+        // Both are "0.050MB" legibly: decimals go on past the legible form.
+        assert_eq!(fmt_paper_bytes_apart(51_264, 51_200), pair("0.0501MB", "0.0500MB"));
         assert_eq!(fmt_paper_bytes_apart(4_411_392_000, 2_097_152_000), pair("4.308GB", "2.048GB"));
         for base in [102_400u128, 2_097_152_000, 7 * 2_097_152_000] {
             let (a, b) = fmt_paper_bytes_apart(base + 8, base);

@@ -67,20 +67,17 @@ pub mod names {
     pub const FRONTIER: &str = "dp.frontier";
     /// Tree nodes processed.
     pub const NODES: &str = "dp.nodes";
-    /// Redistribution prices answered from the per-run memo table (the
-    /// memo prices redistributions only; rotation costs come from per-node
-    /// block tables that count nothing here).
-    ///
-    /// Unlike the counters above, the memo numbers depend on worker-thread
-    /// interleaving (two workers can race to fill the same entry), so they
-    /// are excluded from serial-vs-parallel equivalence checks.
+    /// Retired: redistribution prices answered from the per-run cost memo,
+    /// which is gone (the search prices redistributions directly). No run
+    /// emits it, so it is not in [`ALL`] and reads 0 from every counter
+    /// bag; the name stays for external readers.
     pub const MEMO_HIT: &str = "dp.memo_hit";
-    /// Redistribution prices computed and stored in the memo table.
+    /// Retired with [`MEMO_HIT`]: redistribution prices the memo computed.
     pub const MEMO_MISS: &str = "dp.memo_miss";
     /// Candidates skipped by an admissible lower-bound (branch-and-bound)
     /// corner query instead of being individually costed.
     ///
-    /// Like the memo counters, the bnb numbers depend on worker-thread
+    /// Unlike the counters above, the bnb numbers depend on worker-thread
     /// interleaving (each worker prunes against its own partial frontier,
     /// so smaller chunks skip less), so they are excluded from
     /// serial-vs-parallel equivalence checks. Every *pre-existing* `dp.*`
@@ -169,15 +166,15 @@ pub mod names {
     /// returning a bad plan.
     pub const CACHE_EVICT_PLAN: &str = "cache.evict_plan";
 
-    /// Every name above with its determinism flag, in declaration order:
-    /// the one table [`intern`] and [`is_deterministic`] read.
+    /// Every name above but the retired ones with its determinism flag, in
+    /// declaration order: the one table [`intern`] and [`is_deterministic`]
+    /// read.
     ///
     /// A flag is `false` when the counter's total depends on how the work
     /// was done rather than on what was computed, so serial-vs-parallel,
     /// cache-on-vs-off and reuse-on-vs-off equivalence checks and the
     /// byte-stable `tce report` skip it (the *values the search returns*
-    /// never depend on it). That covers the memo pair (two workers racing
-    /// on one memo key both count a miss), the branch-and-bound family
+    /// never depend on it). That covers the branch-and-bound family
     /// (each worker prunes against its own partial frontier, so smaller
     /// chunks skip less), the steal count (which worker drains a region
     /// first is a race), the rcost fallbacks (query counts follow which
@@ -185,15 +182,13 @@ pub mod names {
     /// fixed for one configuration but vary with cache state and subtree
     /// reuse while the results stay bit-identical. The three histogram
     /// names never enter a [`crate::Counters`] bag; their flag is moot.
-    pub const ALL: [(&str, bool); 28] = [
+    pub const ALL: [(&str, bool); 26] = [
         (CANDIDATES, true),
         (PRUNED_MEMORY, true),
         (PRUNED_INFERIOR, true),
         (REDIST_FALLBACKS, true),
         (FRONTIER, true),
         (NODES, true),
-        (MEMO_HIT, false),
-        (MEMO_MISS, false),
         (BNB_SKIP, false),
         (BNB_BLOCK, false),
         (BLOCKS, true),
@@ -426,14 +421,14 @@ mod tests {
     #[test]
     fn name_table_lists_every_constant_once_with_its_flag() {
         // Every `pub const NAME: &str` of `names`, read from this file,
-        // except the retired `BNB_FLOOR`, which no run emits.
+        // except the retired ones, which no run emits.
         let consts: Vec<&str> = include_str!("lib.rs")
             .lines()
             .filter_map(|l| {
                 let rest = l.trim().strip_prefix("pub const ")?;
                 rest.split_once(": &str = \"")?.1.strip_suffix("\";")
             })
-            .filter(|&n| n != names::BNB_FLOOR)
+            .filter(|&n| ![names::BNB_FLOOR, names::MEMO_HIT, names::MEMO_MISS].contains(&n))
             .collect();
         let table: Vec<&str> = names::ALL.iter().map(|&(n, _)| n).collect();
         assert_eq!(consts, table, "table must list the constants in declaration order");
@@ -445,8 +440,6 @@ mod tests {
             table.iter().copied().filter(|n| !names::is_deterministic(n)).collect();
         nondeterministic.sort_unstable();
         let mut expected = vec![
-            names::MEMO_HIT,
-            names::MEMO_MISS,
             names::BNB_SKIP,
             names::BNB_BLOCK,
             names::BNB_WARM,

@@ -108,7 +108,6 @@ impl Sink for ProgressSink {
             let elapsed_s = (ts_us + dur_us - st.start_us).max(0.0) / 1e6;
             let candidates = st.counter(names::CANDIDATES);
             let cps = if elapsed_s > 0.0 { candidates as f64 / elapsed_s } else { 0.0 };
-            let (hits, misses) = (st.counter(names::MEMO_HIT), st.counter(names::MEMO_MISS));
             let fields = [
                 ("done", done),
                 ("total", total),
@@ -116,7 +115,6 @@ impl Sink for ProgressSink {
                 ("candidates_per_sec", json_number(cps)),
                 ("frontier", st.counter(names::FRONTIER).to_string()),
                 ("bnb_skip_rate", rate(st.counter(names::BNB_SKIP), candidates)),
-                ("memo_hit_rate", rate(hits, hits + misses)),
                 ("arena_hw_bytes", st.counter(names::ARENA_HW_BYTES).to_string()),
                 ("t_ms", ((elapsed_s * 1e3) as u64).to_string()),
             ];
@@ -179,8 +177,6 @@ mod tests {
             (names::CANDIDATES, 12),
             (names::FRONTIER, 3),
             (names::BNB_SKIP, 6),
-            (names::MEMO_HIT, 1),
-            (names::MEMO_MISS, 3),
             (names::ARENA_HW_BYTES, 640),
         ] {
             sink.event(counter(name, value));
@@ -207,7 +203,7 @@ mod tests {
              {\"event\":\"node\",\"node\":\"t_1\",\"done\":1,\"total\":1}\n\
              {\"event\":\"heartbeat\",\"done\":1,\"total\":1,\"candidates\":12,\
              \"candidates_per_sec\":6.0,\"frontier\":3,\"bnb_skip_rate\":0.5,\
-             \"memo_hit_rate\":0.25,\"arena_hw_bytes\":640,\"t_ms\":2000}\n\
+             \"arena_hw_bytes\":640,\"t_ms\":2000}\n\
              {\"event\":\"done\",\"nodes_total\":1,\"candidates\":12,\"comm_cost\":2.0,\
              \"arena_hw_bytes\":640,\"t_ms\":2500}\n"
         );

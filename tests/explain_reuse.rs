@@ -12,9 +12,10 @@
 //!   that runs the two cold searches the explanation used to run (limit
 //!   lifted, limit kept) and narrates them by the same rules;
 //! - `Explanation::from_run` searches nothing on an explained run: a
-//!   collecting `tce_obs` sink sees no `dp` run span from it on any cell,
-//!   and serving the enlarged text request shows exactly two (`key_pass`
-//!   and `optimize`);
+//!   collecting `tce_obs` sink sees no `dp` run span from it on any cell;
+//!   serving a text request prepares one search (one `prepare` span) on
+//!   every cell, and on the enlarged cell runs exactly two passes on it
+//!   (`key_pass` and `optimize`);
 //! - on the enlarged cell the one explained search prices fewer
 //!   candidates than the plan-only search and the bounded lifted-limit
 //!   search it replaces together, and `tce optimize --stats` shows that
@@ -33,7 +34,7 @@ use tensor_contraction_opt::core::{
     Optimized, OptimizerConfig,
 };
 use tensor_contraction_opt::cost::units::{
-    fmt_paper_bytes, fmt_paper_bytes_apart, words_to_bytes, PAPER_MB,
+    fmt_paper_bytes_apart, fmt_paper_bytes_legible, words_to_bytes, PAPER_MB,
 };
 use tensor_contraction_opt::cost::{CostModel, MachineModel};
 use tensor_contraction_opt::expr::{parse, ExprTree};
@@ -90,7 +91,8 @@ fn config(enlarged: bool) -> OptimizerConfig {
 
 /// The explanation as it was computed before it reused the constrained
 /// run: `constrained` and `free` are the two cold searches (limit kept,
-/// limit lifted), narrated by the original code.
+/// limit lifted), narrated by the original rules with footprints in the
+/// report's legible number format.
 fn reference(
     tree: &ExprTree,
     cm: &CostModel,
@@ -112,8 +114,8 @@ fn reference(
         text.push_str(&format!(
             "The communication-optimal plan fits in memory ({} of {} per \
              processor), so the limit costs nothing: {:.1} s of communication.",
-            fmt_paper_bytes(words_to_bytes(free_fp)),
-            fmt_paper_bytes(words_to_bytes(limit)),
+            fmt_paper_bytes_legible(words_to_bytes(free_fp)),
+            fmt_paper_bytes_legible(words_to_bytes(limit)),
             free.comm_cost,
         ));
     } else {
@@ -156,7 +158,8 @@ fn serial() -> MutexGuard<'static, ()> {
 }
 
 /// Run `f` under a collecting sink and return its result with the names
-/// of the `dp` run spans (`key_pass`, `optimize`) it emitted.
+/// of the `dp` spans that prepare a search (`prepare`) and run its passes
+/// (`key_pass`, `optimize`), in the order they ended.
 fn dp_runs<T>(f: impl FnOnce() -> T) -> (T, Vec<String>) {
     let sink = Arc::new(RecordingSink::new());
     obs::install(sink.clone());
@@ -167,7 +170,7 @@ fn dp_runs<T>(f: impl FnOnce() -> T) -> (T, Vec<String>) {
         .into_iter()
         .filter_map(|e| match e {
             TraceEvent::Slice { lane, name, .. }
-                if lane == "dp" && (name == "key_pass" || name == "optimize") =>
+                if lane == "dp" && ["prepare", "key_pass", "optimize"].contains(&name.as_str()) =>
             {
                 Some(name)
             }
@@ -191,6 +194,7 @@ struct Cell {
 /// `tce optimize` fails before it explains, and `explain` fails alike).
 fn check_cell(label: &str, tree: &ExprTree, cm: &CostModel, cfg: &OptimizerConfig) -> Option<Cell> {
     let (served, runs) = dp_runs(|| portfolio::plan_explained(tree, cm, cfg));
+    assert_eq!(runs.iter().filter(|r| *r == "prepare").count(), 1, "{label}: {runs:?}");
     let constrained = match optimize(tree, cm, cfg) {
         Ok(c) => c,
         Err(e) => {
@@ -256,17 +260,15 @@ fn enlarged_cell_explanation_comes_from_one_search() {
     let Cell { explained, runs, explanation } =
         check_cell("enlarged ccsd_tiny", &tree, &cm, &cfg).expect("the limit is feasible");
     assert!(explanation.unconstrained_footprint > explanation.limit_words, "the limit binds");
-    assert_eq!(runs, ["key_pass", "optimize"], "serving the text request");
+    assert_eq!(runs, ["prepare", "key_pass", "optimize"], "serving the text request");
 
     // The two searches it replaces: the plan-only request, and the
     // lifted-limit search bounded by its optimum.
     let plan_only = portfolio::plan(&tree, &cm, &cfg).expect("feasible").opt;
-    let bounded = OptimizerConfig {
-        mem_limit_words: Some(u128::MAX),
-        warm_upper_bound: Some(plan_only.comm_cost),
-        ..cfg.clone()
-    };
-    let lifted = optimize(&tree, &cm, &bounded).expect("feasible");
+    let lifted_cfg = OptimizerConfig { mem_limit_words: Some(u128::MAX), ..cfg.clone() };
+    let lifted = portfolio::Search::new(&tree, &cm, &lifted_cfg)
+        .and_then(|s| s.run(portfolio::Pass::Exact, Some(plan_only.comm_cost)))
+        .expect("feasible");
     let [one, two] = [&plan_only, &lifted].map(|o| o.counters.get(names::CANDIDATES));
     let merged = explained.counters.get(names::CANDIDATES);
     println!("explained search priced {merged} candidates; the two it replaces {one} + {two}");

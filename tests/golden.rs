@@ -13,9 +13,9 @@ use tensor_contraction_opt::opmin::lower_program;
 
 /// Runs `repro <id>` in-process and compares its full output with its golden
 /// file: `golden/table1.txt`, `table2.txt` and `fig1.txt` for T1, T2 and F1,
-/// `golden/repro/<id>.txt` for the rest. S2 leaves out its `cost memo:` and
-/// `bound skips:` lines, as `search_statistics_are_pinned` does. Returns the
-/// diff message when the output diverged.
+/// `golden/repro/<id>.txt` for the rest. S2 leaves out its `bound skips:`
+/// lines, as `search_statistics_are_pinned` does. Returns the diff message
+/// when the output diverged.
 fn repro_divergence(id: &str) -> Option<String> {
     let mut out = Vec::new();
     repro::run(id, &mut out).unwrap_or_else(|e| panic!("repro {id}: {e}"));
@@ -23,7 +23,7 @@ fn repro_divergence(id: &str) -> Option<String> {
     if id == "S2" {
         rendered = rendered
             .lines()
-            .filter(|l| !l.starts_with("cost memo:") && !l.starts_with("bound skips:"))
+            .filter(|l| !l.starts_with("bound skips:"))
             .map(|l| format!("{l}\n"))
             .collect();
     }
@@ -81,8 +81,8 @@ fn golden_files_contain_the_paper_landmarks() {
 /// line of `tce optimize --stats --threads 1`, on every shipped workload at
 /// 16 processors and on the enlarged `ccsd_tiny` cell. These numbers are a
 /// pure function of the search space, so a refactor of the combine loops
-/// must leave them unchanged. The memo and bound-skip lines are left out:
-/// they measure how the work was avoided, which pruning changes may move.
+/// must leave them unchanged. The bound-skip line is left out: it
+/// measures how the work was avoided, which pruning changes may move.
 #[test]
 fn search_statistics_are_pinned() {
     let cells: [(&str, u32, bool, Option<f64>); 7] = [

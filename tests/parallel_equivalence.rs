@@ -17,9 +17,7 @@
 //! and the tests would never exercise the parallel merge at all.
 //!
 //! The only permitted divergences are interleaving-dependent counters
-//! (flagged in `obs::names::ALL`): the `dp.memo_hit` / `dp.memo_miss` pair
-//! (two workers racing on one memo key both count a miss), the
-//! branch-and-bound skip/block totals, and `dp.steal` (how many runs were
+//! (flagged in `obs::names::ALL`): the branch-and-bound skip/block totals, and `dp.steal` (how many runs were
 //! claimed outside a worker's home region). The *values* computed never
 //! depend on any of them.
 
@@ -49,7 +47,7 @@ fn workload_trees() -> Vec<(String, ExprTree)> {
 }
 
 /// Assert two runs of the same search are indistinguishable, except for
-/// the interleaving-dependent memo counters.
+/// the interleaving-dependent counters.
 fn assert_identical(name: &str, tree: &ExprTree, serial: &Optimized, parallel: &Optimized) {
     assert_eq!(
         serial.comm_cost.to_bits(),

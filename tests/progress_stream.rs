@@ -81,7 +81,6 @@ fn progress_and_metrics_of_ccsd_tiny_are_pinned() {
                 "candidates_per_sec",
                 "frontier",
                 "bnb_skip_rate",
-                "memo_hit_rate",
                 "arena_hw_bytes",
                 "t_ms"
             ]

@@ -59,7 +59,7 @@ fn two_threads_do_not_regress_serial_wall_time() {
             };
             optimize(&tree, &cm, &cfg).expect("ccsd_tiny optimizes");
         };
-        // Warm up allocator + cost memo code paths before timing anything.
+        // Warm up allocator + pricing code paths before timing anything.
         if !enlarged {
             run(1);
         }
