@@ -1,14 +1,19 @@
 //! The memory-constrained communication minimization algorithm (§3.3).
 //!
 //! Bottom-up over the expression tree: at each node, every combination of
-//! * generalized-Cannon communication pattern (triplet `{i,j,k}` × role
-//!   assignment, §3.1),
+//! * layout: a generalized-Cannon communication pattern (triplet `{i,j,k}`
+//!   × role assignment, §3.1), an element-wise alignment, or a
+//!   reduction's child distribution,
 //! * fusion prefix with the parent,
 //! * children's `(distribution, fusion)` solutions (with redistribution
 //!   when an unfused child arrives in a different layout),
 //!
 //! is evaluated; candidates exceeding the per-processor memory limit are
 //! dropped and dominated candidates pruned, exactly as the paper describes.
+//! Every node goes through one combine loop, `combine`: a reduction is a
+//! node whose left (row) operand is absent — one zero option on the empty
+//! prefix, bound to no child — and whose result travels the grid dimension
+//! the summed index frees.
 //! The root's cheapest surviving solution is optimal over the searched
 //! space (the search is exhaustive; pruning only removes candidates that
 //! cannot be extended into a better complete solution).
@@ -680,38 +685,19 @@ impl<'a> Search<'a> {
                     if reuse_on {
                         counters.add(tce_obs::names::SUBTREE_MISS, 1);
                     }
-                    let fresh = match &n.kind {
-                        NodeKind::Contract { left, right, .. } => combine_binary(
-                            tree,
-                            cm,
-                            cfg,
-                            &mut sched,
-                            node,
-                            *left,
-                            *right,
-                            &binary_layouts(tree, cfg, node, *left, *right),
-                            &my_prefixes,
-                            &sets,
-                            node_limit,
-                            warm_cut,
-                            &mut set,
-                        ),
-                        NodeKind::Reduce { sum, child } => combine_reduce(
-                            tree,
-                            cm,
-                            cfg,
-                            &mut sched,
-                            node,
-                            *child,
-                            *sum,
-                            &my_prefixes,
-                            &sets,
-                            node_limit,
-                            warm_cut,
-                            &mut set,
-                        ),
-                        NodeKind::Leaf => unreachable!(),
-                    };
+                    let fresh = combine(
+                        tree,
+                        cm,
+                        cfg,
+                        &mut sched,
+                        node,
+                        &layouts(tree, cfg, node),
+                        &my_prefixes,
+                        &sets,
+                        node_limit,
+                        warm_cut,
+                        &mut set,
+                    );
                     (fresh, set.arena_bytes())
                 };
             counters.add(tce_obs::names::NODES, 1);
@@ -867,6 +853,27 @@ struct ChildOpt {
     redist_cost: f64,
 }
 
+impl ChildOpt {
+    /// This option bound as child `node` of a choice.
+    fn bind(
+        &self,
+        node: NodeId,
+        required_dist: Distribution,
+        fusion: &FusionPrefix,
+        rotate_cost: f64,
+    ) -> ChildBinding {
+        ChildBinding {
+            node,
+            sol_index: self.sol_index,
+            produced_dist: self.produced,
+            required_dist,
+            fusion: fusion.clone(),
+            redist_cost: self.redist_cost,
+            rotate_cost,
+        }
+    }
+}
+
 /// A child's option list plus suffix aggregates over it, all in the
 /// **original** option order (the enumeration order is part of the
 /// bit-identity contract, so options are never re-sorted — the suffix
@@ -968,17 +975,28 @@ fn account_block(
 
 /// Enumerate the ways child `c` can supply its array in `required` layout
 /// with fusion `f` on the edge. An unfused edge's list comes back without
-/// the options [`drop_dominated`] proves redundant.
+/// the options [`drop_dominated`] proves redundant. An absent operand (a
+/// reduction's row) supplies one zero option: no array, no cost.
 #[allow(clippy::too_many_arguments)]
 fn child_options(
     tree: &ExprTree,
     cm: &CostModel,
     cfg: &OptimizerConfig,
-    c: NodeId,
+    c: Option<NodeId>,
     f: &FusionPrefix,
     required: Distribution,
     sets: &HashMap<NodeId, SolutionSet>,
 ) -> Vec<ChildOpt> {
+    let Some(c) = c else {
+        return vec![ChildOpt {
+            sol_index: usize::MAX,
+            produced: required,
+            comm_cost: 0.0,
+            mem_words: 0,
+            max_msg_words: 0,
+            redist_cost: 0.0,
+        }];
+    };
     let n = tree.node(c);
     if n.is_leaf() {
         // Inputs may be distributed initially in any way at zero cost
@@ -1095,13 +1113,15 @@ fn drop_dominated(opts: Vec<ChildOpt>, pruning: bool) -> Vec<ChildOpt> {
     opts.into_iter().zip(keep).filter_map(|(o, k)| k.then_some(o)).collect()
 }
 
-/// Fusion prefixes available on the edge above child `c`.
+/// Fusion prefixes available on the edge above child `c`: the empty
+/// prefix alone for an absent operand.
 fn child_fusions(
     tree: &ExprTree,
     cfg: &OptimizerConfig,
-    c: NodeId,
+    c: Option<NodeId>,
     sets: &HashMap<NodeId, SolutionSet>,
 ) -> Vec<FusionPrefix> {
+    let Some(c) = c else { return vec![FusionPrefix::empty()] };
     if tree.node(c).is_leaf() {
         // Leaf message slicing has no memory consequences, so leaf edges
         // keep their full prefix menu even under a fixed fusion
@@ -1112,23 +1132,68 @@ fn child_fusions(
     }
 }
 
-/// One layout a binary node can be computed in: the generalized-Cannon
-/// pattern (`None` for an element-wise multiply, which aligns both
-/// operands and rotates nothing) plus the left, right and result
-/// distributions it requires.
-type Layout = (Option<CannonPattern>, Distribution, Distribution, Distribution);
+/// A node's row and column operands: a binary node's left and right
+/// child; a reduction's child is the column and its row is absent.
+fn operands(tree: &ExprTree, node: NodeId) -> (Option<NodeId>, NodeId) {
+    match tree.node(node).kind {
+        NodeKind::Contract { left, right, .. } => (Some(left), right),
+        NodeKind::Reduce { child, .. } => (None, child),
+        NodeKind::Leaf => unreachable!("leaves are bound inline at their parent"),
+    }
+}
 
-/// The layouts a binary node is searched over, in the serial enumeration
-/// order: one per Cannon pattern for a contraction; for an element-wise
-/// multiply (shared non-summed indices, e.g. Fig. 1's T3 = T1 × T2) one
-/// per result distribution, restricted to each child's dimensions.
-fn binary_layouts(
-    tree: &ExprTree,
-    cfg: &OptimizerConfig,
-    node: NodeId,
-    left: NodeId,
-    right: NodeId,
-) -> Vec<Layout> {
+/// One layout a node can be computed in, with what its blocks are
+/// admitted and priced by.
+#[derive(Clone, Copy)]
+struct Layout {
+    /// The generalized-Cannon pattern: `None` for an element-wise
+    /// multiply, which aligns both operands, and for a reduction.
+    pattern: Option<CannonPattern>,
+    /// The left, right and result distributions (a reduction's absent
+    /// left operand is undistributed).
+    dists: [Distribution; 3],
+    /// Per slot, the grid dimension the array travels along: a Cannon
+    /// layout's rotated arrays, or a reduction's result along the grid
+    /// dimension the summed index frees. Only a Cannon rotation stages a
+    /// message; a reduction's ring combine reuses the stored block.
+    travel: [Option<GridDim>; 3],
+    /// The admission class: the index no surrounding loop may contain (a
+    /// Cannon layout's rotation index, a reduction's summed index) and the
+    /// slots that must carry every surrounding loop.
+    class: (Option<IndexId>, [bool; 3]),
+}
+
+/// The layouts a node is searched over, in the serial enumeration order:
+/// one per Cannon pattern for a contraction; for an element-wise multiply
+/// (shared non-summed indices, e.g. Fig. 1's T3 = T1 × T2) one per result
+/// distribution, restricted to each child's dimensions; for a reduction
+/// one per distribution valid for the child.
+fn layouts(tree: &ExprTree, cfg: &OptimizerConfig, node: NodeId) -> Vec<Layout> {
+    let (left, right) = match tree.node(node).kind {
+        NodeKind::Contract { left, right, .. } => (left, right),
+        NodeKind::Reduce { sum, child } => {
+            // The summed dimension disappears; if it was distributed along
+            // `d`, a reduction across grid dimension `d` combines the
+            // partial sums and the result is no longer distributed along `d`.
+            let child = &tree.node(child).tensor;
+            let drop_sum = |d: Option<IndexId>| d.filter(|&i| i != sum);
+            let partial = cfg.allow_replication || child.arity() < 2;
+            return Distribution::enumerate(&child.dim_set(), partial)
+                .into_iter()
+                .map(|c| Layout {
+                    pattern: None,
+                    dists: [
+                        Distribution::REPLICATED,
+                        c,
+                        Distribution { d1: drop_sum(c.d1), d2: drop_sum(c.d2) },
+                    ],
+                    travel: [None, None, c.position_of(sum)],
+                    class: (Some(sum), [false; 3]),
+                })
+                .collect();
+        }
+        NodeKind::Leaf => unreachable!("leaves are bound inline at their parent"),
+    };
     let Ok(groups) = tree.contraction_groups(node) else {
         let dims = tree.node(node).tensor.dim_set();
         let restrict = |d: Distribution, c: NodeId| {
@@ -1137,18 +1202,35 @@ fn binary_layouts(
         };
         return Distribution::enumerate(&dims, cfg.allow_replication || dims.len() < 2)
             .into_iter()
-            .map(|o| (None, restrict(o, left), restrict(o, right), o))
+            .map(|o| Layout {
+                pattern: None,
+                dists: [restrict(o, left), restrict(o, right), o],
+                travel: [None; 3],
+                class: (None, [false; 3]),
+            })
             .collect();
     };
     let patterns = match cfg.fixed_patterns.as_ref().and_then(|m| m.get(&node)) {
         Some(p) => vec![*p],
         None => enumerate_patterns(&groups, cfg.allow_replication),
     };
+    // Paper-faithful, unless `allow_unrelated_rotation` lifts it, every
+    // rotated array must carry all surrounding fused loops (the `MsgFactor`
+    // formula's domain).
+    let carried = |p: CannonPattern| {
+        if cfg.allow_unrelated_rotation {
+            [false; 3]
+        } else {
+            SLOTS.map(|op| p.rotates(op))
+        }
+    };
     patterns
         .into_iter()
-        .map(|p| {
-            let dist = |op| p.operand_dist(op);
-            (Some(p), dist(Operand::Left), dist(Operand::Right), dist(Operand::Result))
+        .map(|p| Layout {
+            pattern: Some(p),
+            dists: SLOTS.map(|op| p.operand_dist(op)),
+            travel: SLOTS.map(|op| p.travel_dim(op)),
+            class: (p.rotation_index(), carried(p)),
         })
         .collect()
 }
@@ -1379,11 +1461,11 @@ fn trip_factor(
     factor as f64
 }
 
-/// A chain-compatible `(f_left, f_right, f_up)` fusion triple of a binary
-/// node, with the fused loops surrounding the node (the longest of the
-/// three prefixes), the id of their set among [`BinaryBlocks::sets`] and,
-/// per operand slot (left, right, result), the id of
-/// `surrounding ∩ dims(operand)` among [`BinaryBlocks::sliced`].
+/// A chain-compatible `(f_left, f_right, f_up)` fusion triple of a node,
+/// with the fused loops surrounding the node (the longest of the three
+/// prefixes), the id of their set among [`Blocks::sets`] and, per operand
+/// slot (left, right, result), the id of `surrounding ∩ dims(operand)`
+/// among [`Blocks::sliced`].
 struct Triple<'a> {
     li: usize,
     ri: usize,
@@ -1393,15 +1475,16 @@ struct Triple<'a> {
     sliced: [u32; 3],
 }
 
-/// The operands of a binary node in pricing-slot order.
+/// The operands of a node in pricing-slot order.
 const SLOTS: [Operand; 3] = [Operand::Left, Operand::Right, Operand::Result];
 
-/// Everything a binary node's combine blocks are priced from, built once
-/// per node: the layouts, the fusion triples with their interned sliced
-/// sets, and the admissible `(layout, triple)` blocks in serial order.
-struct BinaryBlocks<'a> {
-    /// Left, right and result array.
-    tensors: [&'a Tensor; 3],
+/// Everything a node's combine blocks are priced from, built once per
+/// node: the layouts, the fusion triples with their interned sliced sets,
+/// and the admissible `(layout, triple)` blocks in serial order.
+struct Blocks<'a> {
+    /// Left, right and result array; `None` for an absent left operand.
+    tensors: [Option<&'a Tensor>; 3],
+    result: &'a Tensor,
     layouts: &'a [Layout],
     /// Per layout, the ids of its left and right distributions among the
     /// node's distinct ones, and how many there are (the slate caches'
@@ -1428,19 +1511,20 @@ struct BinaryBlocks<'a> {
     items: Vec<(usize, usize)>,
 }
 
-impl<'a> BinaryBlocks<'a> {
-    #[allow(clippy::too_many_arguments)]
+impl<'a> Blocks<'a> {
     fn new(
         tree: &'a ExprTree,
-        cfg: &OptimizerConfig,
-        [left, right, node]: [NodeId; 3],
+        node: NodeId,
         layouts: &'a [Layout],
         lf_all: &'a [FusionPrefix],
         rf_all: &'a [FusionPrefix],
         my_prefixes: &'a [FusionPrefix],
     ) -> Self {
-        let tensors = [left, right, node].map(|id| &tree.node(id).tensor);
-        let dims = tensors.map(Tensor::dim_set);
+        let (left, right) = operands(tree, node);
+        let result = &tree.node(node).tensor;
+        let tensors =
+            [left.map(|l| &tree.node(l).tensor), Some(&tree.node(right).tensor), Some(result)];
+        let dims = tensors.map(|t| t.map_or_else(IndexSet::new, Tensor::dim_set));
         // Every prefix of the three menus, its loop set numbered once: a
         // triple's surrounding loops are its longest prefix, so the
         // triple's set is a lookup, never a set operation.
@@ -1481,38 +1565,29 @@ impl<'a> BinaryBlocks<'a> {
             }
             distinct
         });
-        let child_dists =
-            [intern(layouts.iter().map(|l| l.1)), intern(layouts.iter().map(|l| l.2))]
-                .map(|(ids, distinct)| (ids, distinct.len()));
+        let child_dists = [0, 1].map(|slot| {
+            let (ids, distinct) = intern(layouts.iter().map(|l| l.dists[slot]));
+            (ids, distinct.len())
+        });
         let rot_rows = std::array::from_fn(|slot| {
-            let (ids, distinct) = intern(layouts.iter().map(|&(pat, l, r, o)| {
-                ([l, r, o][slot], pat.and_then(|p| p.travel_dim(SLOTS[slot])))
-            }));
+            let (ids, distinct) = intern(layouts.iter().map(|l| (l.dists[slot], l.travel[slot])));
             (ids, distinct.len())
         });
 
-        // A Cannon layout admits a triple only when the rotation step loop
-        // is not fused around the contraction and — paper-faithful, unless
-        // `allow_unrelated_rotation` lifts it — every rotated array carries
-        // all surrounding fused loops (the `MsgFactor` formula's domain).
-        // An element-wise layout rotates nothing and admits every triple.
-        // Both tests read only the rotation index, the rotated slots and
-        // the triple's loop set, so they run once per (class, set).
-        let (classes, class_list) = intern(layouts.iter().map(|&(pat, ..)| {
-            let rotated = match pat {
-                Some(p) if !cfg.allow_unrelated_rotation => SLOTS.map(|op| p.rotates(op)),
-                _ => [false; 3],
-            };
-            (pat.and_then(|p| p.rotation_index()), rotated)
-        }));
+        // A layout admits a triple only when its class's excluded index (a
+        // Cannon rotation step loop, a reduction's summed loop) is not
+        // fused around the node and every slot the class names carries all
+        // surrounding fused loops. Both tests read only the class and the
+        // triple's loop set, so they run once per (class, set).
+        let (classes, class_list) = intern(layouts.iter().map(|l| l.class));
         let admitted: Vec<Vec<usize>> = class_list
             .iter()
-            .map(|&(rot, rotated)| {
+            .map(|&(excluded, carried)| {
                 let admits: Vec<bool> = sets
                     .iter()
                     .map(|s| {
-                        !rot.is_some_and(|k| s.contains(k))
-                            && (0..3).all(|slot| !rotated[slot] || s.is_subset(&dims[slot]))
+                        !excluded.is_some_and(|k| s.contains(k))
+                            && (0..3).all(|slot| !carried[slot] || s.is_subset(&dims[slot]))
                     })
                     .collect();
                 (0..triples.len()).filter(|&t| admits[triples[t].surround as usize]).collect()
@@ -1525,6 +1600,7 @@ impl<'a> BinaryBlocks<'a> {
             .collect();
         Self {
             tensors,
+            result,
             layouts,
             child_dists,
             rot_rows,
@@ -1537,29 +1613,29 @@ impl<'a> BinaryBlocks<'a> {
     }
 }
 
-/// A binary block's node-local prices: per operand slot (left, right,
-/// result) the rotation cost and the per-step message words, and the words
-/// the result stores.
+/// A block's node-local prices: per operand slot (left, right, result) the
+/// rotation cost and the per-step message words, and the words the result
+/// stores.
 struct BlockPrice {
     rotate: [f64; 3],
     msg: [u128; 3],
     my_mem: u128,
 }
 
-/// Per-worker pricing tables of one binary node (DESIGN.md §9): the
-/// trip-count factor by (layout, surrounding set), per operand slot
-/// `(message words, rotation base)` by (the operand's distribution and
-/// travel dimension, sliced set), and the result footprint by (layout,
-/// up-prefix set). They replace the per-block set intersections,
-/// trip-count divisions, hashed lookups and size formulas.
-struct BinaryTables {
+/// Per-worker pricing tables of one node (DESIGN.md §9): the trip-count
+/// factor by (layout, surrounding set), per operand slot `(message words,
+/// rotation base)` by (the operand's distribution and travel dimension,
+/// sliced set), and the result footprint by (layout, up-prefix set). They
+/// replace the per-block set intersections, trip-count divisions, hashed
+/// lookups and size formulas.
+struct Tables {
     trip: LazyTable<f64>,
     rot: [LazyTable<(u128, f64)>; 3],
     foot: LazyTable<u128>,
 }
 
-impl BinaryTables {
-    fn new(b: &BinaryBlocks) -> Self {
+impl Tables {
+    fn new(b: &Blocks) -> Self {
         let rows = b.layouts.len();
         Self {
             trip: LazyTable::new(rows, b.sets.len()),
@@ -1572,67 +1648,66 @@ impl BinaryTables {
 
     /// The prices of block `(p, t)`, bit-identical to
     /// [`CostModel::rotate_cost_surrounded`], [`tce_cost::rotate::message_words`]
-    /// and [`dist_size`] on the block's arguments. Rotation is priced only
-    /// for a Cannon layout; an element-wise layout prices zero rotation and
-    /// zero messages, which is bit-identical to leaving those terms out
-    /// (`x + 0.0 == x` for every non-negative cost).
+    /// and [`dist_size`] on the block's arguments. Every travelling slot
+    /// is priced; a slot that stays put prices zero rotation and zero
+    /// message, which is bit-identical to leaving those terms out
+    /// (`x + 0.0 == x` for every non-negative cost). The trip counts read
+    /// the result, left and right layouts in that order; for a reduction
+    /// that equals the result layout alone, since no admitted loop is the
+    /// summed index and the result places every other index where the
+    /// child does.
     #[inline]
     fn price(
         &mut self,
-        b: &BinaryBlocks,
+        b: &Blocks,
         cm: &CostModel,
         space: &IndexSpace,
         (p, t): (usize, usize),
     ) -> BlockPrice {
-        let (pat, ldist, rdist, odist) = b.layouts[p];
+        let Layout { pattern, dists: [ldist, rdist, odist], travel, .. } = b.layouts[p];
         let tr = &b.triples[t];
         let mut rotate = [0.0f64; 3];
         let mut msg = [0u128; 3];
-        if let Some(pat) = pat {
+        if travel.iter().any(Option::is_some) {
             let set = tr.surround as usize;
             let factor = self
                 .trip
                 .get(p, set, || trip_factor(&b.sets[set], space, cm, &[odist, ldist, rdist]));
             for (slot, dist) in [ldist, rdist, odist].into_iter().enumerate() {
-                if let Some(travel) = pat.travel_dim(SLOTS[slot]) {
-                    let (row, sid) = (b.rot_rows[slot].0[p] as usize, tr.sliced[slot] as usize);
-                    let (words, base) = self.rot[slot].get(row, sid, || {
-                        rotation_cell(
-                            cm,
-                            space,
-                            b.tensors[slot],
-                            dist,
-                            travel,
-                            &b.sliced[slot][sid],
-                        )
-                    });
+                let (Some(travel), Some(tensor)) = (travel[slot], b.tensors[slot]) else {
+                    continue;
+                };
+                let (row, sid) = (b.rot_rows[slot].0[p] as usize, tr.sliced[slot] as usize);
+                let (words, base) = self.rot[slot].get(row, sid, || {
+                    rotation_cell(cm, space, tensor, dist, travel, &b.sliced[slot][sid])
+                });
+                if pattern.is_some() {
                     msg[slot] = words;
-                    rotate[slot] = factor * base;
                 }
+                rotate[slot] = factor * base;
             }
         }
         let up = b.up_ids[tr.ui] as usize;
         let my_mem =
-            self.foot.get(p, up, || dist_size(b.tensors[2], space, cm.grid, odist, &b.sets[up]));
+            self.foot.get(p, up, || dist_size(b.result, space, cm.grid, odist, &b.sets[up]));
         BlockPrice { rotate, msg, my_mem }
     }
 }
 
-/// The §3.3 combine of a binary node (contraction or element-wise
-/// multiply): every admissible `(layout, fusion triple)` block prices each
-/// pair of left and right child options a row at a time, after the
-/// branch-and-bound tests of [`bnb_skip`] on the block's tail and row.
-/// Inadmissible pairs are never built as blocks, so `dp.blocks` counts
-/// admissible blocks only.
+/// The §3.3 combine of a node: every admissible `(layout, fusion triple)`
+/// block prices each pair of left and right child options a row at a
+/// time, after the branch-and-bound tests of [`bnb_skip`] on the block's
+/// tail and row. A reduction is a block whose left operand is absent: one
+/// zero option on the empty prefix, bound to no child, so the kernel runs
+/// over the child's slate as one row. Inadmissible pairs are never built
+/// as blocks, so `dp.blocks` counts admissible blocks only.
 #[allow(clippy::too_many_arguments)]
-fn combine_binary(
+fn combine(
     tree: &ExprTree,
     cm: &CostModel,
     cfg: &OptimizerConfig,
     sched: &mut crate::sched::Scheduler,
     node: NodeId,
-    left: NodeId,
-    right: NodeId,
     layouts: &[Layout],
     my_prefixes: &[FusionPrefix],
     sets: &HashMap<NodeId, SolutionSet>,
@@ -1641,12 +1716,12 @@ fn combine_binary(
     out: &mut SolutionSet,
 ) -> crate::sched::EnumStats {
     let space = &tree.space;
+    let (left, right) = operands(tree, node);
     let lf_all = child_fusions(tree, cfg, left, sets);
-    let rf_all = child_fusions(tree, cfg, right, sets);
-    let blocks =
-        BinaryBlocks::new(tree, cfg, [left, right, node], layouts, &lf_all, &rf_all, my_prefixes);
+    let rf_all = child_fusions(tree, cfg, Some(right), sets);
+    let blocks = Blocks::new(tree, node, layouts, &lf_all, &rf_all, my_prefixes);
 
-    type Caches = (SlateCache, SlateCache, KernelScratch, BinaryTables);
+    type Caches = (SlateCache, SlateCache, KernelScratch, Tables);
     // Child options depend only on (edge fusion, required layout), not on
     // which layout/triple asked — cached in the per-worker state, which
     // persists across every run the worker claims, beside the block
@@ -1658,13 +1733,13 @@ fn combine_binary(
             SlateCache::new(lf_all.len(), *ldists),
             SlateCache::new(rf_all.len(), *rdists),
             KernelScratch::default(),
-            BinaryTables::new(&blocks),
+            Tables::new(&blocks),
         )
     };
     sched.run(&blocks.items, out, mk_state, |chunk, local, state| {
         let (lcache, rcache, scratch, tables) = state;
         for &(p, t) in chunk {
-            let (pat, ldist, rdist, odist) = layouts[p];
+            let Layout { pattern, dists: [ldist, rdist, odist], .. } = layouts[p];
             let Triple { li, ri, ui, surrounding, .. } = blocks.triples[t];
             let (fl, fr, fu) = (&lf_all[li], &rf_all[ri], &my_prefixes[ui]);
 
@@ -1673,7 +1748,7 @@ fn combine_binary(
                 OptSlate::new(child_options(tree, cm, cfg, left, fl, ldist, sets))
             });
             let rslate = rcache.get(ri, rids[p], || {
-                OptSlate::new(child_options(tree, cm, cfg, right, fr, rdist, sets))
+                OptSlate::new(child_options(tree, cm, cfg, Some(right), fr, rdist, sets))
             });
             if rslate.opts.is_empty() {
                 continue;
@@ -1707,16 +1782,20 @@ fn combine_binary(
                         break 'rows;
                     }
                     // Row corner (this left option against the best of all
-                    // right options) — tighter, skips just this row.
-                    if bnb_skip(
-                        local,
-                        &kh,
-                        lopt.comm_cost + lopt.redist_cost + rc0 + rot_total,
-                        lopt.mem_words + rm0 + my_mem,
-                        block_msg.max(lopt.max_msg_words).max(rg0),
-                        warm_cut,
-                        ropts,
-                    ) {
+                    // right options) — tighter, skips just this row. On the
+                    // last row it is the tail corner again, so it is not
+                    // asked.
+                    if tail.len() > 1
+                        && bnb_skip(
+                            local,
+                            &kh,
+                            lopt.comm_cost + lopt.redist_cost + rc0 + rot_total,
+                            lopt.mem_words + rm0 + my_mem,
+                            block_msg.max(lopt.max_msg_words).max(rg0),
+                            warm_cut,
+                            ropts,
+                        )
+                    {
                         let agg =
                             (lopt.mem_words, lopt.max_msg_words, (lopt.redist_cost == 0.0) as u64);
                         let row = std::slice::from_ref(lopt);
@@ -1753,278 +1832,17 @@ fn combine_binary(
                         l_fallback || rslate.redist[i] > 0.0,
                         limit,
                         || {
+                            let row = left.map(|l| lopt.bind(l, ldist, fl, rotate[0]));
+                            let col = ropt.bind(right, rdist, fr, rotate[1]);
                             Some(Box::new(Choice {
-                                pattern: pat,
-                                children: vec![
-                                    ChildBinding {
-                                        node: left,
-                                        sol_index: lopt.sol_index,
-                                        produced_dist: lopt.produced,
-                                        required_dist: ldist,
-                                        fusion: fl.clone(),
-                                        redist_cost: lopt.redist_cost,
-                                        rotate_cost: rotate[0],
-                                    },
-                                    ChildBinding {
-                                        node: right,
-                                        sol_index: ropt.sol_index,
-                                        produced_dist: ropt.produced,
-                                        required_dist: rdist,
-                                        fusion: fr.clone(),
-                                        redist_cost: ropt.redist_cost,
-                                        rotate_cost: rotate[1],
-                                    },
-                                ],
+                                pattern,
+                                children: row.into_iter().chain([col]).collect(),
                                 result_rotate_cost: rotate[2],
                                 surrounding: surrounding.clone(),
                             }))
                         },
                     );
                 }
-            }
-        }
-    })
-}
-
-/// A compatible `(f_child, f_up)` pair of a reduce node, with the fused
-/// loops surrounding the node, the id of their set among
-/// [`ReduceBlocks::sets`] and the id of `surrounding ∩ dims(result)` among
-/// [`ReduceBlocks::sliced`].
-struct Pair<'a> {
-    ci: usize,
-    ui: usize,
-    surrounding: &'a FusionPrefix,
-    surround: u32,
-    sliced: u32,
-}
-
-/// Everything a reduce node's combine blocks are priced from, built once
-/// per node (the reduce counterpart of [`BinaryBlocks`]).
-struct ReduceBlocks<'a> {
-    result: &'a Tensor,
-    /// Per candidate child distribution: the distribution, the result
-    /// layout it leaves and the grid dimension its reduction runs along.
-    /// The summed dimension disappears; if it was distributed along `d`, a
-    /// reduction across grid dimension `d` combines the partial sums and
-    /// the result is no longer distributed along `d`.
-    cdists: Vec<(Distribution, Distribution, Option<GridDim>)>,
-    pairs: Vec<Pair<'a>>,
-    /// Per up-prefix, the id of its set among `sets`.
-    up_ids: Vec<u32>,
-    /// The distinct loop sets of the child and up prefixes (the trip-count
-    /// and footprint tables' columns).
-    sets: Vec<IndexSet>,
-    /// The distinct `surrounding ∩ dims(result)` sets.
-    sliced: Vec<IndexSet>,
-    /// One item per (child distribution, pair), distribution-major: the
-    /// serial loop nest.
-    items: Vec<(usize, usize)>,
-}
-
-impl<'a> ReduceBlocks<'a> {
-    fn new(
-        tree: &'a ExprTree,
-        cfg: &OptimizerConfig,
-        [child, node]: [NodeId; 2],
-        sum: IndexId,
-        cf_all: &'a [FusionPrefix],
-        my_prefixes: &'a [FusionPrefix],
-    ) -> Self {
-        let result = &tree.node(node).tensor;
-        let child_tensor = &tree.node(child).tensor;
-        // Candidate child distributions: everything valid for the child.
-        let cdists: Vec<_> = Distribution::enumerate(
-            &child_tensor.dim_set(),
-            cfg.allow_replication || child_tensor.arity() < 2,
-        )
-        .into_iter()
-        .map(|cdist| match cdist.position_of(sum) {
-            Some(GridDim::Dim1) => {
-                (cdist, Distribution { d1: None, d2: cdist.d2 }, Some(GridDim::Dim1))
-            }
-            Some(GridDim::Dim2) => {
-                (cdist, Distribution { d1: cdist.d1, d2: None }, Some(GridDim::Dim2))
-            }
-            None => (cdist, cdist, None),
-        })
-        .collect();
-        // Every prefix of both menus numbered by its loop set once, as in
-        // [`BinaryBlocks::new`].
-        let menu = Menu::new(cf_all.iter().chain(my_prefixes).collect());
-        let nc = cf_all.len();
-        let dims = result.dim_set();
-        let (of_set, sliced) = intern(menu.sets.iter().map(|s| s.intersection(&dims)));
-        // Compatible pairs, in the serial nesting order (the filters do not
-        // depend on the child distribution).
-        let mut pairs = Vec::new();
-        for (ci, fc) in cf_all.iter().enumerate() {
-            if fc.contains(sum) {
-                continue; // the summed loop belongs to this node, not the edge
-            }
-            for ui in 0..my_prefixes.len() {
-                if menu.compatible(ci, nc + ui) {
-                    let top = menu.join(ci, nc + ui);
-                    let (surrounding, surround) = (menu.rows[top], menu.set_ids[top]);
-                    let sliced = of_set[surround as usize];
-                    pairs.push(Pair { ci, ui, surrounding, surround, sliced });
-                }
-            }
-        }
-        let items = (0..cdists.len()).flat_map(|d| (0..pairs.len()).map(move |p| (d, p))).collect();
-        let Menu { set_ids, sets, .. } = menu;
-        Self { result, cdists, pairs, up_ids: set_ids[nc..].to_vec(), sets, sliced, items }
-    }
-}
-
-/// Per-worker pricing tables of one reduce node: the trip-count factor by
-/// (child distribution, surrounding set), `(words, rotation base)` of the
-/// reduction by (child distribution, sliced set) and the result footprint
-/// by (child distribution, up-prefix set).
-struct ReduceTables {
-    trip: LazyTable<f64>,
-    rot: LazyTable<(u128, f64)>,
-    foot: LazyTable<u128>,
-}
-
-impl ReduceTables {
-    fn new(b: &ReduceBlocks) -> Self {
-        let rows = b.cdists.len();
-        Self {
-            trip: LazyTable::new(rows, b.sets.len()),
-            rot: LazyTable::new(rows, b.sliced.len()),
-            foot: LazyTable::new(rows, b.sets.len()),
-        }
-    }
-
-    /// The reduction cost and result footprint of block `(d, p)`.
-    /// Reduction cost: a ring combine of the (sliced) result block across
-    /// the reduce dimension, repeated per fused surrounding iteration —
-    /// bit-identical to [`CostModel::rotate_cost_surrounded`] with the
-    /// result array travelling the freed grid dimension.
-    #[inline]
-    fn price(
-        &mut self,
-        b: &ReduceBlocks,
-        cm: &CostModel,
-        space: &IndexSpace,
-        (d, p): (usize, usize),
-    ) -> (f64, u128) {
-        let (_, odist, reduce_dim) = b.cdists[d];
-        let pair = &b.pairs[p];
-        let reduce_cost = match reduce_dim {
-            None => 0.0,
-            Some(rd) => {
-                let sid = pair.sliced as usize;
-                let (_, base) = self
-                    .rot
-                    .get(d, sid, || rotation_cell(cm, space, b.result, odist, rd, &b.sliced[sid]));
-                let set = pair.surround as usize;
-                let factor =
-                    self.trip.get(d, set, || trip_factor(&b.sets[set], space, cm, &[odist]));
-                factor * base
-            }
-        };
-        let up = b.up_ids[pair.ui] as usize;
-        let my_mem =
-            self.foot.get(d, up, || dist_size(b.result, space, cm.grid, odist, &b.sets[up]));
-        (reduce_cost, my_mem)
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn combine_reduce(
-    tree: &ExprTree,
-    cm: &CostModel,
-    cfg: &OptimizerConfig,
-    sched: &mut crate::sched::Scheduler,
-    node: NodeId,
-    child: NodeId,
-    sum: IndexId,
-    my_prefixes: &[FusionPrefix],
-    sets: &HashMap<NodeId, SolutionSet>,
-    limit: u128,
-    warm_cut: f64,
-    out: &mut SolutionSet,
-) -> crate::sched::EnumStats {
-    let space = &tree.space;
-    let cf_all = child_fusions(tree, cfg, child, sets);
-    let blocks = ReduceBlocks::new(tree, cfg, [child, node], sum, &cf_all, my_prefixes);
-
-    type Caches = (SlateCache, KernelScratch, ReduceTables);
-    let mk_state = || -> Caches {
-        let slates = SlateCache::new(cf_all.len(), blocks.cdists.len());
-        (slates, KernelScratch::default(), ReduceTables::new(&blocks))
-    };
-    sched.run(&blocks.items, out, mk_state, |chunk, local, state| {
-        let (ccache, scratch, tables) = state;
-        for &(d, p) in chunk {
-            let (cdist, odist, _) = blocks.cdists[d];
-            let Pair { ci, ui, surrounding, .. } = blocks.pairs[p];
-            let (fc, fu) = (&cf_all[ci], &my_prefixes[ui]);
-            let cslate = ccache.get(ci, d as u32, || {
-                OptSlate::new(child_options(tree, cm, cfg, child, fc, cdist, sets))
-            });
-            if cslate.opts.is_empty() {
-                continue;
-            }
-            let (reduce_cost, my_mem) = tables.price(&blocks, cm, space, (d, p));
-            let mut kh = local.key_handle(odist, fu);
-            if local.bounds_active() {
-                let (cc0, cm0, cg0) = cslate.floors[0];
-                let n = cslate.opts.len() as u64;
-                let raw = cc0 + reduce_cost;
-                if bnb_skip(local, &kh, raw, cm0 + my_mem, cg0, warm_cut, n) {
-                    let (max_mem, max_msg, nored) = cslate.sfx_agg[0];
-                    if max_mem + my_mem + max_msg <= limit {
-                        local.account_skipped_many(n, n - nored, 0);
-                    } else {
-                        for c2 in &cslate.opts {
-                            local.account_skipped(
-                                c2.redist_cost > 0.0,
-                                c2.mem_words + my_mem + c2.max_msg_words,
-                                limit,
-                            );
-                        }
-                    }
-                    continue;
-                }
-            }
-            // Batched kernels over the whole child slate (bit-exact
-            // per-element op order).
-            tce_cost::kernel::combine3(
-                &cslate.comm,
-                &cslate.redist,
-                reduce_cost,
-                &mut scratch.cost,
-            );
-            tce_cost::kernel::add_u128(my_mem, &cslate.mem, &mut scratch.mem);
-            for (i, copt) in cslate.opts.iter().enumerate() {
-                local.try_insert(
-                    &mut kh,
-                    odist,
-                    fu,
-                    scratch.cost[i],
-                    scratch.mem[i],
-                    cslate.msg[i],
-                    cslate.redist[i] > 0.0,
-                    limit,
-                    || {
-                        Some(Box::new(Choice {
-                            pattern: None,
-                            children: vec![ChildBinding {
-                                node: child,
-                                sol_index: copt.sol_index,
-                                produced_dist: copt.produced,
-                                required_dist: cdist,
-                                fusion: fc.clone(),
-                                redist_cost: copt.redist_cost,
-                                rotate_cost: 0.0,
-                            }],
-                            result_rotate_cost: reduce_cost,
-                            surrounding: surrounding.clone(),
-                        }))
-                    },
-                );
             }
         }
     })
@@ -2059,6 +1877,42 @@ mod tests {
             assert!(!set.dist(s).contains(i));
             assert!(set.dist(s).d1.is_none() || set.dist(s).d2.is_none());
         }
+    }
+
+    /// A reduction over a pinned input binds the leaf through the column
+    /// operand's leaf path: the plan pays exactly the redistribution from
+    /// the given layout into the one the reduction requires, and passes
+    /// every static check. Here keeping `A` in `<i,j>` would leave a
+    /// reduction of `S`, so the plan moves `A` to `<t,j>` instead.
+    #[test]
+    fn reduce_over_a_pinned_input_pays_its_redistribution() {
+        let src = "range i = 2; range j = 64; range t = 64;\ninput A[i,j,t];\nS[j,t] = sum[i] A[i,j,t];\n";
+        let tree = parse(src).unwrap().to_sequence().unwrap().to_tree().unwrap();
+        let (i, j) = (tree.space.lookup("i").unwrap(), tree.space.lookup("j").unwrap());
+        let given = Distribution::pair(i, j);
+        let mut cfg = OptimizerConfig::default();
+        cfg.input_dists.insert("A".into(), given);
+        let cm = cm4();
+        let opt = optimize(&tree, &cm, &cfg).unwrap();
+        let plan = crate::plan::extract_plan(&tree, &opt);
+        let step = plan.step_for("S").unwrap();
+        let [a] = &step.operands[..] else { panic!("one operand: {:?}", step.operands) };
+        assert!(a.is_leaf);
+        assert_eq!(a.produced_dist, given);
+        assert_ne!(a.required_dist, given, "the pin is redistributed");
+        let want = cm.redistribution_cost(
+            &tree.node(a.node).tensor,
+            &tree.space,
+            given,
+            a.required_dist,
+            &IndexSet::new(),
+        );
+        assert!(want > 0.0);
+        assert_eq!(a.redist_cost.to_bits(), want.to_bits());
+        assert_eq!(opt.comm_cost.to_bits(), (want + step.result_rotate_cost).to_bits());
+        crate::check::check_plan(&tree, &plan, Some(&cm), Some(cm.mem_limit_words()))
+            .to_result()
+            .unwrap();
     }
 
     /// The skip helper tests the warm cut before the corner query.
@@ -2194,8 +2048,11 @@ S[t] = sum[j] T3[j,t];
     /// node's pricing tables, equals the independent formulas bit for bit:
     /// [`CostModel::rotate_cost_surrounded`] and
     /// [`tce_cost::rotate::message_words`] per rotated operand (zero for
-    /// the others), [`dist_size`] for the result footprint, and the
-    /// reduction cost of a reduce node. The tables share one cell per
+    /// the others), [`dist_size`] for the result footprint, and for a
+    /// reduce node, whose blocks have an absent left operand, its own
+    /// reference: the result rotated along the freed grid dimension with
+    /// trip counts over the result layout alone, and no message. The
+    /// tables share one cell per
     /// distinct (layout, operand, sliced set) — a table keyed by triple
     /// fills more cells and fails the count.
     #[test]
@@ -2231,26 +2088,48 @@ S[t] = sum[j] T3[j,t];
             let space = &tree.space;
             let filled = |t: &[(u128, f64)]| t.iter().filter(|&&c| c != (0, 0.0)).count();
             for node in tree.postorder() {
+                if tree.node(node).is_leaf() {
+                    continue;
+                }
                 let prefixes = enumerate_prefixes(&edge_candidates(&tree, node), usize::MAX);
-                match tree.node(node).kind {
-                    NodeKind::Contract { left, right, .. } => {
-                        let layouts = binary_layouts(&tree, &cfg, node, left, right);
-                        let lf = child_fusions(&tree, &cfg, left, &sets);
-                        let rf = child_fusions(&tree, &cfg, right, &sets);
-                        let ids = [left, right, node];
-                        let b = BinaryBlocks::new(&tree, &cfg, ids, &layouts, &lf, &rf, &prefixes);
-                        let mut tables = BinaryTables::new(&b);
-                        let mut want_rot = [(); 3].map(|_| std::collections::HashSet::new());
-                        let mut want_foot = std::collections::HashSet::new();
-                        for &(p, t) in &b.items {
-                            let got = tables.price(&b, &cm, space, (p, t));
-                            let (pat, ldist, rdist, odist) = layouts[p];
-                            let tr = &b.triples[t];
+                let layouts = layouts(&tree, &cfg, node);
+                let (left, right) = operands(&tree, node);
+                let lf = child_fusions(&tree, &cfg, left, &sets);
+                let rf = child_fusions(&tree, &cfg, Some(right), &sets);
+                let b = Blocks::new(&tree, node, &layouts, &lf, &rf, &prefixes);
+                let mut tables = Tables::new(&b);
+                let mut want_rot = [(); 3].map(|_| std::collections::HashSet::new());
+                let mut want_foot = std::collections::HashSet::new();
+                for &(p, t) in &b.items {
+                    let got = tables.price(&b, &cm, space, (p, t));
+                    let Layout { pattern, dists: [ldist, rdist, odist], .. } = layouts[p];
+                    let tr = &b.triples[t];
+                    let s = &lf[tr.li].join(&rf[tr.ri]).join(&prefixes[tr.ui]).as_set();
+                    let want: [(f64, u128); 3] = match tree.node(node).kind {
+                        // A reduction rotates its result along the grid
+                        // dimension the summed index frees, with trip counts
+                        // over the result layout alone, and stages no message.
+                        NodeKind::Reduce { sum, .. } => {
+                            let trip = |j| trip_count(j, space, cm.grid, &[odist]);
+                            let reduce = match rdist.position_of(sum) {
+                                None => 0.0,
+                                Some(rd) => {
+                                    want_rot[2].insert((
+                                        odist,
+                                        rd,
+                                        s.intersection(&b.result.dim_set()),
+                                    ));
+                                    cm.rotate_cost_surrounded(b.result, space, odist, rd, s, trip)
+                                }
+                            };
+                            [(0.0, 0), (0.0, 0), (reduce, 0)]
+                        }
+                        _ => {
                             let trip = |j| trip_count(j, space, cm.grid, &[odist, ldist, rdist]);
-                            let s = &lf[tr.li].join(&rf[tr.ri]).join(&prefixes[tr.ui]).as_set();
-                            for (slot, dist) in [ldist, rdist, odist].into_iter().enumerate() {
-                                let tensor = b.tensors[slot];
-                                let (rot, msg) = match pat.and_then(|p| p.travel_dim(SLOTS[slot])) {
+                            let dists = [ldist, rdist, odist];
+                            std::array::from_fn(|slot| {
+                                let (tensor, dist) = (b.tensors[slot].unwrap(), dists[slot]);
+                                match pattern.and_then(|p| p.travel_dim(SLOTS[slot])) {
                                     Some(travel) => {
                                         let sliced = s.intersection(&tensor.dim_set());
                                         want_rot[slot].insert((dist, travel, sliced));
@@ -2262,53 +2141,23 @@ S[t] = sum[j] T3[j,t];
                                         )
                                     }
                                     None => (0.0, 0),
-                                };
-                                assert_eq!(
-                                    got.rotate[slot].to_bits(),
-                                    rot.to_bits(),
-                                    "{cell} rotate"
-                                );
-                                assert_eq!(got.msg[slot], msg, "{cell} msg");
-                            }
-                            let up = prefixes[tr.ui].as_set();
-                            assert_eq!(
-                                got.my_mem,
-                                dist_size(b.tensors[2], space, cm.grid, odist, &up)
-                            );
-                            want_foot.insert((p, up));
-                        }
-                        for (table, want) in tables.rot.iter().zip(&want_rot) {
-                            assert_eq!(filled(&table.cells), want.len(), "{cell}");
-                        }
-                        let foot = tables.foot.cells.iter().filter(|&&c| c != 0).count();
-                        assert_eq!(foot, want_foot.len(), "{cell}");
-                    }
-                    NodeKind::Reduce { sum, child } => {
-                        let cf = child_fusions(&tree, &cfg, child, &sets);
-                        let b = ReduceBlocks::new(&tree, &cfg, [child, node], sum, &cf, &prefixes);
-                        let mut tables = ReduceTables::new(&b);
-                        let mut want_rot = std::collections::HashSet::new();
-                        for &(d, p) in &b.items {
-                            let (reduce_cost, my_mem) = tables.price(&b, &cm, space, (d, p));
-                            let (_, odist, reduce_dim) = b.cdists[d];
-                            let pair = &b.pairs[p];
-                            let s = cf[pair.ci].join(&prefixes[pair.ui]).as_set();
-                            let trip = |j| trip_count(j, space, cm.grid, &[odist]);
-                            let want = match reduce_dim {
-                                None => 0.0,
-                                Some(rd) => {
-                                    want_rot.insert((d, s.intersection(&b.result.dim_set())));
-                                    cm.rotate_cost_surrounded(b.result, space, odist, rd, &s, trip)
                                 }
-                            };
-                            assert_eq!(reduce_cost.to_bits(), want.to_bits(), "{cell} reduce");
-                            let up = prefixes[pair.ui].as_set();
-                            assert_eq!(my_mem, dist_size(b.result, space, cm.grid, odist, &up));
+                            })
                         }
-                        assert_eq!(filled(&tables.rot.cells), want_rot.len(), "{cell}");
+                    };
+                    for (slot, (rot, msg)) in want.into_iter().enumerate() {
+                        assert_eq!(got.rotate[slot].to_bits(), rot.to_bits(), "{cell} rotate");
+                        assert_eq!(got.msg[slot], msg, "{cell} msg");
                     }
-                    NodeKind::Leaf => {}
+                    let up = prefixes[tr.ui].as_set();
+                    assert_eq!(got.my_mem, dist_size(b.result, space, cm.grid, odist, &up));
+                    want_foot.insert((p, up));
                 }
+                for (table, want) in tables.rot.iter().zip(&want_rot) {
+                    assert_eq!(filled(&table.cells), want.len(), "{cell}");
+                }
+                let foot = tables.foot.cells.iter().filter(|&&c| c != 0).count();
+                assert_eq!(foot, want_foot.len(), "{cell}");
             }
         }
     }

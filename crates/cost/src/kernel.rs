@@ -17,12 +17,14 @@
 //! are exactly associative, so those kernels may hoist the loop-invariant
 //! part into `base` without changing any bit.
 
-/// Binary combine: per element,
+/// Row combine of every DP node: per element,
 /// `out[i] = ((((((lc + rc[i]) + lr) + rr[i]) + rot0) + rot1) + rot2)` —
 /// the scalar order of
 /// `lopt.comm + ropt.comm + lopt.redist + ropt.redist + rot[0] + rot[1] + rot[2]`.
 /// An element-wise multiply rotates nothing and passes `rot = [0.0; 3]`,
-/// which leaves every non-negative sum bit-identical (`x + 0.0 == x`).
+/// and a reduction, whose row operand is absent, passes `lc = lr = 0.0`
+/// and only the result's `rot[2]`: both leave every sum of costs that are
+/// not `-0.0` bit-identical to the shorter one (`x + 0.0 == x`).
 pub fn combine7(lc: f64, lr: f64, rc: &[f64], rr: &[f64], rot: &[f64; 3], out: &mut Vec<f64>) {
     debug_assert_eq!(rc.len(), rr.len());
     out.clear();
@@ -31,15 +33,6 @@ pub fn combine7(lc: f64, lr: f64, rc: &[f64], rr: &[f64], rot: &[f64; 3], out: &
             .zip(rr)
             .map(|(&rci, &rri)| (((((lc + rci) + lr) + rri) + rot[0]) + rot[1]) + rot[2]),
     );
-}
-
-/// Reduction combine: per element,
-/// `out[i] = ((cc[i] + cr[i]) + reduce)` — the scalar order of
-/// `copt.comm + copt.redist + reduce_cost`.
-pub fn combine3(cc: &[f64], cr: &[f64], reduce: f64, out: &mut Vec<f64>) {
-    debug_assert_eq!(cc.len(), cr.len());
-    out.clear();
-    out.extend(cc.iter().zip(cr).map(|(&cci, &cri)| (cci + cri) + reduce));
 }
 
 /// Per-element `out[i] = base + xs[i]`. Unsigned addition is exactly
@@ -95,13 +88,13 @@ mod tests {
     }
 
     #[test]
-    fn combine3_matches_scalar_order_bit_for_bit() {
+    fn combine7_without_row_matches_reduction_order_bit_for_bit() {
         let (cc, cr) = cols(29, 13);
         let reduce = 4.25e-3;
         let mut out = Vec::new();
-        combine3(&cc, &cr, reduce, &mut out);
+        combine7(0.0, 0.0, &cc, &cr, &[0.0, 0.0, reduce], &mut out);
         for i in 0..cc.len() {
-            let scalar = cc[i] + cr[i] + reduce;
+            let scalar = (cc[i] + cr[i]) + reduce;
             assert_eq!(out[i].to_bits(), scalar.to_bits(), "lane {i}");
         }
     }

@@ -12,9 +12,11 @@ use crate::units::WORD_BYTES;
 /// the block length along the grid dimension of the first of `layouts`
 /// that distributes `j`, else the full extent. The search, the floor
 /// sweep and [`loop_range`] all price fused loops through this one rule
-/// (contractions pass the result, left and right layouts in that order;
-/// reductions the result layout alone), which keeps the certified floors
-/// bit-identical to the DP's rotation totals. `#[inline]` because the
+/// (the DP passes the result, left and right layouts in that order; for a
+/// reduction, whose left operand is absent and undistributed, that counts
+/// like the result layout alone, since no loop fused around it is the
+/// summed index), which keeps the certified floors bit-identical to the
+/// DP's rotation totals. `#[inline]` because the
 /// release profile has no LTO, so the DP's calls from `tce-core` would
 /// otherwise not inline.
 #[inline]
