@@ -80,7 +80,7 @@ pub struct OptimizerConfig {
     /// bit-identical plans, costs, and search counters: workers claim
     /// contiguous runs of the serial combine-block stream through the
     /// work-stealing scheduler and their frontiers are merged back in
-    /// serial-stream order (see [`crate::sched`] and
+    /// serial-stream order (see DESIGN.md §11 and
     /// [`SolutionSet::absorb`]).
     pub threads: usize,
     /// Adaptive spawn threshold override: nanoseconds of predicted serial
@@ -354,9 +354,9 @@ pub enum Pass {
     Explained,
     /// The key pass (DESIGN.md §13): the same DP, keeping at every node
     /// one entry per `(dist, fusion)` key, its lexicographically least
-    /// `(cost, mem, msg)` candidate ([`Keep::LeastPerKey`]). Every entry
+    /// `(cost, mem, msg)` candidate (the `LeastPerKey` mode). Every entry
     /// it keeps is a real candidate of the configuration's search space
-    /// priced by the same kernels, so the plan it returns is a real plan
+    /// priced by the same combine, so the plan it returns is a real plan
     /// and its cost is never below the optimum. It reads no floors
     /// (`comm_lower_bound` is zero and not exact) and skips the
     /// self-check: [`crate::portfolio::plan`] reads only its cost, as the
@@ -874,29 +874,15 @@ impl ChildOpt {
     }
 }
 
-/// A child's option list plus suffix aggregates over it, all in the
-/// **original** option order (the enumeration order is part of the
-/// bit-identity contract, so options are never re-sorted — the suffix
-/// tables make the admissible tail bound cheap anyway):
-///
-/// * `floors[i]` — per-axis minimum of `(comm_cost + redist_cost,
-///   mem_words, max_msg_words)` over `opts[i..]` (the lower-bound corner);
-/// * `sfx_agg[i]` — the maximum memory and maximum message over `opts[i..]`
-///   (an upper bound proving a whole skipped block fits the memory limit),
-///   and the number of options in `opts[i..]` with zero redistribution
-///   cost (for O(1) `redist_fallbacks` accounting of skipped blocks);
-/// * `comm`/`redist`/`mem`/`msg` — structure-of-arrays columns of `opts`,
-///   the inputs of the batched [`tce_cost::kernel`] combine kernels (one
-///   contiguous lane stream per row of the combine loop, in place of a
-///   pointer-chasing scalar chain per candidate).
+/// A child's option list plus its suffix floors, both in the **original**
+/// option order (the enumeration order is part of the bit-identity
+/// contract, so options are never re-sorted — the suffix table makes the
+/// admissible tail bound cheap anyway): `floors[i]` is the per-axis
+/// minimum of `(comm_cost + redist_cost, mem_words, max_msg_words)` over
+/// `opts[i..]` (the lower-bound corner).
 struct OptSlate {
     opts: Vec<ChildOpt>,
     floors: Vec<(f64, u128, u128)>,
-    sfx_agg: Vec<(u128, u128, u64)>,
-    comm: Vec<f64>,
-    redist: Vec<f64>,
-    mem: Vec<u128>,
-    msg: Vec<u128>,
 }
 
 impl OptSlate {
@@ -904,71 +890,32 @@ impl OptSlate {
         let floors = tce_cost::bound::suffix_floors(
             opts.iter().map(|o| (o.comm_cost + o.redist_cost, o.mem_words, o.max_msg_words)),
         );
-        let n = opts.len();
-        let mut sfx_agg = vec![(0u128, 0u128, 0u64); n];
-        let (mut mem, mut msg, mut nored) = (0u128, 0u128, 0u64);
-        for i in (0..n).rev() {
-            mem = mem.max(opts[i].mem_words);
-            msg = msg.max(opts[i].max_msg_words);
-            nored += (opts[i].redist_cost == 0.0) as u64;
-            sfx_agg[i] = (mem, msg, nored);
-        }
-        Self {
-            floors,
-            sfx_agg,
-            comm: opts.iter().map(|o| o.comm_cost).collect(),
-            redist: opts.iter().map(|o| o.redist_cost).collect(),
-            mem: opts.iter().map(|o| o.mem_words).collect(),
-            msg: opts.iter().map(|o| o.max_msg_words).collect(),
-            opts,
-        }
+        Self { opts, floors }
     }
 }
 
-/// Per-worker scratch for the batched combine kernels: one reusable column
-/// per candidate attribute, refilled row by row. Lives in the scheduler's
-/// per-worker state so allocations amortize across every run the worker
-/// claims.
-#[derive(Default)]
-struct KernelScratch {
-    cost: Vec<f64>,
-    mem: Vec<u128>,
-    msg: Vec<u128>,
-}
-
 /// Account a skipped block `rows × rslate.opts` (every pair proven
-/// dominated by a corner query or cut by the warm start) with the exact
-/// per-candidate classification [`SolutionSet::try_insert`] would have
-/// applied. `agg` is the `OptSlate::sfx_agg` entry of `rows`: their
-/// maximum memory, maximum message and number of options without
-/// redistribution. O(1) when the maxima prove every pair fits the memory
-/// limit (the common case); exact per-pair fallback otherwise.
+/// dominated by a corner query or cut by the warm start) pair by pair,
+/// with the exact per-candidate classification [`SolutionSet::try_insert`]
+/// would have applied.
 fn account_block(
     local: &mut SolutionSet,
     rows: &[ChildOpt],
-    agg: (u128, u128, u64),
     rslate: &OptSlate,
     my_mem: u128,
     block_msg: u128,
     limit: u128,
 ) {
-    let ((lmem, lmsg, lnored), (rmem, rmsg, rnored)) = (agg, rslate.sfx_agg[0]);
-    let pairs = (rows.len() * rslate.opts.len()) as u64;
-    if lmem + rmem + my_mem + block_msg.max(lmsg).max(rmsg) <= limit {
-        let nored = lnored * rnored;
-        local.account_skipped_many(pairs, pairs - nored, 0);
-    } else {
-        for l2 in rows {
-            for r2 in &rslate.opts {
-                local.account_skipped(
-                    l2.redist_cost > 0.0 || r2.redist_cost > 0.0,
-                    l2.mem_words
-                        + r2.mem_words
-                        + my_mem
-                        + block_msg.max(l2.max_msg_words).max(r2.max_msg_words),
-                    limit,
-                );
-            }
+    for l2 in rows {
+        for r2 in &rslate.opts {
+            local.account_skipped(
+                l2.redist_cost > 0.0 || r2.redist_cost > 0.0,
+                l2.mem_words
+                    + r2.mem_words
+                    + my_mem
+                    + block_msg.max(l2.max_msg_words).max(r2.max_msg_words),
+                limit,
+            );
         }
     }
 }
@@ -1312,98 +1259,6 @@ fn intern<K: std::hash::Hash + Eq + Clone>(values: impl Iterator<Item = K>) -> (
     (per, distinct)
 }
 
-/// A node's fusion menus — its children's edge prefixes and its own up
-/// prefixes — as one list of rows, with O(1) chain compatibility and each
-/// row's loop set numbered among the distinct ones (DESIGN.md §9). When
-/// the menus use at most 127 distinct indices and no prefix is longer
-/// than 18 loops (every shipped program), each row is packed into two
-/// `u128`s — its loop order, 7 bits a loop, and its loop set, a bit an
-/// index — so neither test touches the heap; otherwise rows are compared
-/// as slices and their sets built one by one.
-struct Menu<'a> {
-    rows: Vec<&'a FusionPrefix>,
-    /// Per row, the packed loop order and its width in bits (`None` on
-    /// the fallback).
-    packed: Option<Vec<(u128, u32)>>,
-    /// Per row, the id of its loop set among `sets`.
-    set_ids: Vec<u32>,
-    /// The distinct loop sets, numbered in row order.
-    sets: Vec<IndexSet>,
-}
-
-impl<'a> Menu<'a> {
-    fn new(rows: Vec<&'a FusionPrefix>) -> Self {
-        let Some((packed, masks, universe)) = Self::pack(&rows) else {
-            let (set_ids, sets) = intern(rows.iter().map(|f| f.as_set()));
-            return Self { rows, packed: None, set_ids, sets };
-        };
-        let (set_ids, distinct) = intern(masks.into_iter());
-        let sets = distinct
-            .into_iter()
-            .map(|m: u128| {
-                let bits = universe.iter().enumerate().filter(move |&(b, _)| m >> b & 1 == 1);
-                IndexSet::from_iter(bits.map(|(_, &ix)| ix))
-            })
-            .collect();
-        Self { rows, packed: Some(packed), set_ids, sets }
-    }
-
-    /// Per row, the packed order with its width and the loop-set mask,
-    /// plus the indices by local number; `None` when they do not fit.
-    #[allow(clippy::type_complexity)]
-    fn pack(rows: &[&FusionPrefix]) -> Option<(Vec<(u128, u32)>, Vec<u128>, Vec<IndexId>)> {
-        let mut universe: Vec<IndexId> = Vec::new();
-        let (mut packed, mut masks) = (Vec::with_capacity(rows.len()), Vec::new());
-        for f in rows {
-            if f.len() > 18 {
-                return None;
-            }
-            let (mut order, mut mask) = (0u128, 0u128);
-            for (i, ix) in f.iter().enumerate() {
-                let local = match universe.iter().position(|&u| u == ix) {
-                    Some(local) => local,
-                    None if universe.len() < 127 => {
-                        universe.push(ix);
-                        universe.len() - 1
-                    }
-                    None => return None,
-                };
-                order |= (local as u128 + 1) << (7 * i);
-                mask |= 1 << local;
-            }
-            packed.push((order, 7 * f.len() as u32));
-            masks.push(mask);
-        }
-        Some((packed, masks, universe))
-    }
-
-    /// Whether rows `a` and `b` are chain compatible (one is a prefix of
-    /// the other).
-    #[inline]
-    fn compatible(&self, a: usize, b: usize) -> bool {
-        match &self.packed {
-            // Local numbers are nonzero, so equal low bits up to the
-            // shorter width mean equal loops up to the shorter length.
-            Some(p) => {
-                let ((oa, wa), (ob, wb)) = (p[a], p[b]);
-                (oa ^ ob) & ((1u128 << wa.min(wb)) - 1) == 0
-            }
-            None => self.rows[a].chain_compatible(self.rows[b]),
-        }
-    }
-
-    /// The longer of rows `a` and `b` (`a` on a tie), as
-    /// [`FusionPrefix::join`] picks it.
-    #[inline]
-    fn join(&self, a: usize, b: usize) -> usize {
-        if self.rows[a].len() >= self.rows[b].len() {
-            a
-        } else {
-            b
-        }
-    }
-}
-
 /// A per-worker cache of child option slates by (child fusion, required
 /// distribution), both numbered per node, built on first use: a dense
 /// index table in front of the slates, so a lookup is one array read.
@@ -1525,39 +1380,43 @@ impl<'a> Blocks<'a> {
         let tensors =
             [left.map(|l| &tree.node(l).tensor), Some(&tree.node(right).tensor), Some(result)];
         let dims = tensors.map(|t| t.map_or_else(IndexSet::new, Tensor::dim_set));
-        // Every prefix of the three menus, its loop set numbered once: a
-        // triple's surrounding loops are its longest prefix, so the
-        // triple's set is a lookup, never a set operation.
-        let menu = Menu::new(lf_all.iter().chain(rf_all).chain(my_prefixes).collect());
+        // Every prefix of the three menus (children's edge prefixes, then
+        // the node's own up prefixes) as one list of rows, its loop set
+        // numbered once: a triple's surrounding loops are its longest
+        // prefix, so the triple's set is a lookup, never a set operation.
+        let rows: Vec<&FusionPrefix> = lf_all.iter().chain(rf_all).chain(my_prefixes).collect();
+        let (set_ids, sets) = intern(rows.iter().map(|f| f.as_set()));
+        // The longer of rows `a` and `b` (`a` on a tie), as
+        // [`FusionPrefix::join`] picks it.
+        let join = |a: usize, b: usize| if rows[a].len() >= rows[b].len() { a } else { b };
         let (nl, up0) = (lf_all.len(), lf_all.len() + rf_all.len());
         // Per left or right row, the up rows chain compatible with it,
         // ascending (`ups[starts[row]..starts[row + 1]]`).
         let (mut starts, mut ups) = (Vec::with_capacity(up0 + 1), Vec::new());
         for row in 0..up0 {
             starts.push(ups.len());
-            ups.extend((up0..menu.rows.len()).filter(|&u| menu.compatible(row, u)));
+            ups.extend((up0..rows.len()).filter(|&u| rows[row].chain_compatible(rows[u])));
         }
         starts.push(ups.len());
         let mut triples: Vec<Triple> = Vec::new();
         for li in 0..nl {
             for ri in 0..rf_all.len() {
-                if !menu.compatible(li, nl + ri) {
+                if !rows[li].chain_compatible(rows[nl + ri]) {
                     continue;
                 }
                 // `fu` is chain compatible with both `fl` and `fr` exactly
                 // when it is with the longer of them, which the shorter is
                 // a prefix of; the surrounding loops are
                 // `fl.join(fr).join(fu)`.
-                let longer = menu.join(li, nl + ri);
+                let longer = join(li, nl + ri);
                 for &u in &ups[starts[longer]..starts[longer + 1]] {
-                    let top = menu.join(longer, u);
-                    let (surrounding, surround) = (menu.rows[top], menu.set_ids[top]);
+                    let top = join(longer, u);
+                    let (surrounding, surround) = (rows[top], set_ids[top]);
                     let ui = u - up0;
                     triples.push(Triple { li, ri, ui, surrounding, surround, sliced: [0; 3] });
                 }
             }
         }
-        let Menu { set_ids, sets, .. } = menu;
         let sliced = std::array::from_fn(|slot| {
             let (of_set, distinct) = intern(sets.iter().map(|s| s.intersection(&dims[slot])));
             for t in triples.iter_mut() {
@@ -1695,11 +1554,11 @@ impl Tables {
 }
 
 /// The §3.3 combine of a node: every admissible `(layout, fusion triple)`
-/// block prices each pair of left and right child options a row at a
-/// time, after the branch-and-bound tests of [`bnb_skip`] on the block's
-/// tail and row. A reduction is a block whose left operand is absent: one
-/// zero option on the empty prefix, bound to no child, so the kernel runs
-/// over the child's slate as one row. Inadmissible pairs are never built
+/// block prices each pair of left and right child options, row by row,
+/// after the branch-and-bound tests of [`bnb_skip`] on the block's tail
+/// and row. A reduction is a block whose left operand is absent: one zero
+/// option on the empty prefix, bound to no child, so the loop runs over
+/// the child's slate as one row. Inadmissible pairs are never built
 /// as blocks, so `dp.blocks` counts admissible blocks only.
 #[allow(clippy::too_many_arguments)]
 fn combine(
@@ -1721,7 +1580,7 @@ fn combine(
     let rf_all = child_fusions(tree, cfg, Some(right), sets);
     let blocks = Blocks::new(tree, node, layouts, &lf_all, &rf_all, my_prefixes);
 
-    type Caches = (SlateCache, SlateCache, KernelScratch, Tables);
+    type Caches = (SlateCache, SlateCache, Tables);
     // Child options depend only on (edge fusion, required layout), not on
     // which layout/triple asked — cached in the per-worker state, which
     // persists across every run the worker claims, beside the block
@@ -1732,12 +1591,11 @@ fn combine(
         (
             SlateCache::new(lf_all.len(), *ldists),
             SlateCache::new(rf_all.len(), *rdists),
-            KernelScratch::default(),
             Tables::new(&blocks),
         )
     };
     sched.run(&blocks.items, out, mk_state, |chunk, local, state| {
-        let (lcache, rcache, scratch, tables) = state;
+        let (lcache, rcache, tables) = state;
         for &(p, t) in chunk {
             let Layout { pattern, dists: [ldist, rdist, odist], .. } = layouts[p];
             let Triple { li, ri, ui, surrounding, .. } = blocks.triples[t];
@@ -1777,8 +1635,7 @@ fn combine(
                         warm_cut,
                         tail.len() as u64 * ropts,
                     ) {
-                        let agg = lslate.sfx_agg[row];
-                        account_block(local, tail, agg, rslate, my_mem, block_msg, limit);
+                        account_block(local, tail, rslate, my_mem, block_msg, limit);
                         break 'rows;
                     }
                     // Row corner (this left option against the best of all
@@ -1796,40 +1653,31 @@ fn combine(
                             ropts,
                         )
                     {
-                        let agg =
-                            (lopt.mem_words, lopt.max_msg_words, (lopt.redist_cost == 0.0) as u64);
                         let row = std::slice::from_ref(lopt);
-                        account_block(local, row, agg, rslate, my_mem, block_msg, limit);
+                        account_block(local, row, rslate, my_mem, block_msg, limit);
                         continue 'rows;
                     }
                 }
-                // Batched row kernels (bit-exact per-element op order; the
-                // `u128` adds and message maxima are exactly associative,
-                // so the loop-invariant terms fold into the bases).
-                tce_cost::kernel::combine7(
-                    lopt.comm_cost,
-                    lopt.redist_cost,
-                    &rslate.comm,
-                    &rslate.redist,
-                    &rotate,
-                    &mut scratch.cost,
-                );
-                tce_cost::kernel::add_u128(lopt.mem_words + my_mem, &rslate.mem, &mut scratch.mem);
-                tce_cost::kernel::max_u128(
-                    block_msg.max(lopt.max_msg_words),
-                    &rslate.msg,
-                    &mut scratch.msg,
-                );
-                let l_fallback = lopt.redist_cost > 0.0;
-                for (i, ropt) in rslate.opts.iter().enumerate() {
+                for ropt in &rslate.opts {
+                    // An element-wise multiply rotates nothing and a
+                    // reduction has no row operand; their zero terms leave
+                    // every sum of costs that are not `-0.0` bit-identical
+                    // to the shorter one (`x + 0.0 == x`).
+                    let cost = lopt.comm_cost
+                        + ropt.comm_cost
+                        + lopt.redist_cost
+                        + ropt.redist_cost
+                        + rotate[0]
+                        + rotate[1]
+                        + rotate[2];
                     local.try_insert(
                         &mut kh,
                         odist,
                         fu,
-                        scratch.cost[i],
-                        scratch.mem[i],
-                        scratch.msg[i],
-                        l_fallback || rslate.redist[i] > 0.0,
+                        cost,
+                        (lopt.mem_words + my_mem) + ropt.mem_words,
+                        block_msg.max(lopt.max_msg_words).max(ropt.max_msg_words),
+                        lopt.redist_cost > 0.0 || ropt.redist_cost > 0.0,
                         limit,
                         || {
                             let row = left.map(|l| lopt.bind(l, ldist, fl, rotate[0]));
@@ -2204,51 +2052,6 @@ S[t] = sum[j] T3[j,t];
             && (a.sol_index < b.sol_index || a.mem_words < b.mem_words)
     }
 
-    /// The slice-comparing reading of a menu: what [`Menu`] answers
-    /// without packing.
-    fn plain_menu(rows: Vec<&FusionPrefix>) -> Menu<'_> {
-        let (set_ids, sets) = intern(rows.iter().map(|f| f.as_set()));
-        Menu { rows, packed: None, set_ids, sets }
-    }
-
-    /// The packed menu answers every compatibility query and numbers every
-    /// loop set exactly as the slice comparisons do.
-    fn assert_menu_matches_plain(prefixes: &[FusionPrefix]) {
-        let menu = Menu::new(prefixes.iter().collect());
-        let plain = plain_menu(prefixes.iter().collect());
-        assert_eq!(menu.set_ids, plain.set_ids);
-        assert_eq!(menu.sets, plain.sets);
-        for a in 0..prefixes.len() {
-            for b in 0..prefixes.len() {
-                let compatible = prefixes[a].chain_compatible(&prefixes[b]);
-                assert_eq!(menu.compatible(a, b), compatible);
-                if compatible {
-                    assert_eq!(menu.rows[menu.join(a, b)], prefixes[a].join(&prefixes[b]));
-                }
-            }
-        }
-    }
-
-    /// Menus too wide or too long to pack fall back to slice comparisons:
-    /// 128 distinct indices, and a prefix of 19 loops.
-    #[test]
-    fn menus_that_do_not_fit_the_packing_fall_back() {
-        let mut sp = tce_expr::IndexSpace::new();
-        let ids: Vec<IndexId> = (0..130).map(|i| sp.declare(&format!("x{i}"), 4)).collect();
-        let wide: Vec<FusionPrefix> =
-            ids[..128].iter().map(|&i| FusionPrefix::new(vec![i])).collect();
-        let long =
-            vec![FusionPrefix::new(ids[..19].to_vec()), FusionPrefix::new(ids[..3].to_vec())];
-        let fits =
-            vec![FusionPrefix::new(ids[..18].to_vec()), FusionPrefix::new(ids[..3].to_vec())];
-        assert!(Menu::new(wide.iter().collect()).packed.is_none());
-        assert!(Menu::new(long.iter().collect()).packed.is_none());
-        assert!(Menu::new(fits.iter().collect()).packed.is_some());
-        for menu in [&wide, &long, &fits] {
-            assert_menu_matches_plain(menu);
-        }
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(512))]
 
@@ -2278,30 +2081,6 @@ S[t] = sum[j] T3[j,t];
             let unfiltered: Vec<usize> =
                 drop_dominated(options(&codes), false).iter().map(|o| o.sol_index).collect();
             proptest::prop_assert_eq!(unfiltered, (0..all.len()).collect::<Vec<_>>());
-        }
-
-        /// Random tie-dense menus (repeated prefixes, shared loops, the
-        /// empty prefix) pack without changing any answer.
-        #[test]
-        fn packed_menus_answer_like_slice_comparisons(
-            rows in proptest::collection::vec(proptest::collection::vec(0u32..6, 0..5), 0..24),
-        ) {
-            let mut sp = tce_expr::IndexSpace::new();
-            let ids: Vec<IndexId> = (0..6).map(|i| sp.declare(&format!("x{i}"), 4)).collect();
-            let prefixes: Vec<FusionPrefix> = rows
-                .iter()
-                .map(|r| {
-                    let mut seq: Vec<IndexId> = Vec::new();
-                    for &i in r {
-                        if !seq.contains(&ids[i as usize]) {
-                            seq.push(ids[i as usize]);
-                        }
-                    }
-                    FusionPrefix::new(seq)
-                })
-                .collect();
-            proptest::prop_assert!(Menu::new(prefixes.iter().collect()).packed.is_some());
-            assert_menu_matches_plain(&prefixes);
         }
     }
 }

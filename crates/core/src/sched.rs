@@ -22,7 +22,7 @@
 //! the serial search, for *any* partition the race happened to produce:
 //! costs, storage order, `best_index` tie-breaks, and every deterministic
 //! counter. Only `dp.steal` (who drained whose region) and the
-//! `dp.memo_*`/`dp.bnb_*` families depend on the interleaving — see
+//! `dp.bnb_*` family depend on the interleaving — see
 //! the flags in [`tce_obs::names::ALL`] and DESIGN.md §11.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -193,8 +193,8 @@ impl Scheduler {
 
     /// Run `chunk_fn` over every item of `items` (each item one combine
     /// block), filtered into `out` exactly as the serial loop would.
-    /// `mk_state` builds one per-worker scratch state (slate caches, kernel
-    /// buffers, pricing tables) that persists across that worker's claimed
+    /// `mk_state` builds one per-worker scratch state (slate caches,
+    /// pricing tables) that persists across that worker's claimed
     /// runs — pure memoization, shared by the serial and the parallel path.
     pub fn run<T: Sync, S: Send>(
         &mut self,

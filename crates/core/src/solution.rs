@@ -280,7 +280,7 @@ pub struct SolutionSet {
     /// Candidates disposed of by a branch-and-bound corner skip without a
     /// per-candidate dominance query (their `candidates_seen` /
     /// `pruned_*` classification is still counted exactly). Depends on
-    /// worker-thread interleaving, like the memo counters.
+    /// worker-thread interleaving, like `dp.steal`.
     pub bnb_skip: u64,
     /// Corner-skip events (each covering one or more candidates). Also
     /// interleaving-dependent.
@@ -537,24 +537,10 @@ impl SolutionSet {
         self.bnb_skip += 1;
     }
 
-    /// Bulk form of [`Self::account_skipped`]: `n` candidates disposed of
-    /// by one corner skip, of which `redist_n` carried a redistribution
-    /// fallback and `memory_n` exceeded the memory limit (the rest are
-    /// dominated). The caller computes the split exactly — typically in
-    /// O(1) from per-block aggregates when it can prove `memory_n == 0`,
-    /// falling back to a per-candidate loop otherwise.
-    pub fn account_skipped_many(&mut self, n: u64, redist_n: u64, memory_n: u64) {
-        self.candidates_seen += n;
-        self.redist_fallbacks += redist_n;
-        self.pruned_memory += memory_n;
-        self.pruned_inferior += n - memory_n;
-        self.bnb_skip += n;
-    }
-
     /// Fold a worker-local set into this one, replaying the worker's
     /// accepted candidates *in their original insertion order* through the
-    /// dominance filter (or, under [`Keep::LeastPerKey`], the per-key
-    /// minimum).
+    /// dominance filter (or, in the key pass's `LeastPerKey` mode, the
+    /// per-key minimum).
     ///
     /// Because dominance (`≤` on cost, memory, and buffer) is transitive,
     /// merging per-worker sets in the order their chunks partition the
@@ -572,7 +558,7 @@ impl SolutionSet {
     /// dominated too. Only the `bnb_skip`/`bnb_block` totals (how the work
     /// was avoided, not its outcome) depend on the thread count.
     ///
-    /// Under [`Keep::LeastPerKey`] a chunk accepts exactly its running
+    /// In `LeastPerKey` mode a chunk accepts exactly its running
     /// per-key minima, and the serial stream accepts a later chunk's
     /// candidate only if it undercuts everything before it — which is one
     /// of that chunk's running minima, replayed here against the same

@@ -23,7 +23,6 @@
 pub mod bound;
 mod breakdown;
 pub mod compute;
-pub mod kernel;
 pub mod lower_bound;
 mod machine;
 mod model;

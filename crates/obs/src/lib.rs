@@ -277,8 +277,8 @@ fn emit(ev: TraceEvent) {
 }
 
 /// A live wall-clock span; emits a [`TraceEvent::Slice`] on drop. Obtain
-/// via [`span`]/[`span_with`]. A disabled span is inert (no allocation, no
-/// clock read).
+/// via [`span`] and add arguments with [`Span::arg`]. A disabled span is
+/// inert (no allocation, no clock read).
 pub struct Span {
     inner: Option<SpanInner>,
 }

@@ -42,7 +42,7 @@ use tensor_contraction_opt::core::{
 use tensor_contraction_opt::cost::units::{fmt_paper_bytes, words_to_bytes};
 use tensor_contraction_opt::cost::{CostModel, MachineModel};
 use tensor_contraction_opt::expr::printer::{render_sequence, render_unfused_loops};
-use tensor_contraction_opt::expr::{parse, ExprTree, FormulaSequence};
+use tensor_contraction_opt::expr::{parse, ExprTree, FormulaSequence, Program};
 use tensor_contraction_opt::fusion::{code::render_fused, minimize_memory};
 use tensor_contraction_opt::opmin::lower_program;
 use tensor_contraction_opt::sim::simulate_traced;
@@ -529,24 +529,31 @@ fn main() -> ExitCode {
     }
 }
 
-/// Lint a source file with the full pass registry (cost-model passes
+/// Read and parse the source file; a parse error comes back as
+/// `<file>: <error>`.
+fn parse_source(args: &Args) -> Result<Program, String> {
+    let src =
+        std::fs::read_to_string(&args.file).map_err(|e| format!("reading {}: {e}", args.file))?;
+    parse(&src).map_err(|e| format!("{}: {e}", args.file))
+}
+
+/// Lint a parsed program with the full pass registry (cost-model passes
 /// included) and return the report.
 fn lint_report(
     args: &Args,
     cm: &CostModel,
-) -> Result<tensor_contraction_opt::check::diag::CheckReport, String> {
-    use tensor_contraction_opt::lint::{lint_source, LintOptions};
-    let src =
-        std::fs::read_to_string(&args.file).map_err(|e| format!("reading {}: {e}", args.file))?;
-    lint_source(
-        &src,
+    prog: &Program,
+) -> tensor_contraction_opt::check::diag::CheckReport {
+    use tensor_contraction_opt::lint::{lint_program, LintOptions};
+    lint_program(
+        prog,
         &LintOptions { file: Some(&args.file), cm: Some(cm), ..LintOptions::default() },
     )
 }
 
 fn cmd_lint(args: &Args, out: Out) -> Result<(), Failure> {
     let cm = cost_model(args)?;
-    let report = lint_report(args, &cm)?;
+    let report = lint_report(args, &cm, &parse_source(args)?);
     if args.json {
         writeln!(out, "{}", report.render_json())?;
     } else if report.diagnostics.is_empty() {
@@ -633,8 +640,10 @@ fn cmd_optimize(args: &Args, out: Out) -> Result<(), Failure> {
     let cm = cost_model(args)?;
     // Cheap static pre-pass: a lint *error* means the search (or the
     // simulation of its plan) is doomed — abort with the anchored
-    // diagnostics instead; warnings are forwarded to stderr.
-    let lint = lint_report(args, &cm)?;
+    // diagnostics instead; warnings are forwarded to stderr. The search
+    // lowers the same parsed program.
+    let prog = parse_source(args)?;
+    let lint = lint_report(args, &cm, &prog);
     if !lint.diagnostics.is_empty() {
         eprint!("{}", lint.render_human());
     }
@@ -646,7 +655,8 @@ fn cmd_optimize(args: &Args, out: Out) -> Result<(), Failure> {
         )
         .into());
     }
-    let tree = load_tree(&args.file)?;
+    let seq = lower_program(&prog).map_err(|e| e.to_string())?;
+    let tree = seq.to_tree().map_err(|e| e.to_string())?;
     let cfg = opt_config(args, &tree)?;
     // Level-2 plan cache: consult before searching. A hit has already
     // been rename-mapped onto this tree and re-validated by the full

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use tensor_contraction_opt::bench::randtree::{random_tree, TreeParams};
 use tensor_contraction_opt::core::check::check_plan;
-use tensor_contraction_opt::core::portfolio::{key_pass, plan};
+use tensor_contraction_opt::core::portfolio::{key_pass, plan, plan_explained};
 use tensor_contraction_opt::core::{
     extract_plan, optimize, OptimizeError, Optimized, OptimizerConfig,
 };
@@ -163,6 +163,38 @@ fn block_counts_are_the_admissible_blocks() {
         (336, 94_849),
         "scheduled blocks (ccsd @ 16, enlarged cell)"
     );
+}
+
+/// The priced candidates of the plan search and of the explained search
+/// at one thread on two cells where the warm start helps least: the
+/// enlarged `ccsd_tiny` cell @ 16 with a 0.00002 GB limit, whose key-pass
+/// bound (19.33 s against an optimum of 8.62 s) is loose, and `ladder` @ 4,
+/// where the key pass finds no plan. Effort-class counts (DESIGN.md §13),
+/// pinned exactly so a change to how the combine prices, skips or accounts
+/// candidates shows here.
+#[test]
+fn loose_and_missing_bounds_price_the_same_candidates() {
+    let mut machine = MachineModel::itanium_cluster();
+    machine.mem_per_node_bytes = (0.00002 * 1024.0 * PAPER_MB) as u64;
+    let cm = CostModel::for_square(machine, 16).expect("16 is square");
+    let cfg =
+        OptimizerConfig { allow_replication: true, allow_unrelated_rotation: true, ..serial() };
+    let tiny = ccsd_tiny();
+    let loose = [plan, plan_explained].map(|serve| {
+        serve(&tiny, &cm, &cfg).expect("loose cell").opt.counters.get(names::CANDIDATES)
+    });
+    let ladder = workload_trees()
+        .into_iter()
+        .find(|(n, _)| n == "ladder.tce")
+        .expect("ladder workload present")
+        .1;
+    let cm4 = CostModel::for_square(MachineModel::itanium_cluster(), 4).expect("4 is square");
+    assert!(key_pass(&ladder, &cm4, &serial()).is_err(), "ladder @ 4: the key pass found a plan");
+    let missing = [plan, plan_explained].map(|serve| {
+        serve(&ladder, &cm4, &serial()).expect("ladder @ 4").opt.counters.get(names::CANDIDATES)
+    });
+    assert_eq!(loose, [430_702, 1_966_064], "loose cell (plan, explained)");
+    assert_eq!(missing, [1_798, 1_326], "ladder @ 4 (plan, explained)");
 }
 
 /// A pinned input plus a memory limit nothing fits in fails with the same
