@@ -2,7 +2,7 @@
 //! warm-started from the key pass.
 //!
 //! Each request prepares one [`Search`] (validation, limit, prover, floors
-//! and subtree forms) and runs its passes on it; a pass and its warm bound
+//! and the subtree-reuse replay table) and runs its passes on it; a pass and its warm bound
 //! are the only inputs that vary (DESIGN.md §13).
 //!
 //! [`plan`] first runs [`Pass::Key`]: the same DP keeping one entry per

@@ -8,7 +8,7 @@
 //! exactly those transformations, plus the rename bijection needed to map
 //! cached results back to source names:
 //!
-//! * [`subtree_form`] / [`subtree_forms`] — the **strict** per-subtree form
+//! * [`subtree_form`] — the **strict** per-subtree form
 //!   (rename-invariant, operand order preserved), keyed on by the in-run
 //!   level-1 frontier reuse in `tce-core`;
 //! * [`canonical_form`] — the **commutative** whole-tree normal form
@@ -263,16 +263,6 @@ pub fn subtree_form(tree: &ExprTree, v: NodeId) -> SubtreeForm {
     let mut em = Emitter::new(tree, &no_swaps);
     em.walk(v);
     SubtreeForm { hash: hash_tokens(&em.toks), index_order: em.index_order, nodes: em.node_order }
-}
-
-/// [`subtree_form`] for every internal node of the tree (leaves have no
-/// frontier to reuse).
-pub fn subtree_forms(tree: &ExprTree) -> HashMap<NodeId, SubtreeForm> {
-    tree.postorder()
-        .into_iter()
-        .filter(|&id| !tree.node(id).is_leaf())
-        .map(|id| (id, subtree_form(tree, id)))
-        .collect()
 }
 
 /// The commutative whole-tree normal form: invariant under index renaming

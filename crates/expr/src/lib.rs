@@ -37,7 +37,7 @@ pub mod printer;
 mod tensor;
 mod tree;
 
-pub use canon::{canonical_form, fnv128, subtree_form, subtree_forms, CanonicalForm, Fnv128};
+pub use canon::{canonical_form, fnv128, subtree_form, CanonicalForm, Fnv128};
 pub use error::ExprError;
 pub use formula::{Formula, FormulaSequence};
 pub use index::{IndexId, IndexSet, IndexSpace};

@@ -4,17 +4,14 @@
 //! ([`tce_bench::randtree::random_tree`]) and runs the full
 //! cross-validation loop over it:
 //!
-//! 1. **Thread equivalence** — the §3.3 DP at 1/2/4 worker threads must
-//!    return bit-identical costs and plans (the PR 2 determinism
-//!    contract).
-//! 2. **Pruning equivalence** — dominance pruning on/off must agree on
+//! 1. **Pruning equivalence** — dominance pruning on/off must agree on
 //!    the optimal communication cost to the bit.
-//! 3. **Static checks** — every `tce-check` pass must hold on the winning
+//! 2. **Static checks** — every `tce-check` pass must hold on the winning
 //!    plan, at the machine memory limit and under a tightened limit.
-//! 4. **Numeric execution** — `tce-sim` executes the plan on the virtual
+//! 3. **Numeric execution** — `tce-sim` executes the plan on the virtual
 //!    cluster and the result must match the sequential einsum reference
 //!    element-wise.
-//! 5. **Ledger reconciliation** — the simulator's measured communication
+//! 4. **Ledger reconciliation** — the simulator's measured communication
 //!    events (bytes, messages, seconds, per kind) must reproduce the
 //!    plan's cost ledger: exact for redistribution and reduction (the
 //!    simulator charges the plan's own numbers), within the
@@ -22,22 +19,23 @@
 //!    **exhaustive cross-check**: on small proper contraction trees, the
 //!    DP optimum must equal `exhaustive_min`, and both must agree on
 //!    feasibility under tight limits.
-//! 6. **Frontier equivalence** — the Pareto-staircase search with its
+//! 5. **Frontier equivalence** — the Pareto-staircase search with its
 //!    branch-and-bound corner skips against the same search under
 //!    `disable_lower_bounds: true`: optimum, winner index, plan JSON,
 //!    every per-node live set entry by entry (cost bits included), and
 //!    every deterministic counter ([`tce_obs::names::is_deterministic`])
 //!    must agree.
-//! 7. **Scheduler equivalence** — the work-stealing enumeration (spawning
+//! 6. **Scheduler equivalence** — the work-stealing enumeration (spawning
 //!    forced via `spawn_amort_ns: Some(0)` so every node actually splits)
-//!    at the highest configured thread count against the serial run: the
-//!    same fields as the frontier oracle, every deterministic counter
-//!    included.
-//! 8. **Lower-bound admissibility** — the certified communication floor
+//!    at every configured thread count above 1 against the serial run:
+//!    the same fields as the frontier oracle, every deterministic counter
+//!    included. This is the thread-count determinism contract: without
+//!    forced spawning the fuzzer's small trees keep every node inline.
+//! 7. **Lower-bound admissibility** — the certified communication floor
 //!    (`tce_cost::lower_bound`, DESIGN.md §12) never exceeds the DP
 //!    optimum, and the memory-footprint floor never exceeds the winning
 //!    plan's actual per-processor footprint.
-//! 9. **Warm start** — warm-starting the exact branch-and-bound from the
+//! 8. **Warm start** — warm-starting the exact branch-and-bound from the
 //!    key pass (`tce_core::portfolio::plan`) leaves the plan, cost bits,
 //!    footprint and certified floor of the cold `optimize` run
 //!    bit-identical, at the machine limit and at the tightened
@@ -46,15 +44,17 @@
 //!    pass's own plan must pass every static check and cost at least the
 //!    cold optimum; runs where it finds no plan but the exact search does
 //!    are counted (they only leave the exact search cold).
-//! 10. **Canonicalization & plan cache** — re-rendering the tree with
-//!     reversed declarations (renumbering every index and node id) and
-//!     hash-seeded commutative operand swaps must hash to the same
-//!     canonical key and optimize to the same optimal cost; and a
-//!     store/lookup round-trip through an on-disk plan cache must return
-//!     the identical plan, cost scalars, deterministic counters
-//!     ([`tce_obs::names::is_deterministic`]), and per-node statistics —
-//!     including when looked up through the renamed isomorph.
-//! 11. **Explained search** — the search behind text `tce optimize`
+//! 9. **Canonicalization & plan cache** — turning level-1 subtree reuse
+//!    off must leave the search bit-identical (the frontier oracle's
+//!    fields); re-rendering the tree with reversed declarations
+//!    (renumbering every index and node id) and hash-seeded commutative
+//!    operand swaps must hash to the same canonical key and optimize to
+//!    the same optimal cost; and a store/lookup round-trip through an
+//!    on-disk plan cache must return the identical plan, cost scalars,
+//!    deterministic counters ([`tce_obs::names::is_deterministic`]), and
+//!    per-node statistics — including when looked up through the renamed
+//!    isomorph.
+//! 10. **Explained search** — the search behind text `tce optimize`
 //!     (`tce_core::portfolio::plan_explained`), which checks the memory
 //!     limit only at root selection, must return the cold `optimize`
 //!     run's plan JSON and cost bits and, as its lifted optimum, the cost
@@ -89,7 +89,8 @@ use tce_sim::simulate_traced;
 pub struct FuzzConfig {
     /// Square processor counts to optimize and simulate at.
     pub procs: Vec<u32>,
-    /// Worker-thread counts that must all produce identical plans.
+    /// Worker-thread counts: the `scheduler` oracle runs every one above
+    /// 1 (at least 2) against the serial run.
     pub threads: Vec<usize>,
     /// Fusion-prefix cap for the search (kept small so the exhaustive
     /// oracle stays tractable and configurations match).
@@ -128,10 +129,9 @@ impl Default for FuzzConfig {
 /// One oracle violation.
 #[derive(Clone, Debug)]
 pub struct Failure {
-    /// Which oracle tripped (`threads`, `pruning`, `frontier`,
-    /// `scheduler`, `lower_bound`, `warm_start`, `explained`, `check`,
-    /// `numeric`, `ledger`, `exhaustive`, `optimize`, `simulate`,
-    /// `cache`).
+    /// Which oracle tripped (`pruning`, `frontier`, `scheduler`,
+    /// `lower_bound`, `warm_start`, `explained`, `check`, `numeric`,
+    /// `ledger`, `exhaustive`, `optimize`, `simulate`, `cache`).
     pub oracle: &'static str,
     /// Human-readable description of the disagreement.
     pub detail: String,
@@ -311,7 +311,7 @@ fn same_search(
     Ok(())
 }
 
-/// Oracle 9: the key-pass warm start of [`tce_core::portfolio::plan`]
+/// The `warm_start` oracle: the key-pass warm start of [`tce_core::portfolio::plan`]
 /// against the cold [`optimize`] run `cold` of the same configuration. The
 /// warm cut only removes candidates that cannot beat a real plan's cost,
 /// so both must reach the same verdict and, on success, the same plan
@@ -375,7 +375,7 @@ fn warm_matches_cold(
     Ok(())
 }
 
-/// Oracle 11: the explained search of
+/// The `explained` oracle: the explained search of
 /// [`tce_core::portfolio::plan_explained`] against the cold [`optimize`]
 /// run `cold` of the same configuration and the cold run `lifted` with
 /// the memory limit lifted. Its nodes also keep the candidates over the
@@ -446,7 +446,7 @@ pub fn check_tree(tree: &ExprTree, cfg: &FuzzConfig) -> Result<TreeStats, Failur
         let base_plan = extract_plan(tree, &base);
         let base_json = base_plan.to_json();
 
-        // Oracle 8: the static lower bounds are admissible. The certified
+        // The `lower_bound` oracle: the static lower bounds are admissible. The certified
         // communication floor never exceeds the DP optimum (it lower-bounds
         // every plan the search can emit), and the memory-footprint floor
         // never exceeds the winner's actual footprint.
@@ -471,36 +471,7 @@ pub fn check_tree(tree: &ExprTree, cfg: &FuzzConfig) -> Result<TreeStats, Failur
             }
         }
 
-        // Oracle 1: bit-identical results at every thread count.
-        for &t in cfg.threads.iter().filter(|&&t| t != 1) {
-            let alt = optimize(tree, &cm, &OptimizerConfig { threads: t, ..base_config(cfg) })
-                .map_err(|e| fail("threads", format!("p={procs} t={t}: {e:?}")))?;
-            stats.optimizations += 1;
-            if alt.comm_cost.to_bits() != base.comm_cost.to_bits()
-                || alt.mem_words != base.mem_words
-                || alt.max_msg_words != base.max_msg_words
-                || alt.best_index != base.best_index
-            {
-                return Err(fail(
-                    "threads",
-                    format!(
-                        "p={procs} t={t}: cost {} vs {}, mem {} vs {}, best {} vs {}",
-                        alt.comm_cost,
-                        base.comm_cost,
-                        alt.mem_words,
-                        base.mem_words,
-                        alt.best_index,
-                        base.best_index
-                    ),
-                ));
-            }
-            let alt_json = extract_plan(tree, &alt).to_json();
-            if alt_json != base_json {
-                return Err(fail("threads", format!("p={procs} t={t}: plans differ")));
-            }
-        }
-
-        // Oracle 2: pruning on/off agree on the optimal cost to the bit.
+        // The `pruning` oracle: pruning on/off agree on the optimal cost to the bit.
         // Size-gated — the unpruned search keeps every candidate and goes
         // exponential on larger trees.
         if internal <= cfg.pruning_max_internal {
@@ -519,7 +490,7 @@ pub fn check_tree(tree: &ExprTree, cfg: &FuzzConfig) -> Result<TreeStats, Failur
             }
         }
 
-        // Oracle 6: the Pareto-staircase search with its branch-and-bound
+        // The `frontier` oracle: the Pareto-staircase search with its branch-and-bound
         // corner skips against the same search with lower bounds off. The
         // skips may only avoid work, never change an outcome: plans,
         // costs, the certificate, per-node live frontiers, and every
@@ -536,13 +507,18 @@ pub fn check_tree(tree: &ExprTree, cfg: &FuzzConfig) -> Result<TreeStats, Failur
                 .map_err(|d| fail("frontier", format!("p={procs}: bounds off: {d}")))?;
         }
 
-        // Oracle 7: the work-stealing merge against the serial run it must
-        // reproduce. Spawning is forced (`spawn_amort_ns: Some(0)` defeats
-        // the adaptive threshold, which would otherwise keep these small
-        // nodes inline) at the highest configured thread count, where claim
-        // interleaving and steal traffic are maximal.
-        {
-            let t = cfg.threads.iter().copied().max().unwrap_or(1).max(2);
+        // The `scheduler` oracle: the work-stealing merge against the
+        // serial run it must reproduce, at every configured thread count
+        // above 1 (at least 2). Spawning is forced (`spawn_amort_ns:
+        // Some(0)` defeats the adaptive threshold, which would otherwise
+        // keep these small nodes inline and compare serial runs with serial
+        // runs), so claim interleaving and steal traffic are real.
+        let mut thread_counts: Vec<usize> =
+            cfg.threads.iter().copied().filter(|&t| t > 1).collect();
+        if thread_counts.is_empty() {
+            thread_counts.push(2);
+        }
+        for t in thread_counts {
             let steal = optimize(
                 tree,
                 &cm,
@@ -554,13 +530,13 @@ pub fn check_tree(tree: &ExprTree, cfg: &FuzzConfig) -> Result<TreeStats, Failur
                 .map_err(|d| fail("scheduler", format!("p={procs} t={t}: stealing: {d}")))?;
         }
 
-        // Oracle 9: the key-pass warm start of `portfolio::plan` against
+        // The `warm_start` oracle: the key-pass warm start of `portfolio::plan` against
         // the cold reference run (again at the tight limit below).
         warm_matches_cold(tree, &cm, &base_cfg, Ok(&base), &mut stats)
             .map_err(|d| fail("warm_start", format!("p={procs}: {d}")))?;
         stats.optimizations += 2;
 
-        // Oracle 11: the explained search against the cold reference run
+        // The `explained` oracle: the explained search against the cold reference run
         // and the cold lifted-limit run (again at the tight limit below).
         let lifted = optimize(
             tree,
@@ -572,12 +548,13 @@ pub fn check_tree(tree: &ExprTree, cfg: &FuzzConfig) -> Result<TreeStats, Failur
             .map_err(|d| fail("explained", format!("p={procs}: {d}")))?;
         stats.optimizations += 3;
 
-        // Oracle 10: canonicalization and the two-level plan cache.
+        // The `cache` oracle: canonicalization and the two-level plan cache.
         //
         // (a) L1 differential: turning in-run isomorphic-subtree reuse off
-        //     must leave the exact search bit-identical — reuse may only
-        //     splice in frontiers that the disabled run recomputes from
-        //     scratch, never change them.
+        //     must leave the exact search bit-identical ([`same_search`]:
+        //     every per-node frontier and deterministic counter included) —
+        //     reuse may only splice in frontiers that the disabled run
+        //     recomputes from scratch, never change them.
         // (b) Disk round-trip: store the reference run, look it up again,
         //     and require the identical plan, cost scalars, deterministic
         //     counters ([`tce_obs::names::is_deterministic`]), and
@@ -601,25 +578,9 @@ pub fn check_tree(tree: &ExprTree, cfg: &FuzzConfig) -> Result<TreeStats, Failur
             )
             .map_err(|e| fail("cache", format!("p={procs} noreuse: {e:?}")))?;
             stats.optimizations += 1;
-            if noreuse.comm_cost.to_bits() != base.comm_cost.to_bits()
-                || noreuse.mem_words != base.mem_words
-                || noreuse.max_msg_words != base.max_msg_words
-                || noreuse.best_index != base.best_index
-            {
-                return Err(fail(
-                    "cache",
-                    format!(
-                        "p={procs}: subtree reuse changed the result: cost {} vs {}, mem {} vs {}",
-                        base.comm_cost, noreuse.comm_cost, base.mem_words, noreuse.mem_words
-                    ),
-                ));
-            }
-            if extract_plan(tree, &noreuse).to_json() != base_json {
-                return Err(fail(
-                    "cache",
-                    format!("p={procs}: plan differs with subtree reuse disabled"),
-                ));
-            }
+            same_search(tree, &noreuse, &base).map_err(|d| {
+                fail("cache", format!("p={procs}: subtree reuse changed the search: {d}"))
+            })?;
 
             let form = tce_expr::canonical_form(tree);
             if let Some(key) = tce_core::cache_key(tree, &cm, &base_cfg) {
@@ -755,7 +716,7 @@ pub fn check_tree(tree: &ExprTree, cfg: &FuzzConfig) -> Result<TreeStats, Failur
             }
         }
 
-        // Oracles 3–5 on the reference plan.
+        // The `check`, `numeric` and `ledger` oracles on the reference plan.
         validate_plan_deeply(
             tree,
             &cm,
@@ -824,7 +785,7 @@ pub fn check_tree(tree: &ExprTree, cfg: &FuzzConfig) -> Result<TreeStats, Failur
             }
         }
 
-        // Oracle 5 (cont.): exhaustive agreement on small proper contraction
+        // The `exhaustive` oracle: agreement on small proper contraction
         // trees.
         if tree.is_contraction_tree() && internal <= cfg.exhaustive_max_internal {
             stats.exhaustive = true;

@@ -36,8 +36,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![cfg_attr(not(test), deny(clippy::panic))]
 
-use std::cell::OnceCell;
-
 use tce_check::diag::{CheckReport, Diagnostics};
 use tce_cost::CostModel;
 use tce_expr::parser::Program;
@@ -62,17 +60,10 @@ pub struct LintContext<'a> {
     /// TCE107 footprint floor); `usize::MAX` mirrors the optimizer
     /// default.
     pub max_prefix_len: usize,
-    /// The program lowered through opmin, on first use.
-    lowered: OnceCell<Result<FormulaSequence, ExprError>>,
-}
-
-impl LintContext<'_> {
     /// The program lowered to a validated formula sequence
-    /// ([`tce_opmin::lower_program`]), computed once for every pass
-    /// that asks.
-    pub(crate) fn lowered(&self) -> &Result<FormulaSequence, ExprError> {
-        self.lowered.get_or_init(|| tce_opmin::lower_program(self.program))
-    }
+    /// ([`tce_opmin::lower_program`]) by the caller, which searches the
+    /// same sequence.
+    pub lowered: &'a Result<FormulaSequence, ExprError>,
 }
 
 /// Options for [`lint_program`] / [`lint_source`].
@@ -90,15 +81,20 @@ pub struct LintOptions<'a> {
     pub max_prefix_len: Option<usize>,
 }
 
-/// Run every lint pass over a parsed program.
-pub fn lint_program(program: &Program, opts: &LintOptions<'_>) -> CheckReport {
+/// Run every lint pass over a parsed program and its lowering
+/// ([`tce_opmin::lower_program`] of the same program).
+pub fn lint_program(
+    program: &Program,
+    lowered: &Result<FormulaSequence, ExprError>,
+    opts: &LintOptions<'_>,
+) -> CheckReport {
     let ctx = LintContext {
         program,
         file: opts.file.unwrap_or("<source>"),
         cm: opts.cm,
         mem_limit_words: opts.mem_limit_words,
         max_prefix_len: opts.max_prefix_len.unwrap_or(usize::MAX),
-        lowered: OnceCell::new(),
+        lowered,
     };
     let mut report = CheckReport::default();
     for pass in passes::registry() {
@@ -122,7 +118,7 @@ pub fn lint_program(program: &Program, opts: &LintOptions<'_>) -> CheckReport {
 pub fn lint_source(src: &str, opts: &LintOptions<'_>) -> Result<CheckReport, String> {
     let file = opts.file.unwrap_or("<source>");
     let program = parse(src).map_err(|e| format!("{file}: {e}"))?;
-    Ok(lint_program(&program, opts))
+    Ok(lint_program(&program, &tce_opmin::lower_program(&program), opts))
 }
 
 #[cfg(test)]

@@ -334,7 +334,7 @@ fn volume_overflow(ctx: &LintContext<'_>, out: &mut Diagnostics) {
     if !flagged.is_empty() {
         return; // lowering fails on the flagged array first
     }
-    let diag = match ctx.lowered() {
+    let diag = match ctx.lowered {
         Err(ExprError::FootprintTooLarge) => Diagnostic::error(
             codes::VOLUME_OVERFLOW,
             "the arrays are too large together: the sum of their volumes reaches 2^128",
@@ -435,7 +435,7 @@ fn memory_feasibility(ctx: &LintContext<'_>, out: &mut Diagnostics) {
     let Some(cm) = ctx.cm else { return };
     // Lowering can fail on programs the reference lints already flagged;
     // nothing to prove then.
-    let Ok(seq) = ctx.lowered() else { return };
+    let Ok(seq) = ctx.lowered else { return };
     let Ok(tree) = seq.to_tree() else { return };
     let limit = ctx.mem_limit_words.unwrap_or_else(|| cm.mem_limit_words());
     if let Some(proof) =

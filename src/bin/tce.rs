@@ -42,7 +42,7 @@ use tensor_contraction_opt::core::{
 use tensor_contraction_opt::cost::units::{fmt_paper_bytes, words_to_bytes};
 use tensor_contraction_opt::cost::{CostModel, MachineModel};
 use tensor_contraction_opt::expr::printer::{render_sequence, render_unfused_loops};
-use tensor_contraction_opt::expr::{parse, ExprTree, FormulaSequence, Program};
+use tensor_contraction_opt::expr::{parse, ExprError, ExprTree, FormulaSequence, Program};
 use tensor_contraction_opt::fusion::{code::render_fused, minimize_memory};
 use tensor_contraction_opt::opmin::lower_program;
 use tensor_contraction_opt::sim::simulate_traced;
@@ -321,7 +321,7 @@ fn load_tree_spanned(path: &str) -> Result<(ExprTree, DeclSpans), String> {
 fn load_sequence(path: &str) -> Result<(FormulaSequence, DeclSpans), String> {
     let src = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let prog = parse(&src).map_err(|e| match e {
-        tensor_contraction_opt::expr::ExprError::Parse { line, col, ref msg } => {
+        ExprError::Parse { line, col, ref msg } => {
             format!("{path}:{line}:{col}: {msg}")
         }
         other => other.to_string(),
@@ -537,23 +537,26 @@ fn parse_source(args: &Args) -> Result<Program, String> {
     parse(&src).map_err(|e| format!("{}: {e}", args.file))
 }
 
-/// Lint a parsed program with the full pass registry (cost-model passes
-/// included) and return the report.
+/// Lint a parsed program and its lowering with the full pass registry
+/// (cost-model passes included) and return the report.
 fn lint_report(
     args: &Args,
     cm: &CostModel,
     prog: &Program,
+    lowered: &Result<FormulaSequence, ExprError>,
 ) -> tensor_contraction_opt::check::diag::CheckReport {
     use tensor_contraction_opt::lint::{lint_program, LintOptions};
     lint_program(
         prog,
+        lowered,
         &LintOptions { file: Some(&args.file), cm: Some(cm), ..LintOptions::default() },
     )
 }
 
 fn cmd_lint(args: &Args, out: Out) -> Result<(), Failure> {
     let cm = cost_model(args)?;
-    let report = lint_report(args, &cm, &parse_source(args)?);
+    let prog = parse_source(args)?;
+    let report = lint_report(args, &cm, &prog, &lower_program(&prog));
     if args.json {
         writeln!(out, "{}", report.render_json())?;
     } else if report.diagnostics.is_empty() {
@@ -641,9 +644,10 @@ fn cmd_optimize(args: &Args, out: Out) -> Result<(), Failure> {
     // Cheap static pre-pass: a lint *error* means the search (or the
     // simulation of its plan) is doomed — abort with the anchored
     // diagnostics instead; warnings are forwarded to stderr. The search
-    // lowers the same parsed program.
+    // runs on the same lowering the lint read.
     let prog = parse_source(args)?;
-    let lint = lint_report(args, &cm, &prog);
+    let lowered = lower_program(&prog);
+    let lint = lint_report(args, &cm, &prog, &lowered);
     if !lint.diagnostics.is_empty() {
         eprint!("{}", lint.render_human());
     }
@@ -655,8 +659,7 @@ fn cmd_optimize(args: &Args, out: Out) -> Result<(), Failure> {
         )
         .into());
     }
-    let seq = lower_program(&prog).map_err(|e| e.to_string())?;
-    let tree = seq.to_tree().map_err(|e| e.to_string())?;
+    let tree = lowered.map_err(|e| e.to_string())?.to_tree().map_err(|e| e.to_string())?;
     let cfg = opt_config(args, &tree)?;
     // Level-2 plan cache: consult before searching. A hit has already
     // been rename-mapped onto this tree and re-validated by the full

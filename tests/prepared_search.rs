@@ -7,7 +7,9 @@
 //! explained passes, run on one search in either order, each equal a fresh
 //! single-pass run with the same bound — plan JSON, cost bits, footprint,
 //! certificate, lifted optimum, per-node statistics and every
-//! deterministic counter.
+//! deterministic counter. Level-1 subtree reuse (DESIGN.md §14) replays
+//! the same frontiers under every pass: on `repeated`, each pass with it
+//! on equals the pass with it off.
 
 use tensor_contraction_opt::core::portfolio::{Pass, Search};
 use tensor_contraction_opt::core::{extract_plan, OptimizeError, Optimized, OptimizerConfig};
@@ -92,4 +94,40 @@ fn passes_on_one_search_equal_fresh_single_pass_runs() {
         ..Default::default()
     };
     check_cell("enlarged ccsd_tiny @ 64", &load("ccsd_tiny.tce"), &cm64, &enlarged);
+}
+
+/// Every pass replays `repeated`'s isomorphic subtrees (the key pass cold,
+/// the exact and explained passes under the key pass's bound, so with
+/// warm cuts) and equals the same pass with reuse off, in the default and
+/// the enlarged space.
+#[test]
+fn subtree_reuse_replays_under_every_pass() {
+    let tree = load("repeated.tce");
+    let cell = |procs: u32, enlarged: bool| {
+        let cm = CostModel::for_square(MachineModel::itanium_cluster(), procs).expect("square");
+        let cfg = OptimizerConfig {
+            allow_replication: enlarged,
+            allow_unrelated_rotation: enlarged,
+            threads: 1,
+            ..Default::default()
+        };
+        (cm, cfg)
+    };
+    for (procs, enlarged) in [(4, false), (16, false), (64, false), (64, true)] {
+        let (cm, on) = cell(procs, enlarged);
+        let off = OptimizerConfig { disable_subtree_reuse: true, ..on.clone() };
+        let label = format!("repeated @ {procs}{}", if enlarged { " enlarged" } else { "" });
+        let (with, without) = (Search::new(&tree, &cm, &on), Search::new(&tree, &cm, &off));
+        let (with, without) = (with.expect("prepares"), without.expect("prepares"));
+        let bound = with.run(Pass::Key, None).ok().map(|o| o.comm_cost);
+        for (pass, bound) in [(Pass::Key, None), (Pass::Exact, bound), (Pass::Explained, bound)] {
+            let run = with.run(pass, bound);
+            let opt = run.as_ref().unwrap_or_else(|e| panic!("{label}: {pass:?}: {e}"));
+            let hits =
+                (opt.counters.get(names::SUBTREE_HIT), opt.counters.get(names::SUBTREE_MISS));
+            assert_eq!(hits, (6, 5), "{label}: {pass:?} hits and misses");
+            let reference = fingerprint(&tree, &without.run(pass, bound));
+            assert_eq!(fingerprint(&tree, &run), reference, "{label}: {pass:?}");
+        }
+    }
 }
