@@ -492,7 +492,8 @@ S[a,p] = sum[c,r] T1[a,c] * T2[p,r];
         optimize(&tree, &cm4, &OptimizerConfig { disable_subtree_reuse: true, ..base.clone() })
             .unwrap();
 
-    // The reuse actually fired: T2 replayed T1's frontier.
+    // The reuse actually fired: T1 replayed T2's frontier (T2 comes first
+    // in postorder).
     assert!(with.counters.get(tce_obs::names::SUBTREE_HIT) >= 1, "no subtree hit recorded");
     assert_eq!(without.counters.get(tce_obs::names::SUBTREE_HIT), 0);
 
